@@ -42,12 +42,9 @@ __all__ = [
     "PrincipalBasis",
     "Weight",
     "build_algebra",
-    "bracket",
-    "invariant_pair",
     "principal_decomposition",
     "exponents",
     "normalize_principal_basis",
-    "weight_form",
 ]
 
 
@@ -908,14 +905,6 @@ class Weight:
 # ----------------------------------------------------------- module-level ops
 
 
-def bracket(model: AlgebraModel, x: GradedVector, y: GradedVector) -> GradedVector:
-    return x.bracket(y)
-
-
-def invariant_pair(model, x, y) -> RationalFunction:
-    return x.pair(y)
-
-
 def principal_decomposition(model: AlgebraModel, n: int):
     """Bases of (a_n, c_n) as graded vectors, |n| <= cutoff + 1.
 
@@ -946,7 +935,3 @@ def exponents(model: AlgebraModel, upto=None):
 
 def normalize_principal_basis(model: AlgebraModel) -> PrincipalBasis:
     return PrincipalBasis(model)
-
-
-def weight_form(model: AlgebraModel, mu: Weight, nu: Weight) -> Scalar:
-    return mu.form(nu)

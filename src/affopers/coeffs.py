@@ -1,6 +1,6 @@
 """Scalars, polynomials and rational functions in one variable.
 
-Two coefficient backends are supported and never mixed:
+Scalars come in two backends that are never mixed:
 
 * ``EXACT`` -- Gaussian rationals (a pair of rationals), used everywhere a
   result is claimed exactly.  Uses ``gmpy2.mpq`` when available, otherwise
@@ -8,15 +8,19 @@ Two coefficient backends are supported and never mixed:
 * ``FLOAT`` -- complex double precision, used for contour geometry and
   quadrature.
 
-Conversion is one-way, EXACT -> FLOAT, via ``to_float``.
+Conversion is one-way, EXACT -> FLOAT, via :meth:`Scalar.to_float`.
+Polynomial products and all rational-function arithmetic are EXACT; a FLOAT
+scalar enters a rational function only as a constant, which quadrature reads
+through ``eval_complex``.
 
-Rational functions keep their denominator in factored form ``prod (z-p)^m``
-times an optional non-split monic "opaque" factor.  All pipelines in this
-package produce denominators that split over a known pole set (marked points
-and roots), so reduction is a cheap divisibility check at the known poles;
-polynomial gcd is only needed when the opaque factor is nontrivial (general
-division).  Callers that obtain an opaque denominator can re-split it against
-a candidate pole list with :meth:`RationalFunction.split`.
+Every denominator this package builds splits over a known pole set: the
+marked points, the Bethe roots and their Moebius images.  A
+:class:`RationalFunction` is therefore stored as ``num / prod (z-p)^m`` over a
+sorted list of distinct poles, reduced (``num`` vanishes at none of them) and
+with a monic denominator.  Sums and products reduce by synthetic division at
+the known poles; no operation divides one rational function by another.
+Since the stored form is canonical, equality and hashing compare it directly
+and pole orders are lookups.
 """
 
 from __future__ import annotations
@@ -323,45 +327,36 @@ class Polynomial:
     def __mul__(self, other):
         other = self._check(other)
         a, b = self.coeffs, other.coeffs
+        if self.backend != EXACT:
+            raise TypeError("polynomial products are EXACT-only")
         if not a or not b:
-            return Polynomial(self.backend, ())
-        if self.backend == EXACT:
-            # unpacked rational loop: avoids building intermediate Scalars
-            ar = [c.re for c in a]
-            ai = [c.im for c in a]
-            br = [c.re for c in b]
-            bi = [c.im for c in b]
-            n, m = len(a), len(b)
-            outr = [_RZERO] * (n + m - 1)
-            outi = [_RZERO] * (n + m - 1)
-            if not any(ai) and not any(bi):
-                # real operands: the imaginary products are all exact zeros
-                for i in range(n):
-                    x = ar[i]
-                    if x:
-                        for j in range(m):
-                            outr[i + j] += x * br[j]
-            else:
-                for i in range(n):
-                    x, y = ar[i], ai[i]
-                    if x == 0 and y == 0:
-                        continue
+            return Polynomial(EXACT, ())
+        # unpacked rational loop: avoids building intermediate Scalars
+        ar = [c.re for c in a]
+        ai = [c.im for c in a]
+        br = [c.re for c in b]
+        bi = [c.im for c in b]
+        n, m = len(a), len(b)
+        outr = [_RZERO] * (n + m - 1)
+        outi = [_RZERO] * (n + m - 1)
+        if not any(ai) and not any(bi):
+            # real operands: the imaginary products are all exact zeros
+            for i in range(n):
+                x = ar[i]
+                if x:
                     for j in range(m):
-                        u, v = br[j], bi[j]
-                        k = i + j
-                        outr[k] += x * u - y * v
-                        outi[k] += x * v + y * u
-            out = [Scalar(EXACT, r, s) for r, s in zip(outr, outi)]
+                        outr[i + j] += x * br[j]
         else:
-            av = [complex(c.re, c.im) for c in a]
-            bv = [complex(c.re, c.im) for c in b]
-            acc = [0j] * (len(a) + len(b) - 1)
-            for i, x in enumerate(av):
-                if x == 0:
+            for i in range(n):
+                x, y = ar[i], ai[i]
+                if x == 0 and y == 0:
                     continue
-                for j, y in enumerate(bv):
-                    acc[i + j] += x * y
-            out = [Scalar(FLOAT, z.real, z.imag) for z in acc]
+                for j in range(m):
+                    u, v = br[j], bi[j]
+                    k = i + j
+                    outr[k] += x * u - y * v
+                    outi[k] += x * v + y * u
+        out = [Scalar(EXACT, r, s) for r, s in zip(outr, outi)]
         while out and out[-1].is_zero:
             out.pop()
         return Polynomial(self.backend, tuple(out))
@@ -407,25 +402,13 @@ class Polynomial:
             Polynomial(self.backend, tuple(rem)),
         )
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def derivative(self) -> "Polynomial":
         if len(self.coeffs) <= 1:
             return Polynomial.zero(self.backend)
-        if self.backend == EXACT:
-            out = [
-                Scalar(EXACT, c.re * k, c.im * k)
-                for k, c in enumerate(self.coeffs)
-            ][1:]
-        else:
-            out = [
-                Scalar(FLOAT, c.re * k, c.im * k)
-                for k, c in enumerate(self.coeffs)
-            ][1:]
+        out = [
+            Scalar(self.backend, c.re * k, c.im * k)
+            for k, c in enumerate(self.coeffs)
+        ][1:]
         return Polynomial.of(out, self.backend)
 
     def eval(self, s: Scalar) -> Scalar:
@@ -443,20 +426,28 @@ class Polynomial:
         return acc
 
     def shift(self, a: Scalar) -> "Polynomial":
-        """Taylor shift: returns q with q(z) = p(z + a)."""
+        """Taylor shift: returns q with q(z) = p(z + a).
+
+        The coefficients of q are the Taylor coefficients of p at a: the
+        remainders p(a), p'(a)/1!, ... of repeated synthetic division by
+        (z - a).
+        """
         if a.backend != self.backend:
             raise BackendMismatch("shift point backend mismatch")
-        return _taylor_shift(self, a)
-
-    def monic(self):
-        """Return (monic polynomial, leading coefficient)."""
         if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        lead = self.leading()
-        if lead == Scalar.one(self.backend):
-            return self, lead
-        inv = Scalar.one(self.backend) / lead
-        return self.scale(inv), lead
+            return self
+        work = list(self.coeffs)
+        out = []
+        while work:
+            acc = work[-1]
+            quot = []
+            for i in range(len(work) - 2, -1, -1):
+                quot.append(acc)
+                acc = work[i] + acc * a
+            out.append(acc)  # remainder = value at a
+            quot.reverse()
+            work = quot
+        return Polynomial.of(out, self.backend)
 
     def divide_linear(self, a: Scalar):
         """Synthetic division by (z - a): returns (quotient, remainder scalar)."""
@@ -470,13 +461,6 @@ class Polynomial:
         quot = Polynomial.of(out, self.backend) if out else Polynomial.zero(self.backend)
         return quot, acc
 
-    def to_float(self) -> "Polynomial":
-        if self.backend == FLOAT:
-            return self
-        if not self.coeffs:
-            return Polynomial.zero(FLOAT)
-        return Polynomial.of([c.to_float() for c in self.coeffs], FLOAT)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -487,13 +471,6 @@ class Polynomial:
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
-
-    @staticmethod
-    def parse(obj, backend=EXACT) -> "Polynomial":
-        coeffs = [Scalar.parse(c, backend) for c in obj]
-        if not coeffs:
-            return Polynomial.zero(backend)
-        return Polynomial.of(coeffs, backend)
 
     def __repr__(self):
         if self.is_zero:
@@ -508,44 +485,6 @@ class Polynomial:
                 cs = f"({c.re}+{c.im}i)" if c.im else str(c.re)
             terms.append(cs if k == 0 else (f"{cs}*z^{k}" if k > 1 else f"{cs}*z"))
         return "Polynomial(" + " + ".join(terms) + ")"
-
-
-def _taylor_shift(p: Polynomial, a: Scalar) -> Polynomial:
-    """q(z) = p(z + a) by repeated synthetic division by (z + a)... i.e. at -a."""
-    # p(z + a) coefficients are the Taylor coefficients of p at a:
-    # repeatedly divide by (z - a); remainders are p(a), p'(a)/1!, ...
-    if p.is_zero:
-        return p
-    work = list(p.coeffs)
-    out = []
-    for _ in range(len(p.coeffs)):
-        # synthetic division of `work` by (z - a)
-        acc = work[-1]
-        quot = []
-        for i in range(len(work) - 2, -1, -1):
-            quot.append(acc)
-            acc = work[i] + acc * a
-        out.append(acc)  # remainder = value at a
-        quot.reverse()
-        work = quot
-        if not work:
-            break
-    return Polynomial.of(out, p.backend)
-
-
-# expose the correct implementation (the method above delegates here)
-Polynomial.shift = lambda self, a: _taylor_shift(self, a)
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm (EXACT backend)."""
-    if a.backend != EXACT or b.backend != EXACT:
-        raise BackendMismatch("poly_gcd is an EXACT-only operation")
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()[0]
 
 
 def _series_inv(coeffs, order, backend):
@@ -574,69 +513,41 @@ def _series_mul(a, b, order, backend):
 
 
 class RationalFunction:
-    """Quotient of polynomials with a factored denominator.
+    """A reduced quotient ``num / prod (z - p)^m`` with split denominator.
 
-    The denominator is ``prod (z - p)^m`` over the stored pole list times a
-    monic ``extra`` polynomial for non-split factors.  On the EXACT backend the
-    numerator shares no root with the denominator (enforced at the known poles
-    by synthetic division, and against ``extra`` by gcd); the denominator is
-    monic.  FLOAT values are normalized the same way but never reduced.
+    ``poles`` is a tuple of (pole, multiplicity) pairs over distinct poles,
+    sorted by (re, im), with every multiplicity positive; the denominator is
+    therefore monic.  ``num`` vanishes at none of the poles, and the zero
+    function has no poles, so every value has exactly one stored form.
+    Construction and arithmetic keep that form; FLOAT values occur only as
+    constants.
     """
 
-    __slots__ = ("backend", "num", "poles", "extra")
+    __slots__ = ("backend", "num", "poles")
 
-    def __init__(self, backend, num, poles, extra):
+    def __init__(self, backend, num, poles):
         self.backend = backend
         self.num = num
         self.poles = poles  # tuple of (Scalar, multiplicity), canonically sorted
-        self.extra = extra  # monic Polynomial, one() when trivial
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_split(num: Polynomial, poles, reduce=True) -> "RationalFunction":
-        """Build num / prod (z-p)^m from a {pole: multiplicity} mapping."""
+    def from_split(num: Polynomial, poles) -> "RationalFunction":
+        """Build num / prod (z-p)^m from {pole: multiplicity} or (pole, m)
+        pairs, cancelling the roots of num at the poles."""
         backend = num.backend
-        items = dict(poles) if not isinstance(poles, dict) else dict(poles)
-        items = {p: int(m) for p, m in items.items() if m}
+        items = {p: int(m) for p, m in dict(poles).items() if m}
         for p, m in items.items():
             if p.backend != backend:
                 raise BackendMismatch("pole backend mismatch")
             if m < 0:
                 raise ValueError("negative pole multiplicity")
-        rf = RationalFunction(
-            backend, num, _sorted_poles(items), Polynomial.one(backend)
-        )
-        if reduce and backend == EXACT:
-            rf = rf._reduced()
-        return rf
-
-    @staticmethod
-    def from_num_den(num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """General quotient; EXACT cancels the gcd, denominator goes opaque."""
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        backend = num.backend
-        if den.backend != backend:
-            raise BackendMismatch("numerator/denominator backend mismatch")
-        if num.is_zero:
-            return RationalFunction.zero(backend)
-        if backend == EXACT:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = (num // g)
-                den = (den // g)
-        den, lead = den.monic()
-        num = num.scale(Scalar.one(backend) / lead)
-        if den.degree == 0:
-            return RationalFunction(
-                backend, num, (), Polynomial.one(backend)
-            )
-        return RationalFunction(backend, num, (), den)
+        return RationalFunction(backend, num, _sorted_poles(items))._reduced()
 
     @staticmethod
     def from_poly(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p.backend, p, (), Polynomial.one(p.backend))
+        return RationalFunction(p.backend, p, ())
 
     @staticmethod
     def from_scalar(s: Scalar) -> "RationalFunction":
@@ -644,9 +555,7 @@ class RationalFunction:
 
     @staticmethod
     def zero(backend) -> "RationalFunction":
-        return RationalFunction(
-            backend, Polynomial.zero(backend), (), Polynomial.one(backend)
-        )
+        return RationalFunction(backend, Polynomial.zero(backend), ())
 
     @staticmethod
     def one(backend) -> "RationalFunction":
@@ -671,28 +580,23 @@ class RationalFunction:
 
     @property
     def is_polynomial(self) -> bool:
-        return not self.poles and self.extra.degree <= 0
+        return not self.poles
 
     def pole_dict(self) -> dict:
         return dict(self.poles)
 
     def den_poly(self) -> Polynomial:
         """Expanded (monic) denominator."""
-        den = self.extra
-        for p, m in self.poles:
-            lin = Polynomial.of([-p, Scalar.one(self.backend)], self.backend)
-            for _ in range(m):
-                den = den * lin
-        return den
+        return _linear_product(self.backend, dict(self.poles))
 
     def _reduced(self) -> "RationalFunction":
-        """Cancel numerator roots sitting at known poles (EXACT hot path)."""
+        """Cancel numerator roots sitting at known poles."""
         if self.num.is_zero:
             return RationalFunction.zero(self.backend)
         num = self.num
         newpoles = []
         for p, m in self.poles:
-            while m > 0 and not num.is_zero:
+            while m > 0:
                 q, r = num.divide_linear(p)
                 if r.is_zero:
                     num, m = q, m - 1
@@ -700,42 +604,7 @@ class RationalFunction:
                     break
             if m:
                 newpoles.append((p, m))
-        extra = self.extra
-        if extra.degree > 0:
-            g = poly_gcd(num, extra)
-            if g.degree > 0:
-                num = num // g
-                extra = extra // g
-        return RationalFunction(self.backend, num, tuple(newpoles), extra)
-
-    def split(self, candidates) -> "RationalFunction":
-        """Factor the opaque denominator part over candidate poles.
-
-        Every candidate that exactly divides the opaque factor is moved into
-        the pole list (with its full multiplicity).  Raises if a nontrivial
-        opaque factor remains -- the caller's candidate list was incomplete.
-        """
-        if self.extra.degree <= 0:
-            return self
-        if self.backend != EXACT:
-            raise BackendMismatch("split() works on the EXACT backend")
-        extra = self.extra
-        found = dict(self.poles)
-        for a in candidates:
-            while extra.degree > 0:
-                q, r = extra.divide_linear(a)
-                if r.is_zero:
-                    extra = q
-                    found[a] = found.get(a, 0) + 1
-                else:
-                    break
-        if extra.degree > 0:
-            raise ValueError(
-                "denominator does not split over the supplied pole candidates"
-            )
-        return RationalFunction(
-            self.backend, self.num, _sorted_poles(found), Polynomial.one(self.backend)
-        )
+        return RationalFunction(self.backend, num, tuple(newpoles))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -767,22 +636,15 @@ class RationalFunction:
         nb = other.num * _linear_product(
             self.backend, {p: allpoles[p] - bpoles.get(p, 0) for p in allpoles}
         )
-        ea, eb = self.extra, other.extra
-        if ea == eb:
-            extra = ea
-        else:
-            na = na * eb
-            nb = nb * ea
-            extra = ea * eb
-        num = na + nb
-        rf = RationalFunction(self.backend, num, _sorted_poles(allpoles), extra)
-        return rf._reduced() if self.backend == EXACT else rf
+        return RationalFunction(
+            self.backend, na + nb, _sorted_poles(allpoles)
+        )._reduced()
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return RationalFunction(self.backend, -self.num, self.poles, self.extra)
+        return RationalFunction(self.backend, -self.num, self.poles)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -791,45 +653,36 @@ class RationalFunction:
         poles = dict(self.poles)
         for p, m in other.poles:
             poles[p] = poles.get(p, 0) + m
-        rf = RationalFunction(
-            self.backend,
-            self.num * other.num,
-            _sorted_poles(poles),
-            self.extra * other.extra,
-        )
-        return rf._reduced() if self.backend == EXACT else rf
+        return RationalFunction(
+            self.backend, self.num * other.num, _sorted_poles(poles)
+        )._reduced()
 
     def scale(self, s: Scalar) -> "RationalFunction":
         if s.is_zero:
             return RationalFunction.zero(self.backend)
-        return RationalFunction(self.backend, self.num.scale(s), self.poles, self.extra)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return self * other._inverted()
-
-    def _inverted(self) -> "RationalFunction":
-        # zeros of self become poles (opaque: we do not know them);
-        # poles of self become zeros (re-expanded into the numerator).
-        num = _linear_product(self.backend, dict(self.poles)) * self.extra
-        return RationalFunction.from_num_den(num, self.num)
+        return RationalFunction(self.backend, self.num.scale(s), self.poles)
 
     def derivative(self) -> "RationalFunction":
-        if self.is_zero:
-            return self
-        if not self.poles and self.extra.degree <= 0:
+        """f' in reduced form, with no reduction pass.
+
+        With L = prod (z-p) over the distinct poles,
+
+            f' = (n' L - n sum_p m_p L/(z-p)) / prod (z-p)^(m_p+1).
+
+        At a pole p every term of the numerator but one vanishes, leaving
+        -m_p n(p) prod_{q != p} (p - q), which is nonzero since n(p) is; so
+        each pole order rises by exactly one and the quotient is reduced.
+        """
+        if not self.poles:
             return RationalFunction.from_poly(self.num.derivative())
-        # f = n / D, D = prod (z-p)^m * extra
-        # f' = (n' D - n D') / D^2, with D'/D = sum m/(z-p) + extra'/extra
-        D = self.den_poly()
-        Dp = D.derivative()
-        num = self.num.derivative() * D - self.num * Dp
-        poles = {p: 2 * m for p, m in self.poles}
-        extra = self.extra * self.extra
-        rf = RationalFunction(self.backend, num, _sorted_poles(poles), extra)
-        return rf._reduced() if self.backend == EXACT else rf
+        L = _linear_product(self.backend, {p: 1 for p, _m in self.poles})
+        S = Polynomial.zero(self.backend)
+        for p, m in self.poles:
+            S = S + L.divide_linear(p)[0].scale(Scalar.exact(m))
+        num = self.num.derivative() * L - self.num * S
+        return RationalFunction(
+            self.backend, num, tuple((p, m + 1) for p, m in self.poles)
+        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -842,8 +695,6 @@ class RationalFunction:
                 raise ZeroDivisionError(f"evaluation at a pole {s!r}")
             for _ in range(m):
                 den = den * d
-        if self.extra.degree > 0:
-            den = den * self.extra.eval(s)
         return num / den
 
     def eval_complex(self, z: complex) -> complex:
@@ -851,19 +702,7 @@ class RationalFunction:
         den = 1 + 0j
         for p, m in self.poles:
             den *= (z - complex(p.re, p.im)) ** m
-        if self.extra.degree > 0:
-            den *= self.extra.eval_complex(z)
         return num / den
-
-    def to_float(self) -> "RationalFunction":
-        if self.backend == FLOAT:
-            return self
-        return RationalFunction(
-            FLOAT,
-            self.num.to_float(),
-            tuple((p.to_float(), m) for p, m in self.poles),
-            self.extra.to_float(),
-        )
 
     # -- expansions ----------------------------------------------------------
 
@@ -872,15 +711,15 @@ class RationalFunction:
 
         With keep_regular > 0 the first regular Taylor coefficients follow as
         (order 0, value), (order -1, first derivative coeff), ... counted with
-        negative "orders" -j for the (z-a)^j coefficient.
+        negative "orders" -j for the (z-a)^j coefficient.  Zero coefficients
+        are left out.
         """
         m = dict(self.poles).get(a, 0)
         order = m + keep_regular
-        if order == 0:
+        if order == 0 or self.is_zero:
             return []
         # g(w) = num(a+w) / (other factors)(a+w); f = g(w)/w^m
         numser = list(self.num.shift(a).coeffs)
-        denser = [Scalar.one(self.backend)]
         denpoly = Polynomial.one(self.backend)
         for p, mp in self.poles:
             if p == a:
@@ -888,21 +727,13 @@ class RationalFunction:
             lin = Polynomial.of([a - p, Scalar.one(self.backend)], self.backend)
             for _ in range(mp):
                 denpoly = denpoly * lin
-        if self.extra.degree > 0:
-            denpoly = denpoly * self.extra.shift(a)
-        denser = list(denpoly.coeffs)
-        if not numser:
-            return []
         numser += [Scalar.zero(self.backend)] * max(0, order - len(numser))
         g = _series_mul(
-            numser, _series_inv(denser, order, self.backend), order, self.backend
+            numser, _series_inv(list(denpoly.coeffs), order, self.backend),
+            order, self.backend,
         )
-        out = []
-        for j, c in enumerate(g):
-            k = m - j  # coefficient of (z-a)^(-k)
-            if not c.is_zero or k > 0:
-                out.append((k, c))
-        return [(k, c) for k, c in out if (k > 0 and not c.is_zero) or k <= 0]
+        # g[j] is the coefficient of (z-a)^(j-m)
+        return [(m - j, c) for j, c in enumerate(g) if not c.is_zero]
 
     def residue_at(self, a: Scalar) -> Scalar:
         for k, c in self.laurent_at(a):
@@ -911,15 +742,21 @@ class RationalFunction:
         return Scalar.zero(self.backend)
 
     def pole_order_at(self, a: Scalar) -> int:
-        """Actual pole order at a (0 if regular), from the reduced form."""
-        rf = self._reduced() if self.backend == EXACT else self
-        return dict(rf.poles).get(a, 0)
+        """Pole order at a (0 if regular)."""
+        return dict(self.poles).get(a, 0)
 
     # -- reparameterization ---------------------------------------------------
 
     def compose_mobius(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar
                        ) -> "RationalFunction":
-        """f((a z + b)/(c z + d)) as a rational function of z; ad - bc != 0."""
+        """f((a z + b)/(c z + d)) as a rational function of z; ad - bc != 0.
+
+        The image is reduced without a reduction pass.  With mu the map and
+        N = num(mu(z)) (c z + d)^deg(num): at a new pole mu^-1(p), N equals
+        num(p) times a nonzero power of c z + d; at -d/c, a pole only when
+        the numerator has the higher degree, N is the leading coefficient of
+        num times ((a d - b c)/c)^deg(num).  Neither vanishes.
+        """
         det = a * d - b * c
         if det.is_zero:
             raise ValueError("singular coefficient matrix for a Moebius map")
@@ -933,7 +770,6 @@ class RationalFunction:
         poles = {}
         scale = one
         dpow = 0
-        den_extra_num = Polynomial.one(backend)
         for p, m in self.poles:
             lc = a - p * c
             cc = b - p * d
@@ -947,11 +783,7 @@ class RationalFunction:
                 poles[root] = poles.get(root, 0) + m
                 for _ in range(m):
                     scale = scale * lc
-        if self.extra.degree > 0:
-            e_num, e_pow = _compose_num(self.extra, A, B)
-            dpow += e_pow
-            den_extra_num = e_num
-        # assemble: f(mu(z)) = num * B^(dpow - npow) / (scale * prod(z-root)^m * den_extra_num)
+        # assemble: f(mu(z)) = num * B^(dpow - npow) / (scale * prod(z-root)^m)
         invscale = one / scale
         num = num.scale(invscale)
         bexp = dpow - npow
@@ -971,58 +803,25 @@ class RationalFunction:
                 for _ in range(-bexp):
                     sc = sc * (one / c)
                 num = num.scale(sc)
-        rf = RationalFunction(backend, num, _sorted_poles(poles), Polynomial.one(backend))
-        if den_extra_num.degree > 0:
-            dmon, dlead = den_extra_num.monic()
-            rf = RationalFunction(
-                backend, rf.num.scale(one / dlead), rf.poles, dmon
-            )
-        return rf._reduced() if backend == EXACT else rf
+        return RationalFunction(backend, num, _sorted_poles(poles))
 
     # -- comparison / io -------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if other.backend != self.backend:
-            return False
-        return (self.num * other.den_poly()) == (other.num * self.den_poly())
+        return (self.backend == other.backend and self.num == other.num
+                and self.poles == other.poles)
 
     def __hash__(self):
-        # hash via the reduced canonical pair
-        rf = self._reduced() if self.backend == EXACT else self
-        return hash((rf.backend, rf.num, rf.poles, rf.extra))
-
-    def almost_equal(self, other, tol=1e-10) -> bool:
-        """Coefficient-wise comparison of num/den after monic normalization."""
-        a = self.num * other.den_poly()
-        b = other.num * self.den_poly()
-        n = max(len(a.coeffs), len(b.coeffs))
-        scale = max(
-            [1.0]
-            + [abs(c.as_complex()) for c in a.coeffs]
-            + [abs(c.as_complex()) for c in b.coeffs]
-        )
-        for i in range(n):
-            ca = a.coeffs[i].as_complex() if i < len(a.coeffs) else 0j
-            cb = b.coeffs[i].as_complex() if i < len(b.coeffs) else 0j
-            if abs(ca - cb) > tol * scale:
-                return False
-        return True
+        return hash((self.backend, self.num, self.poles))
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den_poly().to_json()}
 
-    @staticmethod
-    def parse(obj, backend=EXACT) -> "RationalFunction":
-        num = Polynomial.parse(obj["num"], backend)
-        den = Polynomial.parse(obj.get("den", ["1"]), backend)
-        return RationalFunction.from_num_den(num, den)
-
     def __repr__(self):
         ps = ", ".join(f"{p!r}^{m}" for p, m in self.poles)
-        ex = f", extra={self.extra!r}" if self.extra.degree > 0 else ""
-        return f"RF({self.num!r} / [{ps}]{ex})"
+        return f"RF({self.num!r} / [{ps}])"
 
 
 def _sorted_poles(poles: dict):
@@ -1055,102 +854,15 @@ def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):
     return acc, n
 
 
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Convenience dispatcher: op in '+', '-', '*', '/'."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def residue_at(f: RationalFunction, x0: Scalar) -> Scalar:
-    """Residue of f at x0."""
-    return f.residue_at(x0)
-
-
-def _float_roots(p: Polynomial, tol=1e-13, maxit=200):
-    """All complex roots of a FLOAT polynomial (Aberth iteration)."""
-    coeffs = [complex(c.re, c.im) for c in p.coeffs]
-    n = len(coeffs) - 1
-    if n <= 0:
-        return []
-    # initial guesses on a circle slightly off-symmetric
-    import cmath
-
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-    roots = [
-        radius * cmath.exp(2j * cmath.pi * (k + 0.35) / n) for k in range(n)
-    ]
-    def val_der(z):
-        v, d = 0j, 0j
-        for c in reversed(coeffs):
-            d = d * z + v
-            v = v * z + c
-        return v, d
-
-    for _ in range(maxit):
-        new = []
-        done = True
-        for i, z in enumerate(roots):
-            v, d = val_der(z)
-            if v == 0:
-                new.append(z)
-                continue
-            s = sum(1.0 / (z - w) for j, w in enumerate(roots) if j != i)
-            denom = d / v - s
-            step = 1.0 / denom if denom != 0 else 0.1
-            if abs(step) > tol * max(1.0, abs(z)):
-                done = False
-            new.append(z - step)
-        roots = new
-        if done:
-            break
-    return roots
-
-
-def partial_fractions(f: RationalFunction, candidates=None):
+def partial_fractions(f: RationalFunction):
     """Decompose f into (polynomial part, [(pole, order, coefficient), ...]).
 
-    EXACT: the denominator must split over the known poles plus the supplied
-    candidates.  FLOAT: leftover denominator factors get their roots from a
-    numeric solve.  Entries with zero coefficient are omitted; orders run from
-    each pole's multiplicity down to 1.
+    Entries with zero coefficient are omitted; orders run from each pole's
+    multiplicity down to 1.
     """
-    if f.backend == EXACT:
-        if f.extra.degree > 0:
-            f = f.split(candidates or [])
-    else:
-        if f.extra.degree > 0:
-            roots = _float_roots(f.extra)
-            poles = dict(f.poles)
-            for r in roots:
-                key = Scalar.of_float(r.real, r.imag)
-                # merge numerically coincident roots
-                merged = False
-                for p in list(poles):
-                    if abs(p.as_complex() - r) < 1e-9:
-                        poles[p] += 1
-                        merged = True
-                        break
-                if not merged:
-                    poles[key] = poles.get(key, 0) + 1
-            f = RationalFunction(FLOAT, f.num, _sorted_poles(poles),
-                                 Polynomial.one(FLOAT))
-    den = f.den_poly()
-    if den.degree <= 0:
-        return f.num, []
-    qpart, rem = divmod(f.num, den)
-    frac = RationalFunction(f.backend, rem, f.poles, Polynomial.one(f.backend))
-    terms = []
-    for p, m in f.poles:
-        for k, c in frac.laurent_at(p):
-            if k >= 1 and not c.is_zero:
-                terms.append((p, k, c))
+    qpart = divmod(f.num, f.den_poly())[0]
+    terms = [(p, k, c) for p, _m in f.poles
+             for k, c in f.laurent_at(p) if k >= 1]
     return qpart, terms
 
 
@@ -1158,7 +870,5 @@ def recombine(poly_part: Polynomial, terms) -> RationalFunction:
     """Inverse of partial_fractions, for checking decompositions."""
     out = RationalFunction.from_poly(poly_part)
     for p, k, c in terms:
-        out = out + RationalFunction.from_split(
-            Polynomial.constant(c), {p: k}, reduce=False
-        )
+        out = out + RationalFunction.from_split(Polynomial.constant(c), {p: k})
     return out

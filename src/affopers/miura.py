@@ -43,7 +43,6 @@ __all__ = [
     "quadratic_eigenvalue_data",
     "single_root_position",
     "erase_root",
-    "erase_all_roots",
     "regularity_check",
 ]
 
@@ -303,13 +302,6 @@ def erase_root(conn: Connection, w: Scalar, color: int) -> Connection:
     m = conn.model.simple_raising(color).scale(
         RationalFunction.simple_pole(Scalar.exact(-1), w))
     return gauge_transform(conn, m)
-
-
-def erase_all_roots(d: MiuraData) -> Connection:
-    conn = build_miura(d)
-    for w, c in d.roots:
-        conn = erase_root(conn, w, c)
-    return conn
 
 
 def regularity_check(d: MiuraData):

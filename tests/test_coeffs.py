@@ -17,10 +17,7 @@ from affopers.coeffs import (
     RationalFunction,
     Scalar,
     partial_fractions,
-    poly_gcd,
     recombine,
-    residue_at,
-    rf_arith,
 )
 
 
@@ -126,12 +123,6 @@ def test_poly_shift_matches_evaluation():
         assert q.eval(x) == p.eval(x + a)
 
 
-def test_poly_gcd():
-    a = (Z - ONE) * (Z + ONE)
-    b = (Z - ONE) * (Z - ONE)
-    assert poly_gcd(a, b) == Z - ONE
-
-
 def test_poly_pow_and_derivative():
     p = (Z + ONE) ** 3
     assert p == poly(1, 3, 3, 1)
@@ -153,24 +144,17 @@ def test_rf_reduction_cancels_known_pole():
 
 def test_rf_equality_across_representations():
     a = rf_split(poly(1), {2: 1})
-    b = RationalFunction.from_num_den(poly(3), poly(-6, 3))
+    b = rf_split(poly(-2, 1), {2: 2})  # (z-2)/(z-2)^2
     assert a == b
 
 
 def test_rf_arith_dispatch():
     a = rf_split(poly(1), {0: 1})
     b = rf_split(poly(1), {1: 1})
-    s = rf_arith(a, b, "+")
-    d = rf_arith(s, b, "-")
+    s = a + b
+    d = s - b
     assert d == a
-    p = rf_arith(a, b, "*")
-    assert rf_arith(p, b, "/") == a
-
-
-def test_rf_division_general():
-    f = RationalFunction.from_num_den(poly(-1, 0, 1), poly(-2, 1))
-    g = RationalFunction.from_num_den(poly(-1, 1), poly(-2, 1))
-    assert f / g == RationalFunction.from_poly(poly(1, 1))
+    assert a * b == rf_split(poly(1), {0: 1, 1: 1})
 
 
 def test_rf_eval():
@@ -224,8 +208,8 @@ def test_partial_fractions_mixed_orders():
 # frozen oracle: residue(z^2/((z-1)(z-2)^2), 2) = 0, at 1 it is 1
 def test_residue_values():
     f = rf_split(poly(0, 0, 1), {1: 1, 2: 2})
-    assert residue_at(f, sc(2)) == sc(0)
-    assert residue_at(f, sc(1)) == sc(1)
+    assert f.residue_at(sc(2)) == sc(0)
+    assert f.residue_at(sc(1)) == sc(1)
 
 
 def test_laurent_orders():
@@ -305,50 +289,7 @@ def test_residue_of_derivative_vanishes(nc, poles):
     f = rf_split(num, poles)
     df = f.derivative()
     for p in poles:
-        assert residue_at(df, sc(p)) == sc(0)
-
-
-def test_float_partial_fractions_mirror_exact():
-    rng = random.Random(7)
-    for _ in range(12):
-        poles = {}
-        for p in rng.sample([-3, -1, 0, 2, 5], k=rng.randint(1, 3)):
-            poles[p] = rng.randint(1, 2)
-        num = poly(*[rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
-        if num.is_zero:
-            continue
-        f = rf_split(num, poles)
-        qe, te = partial_fractions(f)
-        qf, tf = partial_fractions(f.to_float())
-        assert len(te) == len(tf)
-        te_s = sorted(te, key=lambda t: (t[0].as_complex().real, t[1]))
-        tf_s = sorted(tf, key=lambda t: (t[0].as_complex().real, t[1]))
-        for (pe, ke, ce), (pf, kf, cf) in zip(te_s, tf_s):
-            assert ke == kf
-            assert abs(pe.as_complex() - pf.as_complex()) < 1e-10
-            assert abs(ce.as_complex() - cf.as_complex()) < 1e-10 * max(
-                1.0, abs(ce.as_complex())
-            )
-
-
-def test_split_against_candidates():
-    # opaque denominator z^2 - 1 splits over {1, -1}
-    f = RationalFunction.from_num_den(poly(7), poly(-1, 0, 1))
-    assert f.extra.degree == 2
-    g = f.split([sc(1), sc(-1)])
-    assert g.extra.degree <= 0
-    assert g.pole_dict() == {sc(1): 1, sc(-1): 1}
-    with pytest.raises(ValueError):
-        f.split([sc(1)])  # incomplete candidate list
-
-
-def test_float_partial_fractions_numeric_roots():
-    f = RationalFunction.from_num_den(poly(7), poly(-1, 0, 1)).to_float()
-    qpart, terms = partial_fractions(f)
-    assert qpart.is_zero
-    vals = sorted((p.as_complex().real, c.as_complex()) for p, _, c in terms)
-    assert abs(vals[0][0] + 1) < 1e-9 and abs(vals[0][1] + 3.5) < 1e-9
-    assert abs(vals[1][0] - 1) < 1e-9 and abs(vals[1][1] - 3.5) < 1e-9
+        assert df.residue_at(sc(p)) == sc(0)
 
 
 # frozen oracle: f=(z^2+1)/(z-2), mu(s)=(2s+1)/(s-1):
@@ -356,7 +297,7 @@ def test_float_partial_fractions_numeric_roots():
 def test_compose_mobius_frozen():
     f = rf_split(poly(1, 0, 1), {2: 1})
     g = f.compose_mobius(sc(2), sc(1), sc(1), sc(-1))
-    expected = RationalFunction.from_num_den(poly(2, 2, 5), poly(-3, 3))
+    expected = rf_split(poly("2/3", "2/3", "5/3"), {1: 1})
     assert g == expected
 
 
@@ -376,12 +317,15 @@ def test_compose_mobius_translation_and_scaling():
     t = f.compose_mobius(sc(1), sc(5), sc(0), sc(1))  # z -> z + 5
     assert t == rf_split(poly(5, 1), {-4: 2})
     s = f.compose_mobius(sc(3), sc(0), sc(0), sc(1))  # z -> 3z
-    assert s == RationalFunction.from_num_den(poly(0, 3), poly(1, -6, 9))
+    assert s == rf_split(poly(0, "1/3"), {"1/3": 2})  # 3z/(3z-1)^2
 
 
 def test_rf_json_roundtrip():
     f = rf_split(poly(2, -1), {0: 1, 1: 2})
-    g = RationalFunction.parse(f.to_json()).split([sc(0), sc(1)])
+    js = f.to_json()
+    g = rf_split(Polynomial.of([Scalar.parse(c) for c in js["num"]]),
+                 {0: 1, 1: 2})
+    assert g.den_poly() == Polynomial.of([Scalar.parse(c) for c in js["den"]])
     assert f == g
 
 
@@ -394,3 +338,49 @@ def test_derivative_partial_fractions_frozen():
         (sc(-1), 2, sc("1/2")),
         (sc(1), 2, sc("-1/2")),
     }
+
+
+# ------------------------------------ the reduced split form, complex data
+
+gauss_st = st.tuples(rat_st, rat_st).map(lambda t: sc(*t))
+split_st = st.tuples(
+    st.lists(gauss_st, min_size=1, max_size=4),
+    st.dictionaries(gauss_st, st.integers(min_value=1, max_value=3),
+                    min_size=1, max_size=3),
+)
+
+
+def _split_rf(data):
+    coeffs, poles = data
+    num = Polynomial.of(coeffs, EXACT)
+    return num, poles, RationalFunction.from_split(num, poles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_st)
+def test_derivative_raises_each_pole_order_by_one(data):
+    _num, _poles, f = _split_rf(data)
+    df = f.derivative()
+    assert df.pole_dict() == {p: m + 1 for p, m in f.poles}
+    # quotient rule on the expanded polynomials, cross-multiplied
+    n, D = f.num, f.den_poly()
+    ref = n.derivative() * D - n * D.derivative()
+    assert df.num * (D * D) == ref * df.den_poly()
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_st, split_st)
+def test_product_rule(a, b):
+    f, g = _split_rf(a)[2], _split_rf(b)[2]
+    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_st, st.integers(min_value=1, max_value=2))
+def test_one_function_has_one_stored_form(data, k):
+    num, poles, f = _split_rf(data)
+    p = min(poles, key=lambda q: (q.re, q.im))
+    lin = Polynomial.of([-p, sc(1)], EXACT)
+    g = RationalFunction.from_split(num * lin ** k, {**poles, p: poles[p] + k})
+    assert g == f
+    assert hash(g) == hash(f)

@@ -3,6 +3,7 @@ twisted periods, and run the self-check suites."""
 
 import argparse
 import json
+import math
 import sys
 
 from .contour import Contour, ContourError, pochhammer
@@ -92,6 +93,10 @@ def cmd_make_contour(args):
 
 
 def cmd_integrate(args):
+    # a NaN tolerance would bisect every panel to the depth cap
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, "
+                         f"got {args.tol!r}")
     d = MiuraData.from_json(_load(args.model))
     contour = Contour.from_json(_load(args.contour))
     q = quasi_canonicalize(build_miura(d))
@@ -159,7 +164,8 @@ def build_parser():
     p.add_argument("--exponent", required=True, type=int, metavar="R",
                    help="which coefficient v_R to integrate")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="absolute quadrature tolerance (default 1e-10)")
+                   help="absolute quadrature tolerance, finite and >= 0 "
+                        "(default 1e-10)")
     p.add_argument("--out", metavar="PATH",
                    help="write the result JSON here instead of stdout")
     p.set_defaults(func=cmd_integrate)

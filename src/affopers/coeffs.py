@@ -64,8 +64,7 @@ class Scalar:
     """A number in one of the two backends.
 
     EXACT scalars hold a pair of rationals (re, im); FLOAT scalars hold a
-    pair of Python floats.  Equality is exact in both backends; approximate
-    comparison goes through :meth:`almost_equal`.
+    pair of Python floats.  Equality is exact in both backends.
     """
 
     __slots__ = ("backend", "re", "im")
@@ -198,12 +197,6 @@ class Scalar:
 
     def __hash__(self):
         return hash((self.backend, self.re, self.im))
-
-    def almost_equal(self, other, tol=1e-10) -> bool:
-        """|self - other| <= tol * max(1, |self|, |other|), via complex."""
-        a, b = self.as_complex(), other.as_complex()
-        scale = max(1.0, abs(a), abs(b))
-        return abs(a - b) <= tol * scale
 
     def __repr__(self):
         if self.backend == EXACT:
@@ -419,12 +412,6 @@ class Polynomial:
             acc = acc * s + c
         return acc
 
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c.re, c.im)
-        return acc
-
     def shift(self, a: Scalar) -> "Polynomial":
         """Taylor shift: returns q with q(z) = p(z + a).
 
@@ -521,9 +508,16 @@ class RationalFunction:
     function has no poles, so every value has exactly one stored form.
     Construction and arithmetic keep that form; FLOAT values occur only as
     constants.
+
+    ``eval_complex`` converts the numerator coefficients (highest first) and
+    the poles to ``complex`` on its first call and keeps them in the
+    ``_complex`` slot, which construction leaves unset: quadrature evaluates
+    one function at thousands of nodes, while the exact layers build many
+    functions and evaluate none.  A value never changes after construction,
+    so the cache cannot go stale.
     """
 
-    __slots__ = ("backend", "num", "poles")
+    __slots__ = ("backend", "num", "poles", "_complex")
 
     def __init__(self, backend, num, poles):
         self.backend = backend
@@ -698,10 +692,19 @@ class RationalFunction:
         return num / den
 
     def eval_complex(self, z: complex) -> complex:
-        num = self.num.eval_complex(z)
+        try:
+            coeffs, poles = self._complex
+        except AttributeError:
+            coeffs = tuple(complex(c.re, c.im)
+                           for c in reversed(self.num.coeffs))
+            poles = tuple((complex(p.re, p.im), m) for p, m in self.poles)
+            self._complex = coeffs, poles
+        num = 0j
+        for c in coeffs:
+            num = num * z + c
         den = 1 + 0j
-        for p, m in self.poles:
-            den *= (z - complex(p.re, p.im)) ** m
+        for p, m in poles:
+            den *= (z - p) ** m
         return num / den
 
     # -- expansions ----------------------------------------------------------

@@ -81,6 +81,10 @@ class Line:
     def derivative(self, t: float) -> complex:
         return self.end - self.start
 
+    def point_and_derivative(self, t: float):
+        d = self.end - self.start
+        return self.start + t * d, d
+
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
 
@@ -131,6 +135,12 @@ class Arc:
     def derivative(self, t: float) -> complex:
         sweep = self.to_angle - self.from_angle
         return self.radius * sweep * 1j * cmath.exp(1j * self._theta(t))
+
+    def point_and_derivative(self, t: float):
+        """``(point(t), derivative(t))`` from one exponential."""
+        e = cmath.exp(1j * self._theta(t))
+        sweep = self.to_angle - self.from_angle
+        return self.center + self.radius * e, self.radius * sweep * 1j * e
 
     @property
     def start(self) -> complex:
@@ -364,9 +374,17 @@ def _log_increment(points, z0, z1):
     return out
 
 
-def advance_logs(points, logs, seg, ta, tb, depth=0):
-    """Continue all per-puncture logs along seg from parameter ta to tb."""
-    inc = _log_increment(points, seg.point(ta), seg.point(tb))
+def advance_logs(points, logs, seg, ta, tb, depth=0, za=None, zb=None):
+    """Continue all per-puncture logs along seg from parameter ta to tb.
+
+    ``za`` and ``zb``, when given, must be ``seg.point(ta)`` and
+    ``seg.point(tb)``; a caller that already holds them saves recomputing
+    them, and each bisection computes only its midpoint."""
+    if za is None:
+        za = seg.point(ta)
+    if zb is None:
+        zb = seg.point(tb)
+    inc = _log_increment(points, za, zb)
     if inc is not None:
         return [L + d for L, d in zip(logs, inc)]
     if depth >= _MAX_DEPTH:
@@ -374,8 +392,9 @@ def advance_logs(points, logs, seg, ta, tb, depth=0):
             "branch continuation cannot resolve the step; the path runs "
             "too close to a puncture")
     tm = 0.5 * (ta + tb)
-    half = advance_logs(points, logs, seg, ta, tm, depth + 1)
-    return advance_logs(points, half, seg, tm, tb, depth + 1)
+    zm = seg.point(tm)
+    half = advance_logs(points, logs, seg, ta, tm, depth + 1, za, zm)
+    return advance_logs(points, half, seg, tm, tb, depth + 1, zm, zb)
 
 
 class BranchTrack:

@@ -16,15 +16,22 @@ integrals over different data are independent.  This sequential threading
 is load-bearing for correctness and is why a stock quadrature routine is
 not used: the integrand is not a function of z alone, and rules that sample
 in an unspecified internal order would lose the branch.
+
+Each node's position and path derivative come from one evaluation of the
+segment (one exponential on an arc), and that position is also the start of
+the next branch step; the integrand's exact coefficients are converted to
+complex once per function (see ``RationalFunction``).  Every float operation
+is the one the separate evaluations would do, in the same order.
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .coeffs import EXACT, RationalFunction, Scalar
-from .contour import (Contour, ContourError, advance_logs,
-                      clearance_violations, default_clearance, start_logs)
+from .coeffs import RationalFunction, Scalar
+from .contour import (Contour, ContourError, _marked_data, _scalar_complex,
+                      advance_logs, clearance_violations, default_clearance,
+                      start_logs)
 from .oper_core import QuasiCanonicalForm, twisted_derivative
 
 __all__ = [
@@ -93,12 +100,6 @@ class IntegralResult:
                 f"{flag})")
 
 
-def _scalar_complex(x) -> complex:
-    if isinstance(x, Scalar):
-        return complex(float(x.re), float(x.im))
-    return complex(x)
-
-
 class _Budget:
     __slots__ = ("panels",)
 
@@ -113,8 +114,9 @@ class _Budget:
                 "the integrand is probably too close to a singularity")
 
 
-def _panel(seg, ta, tb, logs, points, f, budget):
-    """One Gauss-Kronrod panel with the branch threaded through the nodes.
+def _panel(seg, ta, tb, za, zb, logs, points, f, budget):
+    """One Gauss-Kronrod panel with the branch threaded through the nodes;
+    ``za`` and ``zb`` are the positions at ta and tb.
     Returns (kronrod, gauss, resabs, logs at tb)."""
     budget.spend()
     mid = 0.5 * (ta + tb)
@@ -122,18 +124,19 @@ def _panel(seg, ta, tb, logs, points, f, budget):
     acc_k = 0j
     acc_g = 0j
     acc_abs = 0.0
-    tprev = ta
+    tprev, zprev = ta, za
     for i, (x, wk) in enumerate(zip(_KX, _KW)):
         t = mid + half * x
-        logs = advance_logs(points, logs, seg, tprev, t)
-        val = f(seg, t, logs)
+        z, dz = seg.point_and_derivative(t)
+        logs = advance_logs(points, logs, seg, tprev, t, za=zprev, zb=z)
+        val = f(z, dz, logs)
         acc_k += wk * val
         acc_abs += wk * abs(val)
         wg = _GW.get(i)
         if wg is not None:
             acc_g += wg * val
-        tprev = t
-    logs = advance_logs(points, logs, seg, tprev, tb)
+        tprev, zprev = t, z
+    logs = advance_logs(points, logs, seg, tprev, tb, za=zprev, zb=zb)
     return half * acc_k, half * acc_g, abs(half) * acc_abs, logs
 
 
@@ -142,16 +145,18 @@ def _panel(seg, ta, tb, logs, points, f, budget):
 _ROUNDOFF = 50 * 2.220446049250313e-16
 
 
-def _adaptive(seg, ta, tb, logs, tol, depth, points, f, budget):
-    ik, ig, resabs, logs_b = _panel(seg, ta, tb, logs, points, f, budget)
+def _adaptive(seg, ta, tb, za, zb, logs, tol, depth, points, f, budget):
+    ik, ig, resabs, logs_b = _panel(seg, ta, tb, za, zb, logs, points, f,
+                                    budget)
     err = abs(ik - ig)
     if err <= max(tol, _ROUNDOFF * resabs) or depth >= _MAX_DEPTH:
         return ik, err, logs_b
     tm = 0.5 * (ta + tb)
-    i1, e1, logs_m = _adaptive(seg, ta, tm, logs, 0.5 * tol, depth + 1,
-                               points, f, budget)
-    i2, e2, logs_b = _adaptive(seg, tm, tb, logs_m, 0.5 * tol, depth + 1,
-                               points, f, budget)
+    zm = seg.point(tm)
+    i1, e1, logs_m = _adaptive(seg, ta, tm, za, zm, logs, 0.5 * tol,
+                               depth + 1, points, f, budget)
+    i2, e2, logs_b = _adaptive(seg, tm, tb, zm, zb, logs_m, 0.5 * tol,
+                               depth + 1, points, f, budget)
     return i1 + i2, e1 + e2, logs_b
 
 
@@ -162,12 +167,8 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     ``d`` provides the punctures and levels of P; ``g`` is any rational
     function with no poles within clearance of the path.
     """
-    model = d.model
-    hv = model.dual_coxeter
-    points = [_scalar_complex(z) for z, _ in d.points]
-    weights = [_scalar_complex(lam.rho * Scalar.exact(hv))
-               for _, lam in d.points]
-    s = _scalar_complex(Scalar.parse(r)) * (-1.0 / hv)
+    points, weights = _marked_data(d)
+    s = _scalar_complex(Scalar.parse(r)) * (-1.0 / d.model.dual_coxeter)
 
     all_pts = list(points)
     all_pts += [_scalar_complex(p) for p, _m in g.pole_dict().items()]
@@ -180,10 +181,9 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
                 f"integrand singularity at {p:g} lies {dist:.3g} from the "
                 f"contour (clearance {eps:.3g})")
 
-    def f(seg, t, logs):
-        z = seg.point(t)
+    def f(z, dz, logs):
         w = s * sum(k * L for k, L in zip(weights, logs))
-        return cmath.exp(w) * g.eval_complex(z) * seg.derivative(t)
+        return cmath.exp(w) * g.eval_complex(z) * dz
 
     budget = _Budget()
     logs = start_logs(points, contour.segments[0].point(0.0))
@@ -192,7 +192,8 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     err = 0.0
     tol = abs_tol / max(1, len(contour.segments))
     for seg in contour.segments:
-        val, e, logs = _adaptive(seg, 0.0, 1.0, logs, tol, 0, points, f,
+        val, e, logs = _adaptive(seg, 0.0, 1.0, seg.point(0.0),
+                                 seg.point(1.0), logs, tol, 0, points, f,
                                  budget)
         total += val
         err += e

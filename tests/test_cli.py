@@ -177,6 +177,21 @@ def test_integrate_rejects_missing_exponent(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+def test_integrate_rejects_bad_tolerance(tmp_path, capsys, tol):
+    mpath = tmp_path / "model.json"
+    write_model(mpath, [])
+    cpath = tmp_path / "contour.json"
+    main(["make-contour", "--model", str(mpath), "--pochhammer", "0,1",
+          "--out", str(cpath)])
+    capsys.readouterr()
+    assert main(["integrate", "--model", str(mpath), "--contour", str(cpath),
+                 "--exponent", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be a finite number >= 0" in captured.err
+
+
 # --------------------------------------------------------------------- verify
 
 

@@ -384,3 +384,48 @@ def test_one_function_has_one_stored_form(data, k):
     g = RationalFunction.from_split(num * lin ** k, {**poles, p: poles[p] + k})
     assert g == f
     assert hash(g) == hash(f)
+
+
+# ------------------------------------ eval_complex and its cached form
+
+_NODES = (0.3 + 0.7j, -1.25 + 0.45j, 2.5 - 1.1j)
+
+
+def _fresh(f):
+    """A function built anew from f's stored form, never evaluated."""
+    return RationalFunction(f.backend, f.num, f.poles)
+
+
+def _converted_per_call(f, z):
+    """eval_complex converting every coefficient and pole on each call."""
+    num = 0j
+    for c in reversed(f.num.coeffs):
+        num = num * z + complex(c.re, c.im)
+    den = 1 + 0j
+    for p, m in f.poles:
+        den *= (z - complex(p.re, p.im)) ** m
+    return num / den
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_st, split_st)
+def test_derived_functions_never_evaluate_stale(a, b):
+    f, g = _split_rf(a)[2], _split_rf(b)[2]
+    for z in _NODES:  # fill the cached forms of the operands first
+        assert f.eval_complex(z) == _converted_per_call(f, z)
+        assert g.eval_complex(z) == _converted_per_call(g, z)
+    derived = [-f, f.scale(sc("3/2", -2)), f * g, f + g, f.derivative(),
+               f.compose_mobius(sc(2), sc(1), sc(1), sc(1))]
+    for h in derived:
+        ref = _fresh(h)
+        for z in _NODES:
+            assert h.eval_complex(z) == ref.eval_complex(z)
+            assert h.eval_complex(z) == _converted_per_call(h, z)
+
+
+def test_float_constant_evaluates():
+    c = 0.5 - 2.25j
+    f = RationalFunction.from_scalar(Scalar.from_complex(c))
+    assert f.backend == FLOAT
+    for z in _NODES + _NODES:
+        assert f.eval_complex(z) == c

@@ -9,11 +9,12 @@ import random
 import mpmath as mp
 import pytest
 
+from affopers import contour, integrate
 from affopers.affine_algebra import build_algebra
 from affopers.coeffs import EXACT, Polynomial, RationalFunction, Scalar
-from affopers.contour import (ContourError, Line, advance_logs, branch_track,
-                              loop_around, pochhammer, segment_chain,
-                              start_logs)
+from affopers.contour import (Arc, ContourError, Line, advance_logs,
+                              branch_track, loop_around, pochhammer,
+                              segment_chain, start_logs)
 from affopers.integrate import (gauge_invariance_probe, integrate_twisted_form,
                                 stokes_check, twisted_integral)
 from affopers.miura import (MiuraData, bethe_residuals, build_miura,
@@ -299,3 +300,137 @@ def test_error_estimate_honest(a1):
     tight = twisted_integral(d, q, 1, gamma, abs_tol=1e-12)
     assert abs(loose.value - tight.value) <= max(loose.err, 1e-9)
     assert tight.panels >= loose.panels
+
+
+# ----------------------------------------- the panel, bit for bit
+
+
+def _reference_advance(points, logs, seg, ta, tb, steps, depth=0):
+    """advance_logs with both ends of every step, bisected ones included,
+    evaluated anew; appends each bisected step to ``steps``."""
+    if depth:
+        steps.append((ta, tb))
+    inc = contour._log_increment(points, seg.point(ta), seg.point(tb))
+    if inc is not None:
+        return [L + d for L, d in zip(logs, inc)]
+    assert depth < contour._MAX_DEPTH
+    tm = 0.5 * (ta + tb)
+    half = _reference_advance(points, logs, seg, ta, tm, steps, depth + 1)
+    return _reference_advance(points, half, seg, tm, tb, steps, depth + 1)
+
+
+def _reference_panel(seg, ta, tb, logs, points, weights, s, g, steps=None):
+    """One Gauss-Kronrod panel evaluated naively: separate seg.point and
+    seg.derivative calls, every coefficient and pole of g converted to
+    complex at every node, and every branch step's ends recomputed."""
+    steps = [] if steps is None else steps
+    mid = 0.5 * (ta + tb)
+    half = 0.5 * (tb - ta)
+    acc_k = 0j
+    acc_g = 0j
+    acc_abs = 0.0
+    tprev = ta
+    for i, (x, wk) in enumerate(zip(integrate._KX, integrate._KW)):
+        t = mid + half * x
+        logs = _reference_advance(points, logs, seg, tprev, t, steps)
+        z = seg.point(t)
+        num = 0j
+        for c in reversed(g.num.coeffs):
+            num = num * z + complex(c.re, c.im)
+        den = 1 + 0j
+        for p, m in g.poles:
+            den *= (z - complex(p.re, p.im)) ** m
+        w = s * sum(k * L for k, L in zip(weights, logs))
+        val = cmath.exp(w) * (num / den) * seg.derivative(t)
+        acc_k += wk * val
+        acc_abs += wk * abs(val)
+        wg = integrate._GW.get(i)
+        if wg is not None:
+            acc_g += wg * val
+        tprev = t
+    logs = _reference_advance(points, logs, seg, tprev, tb, steps)
+    return half * acc_k, half * acc_g, abs(half) * acc_abs, logs
+
+
+_POINTS = [0j, 1 + 0j]
+_WEIGHTS = [complex(1, -0.5), complex(-0.75, 0.25)]
+_S = complex(-1 / 3, 0.125)
+
+
+def _gaussian_integrand():
+    """A Gaussian-rational g with a double and a triple pole."""
+    num = Polynomial.of([Scalar.exact("1/2", "-2/3"), Scalar.exact(-3, 1),
+                         Scalar.exact("5/4", "1/7")], EXACT)
+    return RationalFunction.from_split(num, {Scalar.exact(2, 1): 2,
+                                             Scalar.exact("-1/3", -2): 3})
+
+
+@pytest.mark.parametrize("seg", [
+    Line(-1.5 + 0.01j, 1.5 + 0.01j),        # passes 0.01 from the puncture 0
+    Arc(0.25, 0.76, -1.0, 1.2),              # passes 0.01 from the puncture 1
+    Arc(0.0, 0.5, 0.3, 0.3 + 4 * math.pi),   # two turns around 0
+])
+def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
+    g = _gaussian_integrand()
+
+    def f(z, dz, logs):
+        w = _S * sum(k * L for k, L in zip(_WEIGHTS, logs))
+        return cmath.exp(w) * g.eval_complex(z) * dz
+
+    # the steps advance_logs bisects into, recorded through the module
+    # attribute its recursion calls
+    steps = []
+    inner = contour.advance_logs
+
+    def recording(points, logs, seg, ta, tb, *args, **kwargs):
+        steps.append((ta, tb))
+        return inner(points, logs, seg, ta, tb, *args, **kwargs)
+
+    monkeypatch.setattr(contour, "advance_logs", recording)
+    for ta, tb in ((0.0, 1.0), (0.25, 0.5), (0.5, 0.625)):
+        logs = start_logs(_POINTS, seg.point(ta))
+        want_steps = []
+        want = _reference_panel(seg, ta, tb, logs, _POINTS, _WEIGHTS, _S, g,
+                                want_steps)
+        steps[:] = []
+        got = integrate._panel(seg, ta, tb, seg.point(ta), seg.point(tb),
+                               logs, _POINTS, f, integrate._Budget())
+        assert got == want
+        assert steps == want_steps
+        if ta == 0.0:
+            assert steps, "the full-width panel must bisect a branch step"
+
+
+def test_integral_matches_reference_bit_for_bit(a1):
+    """The whole adaptive integral against the reference panels, with the
+    stopping rule restated: value, error and panel count are identical."""
+    d = beta_data(a1, 1 / 3, 0.3 + 0.1j)
+    points, weights = contour._marked_data(d)
+    s = complex(1) * (-1.0 / a1.dual_coxeter)
+    g = _gaussian_integrand()
+    gamma = pochhammer((0, 1), radius="1/4")
+    tol = 1e-10 / len(gamma.segments)
+    panels = []
+
+    def adaptive(seg, ta, tb, logs, tol, depth):
+        ik, ig, resabs, logs_b = _reference_panel(seg, ta, tb, logs, points,
+                                                  weights, s, g)
+        panels.append((ta, tb))
+        err = abs(ik - ig)
+        if (err <= max(tol, integrate._ROUNDOFF * resabs)
+                or depth >= integrate._MAX_DEPTH):
+            return ik, err, logs_b
+        tm = 0.5 * (ta + tb)
+        i1, e1, logs_m = adaptive(seg, ta, tm, logs, 0.5 * tol, depth + 1)
+        i2, e2, logs_b = adaptive(seg, tm, tb, logs_m, 0.5 * tol, depth + 1)
+        return i1 + i2, e1 + e2, logs_b
+
+    logs = start_logs(points, gamma.segments[0].point(0.0))
+    value, err = 0j, 0.0
+    for seg in gamma.segments:
+        v, e, logs = adaptive(seg, 0.0, 1.0, logs, tol, 0)
+        value += v
+        err += e
+    res = integrate_twisted_form(d, 1, g, gamma)
+    assert len(panels) > len(gamma.segments)  # some panels were bisected
+    assert (res.value, res.err, res.panels) == (value, err, len(panels))

@@ -18,7 +18,7 @@ same machinery from the command line.
 """
 
 from .affine_algebra import build_algebra, exponents
-from .coeffs import EXACT, FLOAT, Polynomial, RationalFunction, Scalar
+from .coeffs import Polynomial, RationalFunction, Scalar
 from .contour import Contour, ContourError, loop_around, pochhammer, segment_chain
 from .integrate import IntegralResult, stokes_check, twisted_integral
 from .miura import (MiuraData, bethe_residuals, build_miura, is_on_shell,
@@ -30,7 +30,7 @@ from .verify import run_suite, summary_lines
 __version__ = "0.1.0"
 
 __all__ = [
-    "EXACT", "FLOAT", "Scalar", "Polynomial", "RationalFunction",
+    "Scalar", "Polynomial", "RationalFunction",
     "build_algebra", "exponents",
     "MiuraData", "build_miura", "bethe_residuals", "is_on_shell",
     "regularity_check",

@@ -1,12 +1,12 @@
-"""Tiny exact linear algebra over the rational backend.
+"""Tiny exact linear algebra over the rationals.
 
-Matrices are lists of list of rationals (gmpy2.mpq or Fraction).  Only the
-operations the graded-algebra layer needs: rref, nullspace, solve, inverse.
+Matrices are lists of lists of ``fractions.Fraction``.  Only the operations
+the graded-algebra layer needs: rref, nullspace, solve, inverse.
 """
 
 from __future__ import annotations
 
-from .coeffs import _Q, _RONE, _RZERO
+from .coeffs import _RONE, _RZERO
 
 
 def rref(rows):

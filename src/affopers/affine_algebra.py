@@ -24,17 +24,10 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 from . import _linalg
-from .coeffs import (
-    EXACT,
-    Polynomial,
-    RationalFunction,
-    Scalar,
-    _Q,
-    _RONE,
-    _RZERO,
-)
+from .coeffs import RationalFunction, Scalar, _RONE, _RZERO
 
 __all__ = [
     "AlgebraModel",
@@ -176,9 +169,9 @@ class AlgebraModel:
         if lx[0] == "h" and ly[0] == "h":
             k, m = lx[1], ly[1]
             if k == m:
-                return _Q(2)
+                return Fraction(2)
             if abs(k - m) == 1:
-                return _Q(-1)
+                return Fraction(-1)
             return _RZERO
         return _RZERO
 
@@ -204,7 +197,7 @@ class AlgebraModel:
             _, c, d = ly
             coeff = ((1 if k == c else 0) - (1 if k + 1 == c else 0)
                      - (1 if k == d else 0) + (1 if k + 1 == d else 0))
-            return [(ly, _Q(coeff))] if coeff else []
+            return [(ly, Fraction(coeff))] if coeff else []
         if lx[0] == "r" and ly[0] == "h":
             return [(lab, -q) for lab, q in self._finite_bracket(ly, lx)]
         return []  # cartan-cartan
@@ -350,7 +343,7 @@ class AlgebraModel:
         """
         if self._pvecs is not None:
             return self._pvecs
-        hv = _Q(self.dual_coxeter)
+        hv = Fraction(self.dual_coxeter)
         out = {}
         for j in self.exponent_multiset(min(self.cutoff, self.window - 1)):
             if j in out:
@@ -434,13 +427,13 @@ class AlgebraModel:
 
     def simple_raising(self, i) -> "GradedVector":
         """e-check_i as a graded vector (i = 0 .. rank)."""
-        one = RationalFunction.one(EXACT)
+        one = RationalFunction.one()
         if i == 0:
             return GradedVector.monomial(self, 1, ("r", self.n, 1), one)
         return GradedVector.monomial(self, 1, ("r", i, i + 1), one)
 
     def simple_lowering(self, i) -> "GradedVector":
-        one = RationalFunction.one(EXACT)
+        one = RationalFunction.one()
         if i == 0:
             return GradedVector.monomial(self, -1, ("r", 1, self.n), one)
         return GradedVector.monomial(self, -1, ("r", i + 1, i), one)
@@ -448,7 +441,7 @@ class AlgebraModel:
     def simple_coroot_vector(self, i) -> "GradedVector":
         """alpha_i realized at grade 0 (i = 0 gives delta - h_theta)."""
         out = GradedVector.zero(self)
-        one = RationalFunction.one(EXACT)
+        one = RationalFunction.one()
         if i == 0:
             out = out.add_delta(one)
             for k in range(1, self.rank + 1):
@@ -457,14 +450,14 @@ class AlgebraModel:
         return out.add_monomial(0, ("h", i), one)
 
     def pminus(self) -> "GradedVector":
-        one = RationalFunction.one(EXACT)
+        one = RationalFunction.one()
         out = GradedVector.zero(self)
         for lab, _p in self.basis(-1):
             out = out.add_monomial(-1, lab, one)
         return out
 
     def pplus(self) -> "GradedVector":
-        one = RationalFunction.one(EXACT)
+        one = RationalFunction.one()
         out = GradedVector.zero(self)
         for lab, _p in self.basis(1):
             out = out.add_monomial(1, lab, one)
@@ -499,7 +492,7 @@ def _dot_form(F, x, y):
 
 
 def _qq_scalar(q) -> Scalar:
-    return Scalar(EXACT, q, _RZERO)
+    return Scalar(q, _RZERO)
 
 
 class GradedVector:
@@ -524,7 +517,7 @@ class GradedVector:
 
     @staticmethod
     def zero(model) -> "GradedVector":
-        z = RationalFunction.zero(EXACT)
+        z = RationalFunction.zero()
         return GradedVector(model, {}, z, z)
 
     @staticmethod
@@ -536,7 +529,7 @@ class GradedVector:
         """Lift a rational coefficient vector at grade g, optionally scaled
         by a rational function."""
         out = GradedVector.zero(model)
-        comp = [RationalFunction.zero(EXACT)] * model.dim_loop(g)
+        comp = [RationalFunction.zero()] * model.dim_loop(g)
         for i, q in enumerate(qvec):
             if q == 0:
                 continue
@@ -558,7 +551,7 @@ class GradedVector:
         """Coefficient list at grade g (zeros if absent)."""
         got = self.parts.get(g)
         if got is None:
-            return [RationalFunction.zero(EXACT)] * self.model.dim_loop(g)
+            return [RationalFunction.zero()] * self.model.dim_loop(g)
         return list(got)
 
     def grades(self):
@@ -572,7 +565,7 @@ class GradedVector:
         out = self.copy()
         comp = out.parts.get(g)
         if comp is None:
-            comp = [RationalFunction.zero(EXACT)] * self.model.dim_loop(g)
+            comp = [RationalFunction.zero()] * self.model.dim_loop(g)
         i = self.model.index(g, label)
         comp[i] = comp[i] + coeff
         out.parts[g] = comp
@@ -651,7 +644,7 @@ class GradedVector:
         if other.model is not self.model:
             raise ValueError("graded vectors over different algebra models")
         model = self.model
-        zero = RationalFunction.zero(EXACT)
+        zero = RationalFunction.zero()
         acc = {}
         delta = zero
         truncated = self.truncated or other.truncated
@@ -716,7 +709,7 @@ class GradedVector:
         if other.model is not self.model:
             raise ValueError("graded vectors over different algebra models")
         model = self.model
-        acc = RationalFunction.zero(EXACT)
+        acc = RationalFunction.zero()
         for g, vx in self.parts.items():
             vy = other.parts.get(-g)
             if vy is None:
@@ -807,7 +800,7 @@ class Weight:
     __slots__ = ("model", "alpha", "rho", "delta")
 
     def __init__(self, model, alpha, rho=None, delta=None):
-        zero = Scalar.zero(EXACT)
+        zero = Scalar.zero()
         self.model = model
         alpha = tuple(alpha)
         if len(alpha) != model.rank:
@@ -818,14 +811,14 @@ class Weight:
 
     @staticmethod
     def simple_root(model, i) -> "Weight":
-        coords = [Scalar.zero(EXACT)] * model.rank
-        coords[i - 1] = Scalar.one(EXACT)
+        coords = [Scalar.zero()] * model.rank
+        coords[i - 1] = Scalar.one()
         return Weight(model, coords)
 
     @staticmethod
     def rho_weight(model) -> "Weight":
-        return Weight(model, [Scalar.zero(EXACT)] * model.rank,
-                      rho=Scalar.one(EXACT))
+        return Weight(model, [Scalar.zero()] * model.rank,
+                      rho=Scalar.one())
 
     def __add__(self, other):
         return Weight(
@@ -845,15 +838,15 @@ class Weight:
     def form(self, other: "Weight") -> Scalar:
         """Invariant form on the Cartan, matching the realization pairing."""
         A = self.model.finite_cartan()
-        acc = Scalar.zero(EXACT)
+        acc = Scalar.zero()
         for i, a in enumerate(self.alpha):
             if a.is_zero:
                 continue
             for j, b in enumerate(other.alpha):
                 if not b.is_zero and A[i][j]:
                     acc = acc + a * b * Scalar.exact(A[i][j])
-        suma = sum(self.alpha, Scalar.zero(EXACT))
-        sumb = sum(other.alpha, Scalar.zero(EXACT))
+        suma = sum(self.alpha, Scalar.zero())
+        sumb = sum(other.alpha, Scalar.zero())
         acc = acc + self.rho * sumb + other.rho * suma
         hv = Scalar.exact(self.model.dual_coxeter)
         acc = acc + (self.rho * other.delta + other.rho * self.delta) * hv
@@ -870,17 +863,17 @@ class Weight:
 
     def pair_central(self) -> Scalar:
         """Pairing with the canonical central combination (comark-weighted)."""
-        acc = Scalar.zero(EXACT)
+        acc = Scalar.zero()
         for i, cm in enumerate(self.model.comarks):
             acc = acc + Scalar.exact(cm) * self.pair_coroot(i)
         return acc
 
     def to_vector(self, scale=None) -> GradedVector:
         """Realize at grade 0, optionally multiplied by a rational function."""
-        one = RationalFunction.one(EXACT)
+        one = RationalFunction.one()
         f = one if scale is None else scale
         out = GradedVector.zero(self.model)
-        comp = [RationalFunction.zero(EXACT)] * self.model.dim_loop(0)
+        comp = [RationalFunction.zero()] * self.model.dim_loop(0)
         for i, a in enumerate(self.alpha, start=1):
             if not a.is_zero:
                 comp[self.model.index(0, ("h", i))] = f.scale(a)
@@ -912,7 +905,7 @@ def principal_decomposition(model: AlgebraModel, n: int):
     components.
     """
     if n == 0:
-        one = RationalFunction.one(EXACT)
+        one = RationalFunction.one()
         a = [GradedVector.zero(model).add_delta(one),
              GradedVector.zero(model).add_rho(one)]
         c = []

@@ -8,7 +8,8 @@ import sys
 
 from .contour import Contour, ContourError, pochhammer
 from .integrate import twisted_integral
-from .miura import MiuraData, build_miura, regularity_check
+from .miura import (MiuraData, RouteDisagreement, build_miura,
+                    regularity_check)
 from .oper_core import quasi_canonicalize
 from .verify import SUITES, run_suite, summary_lines
 
@@ -187,10 +188,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ContourError, ValueError) as exc:
+    # a RouteDisagreement is a bug, not bad input; the model file replays it
+    except (FileNotFoundError, ContourError, ValueError, NotImplementedError,
+            RouteDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,17 +1,11 @@
 """Scalars, polynomials and rational functions in one variable.
 
-Scalars come in two backends that are never mixed:
-
-* ``EXACT`` -- Gaussian rationals (a pair of rationals), used everywhere a
-  result is claimed exactly.  Uses ``gmpy2.mpq`` when available, otherwise
-  ``fractions.Fraction``.
-* ``FLOAT`` -- complex double precision, used for contour geometry and
-  quadrature.
-
-Conversion is one-way, EXACT -> FLOAT, via :meth:`Scalar.to_float`.
-Polynomial products and all rational-function arithmetic are EXACT; a FLOAT
-scalar enters a rational function only as a constant, which quadrature reads
-through ``eval_complex``.
+Every value is exact: a :class:`Scalar` is a Gaussian rational, a pair of
+``fractions.Fraction`` (re, im), and polynomials and rational functions have
+Scalar coefficients.  Floats appear only inside
+:meth:`RationalFunction.eval_complex`, which quadrature calls, and a float
+enters only through :meth:`Scalar.from_complex`, which keeps its exact
+binary value.
 
 Every denominator this package builds splits over a known pole set: the
 marked points, the Bethe roots and their Moebius images.  A
@@ -25,52 +19,39 @@ and pole orders are lookups.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-try:  # optional fast rational backend
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
-
+# bench/ still imports EXACT (and passes it to three constructors, which
+# ignore it) and reports _Q.__name__ as the rational type
 EXACT = "exact"
-FLOAT = "float"
+_Q = Fraction
 
-_RZERO = _Q(0)
-_RONE = _Q(1)
-
-
-class BackendMismatch(TypeError):
-    """Raised when EXACT and FLOAT operands meet in one operation."""
+_RZERO = Fraction(0)
+_RONE = Fraction(1)
 
 
-def _rat(x) -> _Q:
+def _rat(x) -> Fraction:
     """Coerce an int, rational or string ("p/q" or decimal) to a rational."""
     if isinstance(x, int):
-        return _Q(x)
+        return Fraction(x)
     if isinstance(x, str):
         s = x.strip()
         if "/" in s:
             n, d = s.split("/")
-            return _Q(Fraction(n) / Fraction(d))
-        return _Q(Fraction(s))
+            return Fraction(n) / Fraction(d)
+        return Fraction(s)
     if isinstance(x, Fraction):
-        return _Q(x)
-    if isinstance(x, type(_RZERO)):
         return x
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 class Scalar:
-    """A number in one of the two backends.
+    """A Gaussian rational: a pair of rationals (re, im), compared exactly."""
 
-    EXACT scalars hold a pair of rationals (re, im); FLOAT scalars hold a
-    pair of Python floats.  Equality is exact in both backends.
-    """
+    __slots__ = ("re", "im")
 
-    __slots__ = ("backend", "re", "im")
-
-    def __init__(self, backend, re, im):
-        self.backend = backend
+    def __init__(self, re, im):
         self.re = re
         self.im = im
 
@@ -78,27 +59,26 @@ class Scalar:
 
     @staticmethod
     def exact(re, im=0) -> "Scalar":
-        return Scalar(EXACT, _rat(re), _rat(im))
-
-    @staticmethod
-    def of_float(re, im=0.0) -> "Scalar":
-        return Scalar(FLOAT, float(re), float(im))
+        return Scalar(_rat(re), _rat(im))
 
     @staticmethod
     def from_complex(z) -> "Scalar":
+        """The exact binary value of a finite complex float."""
         z = complex(z)
-        return Scalar(FLOAT, z.real, z.imag)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"cannot represent {z!r} exactly")
+        return Scalar(Fraction(z.real), Fraction(z.imag))
 
     @staticmethod
-    def zero(backend) -> "Scalar":
-        return _ZERO[backend]
+    def zero() -> "Scalar":
+        return _ZERO
 
     @staticmethod
-    def one(backend) -> "Scalar":
-        return _ONE[backend]
+    def one() -> "Scalar":
+        return _ONE
 
     @staticmethod
-    def parse(obj, backend=EXACT) -> "Scalar":
+    def parse(obj) -> "Scalar":
         """Parse the JSON form: a single string, or a [re, im] pair.
         Scalars pass through untouched."""
         if isinstance(obj, Scalar):
@@ -109,18 +89,12 @@ class Scalar:
             re, im = obj
         else:
             re, im = obj, 0
-        if backend == EXACT:
-            return Scalar.exact(_parse_real(re), _parse_real(im))
-        return Scalar.of_float(float(_parse_float(re)), float(_parse_float(im)))
+        return Scalar.exact(_parse_real(re), _parse_real(im))
 
     def to_json(self):
-        if self.backend == EXACT:
-            if self.im == 0:
-                return str(self.re)
-            return [str(self.re), str(self.im)]
-        if self.im == 0.0:
-            return repr(self.re)
-        return [repr(self.re), repr(self.im)]
+        if self.im == 0:
+            return str(self.re)
+        return [str(self.re), str(self.im)]
 
     # -- queries ---------------------------------------------------------
 
@@ -135,75 +109,51 @@ class Scalar:
     def as_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def to_float(self) -> "Scalar":
-        if self.backend == FLOAT:
-            return self
-        return Scalar(FLOAT, float(self.re), float(self.im))
-
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.backend != self.backend:
-            raise BackendMismatch(
-                f"cannot combine {self.backend} and {other.backend} scalars"
-            )
-        return other
-
     def __add__(self, other):
-        other = self._check(other)
-        if self.backend == EXACT and not self.im and not other.im:
-            return Scalar(EXACT, self.re + other.re, _RZERO)
-        return Scalar(self.backend, self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return Scalar(self.re + other.re, _RZERO)
+        return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if self.backend == EXACT and not self.im and not other.im:
-            return Scalar(EXACT, self.re - other.re, _RZERO)
-        return Scalar(self.backend, self.re - other.re, self.im - other.im)
+        if not self.im and not other.im:
+            return Scalar(self.re - other.re, _RZERO)
+        return Scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
-        return Scalar(self.backend, -self.re, -self.im)
+        return Scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = self._check(other)
         a, b, c, d = self.re, self.im, other.re, other.im
-        if self.backend == EXACT and not b and not d:
+        if not b and not d:
             # real operands: the imaginary products are all exact zeros
-            return Scalar(EXACT, a * c, _RZERO)
-        return Scalar(self.backend, a * c - b * d, a * d + b * c)
+            return Scalar(a * c, _RZERO)
+        return Scalar(a * c - b * d, a * d + b * c)
 
     def __truediv__(self, other):
-        other = self._check(other)
         c, d = other.re, other.im
         n = c * c + d * d
         if n == 0:
             raise ZeroDivisionError("scalar division by zero")
         a, b = self.re, self.im
-        return Scalar(self.backend, (a * c + b * d) / n, (b * c - a * d) / n)
+        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.backend, self.re, -self.im)
+        return Scalar(self.re, -self.im)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (
-            self.backend == other.backend
-            and self.re == other.re
-            and self.im == other.im
-        )
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.backend, self.re, self.im))
+        return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.backend == EXACT:
-            if self.im == 0:
-                return f"Scalar({self.re})"
-            return f"Scalar({self.re}, {self.im}i)"
-        return f"Scalar({self.as_complex()!r})"
+        if self.im == 0:
+            return f"Scalar({self.re})"
+        return f"Scalar({self.re}, {self.im}i)"
 
 
 def _parse_real(x):
@@ -213,24 +163,14 @@ def _parse_real(x):
         return x
     if isinstance(x, float):
         raise ValueError(
-            f"refusing to read float {x!r} into the EXACT backend; "
+            f"refusing to read float {x!r} as an exact number; "
             "pass a 'p/q' or decimal string"
         )
     raise ValueError(f"cannot parse {x!r} as an exact real part")
 
 
-def _parse_float(x):
-    if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            n, d = s.split("/")
-            return float(Fraction(n) / Fraction(d))
-        return float(s)
-    return float(x)
-
-
-_ZERO = {EXACT: Scalar(EXACT, _RZERO, _RZERO), FLOAT: Scalar(FLOAT, 0.0, 0.0)}
-_ONE = {EXACT: Scalar(EXACT, _RONE, _RZERO), FLOAT: Scalar(FLOAT, 1.0, 0.0)}
+_ZERO = Scalar(_RZERO, _RZERO)
+_ONE = Scalar(_RONE, _RZERO)
 
 
 class Polynomial:
@@ -240,43 +180,37 @@ class Polynomial:
     polynomial is the empty tuple and reports degree -1 (sentinel).
     """
 
-    __slots__ = ("backend", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, backend, coeffs):
-        self.backend = backend
+    def __init__(self, coeffs):
         self.coeffs = coeffs
 
     @staticmethod
-    def of(coeffs, backend=None) -> "Polynomial":
+    def of(coeffs) -> "Polynomial":
         coeffs = list(coeffs)
-        if backend is None:
-            if not coeffs:
-                raise ValueError("cannot infer backend of an empty coefficient list")
-            backend = coeffs[0].backend
-        for c in coeffs:
-            if c.backend != backend:
-                raise BackendMismatch("mixed backends in coefficient list")
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
-        return Polynomial(backend, tuple(coeffs))
+        return Polynomial(tuple(coeffs))
 
     @staticmethod
-    def zero(backend) -> "Polynomial":
-        return Polynomial(backend, ())
+    def zero() -> "Polynomial":
+        return Polynomial(())
 
     @staticmethod
-    def one(backend) -> "Polynomial":
-        return Polynomial(backend, (Scalar.one(backend),))
+    def one(_backend=None) -> "Polynomial":
+        # ignores the former backend argument that bench/ still passes
+        return Polynomial((_ONE,))
 
     @staticmethod
     def constant(s: Scalar) -> "Polynomial":
         if s.is_zero:
-            return Polynomial(s.backend, ())
-        return Polynomial(s.backend, (s,))
+            return Polynomial(())
+        return Polynomial((s,))
 
     @staticmethod
-    def variable(backend) -> "Polynomial":
-        return Polynomial(backend, (Scalar.zero(backend), Scalar.one(backend)))
+    def variable(_backend=None) -> "Polynomial":
+        # ignores the former backend argument that bench/ still passes
+        return Polynomial((_ZERO, _ONE))
 
     @property
     def degree(self) -> int:
@@ -292,15 +226,7 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _check(self, other):
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if other.backend != self.backend:
-            raise BackendMismatch("mixed backends in polynomial arithmetic")
-        return other
-
     def __add__(self, other):
-        other = self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -309,21 +235,18 @@ class Polynomial:
             out[i] = out[i] + c
         while out and out[-1].is_zero:
             out.pop()
-        return Polynomial(self.backend, tuple(out))
+        return Polynomial(tuple(out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.backend, tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        other = self._check(other)
         a, b = self.coeffs, other.coeffs
-        if self.backend != EXACT:
-            raise TypeError("polynomial products are EXACT-only")
         if not a or not b:
-            return Polynomial(EXACT, ())
+            return Polynomial(())
         # unpacked rational loop: avoids building intermediate Scalars
         ar = [c.re for c in a]
         ai = [c.im for c in a]
@@ -349,21 +272,20 @@ class Polynomial:
                     k = i + j
                     outr[k] += x * u - y * v
                     outi[k] += x * v + y * u
-        out = [Scalar(EXACT, r, s) for r, s in zip(outr, outi)]
+        out = [Scalar(r, s) for r, s in zip(outr, outi)]
         while out and out[-1].is_zero:
             out.pop()
-        return Polynomial(self.backend, tuple(out))
+        return Polynomial(tuple(out))
 
     def scale(self, s: Scalar) -> "Polynomial":
         if s.is_zero:
-            return Polynomial(self.backend, ())
-        out = tuple(c * s for c in self.coeffs)
-        return Polynomial(self.backend, out)
+            return Polynomial(())
+        return Polynomial(tuple(c * s for c in self.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.backend)
+        result = Polynomial.one()
         base = self
         while n:
             if n & 1:
@@ -373,13 +295,12 @@ class Polynomial:
         return result
 
     def __divmod__(self, other):
-        other = self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dlead = other.leading()
         dd = other.degree
-        q = [Scalar.zero(self.backend)] * max(0, len(rem) - dd)
+        q = [_ZERO] * max(0, len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c.is_zero:
@@ -390,24 +311,16 @@ class Polynomial:
                 rem[i - dd + j] = rem[i - dd + j] - f * oc
         while rem and rem[-1].is_zero:
             rem.pop()
-        return (
-            Polynomial.of(q, self.backend) if q else Polynomial.zero(self.backend),
-            Polynomial(self.backend, tuple(rem)),
-        )
+        return Polynomial.of(q), Polynomial(tuple(rem))
 
     def derivative(self) -> "Polynomial":
         if len(self.coeffs) <= 1:
-            return Polynomial.zero(self.backend)
-        out = [
-            Scalar(self.backend, c.re * k, c.im * k)
-            for k, c in enumerate(self.coeffs)
-        ][1:]
-        return Polynomial.of(out, self.backend)
+            return Polynomial.zero()
+        out = [Scalar(c.re * k, c.im * k) for k, c in enumerate(self.coeffs)]
+        return Polynomial.of(out[1:])
 
     def eval(self, s: Scalar) -> Scalar:
-        if s.backend != self.backend:
-            raise BackendMismatch("evaluation point backend mismatch")
-        acc = Scalar.zero(self.backend)
+        acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * s + c
         return acc
@@ -419,8 +332,6 @@ class Polynomial:
         remainders p(a), p'(a)/1!, ... of repeated synthetic division by
         (z - a).
         """
-        if a.backend != self.backend:
-            raise BackendMismatch("shift point backend mismatch")
         if self.is_zero:
             return self
         work = list(self.coeffs)
@@ -434,27 +345,26 @@ class Polynomial:
             out.append(acc)  # remainder = value at a
             quot.reverse()
             work = quot
-        return Polynomial.of(out, self.backend)
+        return Polynomial.of(out)
 
     def divide_linear(self, a: Scalar):
         """Synthetic division by (z - a): returns (quotient, remainder scalar)."""
         if self.is_zero:
-            return self, Scalar.zero(self.backend)
-        out = [Scalar.zero(self.backend)] * self.degree
+            return self, _ZERO
+        out = [_ZERO] * self.degree
         acc = self.coeffs[-1]
         for i in range(self.degree - 1, -1, -1):
             out[i] = acc
             acc = self.coeffs[i] + acc * a
-        quot = Polynomial.of(out, self.backend) if out else Polynomial.zero(self.backend)
-        return quot, acc
+        return Polynomial.of(out), acc
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.backend == other.backend and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.backend, self.coeffs))
+        return hash(self.coeffs)
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
@@ -466,31 +376,28 @@ class Polynomial:
         for k, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
-            if self.backend == EXACT and c.im == 0:
-                cs = str(c.re)
-            else:
-                cs = f"({c.re}+{c.im}i)" if c.im else str(c.re)
+            cs = f"({c.re}+{c.im}i)" if c.im else str(c.re)
             terms.append(cs if k == 0 else (f"{cs}*z^{k}" if k > 1 else f"{cs}*z"))
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-def _series_inv(coeffs, order, backend):
+def _series_inv(coeffs, order):
     """Inverse of a power series (c0 != 0) to the given order."""
     c0 = coeffs[0]
     if c0.is_zero:
         raise ZeroDivisionError("series inversion needs a unit constant term")
-    inv0 = Scalar.one(backend) / c0
+    inv0 = _ONE / c0
     out = [inv0]
     for n in range(1, order):
-        acc = Scalar.zero(backend)
+        acc = _ZERO
         for k in range(1, min(n, len(coeffs) - 1) + 1):
             acc = acc + coeffs[k] * out[n - k]
         out.append(-inv0 * acc)
     return out
 
 
-def _series_mul(a, b, order, backend):
-    out = [Scalar.zero(backend)] * order
+def _series_mul(a, b, order):
+    out = [_ZERO] * order
     for i, x in enumerate(a[:order]):
         if x.is_zero:
             continue
@@ -506,8 +413,7 @@ class RationalFunction:
     sorted by (re, im), with every multiplicity positive; the denominator is
     therefore monic.  ``num`` vanishes at none of the poles, and the zero
     function has no poles, so every value has exactly one stored form.
-    Construction and arithmetic keep that form; FLOAT values occur only as
-    constants.
+    Construction and arithmetic keep that form.
 
     ``eval_complex`` converts the numerator coefficients (highest first) and
     the poles to ``complex`` on its first call and keeps them in the
@@ -517,10 +423,9 @@ class RationalFunction:
     so the cache cannot go stale.
     """
 
-    __slots__ = ("backend", "num", "poles", "_complex")
+    __slots__ = ("num", "poles", "_complex")
 
-    def __init__(self, backend, num, poles):
-        self.backend = backend
+    def __init__(self, num, poles):
         self.num = num
         self.poles = poles  # tuple of (Scalar, multiplicity), canonically sorted
 
@@ -530,34 +435,31 @@ class RationalFunction:
     def from_split(num: Polynomial, poles) -> "RationalFunction":
         """Build num / prod (z-p)^m from {pole: multiplicity} or (pole, m)
         pairs, cancelling the roots of num at the poles."""
-        backend = num.backend
         items = {p: int(m) for p, m in dict(poles).items() if m}
-        for p, m in items.items():
-            if p.backend != backend:
-                raise BackendMismatch("pole backend mismatch")
-            if m < 0:
-                raise ValueError("negative pole multiplicity")
-        return RationalFunction(backend, num, _sorted_poles(items))._reduced()
+        if any(m < 0 for m in items.values()):
+            raise ValueError("negative pole multiplicity")
+        return RationalFunction(num, _sorted_poles(items))._reduced()
 
     @staticmethod
     def from_poly(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p.backend, p, ())
+        return RationalFunction(p, ())
 
     @staticmethod
     def from_scalar(s: Scalar) -> "RationalFunction":
         return RationalFunction.from_poly(Polynomial.constant(s))
 
     @staticmethod
-    def zero(backend) -> "RationalFunction":
-        return RationalFunction(backend, Polynomial.zero(backend), ())
+    def zero() -> "RationalFunction":
+        return RationalFunction(Polynomial.zero(), ())
 
     @staticmethod
-    def one(backend) -> "RationalFunction":
-        return RationalFunction.from_poly(Polynomial.one(backend))
+    def one(_backend=None) -> "RationalFunction":
+        # ignores the former backend argument that bench/ still passes
+        return RationalFunction.from_poly(Polynomial.one())
 
     @staticmethod
-    def variable(backend) -> "RationalFunction":
-        return RationalFunction.from_poly(Polynomial.variable(backend))
+    def variable() -> "RationalFunction":
+        return RationalFunction.from_poly(Polynomial.variable())
 
     @staticmethod
     def simple_pole(residue: Scalar, pole: Scalar) -> "RationalFunction":
@@ -581,12 +483,12 @@ class RationalFunction:
 
     def den_poly(self) -> Polynomial:
         """Expanded (monic) denominator."""
-        return _linear_product(self.backend, dict(self.poles))
+        return _linear_product(dict(self.poles))
 
     def _reduced(self) -> "RationalFunction":
         """Cancel numerator roots sitting at known poles."""
         if self.num.is_zero:
-            return RationalFunction.zero(self.backend)
+            return RationalFunction.zero()
         num = self.num
         newpoles = []
         for p, m in self.poles:
@@ -598,14 +500,12 @@ class RationalFunction:
                     break
             if m:
                 newpoles.append((p, m))
-        return RationalFunction(self.backend, num, tuple(newpoles))
+        return RationalFunction(num, tuple(newpoles))
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
-            if other.backend != self.backend:
-                raise BackendMismatch("mixed backends in rational arithmetic")
             return other
         if isinstance(other, Polynomial):
             return RationalFunction.from_poly(other)
@@ -625,36 +525,31 @@ class RationalFunction:
             for p in {*apoles, *bpoles}
         }
         na = self.num * _linear_product(
-            self.backend, {p: allpoles[p] - apoles.get(p, 0) for p in allpoles}
-        )
+            {p: allpoles[p] - apoles.get(p, 0) for p in allpoles})
         nb = other.num * _linear_product(
-            self.backend, {p: allpoles[p] - bpoles.get(p, 0) for p in allpoles}
-        )
-        return RationalFunction(
-            self.backend, na + nb, _sorted_poles(allpoles)
-        )._reduced()
+            {p: allpoles[p] - bpoles.get(p, 0) for p in allpoles})
+        return RationalFunction(na + nb, _sorted_poles(allpoles))._reduced()
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return RationalFunction(self.backend, -self.num, self.poles)
+        return RationalFunction(-self.num, self.poles)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
-            return RationalFunction.zero(self.backend)
+            return RationalFunction.zero()
         poles = dict(self.poles)
         for p, m in other.poles:
             poles[p] = poles.get(p, 0) + m
-        return RationalFunction(
-            self.backend, self.num * other.num, _sorted_poles(poles)
-        )._reduced()
+        return RationalFunction(self.num * other.num,
+                                _sorted_poles(poles))._reduced()
 
     def scale(self, s: Scalar) -> "RationalFunction":
         if s.is_zero:
-            return RationalFunction.zero(self.backend)
-        return RationalFunction(self.backend, self.num.scale(s), self.poles)
+            return RationalFunction.zero()
+        return RationalFunction(self.num.scale(s), self.poles)
 
     def derivative(self) -> "RationalFunction":
         """f' in reduced form, with no reduction pass.
@@ -669,20 +564,18 @@ class RationalFunction:
         """
         if not self.poles:
             return RationalFunction.from_poly(self.num.derivative())
-        L = _linear_product(self.backend, {p: 1 for p, _m in self.poles})
-        S = Polynomial.zero(self.backend)
+        L = _linear_product({p: 1 for p, _m in self.poles})
+        S = Polynomial.zero()
         for p, m in self.poles:
             S = S + L.divide_linear(p)[0].scale(Scalar.exact(m))
         num = self.num.derivative() * L - self.num * S
-        return RationalFunction(
-            self.backend, num, tuple((p, m + 1) for p, m in self.poles)
-        )
+        return RationalFunction(num, tuple((p, m + 1) for p, m in self.poles))
 
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, s: Scalar) -> Scalar:
         num = self.num.eval(s)
-        den = Scalar.one(self.backend)
+        den = _ONE
         for p, m in self.poles:
             d = s - p
             if d.is_zero:
@@ -723,18 +616,16 @@ class RationalFunction:
             return []
         # g(w) = num(a+w) / (other factors)(a+w); f = g(w)/w^m
         numser = list(self.num.shift(a).coeffs)
-        denpoly = Polynomial.one(self.backend)
+        denpoly = Polynomial.one()
         for p, mp in self.poles:
             if p == a:
                 continue
-            lin = Polynomial.of([a - p, Scalar.one(self.backend)], self.backend)
+            lin = Polynomial.of([a - p, _ONE])
             for _ in range(mp):
                 denpoly = denpoly * lin
-        numser += [Scalar.zero(self.backend)] * max(0, order - len(numser))
-        g = _series_mul(
-            numser, _series_inv(list(denpoly.coeffs), order, self.backend),
-            order, self.backend,
-        )
+        numser += [_ZERO] * max(0, order - len(numser))
+        g = _series_mul(numser, _series_inv(list(denpoly.coeffs), order),
+                        order)
         # g[j] is the coefficient of (z-a)^(j-m)
         return [(m - j, c) for j, c in enumerate(g) if not c.is_zero]
 
@@ -742,7 +633,7 @@ class RationalFunction:
         for k, c in self.laurent_at(a):
             if k == 1:
                 return c
-        return Scalar.zero(self.backend)
+        return _ZERO
 
     def pole_order_at(self, a: Scalar) -> int:
         """Pole order at a (0 if regular)."""
@@ -763,15 +654,13 @@ class RationalFunction:
         det = a * d - b * c
         if det.is_zero:
             raise ValueError("singular coefficient matrix for a Moebius map")
-        backend = self.backend
-        one = Scalar.one(backend)
-        A = Polynomial.of([b, a], backend)  # a z + b
-        B = Polynomial.of([d, c], backend)  # c z + d
+        A = Polynomial.of([b, a])  # a z + b
+        B = Polynomial.of([d, c])  # c z + d
         # numerator through the map
         num, npow = _compose_num(self.num, A, B)
         # denominator factors (z0 - p) -> ((a - p c) z + (b - p d)) / B
         poles = {}
-        scale = one
+        scale = _ONE
         dpow = 0
         for p, m in self.poles:
             lc = a - p * c
@@ -787,7 +676,7 @@ class RationalFunction:
                 for _ in range(m):
                     scale = scale * lc
         # assemble: f(mu(z)) = num * B^(dpow - npow) / (scale * prod(z-root)^m)
-        invscale = one / scale
+        invscale = _ONE / scale
         num = num.scale(invscale)
         bexp = dpow - npow
         if bexp > 0:
@@ -795,29 +684,28 @@ class RationalFunction:
         elif bexp < 0:
             if c.is_zero:
                 # B is the constant d: fold its powers into the scale
-                sc = one
+                sc = _ONE
                 for _ in range(-bexp):
-                    sc = sc * (one / d)
+                    sc = sc * (_ONE / d)
                 num = num.scale(sc)
             else:
                 root = -(d / c)
                 poles[root] = poles.get(root, 0) + (-bexp)
-                sc = one
+                sc = _ONE
                 for _ in range(-bexp):
-                    sc = sc * (one / c)
+                    sc = sc * (_ONE / c)
                 num = num.scale(sc)
-        return RationalFunction(backend, num, _sorted_poles(poles))
+        return RationalFunction(num, _sorted_poles(poles))
 
     # -- comparison / io -------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return (self.backend == other.backend and self.num == other.num
-                and self.poles == other.poles)
+        return self.num == other.num and self.poles == other.poles
 
     def __hash__(self):
-        return hash((self.backend, self.num, self.poles))
+        return hash((self.num, self.poles))
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den_poly().to_json()}
@@ -833,13 +721,12 @@ def _sorted_poles(poles: dict):
     return tuple(items)
 
 
-def _linear_product(backend, mults: dict) -> Polynomial:
-    out = Polynomial.one(backend)
-    one = Scalar.one(backend)
+def _linear_product(mults: dict) -> Polynomial:
+    out = Polynomial.one()
     for p, m in mults.items():
         if m <= 0:
             continue
-        lin = Polynomial.of([-p, one], backend)
+        lin = Polynomial.of([-p, _ONE])
         for _ in range(m):
             out = out * lin
     return out
@@ -848,7 +735,7 @@ def _linear_product(backend, mults: dict) -> Polynomial:
 def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):
     """p((az+b)/(cz+d)) = (returned polynomial) / B^deg(p); returns (poly, deg)."""
     if p.is_zero:
-        return Polynomial.zero(p.backend), 0
+        return Polynomial.zero(), 0
     n = p.degree
     # Horner in A/B: result = sum p_k A^k B^(n-k)
     acc = Polynomial.constant(p.coeffs[n])

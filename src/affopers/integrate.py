@@ -27,6 +27,7 @@ is the one the separate evaluations would do, in the same order.
 from __future__ import annotations
 
 import cmath
+import math
 
 from .coeffs import RationalFunction, Scalar
 from .contour import (Contour, ContourError, _marked_data, _scalar_complex,
@@ -165,8 +166,12 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     """Integrate P^{-r/h} * g along the contour, threading the branch.
 
     ``d`` provides the punctures and levels of P; ``g`` is any rational
-    function with no poles within clearance of the path.
+    function with no poles within clearance of the path.  ``abs_tol`` must
+    be finite and >= 0: a NaN would bisect every panel to the depth cap.
     """
+    if not (math.isfinite(abs_tol) and abs_tol >= 0):
+        raise ValueError(f"abs_tol must be a finite number >= 0, "
+                         f"got {abs_tol!r}")
     points, weights = _marked_data(d)
     s = _scalar_complex(Scalar.parse(r)) * (-1.0 / d.model.dual_coxeter)
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 import json
 
 from .affine_algebra import AlgebraModel, GradedVector, Weight, build_algebra
-from .coeffs import EXACT, RationalFunction, Scalar
+from .coeffs import RationalFunction, Scalar
 from .oper_core import Connection, gauge_transform, quasi_canonicalize
 
 __all__ = [
     "MiuraData",
+    "RouteDisagreement",
     "affine_simple_root",
     "build_miura",
     "master_partials",
@@ -55,8 +56,24 @@ def affine_simple_root(model: AlgebraModel, i: int) -> Weight:
         raise ValueError(f"color {i} outside 0..{model.rank}")
     if i == 0:
         coords = [Scalar.exact(-1)] * model.rank
-        return Weight(model, coords, delta=Scalar.one(EXACT))
+        return Weight(model, coords, delta=Scalar.one())
     return Weight.simple_root(model, i)
+
+
+class RouteDisagreement(AssertionError):
+    """Two independent routes of :func:`regularity_check` disagree.
+
+    ``data`` is the input's ``MiuraData.to_json()``, so ``affopers
+    bethe-check`` can replay the case; ``values`` holds each route's value
+    for root number ``root`` (counted from 0).
+    """
+
+    def __init__(self, message, data, root, values):
+        detail = ", ".join(f"{k} = {v}" for k, v in values.items())
+        super().__init__(f"root {root + 1}: {message} ({detail})")
+        self.data = data
+        self.root = root
+        self.values = values
 
 
 class MiuraData:
@@ -109,13 +126,16 @@ class MiuraData:
                 rank = len(npts[0]["weight"]["lambda_dot"])
                 desc = {"type": "A", "rank": rank, "cutoff": DEFAULT_CUTOFF}
             model = build_algebra(desc)
-        points = []
-        for p in obj.get("points", ()):
-            w = p["weight"]
-            points.append((
-                p["z"], w["lambda_dot"], w.get("level", 0), w.get("delta", 0),
-            ))
-        roots = [(r["w"], r["color"]) for r in obj.get("bethe_roots", ())]
+        try:
+            points = []
+            for p in obj.get("points", ()):
+                w = p["weight"]
+                points.append((p["z"], w["lambda_dot"], w.get("level", 0),
+                               w.get("delta", 0)))
+            roots = [(r["w"], r["color"]) for r in obj.get("bethe_roots", ())]
+        except KeyError as exc:
+            raise ValueError(f"model JSON: a point or root lacks the key "
+                             f"{exc.args[0]!r}") from None
         return MiuraData.make(model, points, roots)
 
     def to_json(self):
@@ -143,7 +163,7 @@ class MiuraData:
     def twist(self) -> RationalFunction:
         """phi = sum_i level_i / (z - z_i)."""
         hv = Scalar.exact(self.model.dual_coxeter)
-        acc = RationalFunction.zero(EXACT)
+        acc = RationalFunction.zero()
         for z, lam in self.points:
             k = lam.rho * hv
             if not k.is_zero:
@@ -153,7 +173,7 @@ class MiuraData:
     def lambda_infinity(self) -> Weight:
         """Residue bookkeeping at infinity: sum of lambdas minus sum of
         root residues."""
-        acc = Weight(self.model, [Scalar.zero(EXACT)] * self.model.rank)
+        acc = Weight(self.model, [Scalar.zero()] * self.model.rank)
         for _z, lam in self.points:
             acc = acc + lam
         for _w, c in self.roots:
@@ -189,7 +209,7 @@ def build_miura(d: MiuraData) -> Connection:
         pole = RationalFunction.simple_pole(Scalar.exact(-1), z)
         u = u + lam.to_vector(scale=pole)
     for w, c in d.roots:
-        pole = RationalFunction.simple_pole(Scalar.one(EXACT), w)
+        pole = RationalFunction.simple_pole(Scalar.one(), w)
         u = u + affine_simple_root(model, c).to_vector(scale=pole)
     return Connection(model, u)
 
@@ -205,7 +225,7 @@ def master_partials(d: MiuraData):
     als = [affine_simple_root(d.model, c) for _, c in d.roots]
     dz = []
     for i, (zi, li) in enumerate(zip(zs, lams)):
-        acc = Scalar.zero(EXACT)
+        acc = Scalar.zero()
         for i2, (z2, l2) in enumerate(zip(zs, lams)):
             if i2 != i:
                 acc = acc + li.form(l2) / (zi - z2)
@@ -214,7 +234,7 @@ def master_partials(d: MiuraData):
         dz.append(acc)
     dw = []
     for j, (wj, aj) in enumerate(zip(ws, als)):
-        acc = Scalar.zero(EXACT)
+        acc = Scalar.zero()
         for zi, li in zip(zs, lams):
             acc = acc - li.form(aj) / (wj - zi)
         for j2, (w2, a2) in enumerate(zip(ws, als)):
@@ -251,7 +271,7 @@ def v1_predicted(d: MiuraData) -> RationalFunction:
     terms drop exactly on shell.
     """
     dz, dw = master_partials(d)
-    acc = RationalFunction.zero(EXACT)
+    acc = RationalFunction.zero()
     for (zi, lam), pz in zip(d.points, dz):
         c = casimir(lam)
         if not c.is_zero:
@@ -262,7 +282,7 @@ def v1_predicted(d: MiuraData) -> RationalFunction:
     for (wj, _c), pw in zip(d.roots, dw):
         if not pw.is_zero:
             acc = acc + RationalFunction.simple_pole(pw, wj)
-    return acc.scale(Scalar.one(EXACT) / Scalar.exact(d.model.dual_coxeter))
+    return acc.scale(Scalar.one() / Scalar.exact(d.model.dual_coxeter))
 
 
 def _const_poly(s: Scalar):
@@ -318,7 +338,8 @@ def regularity_check(d: MiuraData):
     h <r(w), coroot(c)> = phi(w) on the realized connection, which equals
     the vanishing of the w-partial of the master function.  The structural
     and scalar verdicts must agree on every input, and the two scalar
-    computations must agree exactly, or there is a bug.
+    computations must agree exactly, or there is a bug; a disagreement
+    raises :class:`RouteDisagreement`.
     """
     residuals = bethe_residuals(d)
     conn = build_miura(d)
@@ -329,13 +350,17 @@ def regularity_check(d: MiuraData):
         coroot_val = _coroot_pairing_at(conn, d, j)
         hv = Scalar.exact(d.model.dual_coxeter)
         if not (coroot_val - hv * res).is_zero:
-            raise AssertionError(
-                "scalar criterion disagrees with the master-function partial")
+            raise RouteDisagreement(
+                "scalar criterion disagrees with the master-function partial",
+                d.to_json(), j, {"criterion_value": coroot_val.to_json(),
+                                 "h_times_residual": (hv * res).to_json()})
         verdict_a = worst == 0
         verdict_b = res.is_zero
         if verdict_a != verdict_b:
-            raise AssertionError(
-                "pole structure disagrees with the scalar criterion")
+            raise RouteDisagreement(
+                "pole structure disagrees with the scalar criterion",
+                d.to_json(), j, {"max_pole_order": worst,
+                                 "bethe_residual": res.to_json()})
         out.append({
             "root": w,
             "color": c,
@@ -354,10 +379,10 @@ def _coroot_pairing_at(conn: Connection, d: MiuraData, j: int) -> Scalar:
     w, c = d.roots[j]
     al = affine_simple_root(model, c)
     rest = conn.u - al.to_vector(
-        scale=RationalFunction.simple_pole(Scalar.one(EXACT), w))
+        scale=RationalFunction.simple_pole(Scalar.one(), w))
     comp = rest.component(0)
     hv = Scalar.exact(model.dual_coxeter)
-    acc = Scalar.zero(EXACT)
+    acc = Scalar.zero()
     # <h_i t^0, coroot(c)> through the Cartan matrix rows
     A = model.affine_cartan()
     for i in range(1, model.rank + 1):

@@ -21,7 +21,7 @@ steps in order.
 from __future__ import annotations
 
 from .affine_algebra import AlgebraModel, GradedVector, _qq_scalar
-from .coeffs import EXACT, Polynomial, RationalFunction, Scalar
+from .coeffs import Polynomial, RationalFunction, Scalar
 
 __all__ = [
     "Connection",
@@ -41,7 +41,7 @@ def _rf_mat_vec(mat, vec):
     """Rational matrix times a vector of rational functions."""
     out = []
     for row in mat:
-        acc = RationalFunction.zero(EXACT)
+        acc = RationalFunction.zero()
         for q, f in zip(row, vec):
             if q != 0 and not f.is_zero:
                 acc = acc + f.scale(_qq_scalar(q))
@@ -50,7 +50,7 @@ def _rf_mat_vec(mat, vec):
 
 
 def _rf_pow(f: RationalFunction, k: int) -> RationalFunction:
-    out = RationalFunction.one(f.backend)
+    out = RationalFunction.one()
     for _ in range(k):
         out = out * f
     return out
@@ -163,7 +163,7 @@ class QuasiCanonicalForm:
         self.truncated = truncated
 
     def coefficient(self, j) -> RationalFunction:
-        return self.v.get(j, RationalFunction.zero(EXACT))
+        return self.v.get(j, RationalFunction.zero())
 
     def exponents(self):
         return sorted(self.v)
@@ -244,7 +244,7 @@ def v1_direct(conn: Connection) -> RationalFunction:
     hv = Scalar.exact(model.dual_coxeter)
     half = Scalar.exact(1) / Scalar.exact(2)
     u = conn.u
-    u0 = GradedVector(model, {}, u.delta, RationalFunction.zero(EXACT))
+    u0 = GradedVector(model, {}, u.delta, RationalFunction.zero())
     comp0 = u.component(0)
     if any(not c.is_zero for c in comp0):
         u0.parts[0] = comp0
@@ -252,12 +252,12 @@ def v1_direct(conn: Connection) -> RationalFunction:
     comp1 = u.component(1)
     if any(not c.is_zero for c in comp1):
         u1.parts[1] = comp1
-    rho = GradedVector.zero(model).add_rho(RationalFunction.one(EXACT))
+    rho = GradedVector.zero(model).add_rho(RationalFunction.one())
     acc = u0.pair(u0).scale(half)
     acc = acc + rho.pair(u0.derivative())
-    acc = acc - conn.phi.scale(Scalar.one(EXACT) / hv) * rho.pair(u0)
+    acc = acc - conn.phi.scale(Scalar.one() / hv) * rho.pair(u0)
     acc = acc + model.pminus().pair(u1)
-    return acc.scale(Scalar.one(EXACT) / hv)
+    return acc.scale(Scalar.one() / hv)
 
 
 def twisted_derivative(phi: RationalFunction, j: int, hv: int,
@@ -305,14 +305,14 @@ def solve_twisted_ode(phi: RationalFunction, j: int, hv: int,
     from . import _linalg
 
     basis = []
-    one = Scalar.one(EXACT)
+    one = Scalar.one()
     for k in range(max_degree + 1):
         basis.append(RationalFunction.from_poly(
-            Polynomial.of([Scalar.zero(EXACT)] * k + [one])))
+            Polynomial.of([Scalar.zero()] * k + [one])))
     for a in pole_candidates:
         for m in range(1, max_order + 1):
             basis.append(RationalFunction.from_split(
-                Polynomial.one(EXACT), ((a, m),)))
+                Polynomial.one(), ((a, m),)))
     images = [twisted_derivative(phi, j, hv, b) for b in basis]
     # clear every pole in sight, then match polynomial coefficients
     mults = {}
@@ -321,7 +321,7 @@ def solve_twisted_ode(phi: RationalFunction, j: int, hv: int,
             if m > mults.get(p, 0):
                 mults[p] = m
     den = RationalFunction.from_poly(
-        Polynomial.one(EXACT) if not mults
+        Polynomial.one() if not mults
         else _clearing_poly(mults))
     cleared = []
     for f in images + [rhs]:
@@ -338,10 +338,10 @@ def solve_twisted_ode(phi: RationalFunction, j: int, hv: int,
         row_re = []
         row_im = []
         for p in imgs:
-            c = p.coeffs[k] if k <= p.degree else Scalar.zero(EXACT)
+            c = p.coeffs[k] if k <= p.degree else Scalar.zero()
             row_re.extend([c.re, -c.im])
             row_im.extend([c.im, c.re])
-        t = target.coeffs[k] if k <= target.degree else Scalar.zero(EXACT)
+        t = target.coeffs[k] if k <= target.degree else Scalar.zero()
         rows.append(row_re)
         rhsv.append(t.re)
         rows.append(row_im)
@@ -349,9 +349,9 @@ def solve_twisted_ode(phi: RationalFunction, j: int, hv: int,
     sol = _linalg.solve(rows, rhsv)
     if sol is None:
         return None
-    f = RationalFunction.zero(EXACT)
+    f = RationalFunction.zero()
     for i, b in enumerate(basis):
-        s = Scalar(EXACT, sol[2 * i], sol[2 * i + 1])
+        s = Scalar(sol[2 * i], sol[2 * i + 1])
         if not s.is_zero:
             f = f + b.scale(s)
     if twisted_derivative(phi, j, hv, f) == rhs:
@@ -360,8 +360,8 @@ def solve_twisted_ode(phi: RationalFunction, j: int, hv: int,
 
 
 def _clearing_poly(mults):
-    out = Polynomial.one(EXACT)
-    z = Polynomial.variable(EXACT)
+    out = Polynomial.one()
+    z = Polynomial.variable()
     for p, m in sorted(mults.items(), key=lambda kv: (kv[0].re, kv[0].im)):
         fac = z - Polynomial.constant(p)
         for _ in range(m):
@@ -389,7 +389,7 @@ def change_coordinate(obj, mobius):
 
     if c.is_zero:
         mu_prime = RationalFunction.from_scalar(a / d)
-        mu_pp_over = RationalFunction.zero(EXACT)
+        mu_pp_over = RationalFunction.zero()
     else:
         pole = -d / c
         mu_prime = RationalFunction.from_split(

@@ -14,7 +14,7 @@ import time
 from .affine_algebra import (build_algebra, exponents,
                              normalize_principal_basis,
                              principal_decomposition)
-from .coeffs import EXACT, Polynomial, RationalFunction, Scalar
+from .coeffs import Polynomial, RationalFunction, Scalar
 from .contour import (Line, advance_logs, loop_around, pochhammer,
                       segment_chain, start_logs)
 from .integrate import stokes_check, twisted_integral
@@ -45,7 +45,7 @@ def _model(rank, cutoff):
 
 
 def _zero(f):
-    return f.eval(Scalar.zero(EXACT))
+    return f.eval(Scalar.zero())
 
 
 def _rand_point_args(rng, rank, force_level=False):
@@ -142,7 +142,7 @@ def _chk_principal(rng):
             for n in pb.grades():
                 cases += 1
                 pn = pb.vector(n)
-                want = hv if m + n == 0 else Scalar.zero(EXACT)
+                want = hv if m + n == 0 else Scalar.zero()
                 if not (_zero(pm.pair(pn)) - want).is_zero:
                     fails.append({"rank": rank, "pairing": [m, n],
                                   "got": str(_zero(pm.pair(pn)))})
@@ -299,7 +299,7 @@ def _chk_quadratic(rng):
         rows, _on = quadratic_eigenvalue_data(d)
         v1 = quasi_canonicalize(build_miura(d)).v[1]
         hv = Scalar.exact(model.dual_coxeter)
-        zero = Scalar.zero(EXACT)
+        zero = Scalar.zero()
         ok = True
         for (z, _lam), row in zip(d.points, rows):
             parts = dict(v1.laurent_at(z))
@@ -390,7 +390,7 @@ def _chk_beta(rng):
         # pure-level data canonicalizes to v_1 = 0; the classical identity
         # is the period of the unit coefficient over the same twist
         q = QuasiCanonicalForm(d.model, d.twist(),
-                               {1: RationalFunction.one(EXACT)})
+                               {1: RationalFunction.one()})
         res = twisted_integral(d, q, 1, gamma)
         beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
         pref = (1 - cmath.exp(2j * math.pi * a)) * (1 - cmath.exp(2j * math.pi * b))

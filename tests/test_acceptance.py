@@ -16,7 +16,7 @@ import mpmath
 from affopers.affine_algebra import (build_algebra, exponents,
                                      normalize_principal_basis,
                                      principal_decomposition)
-from affopers.coeffs import EXACT, Polynomial, RationalFunction, Scalar
+from affopers.coeffs import Polynomial, RationalFunction, Scalar
 from affopers.contour import (Line, advance_logs, loop_around, pochhammer,
                               segment_chain, start_logs)
 from affopers.integrate import stokes_check, twisted_integral
@@ -34,7 +34,7 @@ def _model(rank, cutoff):
 
 
 def _zero(f):
-    return f.eval(Scalar.zero(EXACT))
+    return f.eval(Scalar.zero())
 
 
 def _rand_point_args(rng, rank, force_level=False):
@@ -108,7 +108,7 @@ def test_exponents_slice_dimensions_and_principal_structure():
             pm = pb.vector(m)
             for n in pb.grades():
                 pn = pb.vector(n)
-                pairing = hv if m + n == 0 else Scalar.zero(EXACT)
+                pairing = hv if m + n == 0 else Scalar.zero()
                 assert (_zero(pm.pair(pn)) - pairing).is_zero
                 if abs(m + n) > model.window:
                     continue  # bracket lands outside the stored window

@@ -5,6 +5,7 @@ tests/oracles/gen_affine_expected.py (brute-force sympy enumeration).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from affopers.affine_algebra import (
     normalize_principal_basis,
     principal_decomposition,
 )
-from affopers.coeffs import EXACT, RationalFunction, Scalar
+from affopers.coeffs import RationalFunction, Scalar
 
 
 def _const(q):
@@ -26,7 +27,7 @@ def _const(q):
 
 
 def _as_scalar(f):
-    return f.eval(Scalar.zero(EXACT))
+    return f.eval(Scalar.zero())
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,7 @@ def test_chevalley_relations(a2):
                 assert got.delta.is_zero
     # alpha_0 realization carries the center
     alpha0 = model.simple_coroot_vector(0)
-    assert _as_scalar(alpha0.delta) == Scalar.one(EXACT)
+    assert _as_scalar(alpha0.delta) == Scalar.one()
 
 
 def test_cartan_acts_by_cartan_matrix(a2):
@@ -129,24 +130,24 @@ def test_pplus_pminus_is_delta(a1, a2, a3):
         got = model.pplus().bracket(model.pminus())
         assert not got.parts
         assert got.rho.is_zero
-        assert _as_scalar(got.delta) == Scalar.one(EXACT)
+        assert _as_scalar(got.delta) == Scalar.one()
 
 
 def test_rho_grades_and_form(a2):
     model = a2
-    one = RationalFunction.one(EXACT)
+    one = RationalFunction.one()
     rho = GradedVector.zero(model).add_rho(one)
     delta = GradedVector.zero(model).add_delta(one)
     x = model.simple_raising(1)
     assert rho.bracket(x) == x  # grade 1
     assert x.bracket(rho) == -x
     assert rho.bracket(delta).is_zero
-    assert _as_scalar(rho.pair(rho)) == Scalar.zero(EXACT)
+    assert _as_scalar(rho.pair(rho)) == Scalar.zero()
     assert _as_scalar(delta.pair(rho)) == Scalar.exact(3)
-    assert _as_scalar(delta.pair(delta)) == Scalar.zero(EXACT)
-    assert _as_scalar(delta.pair(x)) == Scalar.zero(EXACT)
+    assert _as_scalar(delta.pair(delta)) == Scalar.zero()
+    assert _as_scalar(delta.pair(x)) == Scalar.zero()
     h1 = model.simple_coroot_vector(1)
-    assert _as_scalar(rho.pair(h1)) == Scalar.one(EXACT)
+    assert _as_scalar(rho.pair(h1)) == Scalar.one()
 
 
 def _random_monomial(model, rng, grades):
@@ -189,7 +190,7 @@ def test_form_invariance(data):
 
 def test_truncation_flag():
     model = build_algebra({"type": "A", "rank": 1, "cutoff": 2})
-    one = RationalFunction.one(EXACT)
+    one = RationalFunction.one()
     x = GradedVector.monomial(model, 2, model.basis(2)[0][0], one)
     got = x.bracket(x.bracket(model.pplus()))  # lands at grade 5 > 3
     assert got.truncated
@@ -230,11 +231,11 @@ def test_cyclic_element_powers(a2):
     p2 = pb.vector(2)
     for lab, _p in a2.basis(2):
         i = a2.index(2, lab)
-        assert _as_scalar(p2.parts[2][i]) == Scalar.one(EXACT)
+        assert _as_scalar(p2.parts[2][i]) == Scalar.one()
     p2m = pb.vector(-2)
     for lab, _p in a2.basis(-2):
         i = a2.index(-2, lab)
-        assert _as_scalar(p2m.parts[-2][i]) == Scalar.one(EXACT)
+        assert _as_scalar(p2m.parts[-2][i]) == Scalar.one()
 
 
 def test_pinned_first_grade(a1, a2):
@@ -262,7 +263,7 @@ def test_grade_zero_complement_a1(a1):
     # c_0 = [p_-1, c_1]; for rank 1 this is the single vector delta - 2 h_1
     _a, c = principal_decomposition(a1, 0)
     (v,) = c
-    assert _as_scalar(v.delta) == Scalar.one(EXACT)
+    assert _as_scalar(v.delta) == Scalar.one()
     assert _as_scalar(v.parts[0][a1.index(0, ("h", 1))]) == Scalar.exact(-2)
 
 
@@ -273,24 +274,23 @@ def test_complement_annihilates_opposite_kernel(a2):
         _, c = principal_decomposition(model, n)
         for x in a_op:
             for y in c:
-                assert _as_scalar(x.pair(y)) == Scalar.zero(EXACT)
+                assert _as_scalar(x.pair(y)) == Scalar.zero()
 
 
 def test_decomposition_matrices_reconstruct(a2):
     model = a2
     rng = random.Random(7)
     from affopers._linalg import mat_vec
-    from affopers.coeffs import _Q
 
     for n in (1, 2, 3, 4):
         inv = model.decomposition_matrix_inv(n)
-        vec = [_Q(rng.randint(-5, 5)) for _ in range(model.dim_loop(n))]
+        vec = [Fraction(rng.randint(-5, 5)) for _ in range(model.dim_loop(n))]
         coords = mat_vec(inv, vec)
         # rebuild from a- and c- bases
         pvs = model.principal_vectors().get(n, [])
         cols = [list(v) for v in pvs]
         cols += [list(v) for v in model.image_complement_basis(n)]
-        rebuilt = [_Q(0)] * len(vec)
+        rebuilt = [Fraction(0)] * len(vec)
         for q, col in zip(coords, cols):
             for i, ci in enumerate(col):
                 rebuilt[i] += q * ci
@@ -301,26 +301,25 @@ def test_step_solve_inverts_ad(a2):
     model = a2
     rng = random.Random(11)
     from affopers._linalg import mat_vec
-    from affopers.coeffs import _Q
 
     for n in (1, 2, 3):
         chere = model.image_complement_basis(n)
-        target = [_Q(rng.randint(-4, 4)) for _ in chere]
+        target = [Fraction(rng.randint(-4, 4)) for _ in chere]
         minv = model.step_solve_matrix_inv(n)
         mcoords = mat_vec(minv, target)
         # lift to grade n+1 and bracket with p_-1
-        lift = [_Q(0)] * model.dim_loop(n + 1)
+        lift = [Fraction(0)] * model.dim_loop(n + 1)
         for q, col in zip(mcoords, model.image_complement_basis(n + 1)):
             for i, ci in enumerate(col):
                 lift[i] += q * ci
         m = GradedVector.from_coeff_vector(model, n + 1, lift)
         got = model.pminus().bracket(m)
-        want = [_Q(0)] * model.dim_loop(n)
+        want = [Fraction(0)] * model.dim_loop(n)
         for q, col in zip(target, chere):
             for i, ci in enumerate(col):
                 want[i] += q * ci
         assert got.component(n) == [
-            RationalFunction.from_scalar(Scalar(EXACT, q, _Q(0))) for q in want
+            RationalFunction.from_scalar(Scalar(q, Fraction(0))) for q in want
         ]
 
 
@@ -336,12 +335,12 @@ def test_weight_coroot_pairings(a2):
             assert ai.pair_coroot(j) == Scalar.exact(A[i][j])
     rho = Weight.rho_weight(model)
     for j in range(3):
-        assert rho.pair_coroot(j) == Scalar.one(EXACT)
+        assert rho.pair_coroot(j) == Scalar.one()
     assert rho.pair_central() == Scalar.exact(3)
-    delta = Weight(model, [Scalar.zero(EXACT)] * 2, delta=Scalar.one(EXACT))
+    delta = Weight(model, [Scalar.zero()] * 2, delta=Scalar.one())
     for j in range(3):
-        assert delta.pair_coroot(j) == Scalar.zero(EXACT)
-    assert delta.pair_central() == Scalar.zero(EXACT)
+        assert delta.pair_coroot(j) == Scalar.zero()
+    assert delta.pair_central() == Scalar.zero()
 
 
 def test_weight_form_matches_realization(a2):
@@ -369,8 +368,8 @@ def test_weight_linear_ops(a2):
     a1w = Weight.simple_root(a2, 1)
     a2w = Weight.simple_root(a2, 2)
     s = a1w + a2w.scale(Scalar.exact(2))
-    assert s.alpha == (Scalar.one(EXACT), Scalar.exact(2))
-    assert (s - a1w).alpha == (Scalar.zero(EXACT), Scalar.exact(2))
+    assert s.alpha == (Scalar.one(), Scalar.exact(2))
+    assert (s - a1w).alpha == (Scalar.zero(), Scalar.exact(2))
     # finite Cartan matrix values through the form
     assert a1w.form(a1w) == Scalar.exact(2)
     assert a1w.form(a2w) == Scalar.exact(-1)

@@ -8,7 +8,9 @@ import json
 
 import pytest
 
+from affopers import miura
 from affopers.cli import main
+from affopers.coeffs import Scalar
 from affopers.contour import Contour, pochhammer
 from affopers.integrate import twisted_integral
 from affopers.miura import MiuraData, build_miura
@@ -220,3 +222,35 @@ def test_verify_rejects_unknown_suite():
 def test_missing_model_file(tmp_path, capsys):
     assert main(["bethe-check", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_route_disagreement_is_an_error_exit(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "model.json"
+    write_model(path, [{"w": "3/2", "color": 1}])
+    monkeypatch.setattr(miura, "_coroot_pairing_at",
+                        lambda conn, data, j: Scalar.exact(5))
+    assert main(["bethe-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: root 1: scalar criterion disagrees")
+    assert "Traceback" not in err
+
+
+def test_unsupported_algebra_type(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    blob = write_model(path, [])
+    blob["algebra"] = {"type": "B", "rank": 2, "cutoff": 5}
+    path.write_text(json.dumps(blob))
+    assert main(["bethe-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'B'" in err
+    assert "Traceback" not in err
+
+
+def test_point_without_position(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    points = [dict(A1_POINTS[0]), {"weight": A1_POINTS[1]["weight"]}]
+    write_model(path, [], points=points)
+    assert main(["bethe-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'z'" in err
+    assert "Traceback" not in err

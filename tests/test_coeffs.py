@@ -5,14 +5,12 @@ oracle in tests/oracles/gen_coeffs_expected.py.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affopers.coeffs import (
-    EXACT,
-    FLOAT,
-    BackendMismatch,
     Polynomial,
     RationalFunction,
     Scalar,
@@ -26,11 +24,11 @@ def sc(x, y=0):
 
 
 def poly(*coeffs):
-    return Polynomial.of([sc(c) for c in coeffs], EXACT)
+    return Polynomial.of([sc(c) for c in coeffs])
 
 
-Z = Polynomial.variable(EXACT)
-ONE = Polynomial.one(EXACT)
+Z = Polynomial.variable()
+ONE = Polynomial.one()
 
 
 # ---------------------------------------------------------------- scalars
@@ -51,26 +49,9 @@ def test_scalar_division_by_zero():
         sc(1) / sc(0)
 
 
-def test_scalar_backend_mixing_rejected():
-    with pytest.raises(BackendMismatch):
-        sc(1) + Scalar.of_float(1.0)
-
-
-def test_scalar_exact_to_float_one_way():
-    a = sc("1/3")
-    f = a.to_float()
-    assert f.backend == FLOAT
-    assert abs(f.re - 1 / 3) < 1e-15
-    # there is deliberately no float -> exact conversion
-    assert not hasattr(a, "to_exact")
-
-
 def test_scalar_json_roundtrip():
     for s in [sc("2/7"), sc(0), sc("1/2", "-3/5"), sc(-4)]:
         assert Scalar.parse(s.to_json()) == s
-    f = Scalar.of_float(0.125, -2.5)
-    g = Scalar.parse(f.to_json(), backend=FLOAT)
-    assert f == g
 
 
 def test_scalar_parse_rejects_bare_floats_in_exact_mode():
@@ -84,7 +65,7 @@ def test_scalar_parse_rejects_bare_floats_in_exact_mode():
 
 
 def test_zero_polynomial_degree_sentinel():
-    assert Polynomial.zero(EXACT).degree == -1
+    assert Polynomial.zero().degree == -1
     assert poly(0, 0).degree == -1
     assert poly(5).degree == 0
 
@@ -106,8 +87,8 @@ coeff_st = st.integers(min_value=-6, max_value=6)
     st.lists(coeff_st, min_size=1, max_size=4),
 )
 def test_poly_divmod_property(ac, bc):
-    a = Polynomial.of([sc(c) for c in ac], EXACT)
-    b = Polynomial.of([sc(c) for c in bc], EXACT)
+    a = Polynomial.of([sc(c) for c in ac])
+    b = Polynomial.of([sc(c) for c in bc])
     if b.is_zero:
         return
     q, r = divmod(a, b)
@@ -184,7 +165,7 @@ def test_partial_fractions_two_simple_poles():
 # frozen oracle: 1/(z-i)^2 is already a pure second-order term
 def test_partial_fractions_complex_double_pole():
     i = sc(0, 1)
-    f = RationalFunction.from_split(Polynomial.one(EXACT), {i: 2})
+    f = RationalFunction.from_split(Polynomial.one(), {i: 2})
     qpart, terms = partial_fractions(f)
     assert qpart.is_zero
     assert terms == [(i, 2, sc(1))]
@@ -244,22 +225,21 @@ def test_exact_scalar_product_matches_textbook(flags, xs, ys):
     x = _operand(*xs, flags[0])
     y = _operand(*ys, flags[1])
     got = x * y
-    assert got.backend == EXACT
     assert (got.re, got.im) == _textbook(x, y)
 
 
 @settings(max_examples=80, deadline=None)
 @given(real_flags_st, parts_st, parts_st)
 def test_exact_polynomial_product_matches_textbook(flags, xs, ys):
-    a = Polynomial.of([_operand(re, im, flags[0]) for re, im in xs], EXACT)
-    b = Polynomial.of([_operand(re, im, flags[1]) for re, im in ys], EXACT)
+    a = Polynomial.of([_operand(re, im, flags[0]) for re, im in xs])
+    b = Polynomial.of([_operand(re, im, flags[1]) for re, im in ys])
     want = [[0, 0] for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
             re, im = _textbook(x, y)
             want[i + j][0] += re
             want[i + j][1] += im
-    assert a * b == Polynomial.of([sc(re, im) for re, im in want], EXACT)
+    assert a * b == Polynomial.of([sc(re, im) for re, im in want])
 
 
 pole_st = st.sampled_from([-3, -1, 0, 1, 2, 4])
@@ -272,7 +252,7 @@ pole_st = st.sampled_from([-3, -1, 0, 1, 2, 4])
                     min_size=1, max_size=3),
 )
 def test_partial_fraction_recombination_is_exact(nc, poles):
-    num = Polynomial.of([sc(c) for c in nc], EXACT)
+    num = Polynomial.of([sc(c) for c in nc])
     f = rf_split(num, poles)
     qpart, terms = partial_fractions(f)
     assert recombine(qpart, terms) == f
@@ -285,7 +265,7 @@ def test_partial_fraction_recombination_is_exact(nc, poles):
                     min_size=1, max_size=2),
 )
 def test_residue_of_derivative_vanishes(nc, poles):
-    num = Polynomial.of([sc(c) for c in nc], EXACT)
+    num = Polynomial.of([sc(c) for c in nc])
     f = rf_split(num, poles)
     df = f.derivative()
     for p in poles:
@@ -352,7 +332,7 @@ split_st = st.tuples(
 
 def _split_rf(data):
     coeffs, poles = data
-    num = Polynomial.of(coeffs, EXACT)
+    num = Polynomial.of(coeffs)
     return num, poles, RationalFunction.from_split(num, poles)
 
 
@@ -380,7 +360,7 @@ def test_product_rule(a, b):
 def test_one_function_has_one_stored_form(data, k):
     num, poles, f = _split_rf(data)
     p = min(poles, key=lambda q: (q.re, q.im))
-    lin = Polynomial.of([-p, sc(1)], EXACT)
+    lin = Polynomial.of([-p, sc(1)])
     g = RationalFunction.from_split(num * lin ** k, {**poles, p: poles[p] + k})
     assert g == f
     assert hash(g) == hash(f)
@@ -393,7 +373,7 @@ _NODES = (0.3 + 0.7j, -1.25 + 0.45j, 2.5 - 1.1j)
 
 def _fresh(f):
     """A function built anew from f's stored form, never evaluated."""
-    return RationalFunction(f.backend, f.num, f.poles)
+    return RationalFunction(f.num, f.poles)
 
 
 def _converted_per_call(f, z):
@@ -425,7 +405,16 @@ def test_derived_functions_never_evaluate_stale(a, b):
 
 def test_float_constant_evaluates():
     c = 0.5 - 2.25j
-    f = RationalFunction.from_scalar(Scalar.from_complex(c))
-    assert f.backend == FLOAT
+    s = Scalar.from_complex(c)
+    assert s.re == Fraction(c.real) and s.im == Fraction(c.imag)
+    f = RationalFunction.from_scalar(s)
     for z in _NODES + _NODES:
         assert f.eval_complex(z) == c
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"),
+                               complex(1.0, float("-inf")),
+                               complex(float("nan"), 0.0)])
+def test_from_complex_rejects_non_finite(c):
+    with pytest.raises(ValueError):
+        Scalar.from_complex(c)

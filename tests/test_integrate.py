@@ -11,7 +11,7 @@ import pytest
 
 from affopers import contour, integrate
 from affopers.affine_algebra import build_algebra
-from affopers.coeffs import EXACT, Polynomial, RationalFunction, Scalar
+from affopers.coeffs import Polynomial, RationalFunction, Scalar
 from affopers.contour import (Arc, ContourError, Line, advance_logs,
                               branch_track, loop_around, pochhammer,
                               segment_chain, start_logs)
@@ -52,7 +52,7 @@ def beta_data(model, a, b):
 
 
 def unit_form(model, phi):
-    return QuasiCanonicalForm(model, phi, {1: RationalFunction.one(EXACT)})
+    return QuasiCanonicalForm(model, phi, {1: RationalFunction.one()})
 
 
 def double_circuit_oracle(a, b):
@@ -104,7 +104,7 @@ def test_swapped_circuit_negates(a1):
 
 def test_zero_coefficient_integrates_to_zero(a1):
     d = beta_data(a1, 1 / 3, 1 / 2)
-    q = QuasiCanonicalForm(a1, d.twist(), {1: RationalFunction.zero(EXACT)})
+    q = QuasiCanonicalForm(a1, d.twist(), {1: RationalFunction.zero()})
     res = twisted_integral(d, q, 1, pochhammer((1, 0), radius="1/4"))
     assert res.value == 0
 
@@ -122,6 +122,15 @@ def test_pole_on_contour_rejected(a1):
     q = QuasiCanonicalForm(a1, d.twist(), {1: bad})
     with pytest.raises(ContourError):
         twisted_integral(d, q, 1, pochhammer((1, 0), radius="1/4"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+def test_bad_tolerance_rejected(a1, tol):
+    # rejected up front, not after bisecting every panel to the depth cap
+    d = beta_data(a1, 1 / 3, 1 / 2)
+    with pytest.raises(ValueError, match="abs_tol"):
+        twisted_integral(d, unit_form(a1, d.twist()), 1,
+                         pochhammer((1, 0), radius="1/4"), abs_tol=tol)
 
 
 # ------------------------------------------------------------------ Stokes
@@ -182,7 +191,7 @@ def test_gauge_probe_polynomial_shift(a1):
     gamma = pochhammer((1, 0), radius="1/4")
     v3 = RationalFunction.from_poly(rand_poly(rng, 2))
     q = QuasiCanonicalForm(a1, d.twist(),
-                           {1: RationalFunction.one(EXACT), 3: v3})
+                           {1: RationalFunction.one(), 3: v3})
     f = RationalFunction.from_poly(rand_poly(rng, 4))
     before, after, diff = gauge_invariance_probe(d, q, 3, gamma, f)
     assert before.valid and after.valid
@@ -194,7 +203,7 @@ def test_gauge_probe_zero_shift_is_identity(a1):
     gamma = pochhammer((1, 0), radius="1/4")
     q = unit_form(a1, d.twist())
     before, after, diff = gauge_invariance_probe(
-        d, q, 1, gamma, RationalFunction.zero(EXACT))
+        d, q, 1, gamma, RationalFunction.zero())
     assert diff == 0.0
 
 
@@ -360,7 +369,7 @@ _S = complex(-1 / 3, 0.125)
 def _gaussian_integrand():
     """A Gaussian-rational g with a double and a triple pole."""
     num = Polynomial.of([Scalar.exact("1/2", "-2/3"), Scalar.exact(-3, 1),
-                         Scalar.exact("5/4", "1/7")], EXACT)
+                         Scalar.exact("5/4", "1/7")])
     return RationalFunction.from_split(num, {Scalar.exact(2, 1): 2,
                                              Scalar.exact("-1/3", -2): 3})
 

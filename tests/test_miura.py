@@ -6,13 +6,14 @@ import random
 
 import pytest
 
+from affopers import miura
 from affopers.affine_algebra import Weight, build_algebra
 from affopers.coeffs import Polynomial, RationalFunction, Scalar
-from affopers.miura import (MiuraData, affine_simple_root, bethe_residuals,
-                            build_miura, casimir, erase_root, is_on_shell,
-                            master_partials, quadratic_eigenvalue_data,
-                            regularity_check, single_root_position,
-                            v1_predicted, weight_triple)
+from affopers.miura import (MiuraData, RouteDisagreement, affine_simple_root,
+                            bethe_residuals, build_miura, casimir, erase_root,
+                            is_on_shell, master_partials,
+                            quadratic_eigenvalue_data, regularity_check,
+                            single_root_position, v1_predicted, weight_triple)
 from affopers.oper_core import change_coordinate, quasi_canonicalize
 
 
@@ -218,6 +219,34 @@ def test_on_shell_regular(a1, a2):
             rows = regularity_check(d)
             assert all(r["regular"] for r in rows)
             assert all(r["max_pole_order"] == 0 for r in rows)
+
+
+def test_route_disagreements_carry_replayable_data(a1, monkeypatch):
+    rng = random.Random(19)
+    d0 = on_shell_pair(a1, rng)
+    w, color = d0.roots[0]
+    d = MiuraData(a1, d0.points, [(w + sc("1/7"), color)])
+    # a wrong scalar route trips the first check ...
+    monkeypatch.setattr(miura, "_coroot_pairing_at",
+                        lambda conn, data, j: Scalar.exact(5))
+    with pytest.raises(RouteDisagreement, match="master-function") as err:
+        regularity_check(d)
+    assert err.value.values["criterion_value"] == "5"
+    # ... and a zero residual against an obstructed root trips the second
+    monkeypatch.setattr(miura, "_coroot_pairing_at",
+                        lambda conn, data, j: Scalar.zero())
+    monkeypatch.setattr(miura, "bethe_residuals",
+                        lambda data: [Scalar.zero()] * len(data.roots))
+    with pytest.raises(RouteDisagreement, match="pole structure") as err:
+        regularity_check(d)
+    exc = err.value
+    assert isinstance(exc, AssertionError)
+    assert exc.root == 0
+    assert exc.values["max_pole_order"] >= 1
+    assert exc.values["bethe_residual"] == "0"
+    replay = MiuraData.from_json(exc.data)
+    assert replay.to_json() == d.to_json()
+    assert replay.points == d.points and replay.roots == d.roots
 
 
 def test_off_shell_residue(a1, a2):

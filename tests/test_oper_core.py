@@ -7,7 +7,7 @@ import random
 import pytest
 
 from affopers.affine_algebra import GradedVector, Weight, build_algebra
-from affopers.coeffs import EXACT, Polynomial, RationalFunction, Scalar
+from affopers.coeffs import Polynomial, RationalFunction, Scalar
 from affopers.oper_core import (
     Connection,
     bch,
@@ -20,8 +20,8 @@ from affopers.oper_core import (
     v1_direct,
 )
 
-ZERO = RationalFunction.zero(EXACT)
-ONE = RationalFunction.one(EXACT)
+ZERO = RationalFunction.zero()
+ONE = RationalFunction.one()
 
 
 def _pole(q, at):
@@ -85,7 +85,7 @@ def test_simple_pole_erases_exactly(a2):
     # d + (p_-1 + alpha_1/(z-2)) dz gauged by exp(-e_1/(z-2)) is d + p_-1 dz:
     # the (z-2)^-2 terms cancel between -m' and [m, [m, p_-1]]/2 + [m, u_0]
     x = Scalar.exact(2)
-    pole = RationalFunction.simple_pole(Scalar.one(EXACT), x)
+    pole = RationalFunction.simple_pole(Scalar.one(), x)
     u = Weight.simple_root(a2, 1).to_vector(scale=pole)
     conn = Connection(a2, u)
     m = a2.simple_raising(1).scale(pole.scale(Scalar.exact(-1)))
@@ -283,12 +283,12 @@ def test_residual_parameter_recovery(a2):
     rhs_f = _pole(3, 1) + _poly(0, 2)
     rhs = twisted_derivative(phi, 2, 3, rhs_f)
     got = solve_twisted_ode(phi, 2, 3, rhs,
-                            [Scalar.one(EXACT)], max_degree=2, max_order=2)
+                            [Scalar.one()], max_degree=2, max_order=2)
     assert got == rhs_f
 
 
 def test_residual_recovery_fails_cleanly(a2):
     phi = _pole(2, 0)
     rhs = _pole(1, 5)  # pole far outside the candidate list
-    got = solve_twisted_ode(phi, 2, 3, rhs, [Scalar.one(EXACT)])
+    got = solve_twisted_ode(phi, 2, 3, rhs, [Scalar.one()])
     assert got is None

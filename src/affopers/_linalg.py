@@ -96,8 +96,3 @@ def invert(rows):
 
 def mat_vec(rows, v):
     return [sum((a * b for a, b in zip(r, v)), _RZERO) for r in rows]
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(r, c)), _RZERO) for c in bt] for r in a]

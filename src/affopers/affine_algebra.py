@@ -74,7 +74,6 @@ class AlgebraModel:
         self.n = rank + 1            # matrix size for sl_{rank+1}
         self.coxeter = rank + 1
         self.dual_coxeter = rank + 1
-        self.marks = [1] * (rank + 1)      # a_0 .. a_l
         self.comarks = [1] * (rank + 1)
         self.window = cutoff + 1
         self._seed = basis_seed
@@ -779,9 +778,6 @@ class PrincipalBasis:
 
     def grades(self):
         return sorted(self.vectors)
-
-    def multiplicity(self, j) -> int:
-        return len(self.vectors.get(j, []))
 
     def vector(self, j, copy=0) -> GradedVector:
         """p_j as a graded vector (copy selects within a multiplicity slot)."""

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 
+from .coeffs import Scalar
 from .contour import Contour, ContourError, pochhammer
 from .integrate import twisted_integral
 from .miura import (MiuraData, RouteDisagreement, build_miura,
@@ -23,10 +24,6 @@ def _fmt(scalar):
     if scalar.im == 0:
         return str(scalar.re)
     return f"{scalar.re} + {scalar.im} i"
-
-
-def _scalar_json(scalar):
-    return scalar.to_json()
 
 
 def cmd_bethe_check(args):
@@ -49,9 +46,9 @@ def cmd_bethe_check(args):
         report = {
             "on_shell": bad == 0,
             "roots": [{
-                "w": _scalar_json(r["root"]),
+                "w": r["root"].to_json(),
                 "color": r["color"],
-                "residual": _scalar_json(r["bethe_residual"]),
+                "residual": r["bethe_residual"].to_json(),
                 "max_pole_order": r["max_pole_order"],
                 "regular": r["regular"],
             } for r in rows],
@@ -80,7 +77,6 @@ def cmd_make_contour(args):
             f"0..{len(d.points) - 1}, got {args.pochhammer!r}") from None
     radius = _parse_position(args.radius) if args.radius else None
     basepoint = _parse_position(args.basepoint) if args.basepoint else None
-    from .coeffs import Scalar
     radius = Scalar.parse(radius) if radius is not None else None
     basepoint = Scalar.parse(basepoint) if basepoint is not None else None
     contour = pochhammer((p_i, p_j), radius=radius, basepoint=basepoint)

@@ -102,10 +102,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def as_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -138,9 +134,6 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         a, b = self.re, self.im
         return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -757,7 +750,7 @@ def partial_fractions(f: RationalFunction):
 
 
 def recombine(poly_part: Polynomial, terms) -> RationalFunction:
-    """Inverse of partial_fractions, for checking decompositions."""
+    """Inverse of partial_fractions."""
     out = RationalFunction.from_poly(poly_part)
     for p, k, c in terms:
         out = out + RationalFunction.from_split(Polynomial.constant(c), {p: k})

@@ -54,14 +54,13 @@ def _cnum(obj) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
     if isinstance(obj, Scalar):
-        return complex(float(obj.re), float(obj.im))
+        return obj.as_complex()
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise ContourError(f"position pair must have two entries: {obj!r}")
         return complex(_cnum(obj[0]).real, _cnum(obj[1]).real)
     if isinstance(obj, str):
-        s = Scalar.parse(obj)
-        return complex(float(s.re), float(s.im))
+        return Scalar.parse(obj).as_complex()
     raise ContourError(f"cannot read {obj!r} as a position")
 
 
@@ -432,17 +431,11 @@ class BranchTrack:
         return cmath.exp(self.discrepancy)
 
 
-def _scalar_complex(x) -> complex:
-    if isinstance(x, Scalar):
-        return complex(float(x.re), float(x.im))
-    return complex(x)
-
-
 def _marked_data(d):
     """Puncture positions and level weights from point data."""
-    points = [_scalar_complex(z) for z, _lam in d.points]
+    points = [z.as_complex() for z, _lam in d.points]
     hv = Scalar.exact(d.model.dual_coxeter)
-    weights = [_scalar_complex(lam.rho * hv) for _z, lam in d.points]
+    weights = [(lam.rho * hv).as_complex() for _z, lam in d.points]
     return points, weights
 
 
@@ -451,7 +444,7 @@ def branch_track(d, s, contour: Contour, steps: int = 16,
     """Track s * log P along the contour, P = prod (z - z_i)^{k_i} with the
     punctures and levels taken from the point data ``d``."""
     points, weights = _marked_data(d)
-    sc = _scalar_complex(s)
+    sc = s.as_complex()
     if points:
         eps = default_clearance(points) if clearance is None else clearance
         bad = clearance_violations(contour, points, eps)

@@ -30,9 +30,8 @@ import cmath
 import math
 
 from .coeffs import RationalFunction, Scalar
-from .contour import (Contour, ContourError, _marked_data, _scalar_complex,
-                      advance_logs, clearance_violations, default_clearance,
-                      start_logs)
+from .contour import (Contour, ContourError, _marked_data, advance_logs,
+                      clearance_violations, default_clearance, start_logs)
 from .oper_core import QuasiCanonicalForm, twisted_derivative
 
 __all__ = [
@@ -173,10 +172,10 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
         raise ValueError(f"abs_tol must be a finite number >= 0, "
                          f"got {abs_tol!r}")
     points, weights = _marked_data(d)
-    s = _scalar_complex(Scalar.parse(r)) * (-1.0 / d.model.dual_coxeter)
+    s = Scalar.parse(r).as_complex() * (-1.0 / d.model.dual_coxeter)
 
     all_pts = list(points)
-    all_pts += [_scalar_complex(p) for p, _m in g.pole_dict().items()]
+    all_pts += [p.as_complex() for p, _m in g.pole_dict().items()]
     if all_pts:
         eps = default_clearance(points if points else all_pts)
         bad = clearance_violations(contour, all_pts, eps)

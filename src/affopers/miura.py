@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .affine_algebra import AlgebraModel, GradedVector, Weight, build_algebra
-from .coeffs import RationalFunction, Scalar
+from .coeffs import Polynomial, RationalFunction, Scalar
 from .oper_core import Connection, gauge_transform, quasi_canonicalize
 
 __all__ = [
@@ -276,18 +276,13 @@ def v1_predicted(d: MiuraData) -> RationalFunction:
         c = casimir(lam)
         if not c.is_zero:
             acc = acc + RationalFunction.from_split(
-                _const_poly(c), ((zi, 2),))
+                Polynomial.constant(c), ((zi, 2),))
         if not pz.is_zero:
             acc = acc + RationalFunction.simple_pole(pz, zi)
     for (wj, _c), pw in zip(d.roots, dw):
         if not pw.is_zero:
             acc = acc + RationalFunction.simple_pole(pw, wj)
     return acc.scale(Scalar.one() / Scalar.exact(d.model.dual_coxeter))
-
-
-def _const_poly(s: Scalar):
-    from .coeffs import Polynomial
-    return Polynomial.constant(s)
 
 
 def quadratic_eigenvalue_data(d: MiuraData):

@@ -16,12 +16,18 @@ without touching anything below.  The factors are kept as an ordered list;
 composing them into a single exponential is possible (see ``bch``) but never
 needed, and at realistic cutoffs it is far more expensive than applying the
 steps in order.
+
+Higher coefficients are fixed only up to the residual gauge freedom
+v_j -> v_j - (f' - (j phi / h_dual) f); ``twisted_class`` reduces v_j to its
+class in that twisted cohomology: forms over one twist differ by a residual
+gauge exactly when v_1 agrees and each other v_j - v_j' has class zero.
 """
 
 from __future__ import annotations
 
 from .affine_algebra import AlgebraModel, GradedVector, _qq_scalar
-from .coeffs import Polynomial, RationalFunction, Scalar
+from .coeffs import (Polynomial, RationalFunction, Scalar,
+                     partial_fractions, recombine)
 
 __all__ = [
     "Connection",
@@ -31,7 +37,7 @@ __all__ = [
     "v1_direct",
     "residual_gauge",
     "twisted_derivative",
-    "solve_twisted_ode",
+    "twisted_class",
     "change_coordinate",
     "bch",
 ]
@@ -79,9 +85,6 @@ class Connection:
         hv = Scalar.exact(model.dual_coxeter)
         u = u.add_rho(phi.scale(Scalar.exact(-1) / hv) - u.rho)
         return Connection(model, u)
-
-    def full_matrix(self) -> GradedVector:
-        return self.model.pminus() + self.u
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
@@ -291,82 +294,112 @@ def residual_gauge(qc: QuasiCanonicalForm, params, allow_first=False):
     return QuasiCanonicalForm(model, qc.phi, v, qc.gauge, qc.truncated)
 
 
-def solve_twisted_ode(phi: RationalFunction, j: int, hv: int,
-                      rhs: RationalFunction, pole_candidates,
-                      max_degree=4, max_order=3):
-    """Find f with  f' - (j phi / hv) f = rhs  in a rational-function ansatz.
+def twisted_class(phi: RationalFunction, j: int, hv: int,
+                  g: RationalFunction):
+    """Split g as  nf + twisted_derivative(phi, j, hv, F)  and return (nf, F).
 
-    The ansatz spans z^0..z^max_degree plus (z - a)^-1..(z - a)^-max_order
-    for each candidate pole a.  Clearing the common denominator turns the
-    equation into a polynomial identity, solved exactly coefficient by
-    coefficient (real and imaginary parts split so complex data is fine).
-    Returns f, or None when nothing in the ansatz matches.
+    nf is the class of g in the degree-j twisted cohomology, modulo images
+    (twisted derivatives): it is zero exactly when g is an image, and adding
+    one to g keeps it.  phi must have simple poles only and vanish at
+    infinity.  With kappa_p = j res_p(phi) / hv and K the sum of the
+    residues of phi, a triangular pass lowers each pole of order n >= 2 at p
+    by the image of (z-p)^(1-n) (leading coefficient -(n - 1 + kappa_p)),
+    the polynomial part by that of z^(m+1) (m + 1 - j K / hv) and the simple
+    pole at the last pole of phi by that of 1.  At a resonance (kappa_p = -M
+    or j K / hv = M, M a positive integer) that term stays, and the reduced
+    image of (z-p)^-M or z^M is a relation; nf is reduced modulo their span
+    in a fixed monomial order, so it is canonical.
     """
-    from . import _linalg
+    if any(m > 1 for _p, m in phi.poles) or phi.num.degree >= len(phi.poles):
+        raise ValueError("twisted_class needs a twist with simple poles "
+                         "that vanishes at infinity")
 
-    basis = []
-    one = Scalar.one()
-    for k in range(max_degree + 1):
-        basis.append(RationalFunction.from_poly(
-            Polynomial.of([Scalar.zero()] * k + [one])))
-    for a in pole_candidates:
-        for m in range(1, max_order + 1):
-            basis.append(RationalFunction.from_split(
-                Polynomial.one(), ((a, m),)))
-    images = [twisted_derivative(phi, j, hv, b) for b in basis]
-    # clear every pole in sight, then match polynomial coefficients
-    mults = {}
-    for f in images + [rhs]:
-        for p, m in f.pole_dict().items():
-            if m > mults.get(p, 0):
-                mults[p] = m
-    den = RationalFunction.from_poly(
-        Polynomial.one() if not mults
-        else _clearing_poly(mults))
-    cleared = []
-    for f in images + [rhs]:
-        g = f * den
-        if not g.is_polynomial:
-            return None  # a pole outside the candidate set: no match possible
-        cleared.append(g.num)
-    *imgs, target = cleared
-    deg = max([p.degree for p in cleared] + [0])
-    # unknowns: re and im of each ansatz coefficient
-    rows = []
-    rhsv = []
-    for k in range(deg + 1):
-        row_re = []
-        row_im = []
-        for p in imgs:
-            c = p.coeffs[k] if k <= p.degree else Scalar.zero()
-            row_re.extend([c.re, -c.im])
-            row_im.extend([c.im, c.re])
-        t = target.coeffs[k] if k <= target.degree else Scalar.zero()
-        rows.append(row_re)
-        rhsv.append(t.re)
-        rows.append(row_im)
-        rhsv.append(t.im)
-    sol = _linalg.solve(rows, rhsv)
-    if sol is None:
-        return None
-    f = RationalFunction.zero()
-    for i, b in enumerate(basis):
-        s = Scalar(sol[2 * i], sol[2 * i + 1])
-        if not s.is_zero:
-            f = f + b.scale(s)
-    if twisted_derivative(phi, j, hv, f) == rhs:
-        return f
-    return None
+    def image(b):
+        return _monomials(twisted_derivative(
+            phi, j, hv, _from_monomials({b: Scalar.one()})))
+
+    rels = []  # (pivot, relation, its preimage), pivots in descending rank
+    for b in _resonances(phi, j, hv):
+        rel = image(b)
+        pre = _reduce(rel, image, phi, rels)
+        if rel:  # rel is now the image of b - pre
+            pivot = max(rel, key=_rank)
+            s = Scalar.one() / rel[pivot]
+            rels.append((pivot, _axpy({}, s, rel), _axpy({b: s}, -s, pre)))
+            rels.sort(key=lambda r: _rank(r[0]), reverse=True)
+    vec = _monomials(g)
+    F = _reduce(vec, image, phi, rels)
+    return _from_monomials(vec), _from_monomials(F)
 
 
-def _clearing_poly(mults):
-    out = Polynomial.one()
-    z = Polynomial.variable()
-    for p, m in sorted(mults.items(), key=lambda kv: (kv[0].re, kv[0].im)):
-        fac = z - Polynomial.constant(p)
-        for _ in range(m):
-            out = out * fac
-    return out
+def _monomials(f: RationalFunction) -> dict:
+    """f as {(p, n): coefficient of (z-p)^-n, (None, m): that of z^m}."""
+    poly, terms = partial_fractions(f)
+    vec = {(None, m): x for m, x in enumerate(poly.coeffs) if not x.is_zero}
+    return vec | {(p, n): x for p, n, x in terms}
+
+
+def _from_monomials(vec) -> RationalFunction:
+    deg = max((m for p, m in vec if p is None), default=-1)
+    poly = Polynomial.of([vec.get((None, m), Scalar.zero())
+                          for m in range(deg + 1)])
+    return recombine(poly, [(p, n, x) for (p, n), x in vec.items()
+                            if p is not None])
+
+
+def _axpy(vec, x, other):
+    """vec += x * other, in place, storing no zero; returns vec."""
+    for k, y in other.items():
+        vec[k] = vec.get(k, Scalar.zero()) + x * y
+        if vec[k].is_zero:
+            del vec[k]
+    return vec
+
+
+def _reduce(vec, image, phi, rels):
+    """The triangular pass of ``twisted_class`` and then the relations, in
+    place on vec; returns F such that the input is vec plus the image of F."""
+    F = {}
+
+    def step(b, pivot):
+        x = vec.get(pivot)
+        if x is not None:
+            img = image(b)
+            lead = img.get(pivot)
+            if lead is not None:  # else b is resonant and the term stays
+                _axpy(F, x / lead, {b: Scalar.one()})
+                _axpy(vec, -(x / lead), img)
+
+    # lowering at p adds lower orders at p and simple poles elsewhere;
+    # lowering z^m adds lower powers and simple poles of phi
+    for p in {p for p, n in vec if p is not None and n > 1}:
+        for n in range(max(k for q, k in vec if q == p), 1, -1):
+            step((p, n - 1), (p, n))
+    for m in range(max((m for p, m in vec if p is None), default=-1), -1, -1):
+        step((None, m + 1), (None, m))
+    if phi.poles:
+        step((None, 0), (phi.poles[-1][0], 1))
+    for pivot, rel, pre in rels:
+        if pivot in vec:
+            _axpy(F, vec[pivot], pre)
+            _axpy(vec, -vec[pivot], rel)
+    return F
+
+
+def _resonances(phi, j, hv):
+    """Monomials whose image lacks its leading term: (z-p)^-M where
+    kappa_p = -M, and z^M where j K / hv = M, M a positive integer."""
+    c = Scalar.exact(j) / Scalar.exact(hv)
+    cands = [(p, -(c * phi.residue_at(p))) for p, _m in phi.poles]
+    cands.append((None, -sum((k for _p, k in cands), Scalar.zero())))
+    return [(p, int(k.re)) for p, k in cands
+            if k.im == 0 and k.re.denominator == 1 and k.re > 0]
+
+
+def _rank(key):
+    """Elimination order: powers of z above poles, higher orders first."""
+    p, n = key
+    return (1, n, 0, 0) if p is None else (0, n, p.re, p.im)
 
 
 def change_coordinate(obj, mobius):

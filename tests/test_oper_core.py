@@ -3,8 +3,11 @@ coefficients, closed-form first coefficient, factor-list composition,
 coordinate changes and residual transformations."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affopers.affine_algebra import GradedVector, Weight, build_algebra
 from affopers.coeffs import Polynomial, RationalFunction, Scalar
@@ -15,7 +18,7 @@ from affopers.oper_core import (
     gauge_transform,
     quasi_canonicalize,
     residual_gauge,
-    solve_twisted_ode,
+    twisted_class,
     twisted_derivative,
     v1_direct,
 )
@@ -161,11 +164,8 @@ def test_canonical_coefficients_gauge_invariant(a2):
             diff = qc1.v[j] - qc2.v[j]
             if diff.is_zero:
                 continue
-            cands = set(diff.pole_dict()) | set(qc1.phi.pole_dict())
-            f = solve_twisted_ode(qc1.phi, j, 3, diff, sorted(
-                cands, key=lambda s: (s.re, s.im)),
-                max_degree=8, max_order=7)
-            assert f is not None, (j, diff)
+            nf, _f = twisted_class(qc1.phi, j, 3, diff)
+            assert nf.is_zero, (j, diff)
 
 
 def test_factor_list_matches_single_exponential():
@@ -282,13 +282,121 @@ def test_residual_parameter_recovery(a2):
     phi = _pole(2, 0) + _pole(-1, 1)
     rhs_f = _pole(3, 1) + _poly(0, 2)
     rhs = twisted_derivative(phi, 2, 3, rhs_f)
-    got = solve_twisted_ode(phi, 2, 3, rhs,
-                            [Scalar.one()], max_degree=2, max_order=2)
+    nf, got = twisted_class(phi, 2, 3, rhs)
     assert got == rhs_f
+    assert nf.is_zero
 
 
 def test_residual_recovery_fails_cleanly(a2):
     phi = _pole(2, 0)
-    rhs = _pole(1, 5)  # pole far outside the candidate list
-    got = solve_twisted_ode(phi, 2, 3, rhs, [Scalar.one()])
-    assert got is None
+    rhs = _pole(1, 5)  # a simple pole where phi is regular
+    nf, _f = twisted_class(phi, 2, 3, rhs)
+    assert not nf.is_zero
+
+
+# ----------------------------------------------------- twisted cohomology
+
+# twist poles are drawn from the first entries and the ordinary point is the
+# next one.  The twist is drawn through kappa_p = j res_p(phi) / hv, a
+# Gaussian rational or a small integer, so that resonances (kappa_p = -M or
+# j K / hv = M for a positive integer M) are common.
+_POINTS = [Scalar.parse(p) for p in ("0", "1", "-2", ["1", "1"], "3/2")]
+_rat_st = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+_scalar_st = st.builds(Scalar, _rat_st, st.one_of(st.just(Fraction(0)),
+                                                  _rat_st))
+# (point index or None for a power of z, order or power, coefficient)
+_terms_st = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)),
+                               st.integers(0, 3), _scalar_st), max_size=5)
+_kappa_st = st.one_of(st.integers(-3, 3).map(Scalar.exact), _scalar_st)
+_twist_st = st.tuples(
+    st.permutations(_POINTS),
+    st.lists(_kappa_st.filter(lambda s: not s.is_zero),
+             min_size=1, max_size=3),
+    st.integers(1, 4), st.integers(2, 4))
+
+
+def _twist(points, kappas, j, hv):
+    phi = ZERO
+    for p, k in zip(points, kappas):
+        phi = phi + RationalFunction.simple_pole(
+            k * Scalar.exact(hv) / Scalar.exact(j), p)
+    return phi
+
+
+def _monomial_sum(points, terms):
+    """Poles of order n + 1 at the given points, and powers z^n."""
+    f = ZERO
+    for i, n, c in terms:
+        if i is None:
+            f = f + RationalFunction.from_poly(
+                Polynomial.of([Scalar.zero()] * n + [c]))
+        else:
+            f = f + RationalFunction.from_split(
+                Polynomial.constant(c), {points[i % len(points)]: n + 1})
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(_twist_st, _terms_st)
+def test_twisted_class_splits_exactly(twist, terms):
+    points, kappas, j, hv = twist
+    phi = _twist(points, kappas, j, hv)
+    g = _monomial_sum(points[:len(kappas) + 1], terms)
+    nf, f = twisted_class(phi, j, hv, g)
+    assert nf + twisted_derivative(phi, j, hv, f) == g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_twist_st, _terms_st, _terms_st)
+def test_twisted_class_invariant_under_residual_gauges(twist, terms, shift):
+    points, kappas, j, hv = twist
+    phi = _twist(points, kappas, j, hv)
+    pts = points[:len(kappas) + 1]
+    g = _monomial_sum(pts, terms)
+    h = _monomial_sum(pts, shift)
+    moved = g + twisted_derivative(phi, j, hv, h)
+    nf, _f = twisted_class(phi, j, hv, g)
+    assert twisted_class(phi, j, hv, moved)[0] == nf
+
+
+def test_twisted_class_one_resonance():
+    # kappa_0 = 2 (-3) / 3 = -2: the image of z^-2 has no z^-3 term, and the
+    # class of this exact form is zero only modulo that relation
+    phi = _pole(-3, 0) + _pole(1, 1)
+    g = twisted_derivative(phi, 2, 3, RationalFunction.from_split(
+        Polynomial.one(), {Scalar.zero(): 2}))
+    nf, f = twisted_class(phi, 2, 3, g)
+    assert nf.is_zero
+    assert twisted_derivative(phi, 2, 3, f) == g
+
+
+def test_twisted_class_two_resonances():
+    # kappa_-2 = -2 and kappa_1 = -1: two relations, solved together
+    phi = _pole(-6, -2) + _pole(4, 0) + _pole(-3, 1)
+    rng = random.Random(53)
+    for _ in range(40):
+        h = ZERO
+        for at in (-2, 0, 1, 5):
+            for n in (1, 2, 3):
+                if rng.random() < 0.4:
+                    h = h + RationalFunction.from_split(
+                        Polynomial.constant(Scalar.exact(rng.randint(-4, 4))),
+                        {Scalar.exact(at): n})
+        h = h + _poly(rng.randint(-3, 3), rng.randint(-3, 3))
+        g = twisted_derivative(phi, 1, 3, h)
+        nf, f = twisted_class(phi, 1, 3, g)
+        assert nf.is_zero
+        assert twisted_derivative(phi, 1, 3, f) == g
+    # a simple pole where phi is regular is never exact
+    nf, _f = twisted_class(phi, 1, 3, g + _pole(1, 7))
+    assert not nf.is_zero
+    assert nf == twisted_class(phi, 1, 3, _pole(1, 7))[0]
+
+
+def test_twisted_class_rejects_other_twists():
+    g = _pole(1, 2)
+    double = RationalFunction.from_split(Polynomial.one(), {Scalar.zero(): 2})
+    with pytest.raises(ValueError):
+        twisted_class(double, 2, 3, g)
+    with pytest.raises(ValueError):
+        twisted_class(_pole(1, 0) + _poly(1), 2, 3, g)

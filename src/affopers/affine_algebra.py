@@ -72,7 +72,6 @@ class AlgebraModel:
         self.rank = rank
         self.cutoff = cutoff
         self.n = rank + 1            # matrix size for sl_{rank+1}
-        self.coxeter = rank + 1
         self.dual_coxeter = rank + 1
         self.comarks = [1] * (rank + 1)
         self.window = cutoff + 1
@@ -607,7 +606,9 @@ class GradedVector:
         return out
 
     def __neg__(self) -> "GradedVector":
-        return self.scale_scalar(Scalar.exact(-1))
+        parts = {g: [-c for c in v] for g, v in self.parts.items()}
+        return GradedVector(self.model, parts, -self.delta, -self.rho,
+                            self.truncated)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + (-other)
@@ -620,7 +621,11 @@ class GradedVector:
                             self.truncated)
 
     def scale_scalar(self, s: Scalar) -> "GradedVector":
-        return self.scale(RationalFunction.from_scalar(s))
+        if s.is_zero:
+            return GradedVector.zero(self.model)
+        parts = {g: [c.scale(s) for c in v] for g, v in self.parts.items()}
+        return GradedVector(self.model, parts, self.delta.scale(s),
+                            self.rho.scale(s), self.truncated)
 
     def derivative(self) -> "GradedVector":
         parts = {g: [c.derivative() for c in v] for g, v in self.parts.items()}

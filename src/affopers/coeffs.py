@@ -1,8 +1,11 @@
 """Scalars, polynomials and rational functions in one variable.
 
-Every value is exact: a :class:`Scalar` is a Gaussian rational, a pair of
-``fractions.Fraction`` (re, im), and polynomials and rational functions have
-Scalar coefficients.  Floats appear only inside
+Every value is exact.  A :class:`Scalar` is a Gaussian rational, a pair of
+``fractions.Fraction`` (re, im).  A :class:`Polynomial` keeps Python
+integers: Gaussian-integer numerators over one positive denominator,
+normalized so that the gcd of all of them is 1 (FLINT's ``fmpq_poly``
+layout), so its arithmetic is integer convolutions and gcds, not
+``Fraction`` operations.  Floats appear only inside
 :meth:`RationalFunction.eval_complex`, which quadrature calls, and a float
 enters only through :meth:`Scalar.from_complex`, which keeps its exact
 binary value.
@@ -12,9 +15,12 @@ marked points, the Bethe roots and their Moebius images.  A
 :class:`RationalFunction` is therefore stored as ``num / prod (z-p)^m`` over a
 sorted list of distinct poles, reduced (``num`` vanishes at none of them) and
 with a monic denominator.  Sums and products reduce by synthetic division at
-the known poles; no operation divides one rational function by another.
-Since the stored form is canonical, equality and hashing compare it directly
-and pole orders are lookups.
+the known poles, and test only the poles where a cancellation can happen: in
+a product, a pole of one factor against the other factor's numerator; in a
+sum, a pole where both orders agree.  Each test is an integer Horner, and a
+quotient is built only when the remainder is zero.  No operation divides one
+rational function by another.  Since the stored form is canonical, equality
+and hashing compare it directly and pole orders are lookups.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def _rat(x) -> Fraction:
 class Scalar:
     """A Gaussian rational: a pair of rationals (re, im), compared exactly."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re, im):
         self.re = re
@@ -141,7 +147,13 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # poles are dictionary keys in every sum and product, and a
+        # Fraction hash costs a modular inverse; a value never changes
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.re, self.im))
+            return self._hash
 
     def __repr__(self):
         if self.im == 0:
@@ -167,118 +179,141 @@ _ONE = Scalar(_RONE, _RZERO)
 
 
 class Polynomial:
-    """Dense polynomial with ascending coefficients.
+    """Dense polynomial over the Gaussian rationals, on Python integers.
 
-    Coefficients are a tuple of Scalars with no trailing zeros; the zero
-    polynomial is the empty tuple and reports degree -1 (sentinel).
+    The value is ``sum (re[k] + i im[k]) z^k / den``: ``re`` is a tuple of
+    integer real numerators in ascending order, ``im`` the imaginary ones
+    (``None`` when every imaginary part is zero, else as long as ``re``) and
+    ``den`` one positive denominator.  The stored form is normalized: no
+    trailing zero coefficient, and the gcd of ``den`` and all numerators is
+    1.  The zero polynomial is ``re == ()`` and reports degree -1
+    (sentinel).  Since the form is canonical, ``==`` and ``hash`` compare
+    the three fields directly.
+
+    Products are integer convolutions followed by one gcd; sums
+    cross-multiply the denominators; scaling multiplies numerators and
+    denominator.  A value or remainder at ``a = (r + i s)/q`` is an integer
+    Horner in ``q``-scaled form.  ``coeffs`` builds the Scalar coefficients
+    on demand, for callers outside the hot paths.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("re", "im", "den")
 
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
+    def __init__(self, re, im, den):
+        self.re = re
+        self.im = im
+        self.den = den
 
     @staticmethod
     def of(coeffs) -> "Polynomial":
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        return Polynomial(tuple(coeffs))
+        den = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
+        re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
+        im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
+        return _make(re, im, den)
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return _PZERO
 
     @staticmethod
     def one(_backend=None) -> "Polynomial":
         # ignores the former backend argument that bench/ still passes
-        return Polynomial((_ONE,))
+        return _PONE
 
     @staticmethod
     def constant(s: Scalar) -> "Polynomial":
-        if s.is_zero:
-            return Polynomial(())
-        return Polynomial((s,))
+        return Polynomial.of([s])
 
     @staticmethod
     def variable(_backend=None) -> "Polynomial":
         # ignores the former backend argument that bench/ still passes
-        return Polynomial((_ZERO, _ONE))
+        return Polynomial((0, 1), None, 1)
+
+    @property
+    def coeffs(self):
+        """The coefficients as Scalars, ascending, built on each access."""
+        den = self.den
+        if self.im is None:
+            return tuple(Scalar(Fraction(x, den), _RZERO) for x in self.re)
+        return tuple(Scalar(Fraction(x, den), Fraction(y, den))
+                     for x, y in zip(self.re, self.im))
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def leading(self) -> Scalar:
-        if not self.coeffs:
+        if not self.re:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        while out and out[-1].is_zero:
-            out.pop()
-        return Polynomial(tuple(out))
+        if not other.re:
+            return self
+        if not self.re:
+            return other
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        re = _combine(self.re, fa, other.re, fb)
+        im = None
+        if self.im is not None or other.im is not None:
+            im = _combine(self.im or (0,) * len(self.re), fa,
+                          other.im or (0,) * len(other.re), fb)
+        return _make(re, im, da * fa)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        im = None if self.im is None else tuple(-y for y in self.im)
+        return Polynomial(tuple(-x for x in self.re), im, self.den)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial(())
-        # unpacked rational loop: avoids building intermediate Scalars
-        ar = [c.re for c in a]
-        ai = [c.im for c in a]
-        br = [c.re for c in b]
-        bi = [c.im for c in b]
-        n, m = len(a), len(b)
-        outr = [_RZERO] * (n + m - 1)
-        outi = [_RZERO] * (n + m - 1)
-        if not any(ai) and not any(bi):
-            # real operands: the imaginary products are all exact zeros
-            for i in range(n):
-                x = ar[i]
+        ar, br = self.re, other.re
+        if not ar or not br:
+            return _PZERO
+        ai, bi = self.im, other.im
+        outr = [0] * (len(ar) + len(br) - 1)
+        outi = None
+        if ai is None and bi is None:
+            for i, x in enumerate(ar):
                 if x:
-                    for j in range(m):
-                        outr[i + j] += x * br[j]
+                    for j, y in enumerate(br, i):
+                        outr[j] += x * y
         else:
-            for i in range(n):
-                x, y = ar[i], ai[i]
-                if x == 0 and y == 0:
-                    continue
-                for j in range(m):
-                    u, v = br[j], bi[j]
-                    k = i + j
+            ai = ai or (0,) * len(ar)
+            bi = bi or (0,) * len(br)
+            outi = list(outr)
+            for i, x, y in zip(range(len(ar)), ar, ai):
+                for k, u, v in zip(range(i, len(outr)), br, bi):
                     outr[k] += x * u - y * v
                     outi[k] += x * v + y * u
-        out = [Scalar(r, s) for r, s in zip(outr, outi)]
-        while out and out[-1].is_zero:
-            out.pop()
-        return Polynomial(tuple(out))
+        return _make(outr, outi, self.den * other.den)
 
     def scale(self, s: Scalar) -> "Polynomial":
-        if s.is_zero:
-            return Polynomial(())
-        return Polynomial(tuple(c * s for c in self.coeffs))
+        if s.is_zero or not self.re:
+            return _PZERO
+        r, i, q = _split(s)
+        re, im = self.re, self.im
+        if not i:
+            return _make([x * r for x in re],
+                         None if im is None else [y * r for y in im],
+                         self.den * q)
+        im = im or (0,) * len(re)
+        return _make([x * r - y * i for x, y in zip(re, im)],
+                     [x * i + y * r for x, y in zip(re, im)], self.den * q)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
+        result = _PONE
         base = self
         while n:
             if n & 1:
@@ -291,7 +326,8 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dlead = other.leading()
+        ocoeffs = other.coeffs
+        dlead = ocoeffs[-1]
         dd = other.degree
         q = [_ZERO] * max(0, len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
@@ -300,23 +336,49 @@ class Polynomial:
                 continue
             f = c / dlead
             q[i - dd] = f
-            for j, oc in enumerate(other.coeffs):
+            for j, oc in enumerate(ocoeffs):
                 rem[i - dd + j] = rem[i - dd + j] - f * oc
-        while rem and rem[-1].is_zero:
-            rem.pop()
-        return Polynomial.of(q), Polynomial(tuple(rem))
+        return Polynomial.of(q), Polynomial.of(rem)
 
     def derivative(self) -> "Polynomial":
-        if len(self.coeffs) <= 1:
-            return Polynomial.zero()
-        out = [Scalar(c.re * k, c.im * k) for k, c in enumerate(self.coeffs)]
-        return Polynomial.of(out[1:])
+        im = self.im
+        return _make([k * x for k, x in enumerate(self.re)][1:],
+                     None if im is None else [k * y for k, y in enumerate(im)][1:],
+                     self.den)
 
     def eval(self, s: Scalar) -> Scalar:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        if not self.re:
+            return _ZERO
+        r, i, q = _split(s)
+        x, y = self._horner(r, i, q)
+        d = self.den * q ** self.degree
+        return Scalar(Fraction(x, d), Fraction(y, d))
+
+    def _horner(self, r, i, q):
+        """``den q^n p(A/q)`` with ``A = r + i s``, as an integer pair
+        (real, imag); n is the degree."""
+        if self.im is None and not i:
+            x = 0
+            qp = 1
+            for c in reversed(self.re):
+                x = x * r + c * qp
+                qp *= q
+            return x, 0
+        for x in self._sums(r, i, q):
+            pass
+        return x
+
+    def _sums(self, r, i, q):
+        """The Horner sums ``b_(n-1), ..., b_0, b_(-1)`` at ``A/q`` as
+        integer pairs: ``b_(n-1) = N_n`` and ``b_(k-1) = N_k q^(n-k) + A b_k``
+        for the numerators N, so ``b_(-1) = den q^n p(A/q)``."""
+        x = y = 0
+        qp = 1
+        for c, d in zip(reversed(self.re),
+                        reversed(self.im or (0,) * len(self.re))):
+            x, y = x * r - y * i + c * qp, x * i + y * r + d * qp
+            qp *= q
+            yield x, y
 
     def shift(self, a: Scalar) -> "Polynomial":
         """Taylor shift: returns q with q(z) = p(z + a).
@@ -325,39 +387,42 @@ class Polynomial:
         remainders p(a), p'(a)/1!, ... of repeated synthetic division by
         (z - a).
         """
-        if self.is_zero:
-            return self
-        work = list(self.coeffs)
         out = []
-        while work:
-            acc = work[-1]
-            quot = []
-            for i in range(len(work) - 2, -1, -1):
-                quot.append(acc)
-                acc = work[i] + acc * a
-            out.append(acc)  # remainder = value at a
-            quot.reverse()
-            work = quot
+        while self.re:
+            self, rem = self.divide_linear(a)
+            out.append(rem)
         return Polynomial.of(out)
 
     def divide_linear(self, a: Scalar):
-        """Synthetic division by (z - a): returns (quotient, remainder scalar)."""
-        if self.is_zero:
-            return self, _ZERO
-        out = [_ZERO] * self.degree
-        acc = self.coeffs[-1]
-        for i in range(self.degree - 1, -1, -1):
-            out[i] = acc
-            acc = self.coeffs[i] + acc * a
-        return Polynomial.of(out), acc
+        """Synthetic division by (z - a): returns (quotient, remainder scalar).
+
+        With ``a = A/q``, the quotient's coefficient k is the Horner sum
+        ``b_k`` (see ``_sums``) times ``q^k / (den q^(n-1))``, and the
+        remainder is ``b_(-1) / (den q^n)``.
+        """
+        n = self.degree
+        if n < 1:
+            return _PZERO, (self.coeffs or (_ZERO,))[0]
+        r, i, q = _split(a)
+        sums = list(self._sums(r, i, q))
+        x, y = sums.pop()
+        re, im = [], []
+        qk = 1
+        for b, c in reversed(sums):
+            re.append(b * qk)
+            im.append(c * qk)
+            qk *= q
+        d = self.den * q ** (n - 1)
+        return _make(re, im, d), Scalar(Fraction(x, d * q), Fraction(y, d * q))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.re == other.re and self.im == other.im
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.den))
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
@@ -372,6 +437,56 @@ class Polynomial:
             cs = f"({c.re}+{c.im}i)" if c.im else str(c.re)
             terms.append(cs if k == 0 else (f"{cs}*z^{k}" if k > 1 else f"{cs}*z"))
         return "Polynomial(" + " + ".join(terms) + ")"
+
+
+def _split(s: Scalar):
+    """Integers (r, i, q) with s = (r + i sqrt(-1))/q and q > 0 least."""
+    a, b = s.re, s.im
+    q = a.denominator
+    if not b:
+        return a.numerator, 0, q
+    d = b.denominator
+    if d != q:
+        q = math.lcm(q, d)
+    return a.numerator * (q // a.denominator), b.numerator * (q // d), q
+
+
+def _combine(a, fa, b, fb):
+    """The integer list fa*a + fb*b, padded to the longer length."""
+    if len(a) < len(b):
+        a, fa, b, fb = b, fb, a, fa
+    out = [x * fa for x in a] if fa != 1 else list(a)
+    for k, y in enumerate(b):
+        out[k] += y * fb
+    return out
+
+
+def _make(re, im, den):
+    """The normalized Polynomial of integer numerator lists over den > 0."""
+    n = len(re)
+    if im is None:
+        while n and not re[n - 1]:
+            n -= 1
+    else:
+        while n and not re[n - 1] and not im[n - 1]:
+            n -= 1
+        im = im[:n]
+        if not any(im):
+            im = None
+    if not n:
+        return _PZERO
+    re = re[:n]
+    if den != 1:
+        g = math.gcd(den, *re) if im is None else math.gcd(den, *re, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            im = None if im is None else [y // g for y in im]
+            den //= g
+    return Polynomial(tuple(re), None if im is None else tuple(im), den)
+
+
+_PZERO = Polynomial((), None, 1)
+_PONE = Polynomial((1,), None, 1)
 
 
 def _series_inv(coeffs, order):
@@ -431,7 +546,14 @@ class RationalFunction:
         items = {p: int(m) for p, m in dict(poles).items() if m}
         if any(m < 0 for m in items.values()):
             raise ValueError("negative pole multiplicity")
-        return RationalFunction(num, _sorted_poles(items))._reduced()
+        if num.is_zero:
+            return RationalFunction.zero()
+        out = []
+        for p, m in _sorted_poles(items):
+            num, m = _strip(num, p, m)
+            if m:
+                out.append((p, m))
+        return RationalFunction(num, tuple(out))
 
     @staticmethod
     def from_poly(p: Polynomial) -> "RationalFunction":
@@ -478,23 +600,6 @@ class RationalFunction:
         """Expanded (monic) denominator."""
         return _linear_product(dict(self.poles))
 
-    def _reduced(self) -> "RationalFunction":
-        """Cancel numerator roots sitting at known poles."""
-        if self.num.is_zero:
-            return RationalFunction.zero()
-        num = self.num
-        newpoles = []
-        for p, m in self.poles:
-            while m > 0:
-                q, r = num.divide_linear(p)
-                if r.is_zero:
-                    num, m = q, m - 1
-                else:
-                    break
-            if m:
-                newpoles.append((p, m))
-        return RationalFunction(num, tuple(newpoles))
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "RationalFunction":
@@ -507,21 +612,33 @@ class RationalFunction:
         raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
 
     def __add__(self, other):
+        """Sum over the common denominator.  A cancellation is possible
+        only where both orders agree: elsewhere one of the two cross
+        products keeps a factor (z - p) and the other does not."""
         other = self._coerce(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        apoles, bpoles = dict(self.poles), dict(other.poles)
-        allpoles = {
-            p: max(apoles.get(p, 0), bpoles.get(p, 0))
-            for p in {*apoles, *bpoles}
-        }
-        na = self.num * _linear_product(
-            {p: allpoles[p] - apoles.get(p, 0) for p in allpoles})
-        nb = other.num * _linear_product(
-            {p: allpoles[p] - bpoles.get(p, 0) for p in allpoles})
-        return RationalFunction(na + nb, _sorted_poles(allpoles))._reduced()
+        a, b = dict(self.poles), dict(other.poles)
+        na, nb = self.num, other.num
+        for p, m in b.items():
+            if m > a.get(p, 0):
+                na = na * _linear(p) ** (m - a.get(p, 0))
+        for p, m in a.items():
+            if m > b.get(p, 0):
+                nb = nb * _linear(p) ** (m - b.get(p, 0))
+        num = na + nb
+        if num.is_zero:
+            return RationalFunction.zero()
+        orders = {p: max(a.get(p, 0), b.get(p, 0)) for p in {**a, **b}}
+        poles = []
+        for p, m in _sorted_poles(orders):
+            if a.get(p) == b.get(p):
+                num, m = _strip(num, p, m)
+            if m:
+                poles.append((p, m))
+        return RationalFunction(num, tuple(poles))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -530,14 +647,24 @@ class RationalFunction:
         return RationalFunction(-self.num, self.poles)
 
     def __mul__(self, other):
+        """Product, cancelled factor by factor before multiplying.  At a
+        pole of both factors both numerators are nonzero, so only a pole
+        of one factor can cancel, against the other factor's numerator."""
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
             return RationalFunction.zero()
-        poles = dict(self.poles)
-        for p, m in other.poles:
-            poles[p] = poles.get(p, 0) + m
-        return RationalFunction(self.num * other.num,
-                                _sorted_poles(poles))._reduced()
+        a, b = dict(self.poles), dict(other.poles)
+        na, nb = self.num, other.num
+        orders = {p: a.get(p, 0) + b.get(p, 0) for p in {**a, **b}}
+        poles = []
+        for p, m in _sorted_poles(orders):
+            if p not in b:
+                nb, m = _strip(nb, p, m)
+            elif p not in a:
+                na, m = _strip(na, p, m)
+            if m:
+                poles.append((p, m))
+        return RationalFunction(na * nb, tuple(poles))
 
     def scale(self, s: Scalar) -> "RationalFunction":
         if s.is_zero:
@@ -581,8 +708,10 @@ class RationalFunction:
         try:
             coeffs, poles = self._complex
         except AttributeError:
-            coeffs = tuple(complex(c.re, c.im)
-                           for c in reversed(self.num.coeffs))
+            num = self.num
+            den = num.den
+            coeffs = tuple(complex(x / den, y / den) for x, y in zip(
+                reversed(num.re), reversed(num.im or (0,) * len(num.re))))
             poles = tuple((complex(p.re, p.im), m) for p, m in self.poles)
             self._complex = coeffs, poles
         num = 0j
@@ -714,14 +843,26 @@ def _sorted_poles(poles: dict):
     return tuple(items)
 
 
+def _strip(num: Polynomial, p: Scalar, m: int):
+    """Divide num by (z - p) while it vanishes at p, at most m times;
+    returns the quotient and the pole order left.  The remainder test is
+    an integer Horner; a quotient is built only when it is zero."""
+    while m and num.degree > 0 and num._horner(*_split(p)) == (0, 0):
+        num = num.divide_linear(p)[0]
+        m -= 1
+    return num, m
+
+
+def _linear(p: Scalar) -> Polynomial:
+    """z - p."""
+    r, i, q = _split(p)
+    return Polynomial((-r, q), (-i, 0) if i else None, q)
+
+
 def _linear_product(mults: dict) -> Polynomial:
-    out = Polynomial.one()
+    out = _PONE
     for p, m in mults.items():
-        if m <= 0:
-            continue
-        lin = Polynomial.of([-p, _ONE])
-        for _ in range(m):
-            out = out * lin
+        out = out * _linear(p) ** m
     return out
 
 

@@ -25,6 +25,8 @@ gauge exactly when v_1 agrees and each other v_j - v_j' has class zero.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .affine_algebra import AlgebraModel, GradedVector, _qq_scalar
 from .coeffs import (Polynomial, RationalFunction, Scalar,
                      partial_fractions, recombine)
@@ -118,7 +120,7 @@ def _gauge_u(model, u: GradedVector, m: GradedVector,
     k = 1
     while True:
         term = m.bracket(term, upto).scale_scalar(
-            Scalar.exact(1) / Scalar.exact(k))
+            _qq_scalar(Fraction(1, k)))
         trunc = trunc or term.truncated
         if term.is_zero:
             break
@@ -131,7 +133,7 @@ def _gauge_u(model, u: GradedVector, m: GradedVector,
         acc = acc - term
         k += 1
         term = m.bracket(term, upto).scale_scalar(
-            Scalar.exact(1) / Scalar.exact(k))
+            _qq_scalar(Fraction(1, k)))
         trunc = trunc or term.truncated
     acc = acc - model.pminus()
     if acc.parts and min(acc.parts) < 0:

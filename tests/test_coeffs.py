@@ -4,6 +4,7 @@ Frozen expected values in this file were produced by the independent sympy
 oracle in tests/oracles/gen_coeffs_expected.py.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -418,3 +419,114 @@ def test_float_constant_evaluates():
 def test_from_complex_rejects_non_finite(c):
     with pytest.raises(ValueError):
         Scalar.from_complex(c)
+
+
+# ------------------------------ integer storage of polynomials, complex data
+
+zero_or_gauss_st = st.one_of(st.just(sc(0)), rat_st.map(sc), gauss_st)
+poly_st = st.lists(zero_or_gauss_st, max_size=5).map(Polynomial.of)
+point_st = st.one_of(rat_st.map(sc), gauss_st)
+
+
+def _assert_canonical(p):
+    """den > 0, gcd 1, no trailing zero, im None iff the value is real."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(x) is int for x in p.re + (p.im or ()))
+    assert math.gcd(p.den, *p.re, *(p.im or ())) == 1
+    if p.im is not None:
+        assert len(p.im) == len(p.re)
+    assert not p.re or p.re[-1] or (p.im is not None and p.im[-1])
+    assert (p.im is None) == all(c.im == 0 for c in p.coeffs)
+    if p.is_zero:
+        assert (p.re, p.im, p.den) == ((), None, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_st, poly_st, point_st)
+def test_integer_storage_stays_canonical(p, q, a):
+    quotient, _rem = p.divide_linear(a)
+    for x in (p, q, p + q, p - q, p * q, p.scale(a), p.derivative(),
+              p.shift(a), quotient, -p):
+        _assert_canonical(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_st)
+def test_coefficient_view_rebuilds_the_same_polynomial(p):
+    q = Polynomial.of(p.coeffs)
+    assert q == p
+    assert hash(q) == hash(p)
+    assert (q.re, q.im, q.den) == (p.re, p.im, p.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_st, point_st)
+def test_divide_linear_identity(p, a):
+    q, r = p.divide_linear(a)
+    assert q * Polynomial.of([-a, sc(1)]) + Polynomial.constant(r) == p
+    assert r == p.eval(a)
+
+
+def _orders_added(f, g):
+    out = f.pole_dict()
+    for p, m in g.poles:
+        out[p] = out.get(p, 0) + m
+    return out
+
+
+def _reduced_sum(f, g):
+    """f + g cross-multiplied by the full denominators, then reduced at
+    every pole by from_split."""
+    num = f.num * g.den_poly() + g.num * f.den_poly()
+    return RationalFunction.from_split(num, _orders_added(f, g))
+
+
+def _reduced_product(f, g):
+    return RationalFunction.from_split(f.num * g.num, _orders_added(f, g))
+
+
+def _assert_sum_and_product_reduced(f, g):
+    for got, want in ((f + g, _reduced_sum(f, g)),
+                      (f * g, _reduced_product(f, g))):
+        assert got == want
+        _assert_canonical(got.num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_st, split_st, st.lists(gauss_st, min_size=1, max_size=3))
+def test_sum_and_product_equal_the_fully_reduced_form(a, b, kc):
+    f, g = _split_rf(a)[2], _split_rf(b)[2]
+    k = Polynomial.of(kc)
+    _assert_sum_and_product_reduced(f, g)
+    if not f.poles:
+        return
+    p = f.poles[0][0]
+    lin = Polynomial.of([-p, sc(1)])
+    # equal orders at every pole of f, cancelling at p: f + h = k (z-p) / D
+    h = RationalFunction.from_split(k * lin - f.num, f.pole_dict())
+    _assert_sum_and_product_reduced(f, h)
+    assert (f + h).pole_order_at(p) < f.pole_order_at(p)
+    # p is a pole of f only, and the other factor's numerator vanishes there
+    others = {q: m for q, m in g.poles if q != p}
+    u = RationalFunction.from_split(k * lin, others)
+    _assert_sum_and_product_reduced(f, u)
+    _assert_sum_and_product_reduced(u, f)
+    assert (f * u).pole_order_at(p) < f.pole_order_at(p)
+
+
+def _horner_over_floats(f, z):
+    num = 0j
+    for c in reversed(f.num.coeffs):
+        num = num * z + complex(float(c.re), float(c.im))
+    den = 1 + 0j
+    for p, m in f.poles:
+        den *= (z - complex(float(p.re), float(p.im))) ** m
+    return num / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_st)
+def test_eval_complex_matches_a_horner_over_floats(data):
+    f = _split_rf(data)[2]
+    for z in _NODES:
+        assert f.eval_complex(z) == _horner_over_floats(f, z)

@@ -5,8 +5,9 @@ Every value is exact.  A :class:`Scalar` is a Gaussian rational, a pair of
 integers: Gaussian-integer numerators over one positive denominator,
 normalized so that the gcd of all of them is 1 (FLINT's ``fmpq_poly``
 layout), so its arithmetic is integer convolutions and gcds, not
-``Fraction`` operations.  Floats appear only inside
-:meth:`RationalFunction.eval_complex`, which quadrature calls, and a float
+``Fraction`` operations.  Floats appear only in
+:meth:`RationalFunction.complex_form`, the cached complex form that
+quadrature reads, and in :meth:`RationalFunction.eval_complex`; a float
 enters only through :meth:`Scalar.from_complex`, which keeps its exact
 binary value.
 
@@ -247,11 +248,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.re
-
-    def leading(self) -> Scalar:
-        if not self.re:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __add__(self, other):
         if not other.re:
@@ -523,8 +519,8 @@ class RationalFunction:
     function has no poles, so every value has exactly one stored form.
     Construction and arithmetic keep that form.
 
-    ``eval_complex`` converts the numerator coefficients (highest first) and
-    the poles to ``complex`` on its first call and keeps them in the
+    ``complex_form`` converts the numerator coefficients (highest first)
+    and the poles to ``complex`` on its first call and keeps them in the
     ``_complex`` slot, which construction leaves unset: quadrature evaluates
     one function at thousands of nodes, while the exact layers build many
     functions and evaluate none.  A value never changes after construction,
@@ -704,9 +700,13 @@ class RationalFunction:
                 den = den * d
         return num / den
 
-    def eval_complex(self, z: complex) -> complex:
+    def complex_form(self):
+        """``(coeffs, poles)`` as ``complex``: the numerator coefficients,
+        highest first, and the (pole, multiplicity) pairs.  Converted on
+        the first call and cached; quadrature reads them to evaluate the
+        function inline."""
         try:
-            coeffs, poles = self._complex
+            return self._complex
         except AttributeError:
             num = self.num
             den = num.den
@@ -714,6 +714,10 @@ class RationalFunction:
                 reversed(num.re), reversed(num.im or (0,) * len(num.re))))
             poles = tuple((complex(p.re, p.im), m) for p, m in self.poles)
             self._complex = coeffs, poles
+            return self._complex
+
+    def eval_complex(self, z: complex) -> complex:
+        coeffs, poles = self.complex_form()
         num = 0j
         for c in coeffs:
             num = num * z + c

@@ -17,11 +17,23 @@ is load-bearing for correctness and is why a stock quadrature routine is
 not used: the integrand is not a function of z alone, and rules that sample
 in an unspecified internal order would lose the branch.
 
-Each node's position and path derivative come from one evaluation of the
-segment (one exponential on an arc), and that position is also the start of
-the next branch step; the integrand's exact coefficients are converted to
-complex once per function (see ``RationalFunction``).  Every float operation
-is the one the separate evaluations would do, in the same order.
+One loop in ``_panel`` does all the work of a node: the position and path
+derivative from one evaluation of the segment (one exponential on an arc),
+the branch step from the previous node as ``advance_logs`` takes it when no
+increment needs bisecting (a step that must bisect goes to ``advance_logs``),
+the weighted log sum, and g by Horner over the complex coefficients and
+poles that ``RationalFunction.complex_form`` converts once per function.
+Every float operation is the one those functions would do, in the same
+order, so the values are theirs.
+
+A panel is accepted when its Kronrod-Gauss difference ``err`` is within
+its share of ``abs_tol`` (halved at each bisection) or within ``_ROUNDOFF``
+of its |f| mass, or when it lies at ``_MAX_DEPTH``.  It is also accepted
+when bisection stopped helping and the error is rounding noise: its ``err``
+is at least ``_STALLED`` of its parent's and at most ``_NOISE`` of its |f|
+mass.  Bisecting such a panel halves the tolerance without reducing the
+noise, so it would otherwise go down to the depth cap; the integral then
+reports an ``err`` above ``abs_tol``, the accuracy it actually reached.
 """
 
 from __future__ import annotations
@@ -30,8 +42,9 @@ import cmath
 import math
 
 from .coeffs import RationalFunction, Scalar
-from .contour import (Contour, ContourError, _marked_data, advance_logs,
-                      clearance_violations, default_clearance, start_logs)
+from .contour import (_BRANCH_STEP, Contour, ContourError, _marked_data,
+                      advance_logs, clearance_violations, default_clearance,
+                      start_logs)
 from .oper_core import QuasiCanonicalForm, twisted_derivative
 
 __all__ = [
@@ -63,6 +76,8 @@ _GW = {
     7: 0.417959183673469, 9: 0.381830050505119, 11: 0.279705391489277,
     13: 0.129484966168870,
 }
+# (node, Kronrod weight, Gauss weight or None) in path order
+_NODES = tuple(zip(_KX, _KW, (_GW.get(i) for i in range(len(_KX)))))
 
 _MAX_DEPTH = 14
 _MAX_PANELS = 20000
@@ -70,9 +85,14 @@ _MAX_PANELS = 20000
 
 class IntegralResult:
     """Value and error estimate of one contour integral, together with the
-    branch closure multiplier of P^s along the contour.  ``valid`` is False
-    when the contour is open or the branch does not return to itself, in
-    which case the value is path data, not an invariant."""
+    branch closure multiplier of P^s along the contour.
+
+    ``valid`` means only that the contour closed and the branch of P^s
+    returned to itself, so the value is an invariant, not path data; it
+    says nothing about accuracy.  ``err`` is the sum of the panels' error
+    estimates.  An ``err`` above the requested ``abs_tol`` means the
+    integrand's rounding noise lies above that tolerance: the panels there
+    stopped at the noise, and ``err`` is the accuracy reached."""
 
     __slots__ = ("value", "err", "multiplier", "segments", "panels", "valid")
 
@@ -114,25 +134,56 @@ class _Budget:
                 "the integrand is probably too close to a singularity")
 
 
-def _panel(seg, ta, tb, za, zb, logs, points, f, budget):
+def _panel(seg, ta, tb, za, zb, logs, points, integrand, budget):
     """One Gauss-Kronrod panel with the branch threaded through the nodes;
-    ``za`` and ``zb`` are the positions at ta and tb.
+    ``za`` and ``zb`` are the positions at ta and tb, and ``integrand`` is
+    ``(s, weights, coeffs, poles)``: the power, the level weights, and g in
+    ``RationalFunction.complex_form``.
     Returns (kronrod, gauss, resabs, logs at tb)."""
     budget.spend()
+    s, weights, coeffs, poles = integrand
+    point_and_derivative = seg.point_and_derivative
     mid = 0.5 * (ta + tb)
     half = 0.5 * (tb - ta)
     acc_k = 0j
     acc_g = 0j
     acc_abs = 0.0
     tprev, zprev = ta, za
-    for i, (x, wk) in enumerate(zip(_KX, _KW)):
+    for x, wk, wg in _NODES:
         t = mid + half * x
-        z, dz = seg.point_and_derivative(t)
-        logs = advance_logs(points, logs, seg, tprev, t, za=zprev, zb=z)
-        val = f(z, dz, logs)
+        z, dz = point_and_derivative(t)
+        # the branch step from tprev as advance_logs takes it when no
+        # increment needs bisecting, with the weighted log sum added left
+        # to right as sum() adds it; a step that must bisect, or that
+        # lands on a puncture, goes to advance_logs itself
+        stepped = []
+        w = 0
+        for p, k, L in zip(points, weights, logs):
+            b = z - p
+            if b == 0:
+                break
+            d = cmath.log(b / (zprev - p))
+            if abs(d) >= _BRANCH_STEP:
+                break
+            L += d
+            stepped.append(L)
+            w += k * L
+        else:
+            logs = stepped
+        if logs is not stepped:
+            logs = advance_logs(points, logs, seg, tprev, t, za=zprev, zb=z)
+            w = 0
+            for k, L in zip(weights, logs):
+                w += k * L
+        num = 0j
+        for c in coeffs:
+            num = num * z + c
+        den = 1 + 0j
+        for p, m in poles:
+            den *= (z - p) ** m
+        val = cmath.exp(s * w) * (num / den) * dz
         acc_k += wk * val
         acc_abs += wk * abs(val)
-        wg = _GW.get(i)
         if wg is not None:
             acc_g += wg * val
         tprev, zprev = t, z
@@ -143,20 +194,28 @@ def _panel(seg, ta, tb, za, zb, logs, points, f, budget):
 # requesting absolute accuracy below the rounding noise of the node sums
 # would bisect forever; 50 ulps of the |f| mass is the floor a panel can hit
 _ROUNDOFF = 50 * 2.220446049250313e-16
+# a panel whose bisection did not help (its error is at least _STALLED of
+# its parent's) and whose error lies at the integrand's rounding noise
+# (at most _NOISE of its |f| mass) is accepted as it stands: noise and the
+# halved tolerance would otherwise shrink together down to _MAX_DEPTH
+_STALLED = 0.25
+_NOISE = 1e-11
 
 
-def _adaptive(seg, ta, tb, za, zb, logs, tol, depth, points, f, budget):
-    ik, ig, resabs, logs_b = _panel(seg, ta, tb, za, zb, logs, points, f,
-                                    budget)
+def _adaptive(seg, ta, tb, za, zb, logs, tol, depth, points, integrand,
+              budget, parent_err):
+    ik, ig, resabs, logs_b = _panel(seg, ta, tb, za, zb, logs, points,
+                                    integrand, budget)
     err = abs(ik - ig)
-    if err <= max(tol, _ROUNDOFF * resabs) or depth >= _MAX_DEPTH:
+    if (err <= max(tol, _ROUNDOFF * resabs) or depth >= _MAX_DEPTH
+            or _STALLED * parent_err <= err <= _NOISE * resabs):
         return ik, err, logs_b
     tm = 0.5 * (ta + tb)
     zm = seg.point(tm)
     i1, e1, logs_m = _adaptive(seg, ta, tm, za, zm, logs, 0.5 * tol,
-                               depth + 1, points, f, budget)
+                               depth + 1, points, integrand, budget, err)
     i2, e2, logs_b = _adaptive(seg, tm, tb, zm, zb, logs_m, 0.5 * tol,
-                               depth + 1, points, f, budget)
+                               depth + 1, points, integrand, budget, err)
     return i1 + i2, e1 + e2, logs_b
 
 
@@ -185,10 +244,7 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
                 f"integrand singularity at {p:g} lies {dist:.3g} from the "
                 f"contour (clearance {eps:.3g})")
 
-    def f(z, dz, logs):
-        w = s * sum(k * L for k, L in zip(weights, logs))
-        return cmath.exp(w) * g.eval_complex(z) * dz
-
+    integrand = (s, weights, *g.complex_form())
     budget = _Budget()
     logs = start_logs(points, contour.segments[0].point(0.0))
     start_vec = list(logs)
@@ -197,8 +253,8 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     tol = abs_tol / max(1, len(contour.segments))
     for seg in contour.segments:
         val, e, logs = _adaptive(seg, 0.0, 1.0, seg.point(0.0),
-                                 seg.point(1.0), logs, tol, 0, points, f,
-                                 budget)
+                                 seg.point(1.0), logs, tol, 0, points,
+                                 integrand, budget, math.inf)
         total += val
         err += e
     disc = s * sum(k * (L1 - L0)

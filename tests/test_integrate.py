@@ -381,11 +381,6 @@ def _gaussian_integrand():
 ])
 def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
     g = _gaussian_integrand()
-
-    def f(z, dz, logs):
-        w = _S * sum(k * L for k, L in zip(_WEIGHTS, logs))
-        return cmath.exp(w) * g.eval_complex(z) * dz
-
     # the steps advance_logs bisects into, recorded through the module
     # attribute its recursion calls
     steps = []
@@ -403,25 +398,47 @@ def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
                                 want_steps)
         steps[:] = []
         got = integrate._panel(seg, ta, tb, seg.point(ta), seg.point(tb),
-                               logs, _POINTS, f, integrate._Budget())
+                               logs, _POINTS,
+                               (_S, _WEIGHTS, *g.complex_form()),
+                               integrate._Budget())
         assert got == want
         assert steps == want_steps
         if ta == 0.0:
             assert steps, "the full-width panel must bisect a branch step"
 
 
-def test_integral_matches_reference_bit_for_bit(a1):
+def _found_data():
+    """Rank-1 data whose r = 3 integrand has rounding noise above the
+    default ``abs_tol`` on the Pochhammer cycle around 0 and 1."""
+    model = build_algebra({"type": "A", "rank": 1, "cutoff": 3})
+    d = MiuraData.make(model, [("0", ["3/1"], "3", "-1/1"),
+                               ("1", ["1/1"], "1", "0/2")])
+    return d, quasi_canonicalize(build_miura(d))
+
+
+def _beta_gaussian_case(a1):
+    d = beta_data(a1, 1 / 3, 0.3 + 0.1j)
+    return d, 1, _gaussian_integrand(), pochhammer((0, 1), radius="1/4")
+
+
+def _noise_floor_case(a1):
+    d, q = _found_data()
+    return d, 3, q.v[3], pochhammer((1, 0), radius="1/4")
+
+
+@pytest.mark.parametrize("case", [_beta_gaussian_case, _noise_floor_case],
+                         ids=["beta_gaussian", "noise_floor"])
+def test_integral_matches_reference_bit_for_bit(a1, case):
     """The whole adaptive integral against the reference panels, with the
     stopping rule restated: value, error and panel count are identical."""
-    d = beta_data(a1, 1 / 3, 0.3 + 0.1j)
+    d, r, g, gamma = case(a1)
     points, weights = contour._marked_data(d)
-    s = complex(1) * (-1.0 / a1.dual_coxeter)
-    g = _gaussian_integrand()
-    gamma = pochhammer((0, 1), radius="1/4")
+    s = complex(r) * (-1.0 / d.model.dual_coxeter)
     tol = 1e-10 / len(gamma.segments)
     panels = []
+    stalled = []
 
-    def adaptive(seg, ta, tb, logs, tol, depth):
+    def adaptive(seg, ta, tb, logs, tol, depth, parent_err):
         ik, ig, resabs, logs_b = _reference_panel(seg, ta, tb, logs, points,
                                                   weights, s, g)
         panels.append((ta, tb))
@@ -429,17 +446,58 @@ def test_integral_matches_reference_bit_for_bit(a1):
         if (err <= max(tol, integrate._ROUNDOFF * resabs)
                 or depth >= integrate._MAX_DEPTH):
             return ik, err, logs_b
+        # bisecting did not help, and the error is rounding noise
+        if (err >= integrate._STALLED * parent_err
+                and err <= integrate._NOISE * resabs):
+            stalled.append((ta, tb))
+            return ik, err, logs_b
         tm = 0.5 * (ta + tb)
-        i1, e1, logs_m = adaptive(seg, ta, tm, logs, 0.5 * tol, depth + 1)
-        i2, e2, logs_b = adaptive(seg, tm, tb, logs_m, 0.5 * tol, depth + 1)
+        i1, e1, logs_m = adaptive(seg, ta, tm, logs, 0.5 * tol, depth + 1,
+                                  err)
+        i2, e2, logs_b = adaptive(seg, tm, tb, logs_m, 0.5 * tol, depth + 1,
+                                  err)
         return i1 + i2, e1 + e2, logs_b
 
     logs = start_logs(points, gamma.segments[0].point(0.0))
     value, err = 0j, 0.0
     for seg in gamma.segments:
-        v, e, logs = adaptive(seg, 0.0, 1.0, logs, tol, 0)
+        v, e, logs = adaptive(seg, 0.0, 1.0, logs, tol, 0, math.inf)
         value += v
         err += e
-    res = integrate_twisted_form(d, 1, g, gamma)
+    res = integrate_twisted_form(d, r, g, gamma)
     assert len(panels) > len(gamma.segments)  # some panels were bisected
+    if case is _noise_floor_case:
+        assert stalled, "the noise stop must end some panels"
     assert (res.value, res.err, res.panels) == (value, err, len(panels))
+
+
+def test_noise_floor_stops_bisecting():
+    # the default abs_tol lies below this integrand's rounding noise; the
+    # panels whose bisection stops helping must end at the noise floor,
+    # since bisecting the noise down to the depth cap takes 12,742 panels
+    d, q = _found_data()
+    gamma = pochhammer((1, 0), radius="1/4")
+    res = twisted_integral(d, q, 3, gamma)
+    loose = twisted_integral(d, q, 3, gamma, abs_tol=1e-8)
+    assert res.valid
+    assert res.panels <= 1000
+    assert abs(res.value - loose.value) <= res.err
+
+
+def test_translated_period_converges():
+    # moving the points from 0, 1 to 2, 3 raises the numerator's rounding
+    # noise above abs_tol; bisecting that noise exhausts the panel budget,
+    # while stopping at it gives the same period within the two errors
+    model = build_algebra({"type": "A", "rank": 1, "cutoff": 3})
+    weights = [(["-3/1"], "2", "-1/2"), (["-1/1"], "3", "0/1")]
+    periods = []
+    for a, b in ((0, 1), (2, 3)):
+        d = MiuraData.make(model, [(str(a), *weights[0]),
+                                   (str(b), *weights[1])])
+        q = quasi_canonicalize(build_miura(d))
+        periods.append(twisted_integral(d, q, 3,
+                                        pochhammer((a, b), radius="1/4")))
+    at_origin, moved = periods
+    assert at_origin.valid and moved.valid
+    assert (abs(moved.value - at_origin.value)
+            <= moved.err + at_origin.err)

@@ -27,7 +27,8 @@ import random
 from fractions import Fraction
 
 from . import _linalg
-from .coeffs import RationalFunction, Scalar, _RONE, _RZERO
+from .coeffs import (RationalFunction, Scalar, _MINUS_ONE, _ONE, _RONE,
+                     _RZERO)
 
 __all__ = [
     "AlgebraModel",
@@ -46,8 +47,8 @@ def build_algebra(descriptor) -> "AlgebraModel":
     if isinstance(descriptor, str):
         descriptor = json.loads(descriptor)
     typ = descriptor.get("type")
-    rank = int(descriptor.get("rank", 0))
-    cutoff = int(descriptor.get("cutoff", 12))
+    rank = _int_field(descriptor, "rank", 0)
+    cutoff = _int_field(descriptor, "cutoff", 12)
     if typ != "A":
         raise NotImplementedError(
             f"algebra type {typ!r} is not implemented (type A only)"
@@ -58,6 +59,15 @@ def build_algebra(descriptor) -> "AlgebraModel":
         raise ValueError("cutoff must be >= 1")
     return AlgebraModel(typ, rank, cutoff,
                         basis_seed=descriptor.get("basis_seed"))
+
+
+def _int_field(descriptor, name, default):
+    """An integer field of an algebra descriptor; a float, bool or string
+    is refused rather than rounded or parsed."""
+    x = descriptor.get(name, default)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x
 
 
 class AlgebraModel:
@@ -531,8 +541,9 @@ class GradedVector:
         for i, q in enumerate(qvec):
             if q == 0:
                 continue
-            c = RationalFunction.from_scalar(_qq_scalar(q))
-            comp[i] = c if scale is None else c * scale
+            s = _qq_scalar(q)
+            comp[i] = (RationalFunction.from_scalar(s) if scale is None
+                       else scale.scale(s))
         if any(not c.is_zero for c in comp):
             out.parts[g] = comp
         return out
@@ -589,21 +600,40 @@ class GradedVector:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        if other.model is not self.model:
-            raise ValueError("graded vectors over different algebra models")
-        parts = {g: list(v) for g, v in self.parts.items()}
-        for g, v in other.parts.items():
-            if g in parts:
-                parts[g] = [a + b for a, b in zip(parts[g], v)]
-            else:
-                parts[g] = list(v)
-        out = GradedVector(
-            self.model, parts, self.delta + other.delta, self.rho + other.rho,
-            self.truncated or other.truncated,
-        )
+    @staticmethod
+    def lincomb(model, terms) -> "GradedVector":
+        """The sum of ``s * x`` over the ``(Scalar s, GradedVector x)``
+        pairs, each coefficient reduced once by ``RationalFunction.lincomb``."""
+        slots = {}
+        delta, rho = [], []
+        truncated = False
+        for s, x in terms:
+            if x.model is not model:
+                raise ValueError("graded vectors over different algebra models")
+            for g, v in x.parts.items():
+                tv = slots.get(g)
+                if tv is None:
+                    tv = slots[g] = [[] for _ in v]
+                for t, c in zip(tv, v):
+                    t.append((s, c))
+            delta.append((s, x.delta))
+            rho.append((s, x.rho))
+            truncated = truncated or x.truncated
+        return GradedVector._combined(model, slots, delta, rho, truncated)
+
+    @staticmethod
+    def _combined(model, slots, delta, rho, truncated):
+        """The vector whose every coefficient is the ``lincomb`` of its
+        term list, with zero grades pruned."""
+        lc = RationalFunction.lincomb
+        out = GradedVector(model, {g: [lc(t) for t in tv]
+                                   for g, tv in slots.items()},
+                           lc(delta), lc(rho), truncated)
         out._prune()
         return out
+
+    def __add__(self, other: "GradedVector") -> "GradedVector":
+        return GradedVector.lincomb(self.model, ((_ONE, self), (_ONE, other)))
 
     def __neg__(self) -> "GradedVector":
         parts = {g: [-c for c in v] for g, v in self.parts.items()}
@@ -611,7 +641,8 @@ class GradedVector:
                             self.truncated)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return self + (-other)
+        return GradedVector.lincomb(self.model,
+                                    ((_ONE, self), (_MINUS_ONE, other)))
 
     def scale(self, f: RationalFunction) -> "GradedVector":
         if f.is_zero:
@@ -619,13 +650,6 @@ class GradedVector:
         parts = {g: [c * f for c in v] for g, v in self.parts.items()}
         return GradedVector(self.model, parts, self.delta * f, self.rho * f,
                             self.truncated)
-
-    def scale_scalar(self, s: Scalar) -> "GradedVector":
-        if s.is_zero:
-            return GradedVector.zero(self.model)
-        parts = {g: [c.scale(s) for c in v] for g, v in self.parts.items()}
-        return GradedVector(self.model, parts, self.delta.scale(s),
-                            self.rho.scale(s), self.truncated)
 
     def derivative(self) -> "GradedVector":
         parts = {g: [c.derivative() for c in v] for g, v in self.parts.items()}
@@ -648,10 +672,16 @@ class GradedVector:
         if other.model is not self.model:
             raise ValueError("graded vectors over different algebra models")
         model = self.model
-        zero = RationalFunction.zero()
-        acc = {}
-        delta = zero
+        slots = {}  # grade -> one term list per coefficient
+        delta = []
         truncated = self.truncated or other.truncated
+
+        def slot(g):
+            tv = slots.get(g)
+            if tv is None:
+                tv = slots[g] = [[] for _ in range(model.dim_loop(g))]
+            return tv
+
         for gx, vx in self.parts.items():
             for gy, vy in other.parts.items():
                 g = gx + gy
@@ -663,10 +693,7 @@ class GradedVector:
                 tab = model.bracket_table(gx, gy)
                 if not tab:
                     continue
-                tv = acc.get(g)
-                if tv is None:
-                    tv = [zero] * model.dim_loop(g)
-                    acc[g] = tv
+                tv = slot(g)
                 for (i, j), (terms, dq) in tab.items():
                     cx = vx[i]
                     if cx.is_zero:
@@ -676,44 +703,29 @@ class GradedVector:
                         continue
                     prod = cx * cy
                     for idx, q in terms:
-                        tv[idx] = tv[idx] + prod.scale(_qq_scalar(q))
+                        tv[idx].append((_qq_scalar(q), prod))
                     if dq != 0:
-                        delta = delta + prod.scale(_qq_scalar(dq))
+                        delta.append((_qq_scalar(dq), prod))
         # derivation: [rho, x] = (grade of x) x
-        if not self.rho.is_zero:
-            for gy, vy in other.parts.items():
-                if gy == 0 or (upto is not None and gy > upto):
+        for rho, vec, sign in ((self.rho, other, 1), (other.rho, self, -1)):
+            if rho.is_zero:
+                continue
+            for g, v in vec.parts.items():
+                if g == 0 or (upto is not None and g > upto):
                     continue
-                tv = acc.get(gy)
-                if tv is None:
-                    tv = [zero] * model.dim_loop(gy)
-                    acc[gy] = tv
-                f = self.rho.scale(Scalar.exact(gy))
-                for j, cy in enumerate(vy):
-                    if not cy.is_zero:
-                        tv[j] = tv[j] + cy * f
-        if not other.rho.is_zero:
-            for gx, vx in self.parts.items():
-                if gx == 0 or (upto is not None and gx > upto):
-                    continue
-                tv = acc.get(gx)
-                if tv is None:
-                    tv = [zero] * model.dim_loop(gx)
-                    acc[gx] = tv
-                f = other.rho.scale(Scalar.exact(-gx))
-                for i, cx in enumerate(vx):
-                    if not cx.is_zero:
-                        tv[i] = tv[i] + cx * f
-        out = GradedVector(model, acc, delta, zero, truncated)
-        out._prune()
-        return out
+                tv = slot(g)
+                s = Scalar.exact(sign * g)
+                for t, c in zip(tv, v):
+                    if not c.is_zero:
+                        t.append((s, c * rho))
+        return GradedVector._combined(model, slots, delta, (), truncated)
 
     def pair(self, other: "GradedVector") -> RationalFunction:
         """Invariant bilinear form."""
         if other.model is not self.model:
             raise ValueError("graded vectors over different algebra models")
         model = self.model
-        acc = RationalFunction.zero()
+        terms = []
         for g, vx in self.parts.items():
             vy = other.parts.get(-g)
             if vy is None:
@@ -726,26 +738,19 @@ class GradedVector:
                 for j, cy in enumerate(vy):
                     q = row[j]
                     if q != 0 and not cy.is_zero:
-                        acc = acc + (cx * cy).scale(_qq_scalar(q))
+                        terms.append((_qq_scalar(q), cx * cy))
         hv = Scalar.exact(model.dual_coxeter)
         if not self.delta.is_zero and not other.rho.is_zero:
-            acc = acc + (self.delta * other.rho).scale(hv)
+            terms.append((hv, self.delta * other.rho))
         if not self.rho.is_zero and not other.delta.is_zero:
-            acc = acc + (self.rho * other.delta).scale(hv)
+            terms.append((hv, self.rho * other.delta))
         # (rho | h_i t^0) = 1 for every i
-        if not self.rho.is_zero:
-            v0 = other.parts.get(0)
-            if v0 is not None:
-                for c in v0:
+        for rho, vec in ((self.rho, other), (other.rho, self)):
+            if not rho.is_zero:
+                for c in vec.parts.get(0, ()):
                     if not c.is_zero:
-                        acc = acc + self.rho * c
-        if not other.rho.is_zero:
-            v0 = self.parts.get(0)
-            if v0 is not None:
-                for c in v0:
-                    if not c.is_zero:
-                        acc = acc + other.rho * c
-        return acc
+                        terms.append((_ONE, rho * c))
+        return RationalFunction.lincomb(terms)
 
     def __eq__(self, other):
         if not isinstance(other, GradedVector):

@@ -18,10 +18,18 @@ sorted list of distinct poles, reduced (``num`` vanishes at none of them) and
 with a monic denominator.  Sums and products reduce by synthetic division at
 the known poles, and test only the poles where a cancellation can happen: in
 a product, a pole of one factor against the other factor's numerator; in a
-sum, a pole where both orders agree.  Each test is an integer Horner, and a
-quotient is built only when the remainder is zero.  No operation divides one
-rational function by another.  Since the stored form is canonical, equality
-and hashing compare it directly and pole orders are lookups.
+sum, a pole whose top order two or more terms reach.  Each test is an
+integer Horner, and a quotient is built only when the remainder is zero.  No
+operation divides one rational function by another.  Since the stored form
+is canonical, equality and hashing compare it directly and pole orders are
+lookups.
+
+A sum of many terms is one :meth:`RationalFunction.lincomb`: ``sum s_i f_i``
+merges the pole orders once, lifts each numerator to the common denominator
+and adds the integer numerators over one lcm denominator, so k terms cost one
+reduction, not k - 1; ``+`` and ``-`` are its two-term case.  A Scalar keeps
+its integer split ``(r, i, q)`` once computed, and a pole keeps the powers of
+``z - p`` it has been lifted by, each in a slot beside the cached hash.
 """
 
 from __future__ import annotations
@@ -54,13 +62,19 @@ def _rat(x) -> Fraction:
 
 
 class Scalar:
-    """A Gaussian rational: a pair of rationals (re, im), compared exactly."""
+    """A Gaussian rational: a pair of rationals (re, im), compared exactly.
 
-    __slots__ = ("re", "im", "_hash")
+    A value never changes, so three slots cache what is derived from it:
+    ``_hash``, ``_int`` (the integer split of ``_split``) and ``_pows``
+    (the powers of ``z - self`` when the Scalar is a pole).
+    """
+
+    __slots__ = ("re", "im", "_hash", "_int", "_pows")
 
     def __init__(self, re, im):
         self.re = re
         self.im = im
+        self._int = None  # the integer split, filled in by _split
 
     # -- constructors ---------------------------------------------------
 
@@ -177,6 +191,7 @@ def _parse_real(x):
 
 _ZERO = Scalar(_RZERO, _RZERO)
 _ONE = Scalar(_RONE, _RZERO)
+_MINUS_ONE = Scalar(-_RONE, _RZERO)
 
 
 class Polynomial:
@@ -254,15 +269,8 @@ class Polynomial:
             return self
         if not self.re:
             return other
-        da, db = self.den, other.den
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-        re = _combine(self.re, fa, other.re, fb)
-        im = None
-        if self.im is not None or other.im is not None:
-            im = _combine(self.im or (0,) * len(self.re), fa,
-                          other.im or (0,) * len(other.re), fb)
-        return _make(re, im, da * fa)
+        return _sum(((1, 0, 1, self.re, self.im, self.den),
+                     (1, 0, 1, other.re, other.im, other.den)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -272,39 +280,16 @@ class Polynomial:
         return Polynomial(tuple(-x for x in self.re), im, self.den)
 
     def __mul__(self, other):
-        ar, br = self.re, other.re
-        if not ar or not br:
+        if not self.re or not other.re:
             return _PZERO
-        ai, bi = self.im, other.im
-        outr = [0] * (len(ar) + len(br) - 1)
-        outi = None
-        if ai is None and bi is None:
-            for i, x in enumerate(ar):
-                if x:
-                    for j, y in enumerate(br, i):
-                        outr[j] += x * y
-        else:
-            ai = ai or (0,) * len(ar)
-            bi = bi or (0,) * len(br)
-            outi = list(outr)
-            for i, x, y in zip(range(len(ar)), ar, ai):
-                for k, u, v in zip(range(i, len(outr)), br, bi):
-                    outr[k] += x * u - y * v
-                    outi[k] += x * v + y * u
-        return _make(outr, outi, self.den * other.den)
+        return _make(*_conv(self.re, self.im, other.re, other.im),
+                     self.den * other.den)
 
     def scale(self, s: Scalar) -> "Polynomial":
-        if s.is_zero or not self.re:
-            return _PZERO
         r, i, q = _split(s)
-        re, im = self.re, self.im
-        if not i:
-            return _make([x * r for x in re],
-                         None if im is None else [y * r for y in im],
-                         self.den * q)
-        im = im or (0,) * len(re)
-        return _make([x * r - y * i for x, y in zip(re, im)],
-                     [x * i + y * r for x, y in zip(re, im)], self.den * q)
+        if not self.re or not (r or i):
+            return _PZERO
+        return _sum(((r, i, q, self.re, self.im, self.den),))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -436,25 +421,64 @@ class Polynomial:
 
 
 def _split(s: Scalar):
-    """Integers (r, i, q) with s = (r + i sqrt(-1))/q and q > 0 least."""
-    a, b = s.re, s.im
-    q = a.denominator
-    if not b:
-        return a.numerator, 0, q
-    d = b.denominator
-    if d != q:
-        q = math.lcm(q, d)
-    return a.numerator * (q // a.denominator), b.numerator * (q // d), q
+    """Integers (r, i, q) with s = (r + i sqrt(-1))/q and q > 0 least,
+    computed once per Scalar and kept in its ``_int`` slot."""
+    got = s._int
+    if got is None:
+        a, b = s.re, s.im
+        q = a.denominator
+        if not b:
+            got = a.numerator, 0, q
+        else:
+            q = math.lcm(q, b.denominator)
+            got = (a.numerator * (q // a.denominator),
+                   b.numerator * (q // b.denominator), q)
+        s._int = got
+    return got
 
 
-def _combine(a, fa, b, fb):
-    """The integer list fa*a + fb*b, padded to the longer length."""
-    if len(a) < len(b):
-        a, fa, b, fb = b, fb, a, fa
-    out = [x * fa for x in a] if fa != 1 else list(a)
-    for k, y in enumerate(b):
-        out[k] += y * fb
-    return out
+def _conv(ar, ai, br, bi):
+    """The integer numerator lists (real, imaginary or None) of the
+    product of two nonzero numerators, not normalized."""
+    outr = [0] * (len(ar) + len(br) - 1)
+    if ai is None and bi is None:
+        for i, x in enumerate(ar):
+            if x:
+                for j, y in enumerate(br, i):
+                    outr[j] += x * y
+        return outr, None
+    ai = ai or (0,) * len(ar)
+    bi = bi or (0,) * len(br)
+    outi = list(outr)
+    for i, x, y in zip(range(len(ar)), ar, ai):
+        for k, u, v in zip(range(i, len(outr)), br, bi):
+            outr[k] += x * u - y * v
+            outi[k] += x * v + y * u
+    return outr, outi
+
+
+def _sum(items):
+    """The Polynomial sum of ``(r + i sqrt(-1))/q * (re + i im)/den`` over
+    the ``(r, i, q, re, im, den)`` items, with nonzero integer numerators
+    ``re`` and ``im`` (``None`` when real): one lcm denominator, one
+    integer pass per item and a single ``_make``."""
+    den = math.lcm(*[it[2] * it[5] for it in items])
+    outr = [0] * max(len(it[3]) for it in items)
+    outi = None
+    for r, i, q, re, im, d in items:
+        f = den // (q * d)
+        a = r * f
+        if not i and im is None:
+            for k, x in enumerate(re):
+                outr[k] += a * x
+            continue
+        if outi is None:
+            outi = [0] * len(outr)
+        b = i * f
+        for k, x, y in zip(range(len(re)), re, im or (0,) * len(re)):
+            outr[k] += a * x - b * y
+            outi[k] += a * y + b * x
+    return _make(outr, outi, den)
 
 
 def _make(re, im, den):
@@ -519,6 +543,11 @@ class RationalFunction:
     function has no poles, so every value has exactly one stored form.
     Construction and arithmetic keep that form.
 
+    Every sum goes through :meth:`lincomb`, which reads the powers of
+    ``z - p`` and the integer split kept on each pole; values are compared
+    by value, so equal poles held by distinct Scalars give equal results
+    and equal hashes.
+
     ``complex_form`` converts the numerator coefficients (highest first)
     and the poles to ``complex`` on its first call and keeps them in the
     ``_complex`` slot, which construction leaves unset: quadrature evaluates
@@ -561,7 +590,7 @@ class RationalFunction:
 
     @staticmethod
     def zero() -> "RationalFunction":
-        return RationalFunction(Polynomial.zero(), ())
+        return _RFZERO
 
     @staticmethod
     def one(_backend=None) -> "RationalFunction":
@@ -594,7 +623,10 @@ class RationalFunction:
 
     def den_poly(self) -> Polynomial:
         """Expanded (monic) denominator."""
-        return _linear_product(dict(self.poles))
+        out = _PONE
+        for p, m in self.poles:
+            out = out * _linear_power(p, m)
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -607,37 +639,67 @@ class RationalFunction:
             return RationalFunction.from_scalar(other)
         raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
 
-    def __add__(self, other):
-        """Sum over the common denominator.  A cancellation is possible
-        only where both orders agree: elsewhere one of the two cross
-        products keeps a factor (z - p) and the other does not."""
-        other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a, b = dict(self.poles), dict(other.poles)
-        na, nb = self.num, other.num
-        for p, m in b.items():
-            if m > a.get(p, 0):
-                na = na * _linear(p) ** (m - a.get(p, 0))
-        for p, m in a.items():
-            if m > b.get(p, 0):
-                nb = nb * _linear(p) ** (m - b.get(p, 0))
-        num = na + nb
-        if num.is_zero:
-            return RationalFunction.zero()
-        orders = {p: max(a.get(p, 0), b.get(p, 0)) for p in {**a, **b}}
-        poles = []
-        for p, m in _sorted_poles(orders):
-            if a.get(p) == b.get(p):
+    @staticmethod
+    def lincomb(terms) -> "RationalFunction":
+        """The sum of ``s * f`` over the ``(Scalar s, RationalFunction f)``
+        pairs, reduced once.
+
+        The pole orders are merged once, and not at all when every term
+        has the same ``poles``.  Each numerator is lifted to the common
+        denominator by the powers of ``z - p`` cached on its poles, and the
+        integer numerators are summed over one lcm denominator.  A
+        cancellation is possible only at a pole whose top order two or
+        more terms reach: where one term alone reaches it, every other
+        lifted numerator keeps a factor ``z - p`` and that one does not.
+        """
+        items = []
+        for s, f in terms:
+            if f.num.re:
+                r, i, q = _split(s)
+                if r or i:
+                    items.append((r, i, q, f))
+        if not items:
+            return _RFZERO
+        r, i, q, f = items[0]
+        if len(items) == 1 and r == q and not i:
+            return f
+        poles = f.poles
+        if all(f.poles == poles for *_s, f in items):
+            num = _sum([(r, i, q, f.num.re, f.num.im, f.num.den)
+                        for r, i, q, f in items])
+            # two or more terms reach every top order; one term cannot cancel
+            shared = None if len(items) > 1 else ()
+        else:
+            poles, shared = _merge_orders([f.poles for *_s, f in items])
+            lifted = []
+            for r, i, q, f in items:
+                own = dict(f.poles)
+                re, im, den = f.num.re, f.num.im, f.num.den
+                for p, m in poles:
+                    e = m - own.get(p, 0)
+                    if e:
+                        lp = _linear_power(p, e)
+                        re, im = _conv(re, im, lp.re, lp.im)
+                        den *= lp.den
+                lifted.append((r, i, q, re, im, den))
+            num = _sum(lifted)
+        if not num.re:
+            return _RFZERO
+        out = []
+        for p, m in poles:
+            if shared is None or p in shared:
                 num, m = _strip(num, p, m)
             if m:
-                poles.append((p, m))
-        return RationalFunction(num, tuple(poles))
+                out.append((p, m))
+        return RationalFunction(num, tuple(out))
+
+    def __add__(self, other):
+        return RationalFunction.lincomb(((_ONE, self),
+                                         (_ONE, self._coerce(other))))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return RationalFunction.lincomb(((_ONE, self),
+                                         (_MINUS_ONE, self._coerce(other))))
 
     def __neg__(self):
         return RationalFunction(-self.num, self.poles)
@@ -653,7 +715,7 @@ class RationalFunction:
         na, nb = self.num, other.num
         orders = {p: a.get(p, 0) + b.get(p, 0) for p in {**a, **b}}
         poles = []
-        for p, m in _sorted_poles(orders):
+        for p, m in _in_order(orders, (self.poles, other.poles)):
             if p not in b:
                 nb, m = _strip(nb, p, m)
             elif p not in a:
@@ -670,22 +732,31 @@ class RationalFunction:
     def derivative(self) -> "RationalFunction":
         """f' in reduced form, with no reduction pass.
 
-        With L = prod (z-p) over the distinct poles,
+        With L = prod (z-p) over the distinct poles p_1, ..., p_k,
 
-            f' = (n' L - n sum_p m_p L/(z-p)) / prod (z-p)^(m_p+1).
+            f' = (n' L - n S) / prod (z-p)^(m_p+1),  S = sum_p m_p L/(z-p).
 
         At a pole p every term of the numerator but one vanishes, leaving
         -m_p n(p) prod_{q != p} (p - q), which is nonzero since n(p) is; so
         each pole order rises by exactly one and the quotient is reduced.
+        L/(z - p_j) is the product of the prefix p_1..p_(j-1) and the suffix
+        p_(j+1)..p_k of linear factors, so S takes no division.
         """
-        if not self.poles:
-            return RationalFunction.from_poly(self.num.derivative())
-        L = _linear_product({p: 1 for p, _m in self.poles})
-        S = Polynomial.zero()
-        for p, m in self.poles:
-            S = S + L.divide_linear(p)[0].scale(Scalar.exact(m))
-        num = self.num.derivative() * L - self.num * S
-        return RationalFunction(num, tuple((p, m + 1) for p, m in self.poles))
+        n, poles = self.num, self.poles
+        if not poles:
+            return RationalFunction.from_poly(n.derivative())
+        lins = [_linear_power(p, 1) for p, _m in poles]
+        prefix = [_PONE]
+        for lin in lins:
+            prefix.append(prefix[-1] * lin)
+        suffix = _PONE
+        S = []
+        for j in range(len(lins) - 1, -1, -1):
+            t = prefix[j] * suffix
+            S.append((poles[j][1], 0, 1, t.re, t.im, t.den))
+            suffix = suffix * lins[j]
+        num = n.derivative() * prefix[-1] - n * _sum(S)
+        return RationalFunction(num, tuple((p, m + 1) for p, m in poles))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -841,10 +912,39 @@ class RationalFunction:
         return f"RF({self.num!r} / [{ps}])"
 
 
+_RFZERO = RationalFunction(_PZERO, ())
+
+
 def _sorted_poles(poles: dict):
     items = [(p, m) for p, m in poles.items() if m]
     items.sort(key=lambda pm: (pm[0].re, pm[0].im))
     return tuple(items)
+
+
+def _in_order(orders: dict, pole_tuples):
+    """The (pole, order) pairs of ``orders``, whose poles are those of the
+    sorted ``pole_tuples``, in sorted order.  When one tuple holds every
+    pole, its order is the sorted order and no comparison is made."""
+    widest = max(pole_tuples, key=len)
+    if len(widest) == len(orders):
+        return tuple((p, orders[p]) for p, _m in widest)
+    return _sorted_poles(orders)
+
+
+def _merge_orders(pole_tuples):
+    """The sorted (pole, top order) pairs over several pole tuples, and
+    the set of poles whose top order two or more of the tuples reach."""
+    top, reach = {}, {}
+    for poles in pole_tuples:
+        for p, m in poles:
+            t = top.get(p, 0)
+            if m > t:
+                top[p] = m
+                reach[p] = 1
+            elif m == t:
+                reach[p] += 1
+    return (_in_order(top, pole_tuples),
+            {p for p, n in reach.items() if n > 1})
 
 
 def _strip(num: Polynomial, p: Scalar, m: int):
@@ -857,17 +957,16 @@ def _strip(num: Polynomial, p: Scalar, m: int):
     return num, m
 
 
-def _linear(p: Scalar) -> Polynomial:
-    """z - p."""
-    r, i, q = _split(p)
-    return Polynomial((-r, q), (-i, 0) if i else None, q)
-
-
-def _linear_product(mults: dict) -> Polynomial:
-    out = _PONE
-    for p, m in mults.items():
-        out = out * _linear(p) ** m
-    return out
+def _linear_power(p: Scalar, k: int) -> Polynomial:
+    """(z - p)^k, from the powers kept in the pole's ``_pows`` slot."""
+    try:
+        pows = p._pows
+    except AttributeError:
+        r, i, q = _split(p)
+        pows = p._pows = [_PONE, Polynomial((-r, q), (-i, 0) if i else None, q)]
+    while len(pows) <= k:
+        pows.append(pows[-1] * pows[1])
+    return pows[k]
 
 
 def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):
@@ -896,7 +995,6 @@ def partial_fractions(f: RationalFunction):
 
 def recombine(poly_part: Polynomial, terms) -> RationalFunction:
     """Inverse of partial_fractions."""
-    out = RationalFunction.from_poly(poly_part)
-    for p, k, c in terms:
-        out = out + RationalFunction.from_split(Polynomial.constant(c), {p: k})
-    return out
+    return RationalFunction.lincomb(
+        [(_ONE, RationalFunction.from_poly(poly_part))]
+        + [(c, RationalFunction(_PONE, ((p, k),))) for p, k, c in terms])

@@ -25,6 +25,7 @@ gauge exactly when v_1 agrees and each other v_j - v_j' has class zero.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .affine_algebra import AlgebraModel, GradedVector, _qq_scalar
@@ -47,14 +48,9 @@ __all__ = [
 
 def _rf_mat_vec(mat, vec):
     """Rational matrix times a vector of rational functions."""
-    out = []
-    for row in mat:
-        acc = RationalFunction.zero()
-        for q, f in zip(row, vec):
-            if q != 0 and not f.is_zero:
-                acc = acc + f.scale(_qq_scalar(q))
-        out.append(acc)
-    return out
+    return [RationalFunction.lincomb([(_qq_scalar(q), f)
+                                      for q, f in zip(row, vec) if q])
+            for row in mat]
 
 
 def _rf_pow(f: RationalFunction, k: int) -> RationalFunction:
@@ -114,28 +110,26 @@ def _gauge_u(model, u: GradedVector, m: GradedVector,
         raise ValueError("gauge parameters must live in grades >= 1")
     full = model.pminus() + u
     trunc = full.truncated or m.truncated
-    # sum_k ad_m^k/k! (p_-1 + u)
-    acc = full
-    term = full
-    k = 1
+    # the brackets are taken unscaled, and the sum of each coefficient is
+    # reduced once; p_-1 stays out of it, as the result leaves it out
+    terms = [(Scalar.one(), u)]
+    # plus sum_k ad_m^k/k! (p_-1 + u)
+    term, k = full, 1
     while True:
-        term = m.bracket(term, upto).scale_scalar(
-            _qq_scalar(Fraction(1, k)))
+        term = m.bracket(term, upto)
         trunc = trunc or term.truncated
         if term.is_zero:
             break
-        acc = acc + term
+        terms.append((_qq_scalar(Fraction(1, math.factorial(k))), term))
         k += 1
     # minus sum_k ad_m^{k-1}/k! (m')
-    term = m.derivative()
-    k = 1
+    term, k = m.derivative(), 1
     while not term.is_zero:
-        acc = acc - term
-        k += 1
-        term = m.bracket(term, upto).scale_scalar(
-            _qq_scalar(Fraction(1, k)))
+        terms.append((_qq_scalar(Fraction(-1, math.factorial(k))), term))
+        term = m.bracket(term, upto)
         trunc = trunc or term.truncated
-    acc = acc - model.pminus()
+        k += 1
+    acc = GradedVector.lincomb(model, terms)
     if acc.parts and min(acc.parts) < 0:
         raise AssertionError("gauge step leaked below grade 0")
     parts = acc.parts
@@ -467,12 +461,11 @@ def bch(x: GradedVector, y: GradedVector) -> GradedVector:
     confirm that applying gauge factors in order matches one combined
     exponential.
     """
-    half = Scalar.exact(1) / Scalar.exact(2)
-    twelfth = Scalar.exact(1) / Scalar.exact(12)
-    neg24 = Scalar.exact(-1) / Scalar.exact(24)
+    one = Scalar.one()
+    half = Scalar.exact("1/2")
+    twelfth = Scalar.exact("1/12")
     xy = x.bracket(y)
-    out = x + y + xy.scale_scalar(half)
-    out = out + x.bracket(xy).scale_scalar(twelfth)
-    out = out + y.bracket(y.bracket(x)).scale_scalar(twelfth)
-    out = out + y.bracket(x.bracket(xy)).scale_scalar(neg24)
-    return out
+    return GradedVector.lincomb(x.model, (
+        (one, x), (one, y), (half, xy), (twelfth, x.bracket(xy)),
+        (twelfth, y.bracket(y.bracket(x))),
+        (Scalar.exact("-1/24"), y.bracket(x.bracket(xy)))))

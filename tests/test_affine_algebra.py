@@ -58,6 +58,16 @@ def test_build_algebra_validates():
     assert model.descriptor() == {"type": "A", "rank": 2, "cutoff": 8}
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cutoff", 3.7), ("cutoff", 3.0), ("cutoff", True), ("cutoff", "x"),
+    ("cutoff", "4"), ("rank", 2.5), ("rank", False), ("rank", None),
+])
+def test_build_algebra_refuses_non_integer_fields(field, value):
+    desc = {"type": "A", "rank": 1, "cutoff": 4, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build_algebra(desc)
+
+
 def test_slice_dimensions(a1, a2, a3):
     expect1 = {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1, 7: 2, 8: 1, 9: 2, 10: 1}
     expect2 = {0: 2, 1: 3, 2: 3, 3: 2, 4: 3, 5: 3, 6: 2, 7: 3, 8: 3, 9: 2}

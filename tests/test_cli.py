@@ -254,3 +254,18 @@ def test_point_without_position(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'z'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cutoff", 3.7), ("cutoff", True), ("cutoff", "x"), ("rank", 1.0),
+])
+def test_non_integer_algebra_field(tmp_path, capsys, field, value):
+    path = tmp_path / "model.json"
+    blob = write_model(path, [{"w": "3/2", "color": 1}])
+    blob["algebra"][field] = value
+    path.write_text(json.dumps(blob))
+    assert main(["bethe-check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be an integer, got ")
+    assert repr(value) in err
+    assert "Traceback" not in err

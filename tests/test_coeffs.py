@@ -530,3 +530,158 @@ def test_eval_complex_matches_a_horner_over_floats(data):
     f = _split_rf(data)[2]
     for z in _NODES:
         assert f.eval_complex(z) == _horner_over_floats(f, z)
+
+
+# ------------------------------ the n-ary combination and per-pole caches
+
+nonzero_gauss_st = gauss_st.filter(lambda s: not s.is_zero)
+
+
+@st.composite
+def lincomb_st(draw):
+    """(shape, [(Scalar, RationalFunction), ...], pole) over three
+    Gaussian poles: equal top orders that cancel at ``pole``, the same
+    poles in every term, mixed or disjoint pole sets, one term, or all
+    terms zero (``pole`` is None but for the first shape)."""
+    pool = draw(st.lists(gauss_st, min_size=3, max_size=3, unique=True))
+    shape = draw(st.sampled_from(
+        ["cancel", "shared", "mixed", "disjoint", "one", "zero"]))
+
+    def rf(orders):
+        num = Polynomial.of(draw(st.lists(gauss_st, min_size=1, max_size=3)))
+        return RationalFunction.from_split(num, orders)
+
+    def orders(poles):
+        return {p: draw(st.integers(1, 3)) for p in poles}
+
+    def scalar():
+        return draw(nonzero_gauss_st)
+
+    n = draw(st.integers(2, 4))
+    if shape == "cancel":
+        # f + h = k (z - p) / D: the two top orders at p cancel, and the
+        # other terms stay below them there
+        p, top = pool[0], draw(st.integers(1, 3))
+        f = rf({p: top, pool[1]: draw(st.integers(1, 2))})
+        if f.pole_order_at(p) < top:
+            f = RationalFunction(Polynomial.one(), ((p, top),))
+        lin = Polynomial.of([-p, sc(1)])
+        k = Polynomial.of(draw(st.lists(gauss_st, min_size=1, max_size=2)))
+        h = RationalFunction.from_split(k * lin - f.num, f.pole_dict())
+        s = scalar()
+        rest = [(scalar(), rf({p: top - 1, pool[2]: 1} if top > 1
+                              else {pool[2]: 2})) for _ in range(n - 2)]
+        return shape, [(s, f)] + rest + [(s, h)], (p, top)
+    elif shape == "shared":
+        poles = orders(pool[:draw(st.integers(1, 3))])
+        terms = [(scalar(), RationalFunction(
+            Polynomial.of([c, sc(1)]), tuple(sorted(
+                poles.items(), key=lambda pm: (pm[0].re, pm[0].im)))))
+                 for c in draw(st.lists(gauss_st, min_size=n, max_size=n))]
+    elif shape == "mixed":
+        terms = [(scalar(), rf(orders(draw(st.lists(
+            st.sampled_from(pool), max_size=3, unique=True)))))
+                 for _ in range(n)]
+    elif shape == "disjoint":
+        terms = [(scalar(), rf({pool[k]: draw(st.integers(1, 3))}))
+                 for k in range(min(n, 3))]
+    elif shape == "one":
+        terms = [(scalar(), rf(orders(pool[:2])))]
+    else:
+        terms = [(sc(0), rf(orders(pool[:2]))),
+                 (scalar(), RationalFunction.zero()), (sc(0), rf({}))]
+    return shape, terms, None
+
+
+def _fold(terms):
+    """The left fold of + over the scaled terms."""
+    acc = RationalFunction.zero()
+    for s, f in terms:
+        acc = acc + f.scale(s)
+    return acc
+
+
+def _cross_multiplied(terms):
+    """sum s f over the product of every denominator, reduced at every
+    pole by from_split."""
+    orders, num = {}, Polynomial.zero()
+    for i, (s, f) in enumerate(terms):
+        for p, m in f.poles:
+            orders[p] = orders.get(p, 0) + m
+        part = f.num.scale(s)
+        for j, (_t, g) in enumerate(terms):
+            if j != i:
+                part = part * g.den_poly()
+        num = num + part
+    return RationalFunction.from_split(num, orders)
+
+
+def _assert_reduced(f):
+    _assert_canonical(f.num)
+    assert [p for p, _m in f.poles] == sorted(
+        (p for p, _m in f.poles), key=lambda p: (p.re, p.im))
+    for p, m in f.poles:
+        assert m > 0 and not f.num.eval(p).is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(lincomb_st())
+def test_lincomb_equals_the_fold_of_sums(case):
+    shape, terms, cancel = case
+    got = RationalFunction.lincomb(terms)
+    assert got == _fold(terms)
+    assert got == _cross_multiplied(terms)
+    _assert_reduced(got)
+    if cancel is not None:
+        p, top = cancel
+        assert got.pole_order_at(p) < top
+    if shape == "zero":
+        assert got.is_zero
+
+
+def _equal_fresh_poles(f):
+    """f over new Scalar objects equal to its poles, with empty caches."""
+    return RationalFunction(f.num, tuple((Scalar(p.re, p.im), m)
+                                         for p, m in f.poles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lincomb_st())
+def test_lincomb_over_equal_distinct_poles(case):
+    _shape, terms, _cancel = case
+    want = RationalFunction.lincomb(terms)  # fills the caches of these poles
+    for pick in (lambda k: True, lambda k: k % 2 == 0, lambda k: k % 2 == 1):
+        moved = [(s, _equal_fresh_poles(f) if pick(k) else f)
+                 for k, (s, f) in enumerate(terms)]
+        got = RationalFunction.lincomb(moved)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got == _cross_multiplied(moved)
+
+
+# ------------------------------ derivative of a Moebius-moved function
+
+
+def _quotient_rule(f):
+    """(n' D - n D') / D^2 over the expanded denominator D."""
+    n, D = f.num, f.den_poly()
+    return RationalFunction.from_split(n.derivative() * D - n * D.derivative(),
+                                       {p: 2 * m for p, m in f.poles})
+
+
+@pytest.mark.parametrize("mobius", [
+    ("2", "1", "0", "3"),    # z -> (2z + 1)/3 keeps the polynomial part
+    ("2", "1", "1", "3"),    # -3 maps to infinity, a pole of f: a new pole
+])
+def test_derivative_of_a_moved_function_matches_the_quotient_rule(mobius):
+    g = sc("1/2", 2)
+    # z^2 - 3/2 plus (1 + z/3) / ((z - g)^2 (z + 1))
+    f = (RationalFunction.from_poly(poly("-3/2", 0, 1))
+         + RationalFunction.from_split(poly(1, "1/3"), {g: 2, sc(-1): 1}))
+    moved = f.compose_mobius(*(sc(x) for x in mobius))
+    assert any(p.im for p, _m in moved.poles)
+    if mobius[2] == "0":
+        assert moved.num.degree > sum(m for _p, m in moved.poles)
+    df = moved.derivative()
+    assert df == _quotient_rule(moved)
+    assert df.pole_dict() == {p: m + 1 for p, m in moved.poles}

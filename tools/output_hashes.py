@@ -1,0 +1,118 @@
+"""Print the four SHA-256 hashes that pin the package's outputs bit for bit.
+
+Run from the root of a checkout:
+
+    python3 tools/output_hashes.py
+
+A change that must not move any output leaves all four lines as they
+were at its parent.  Each hash covers:
+
+* ``reduce``  -- ``json.dumps(qc.to_json(), sort_keys=True)`` of every
+  ``bench`` ``reduce`` case of seeds 1-3, in case order;
+* ``bethe``   -- ``json.dumps(rows, sort_keys=True)`` of the
+  ``regularity_check`` rows of every ``bethe`` case of seeds 1-3, with
+  scalars written through ``to_json``;
+* ``periods`` -- for every ``periods`` case of seeds 1-3, run and then
+  checked, ``repr((value, err, multiplier, panels, valid))`` of each
+  integral in call order (checks included), then
+  ``json.dumps(q.v[j].to_json())`` for each exponent ``j``;
+* ``verify``  -- ``json.dumps(report, sort_keys=True)`` of
+  ``affopers verify --suite all --seed 42`` with every ``seconds`` and
+  ``elapsed_seconds`` key dropped.
+
+The case lists come from ``bench/workloads.py``; nothing under ``bench/``
+is written.  The run takes under a minute.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+from affopers import integrate, miura, verify  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def _cases(cls, seed):
+    w = cls(seed)
+    w.setup()
+    return w, w.cases
+
+
+def reduce_hash():
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        w, cases = _cases(workloads.Reduce, seed)
+        for case in cases:
+            qc = w.run(case)
+            h.update(json.dumps(qc.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def bethe_hash():
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        _w, cases = _cases(workloads.Bethe, seed)
+        for case in cases:
+            rows = miura.regularity_check(case.data)
+            h.update(json.dumps(rows, sort_keys=True,
+                                default=lambda x: x.to_json()).encode())
+    return h.hexdigest()
+
+
+def periods_hash():
+    h = hashlib.sha256()
+    inner = integrate.integrate_twisted_form
+
+    def recorded(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        h.update(repr((res.value, res.err, res.multiplier, res.panels,
+                       res.valid)).encode())
+        return res
+
+    integrate.integrate_twisted_form = recorded
+    try:
+        for seed in SEEDS:
+            w, cases = _cases(workloads.Periods, seed)
+            for case in cases:
+                result = w.run(case)
+                w.check(case, result)
+                q = result[0]
+                for j in sorted(q.v):
+                    h.update(json.dumps(q.v[j].to_json()).encode())
+    finally:
+        integrate.integrate_twisted_form = inner
+    return h.hexdigest()
+
+
+def _drop_timings(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_timings(v) for k, v in obj.items()
+                if k not in ("seconds", "elapsed_seconds")}
+    if isinstance(obj, list):
+        return [_drop_timings(v) for v in obj]
+    return obj
+
+
+def verify_hash():
+    # round-tripped as the CLI's --json file is
+    report = json.loads(json.dumps(verify.run_suite("all", seed=42)))
+    text = json.dumps(_drop_timings(report), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main():
+    for name, fn in (("reduce", reduce_hash), ("bethe", bethe_hash),
+                     ("periods", periods_hash), ("verify", verify_hash)):
+        print(f"{name:8s} {fn()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

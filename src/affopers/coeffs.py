@@ -22,7 +22,10 @@ sum, a pole whose top order two or more terms reach.  Each test is an
 integer Horner, and a quotient is built only when the remainder is zero.  No
 operation divides one rational function by another.  Since the stored form
 is canonical, equality and hashing compare it directly and pole orders are
-lookups.
+lookups.  Partial fractions and Laurent parts peel one pole at a time off
+the integer numerator: a value at the pole gives the top coefficient, and
+subtracting its term leaves a numerator that synthetic division by
+``z - p`` takes exactly.
 
 A sum of many terms is one :meth:`RationalFunction.lincomb`: ``sum s_i f_i``
 merges the pole orders once, lifts each numerator to the common denominator
@@ -303,24 +306,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __divmod__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        ocoeffs = other.coeffs
-        dlead = ocoeffs[-1]
-        dd = other.degree
-        q = [_ZERO] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c.is_zero:
-                continue
-            f = c / dlead
-            q[i - dd] = f
-            for j, oc in enumerate(ocoeffs):
-                rem[i - dd + j] = rem[i - dd + j] - f * oc
-        return Polynomial.of(q), Polynomial.of(rem)
-
     def derivative(self) -> "Polynomial":
         im = self.im
         return _make([k * x for k, x in enumerate(self.re)][1:],
@@ -360,19 +345,6 @@ class Polynomial:
             x, y = x * r - y * i + c * qp, x * i + y * r + d * qp
             qp *= q
             yield x, y
-
-    def shift(self, a: Scalar) -> "Polynomial":
-        """Taylor shift: returns q with q(z) = p(z + a).
-
-        The coefficients of q are the Taylor coefficients of p at a: the
-        remainders p(a), p'(a)/1!, ... of repeated synthetic division by
-        (z - a).
-        """
-        out = []
-        while self.re:
-            self, rem = self.divide_linear(a)
-            out.append(rem)
-        return Polynomial.of(out)
 
     def divide_linear(self, a: Scalar):
         """Synthetic division by (z - a): returns (quotient, remainder scalar).
@@ -507,31 +479,6 @@ def _make(re, im, den):
 
 _PZERO = Polynomial((), None, 1)
 _PONE = Polynomial((1,), None, 1)
-
-
-def _series_inv(coeffs, order):
-    """Inverse of a power series (c0 != 0) to the given order."""
-    c0 = coeffs[0]
-    if c0.is_zero:
-        raise ZeroDivisionError("series inversion needs a unit constant term")
-    inv0 = _ONE / c0
-    out = [inv0]
-    for n in range(1, order):
-        acc = _ZERO
-        for k in range(1, min(n, len(coeffs) - 1) + 1):
-            acc = acc + coeffs[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return out
-
-
-def _series_mul(a, b, order):
-    out = [_ZERO] * order
-    for i, x in enumerate(a[:order]):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b[: order - i]):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 class RationalFunction:
@@ -799,32 +746,18 @@ class RationalFunction:
 
     # -- expansions ----------------------------------------------------------
 
-    def laurent_at(self, a: Scalar, keep_regular=0):
-        """Principal part coefficients at a: list of (order k, coeff of (z-a)^-k).
-
-        With keep_regular > 0 the first regular Taylor coefficients follow as
-        (order 0, value), (order -1, first derivative coeff), ... counted with
-        negative "orders" -j for the (z-a)^j coefficient.  Zero coefficients
-        are left out.
-        """
-        m = dict(self.poles).get(a, 0)
-        order = m + keep_regular
-        if order == 0 or self.is_zero:
+    def laurent_at(self, a: Scalar):
+        """Principal part at a: the (order k, coefficient of (z-a)^-k)
+        pairs, orders descending, zero coefficients left out; empty where
+        a is not a pole."""
+        m = self.pole_order_at(a)
+        if not m:
             return []
-        # g(w) = num(a+w) / (other factors)(a+w); f = g(w)/w^m
-        numser = list(self.num.shift(a).coeffs)
-        denpoly = Polynomial.one()
+        rest = _PONE
         for p, mp in self.poles:
-            if p == a:
-                continue
-            lin = Polynomial.of([a - p, _ONE])
-            for _ in range(mp):
-                denpoly = denpoly * lin
-        numser += [_ZERO] * max(0, order - len(numser))
-        g = _series_mul(numser, _series_inv(list(denpoly.coeffs), order),
-                        order)
-        # g[j] is the coefficient of (z-a)^(j-m)
-        return [(m - j, c) for j, c in enumerate(g) if not c.is_zero]
+            if p != a:
+                rest = rest * _linear_power(p, mp)
+        return _peel(self.num, a, m, rest)[1]
 
     def residue_at(self, a: Scalar) -> Scalar:
         for k, c in self.laurent_at(a):
@@ -981,16 +914,41 @@ def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):
     return acc, n
 
 
+def _peel(num: Polynomial, p: Scalar, m: int, rest: Polynomial):
+    """Split num / ((z-p)^m rest), with rest(p) != 0, as the principal part
+    at p plus N / rest; returns N and the (order k, coefficient of
+    (z-p)^-k) pairs, orders descending, zero coefficients left out.
+
+    Each step takes c = num(p) / rest(p), the top coefficient left, so that
+    num - c rest vanishes at p and divides by (z - p) exactly.
+    """
+    inv = _ONE / rest.eval(p)
+    terms = []
+    for k in range(m, 0, -1):
+        c = num.eval(p) * inv
+        if not c.is_zero:
+            num = num - rest.scale(c)
+            terms.append((k, c))
+        num = num.divide_linear(p)[0]
+    return num, terms
+
+
 def partial_fractions(f: RationalFunction):
     """Decompose f into (polynomial part, [(pole, order, coefficient), ...]).
 
-    Entries with zero coefficient are omitted; orders run from each pole's
-    multiplicity down to 1.
+    The poles are peeled in order, each over the product of the later
+    ones, and what is left is the polynomial part.  Entries with zero
+    coefficient are omitted; orders run from each pole's multiplicity down
+    to 1.
     """
-    qpart = divmod(f.num, f.den_poly())[0]
-    terms = [(p, k, c) for p, _m in f.poles
-             for k, c in f.laurent_at(p) if k >= 1]
-    return qpart, terms
+    rests = [_PONE]
+    for p, m in reversed(f.poles[1:]):
+        rests.append(rests[-1] * _linear_power(p, m))
+    num, terms = f.num, []
+    for (p, m), rest in zip(f.poles, reversed(rests)):
+        num, part = _peel(num, p, m, rest)
+        terms += [(p, k, c) for k, c in part]
+    return num, terms
 
 
 def recombine(poly_part: Polynomial, terms) -> RationalFunction:

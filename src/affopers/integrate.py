@@ -234,7 +234,7 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     s = Scalar.parse(r).as_complex() * (-1.0 / d.model.dual_coxeter)
 
     all_pts = list(points)
-    all_pts += [p.as_complex() for p, _m in g.pole_dict().items()]
+    all_pts += [p.as_complex() for p, _m in g.poles]
     if all_pts:
         eps = default_clearance(points if points else all_pts)
         bad = clearance_violations(contour, all_pts, eps)

@@ -13,10 +13,9 @@ import time
 
 import mpmath
 
-from affopers.affine_algebra import (build_algebra, exponents,
-                                     normalize_principal_basis,
+from affopers.affine_algebra import (exponents, normalize_principal_basis,
                                      principal_decomposition)
-from affopers.coeffs import Polynomial, RationalFunction, Scalar
+from affopers.coeffs import RationalFunction, Scalar
 from affopers.contour import (Line, advance_logs, loop_around, pochhammer,
                               segment_chain, start_logs)
 from affopers.integrate import stokes_check, twisted_integral
@@ -24,52 +23,13 @@ from affopers.miura import (MiuraData, bethe_residuals, build_miura,
                             is_on_shell, regularity_check,
                             single_root_position, v1_predicted)
 from affopers.oper_core import (QuasiCanonicalForm, change_coordinate,
-                                quasi_canonicalize, residual_gauge, v1_direct)
+                                quasi_canonicalize, residual_gauge,
+                                twisted_class, v1_direct)
+from affopers.verify import (_model, _on_shell_pair, _rand_data,
+                             _rand_mobius, _rand_point_args, _rand_poly_rf,
+                             _zero)
 
 # ----------------------------------------------------------------- helpers
-
-
-def _model(rank, cutoff):
-    return build_algebra({"type": "A", "rank": rank, "cutoff": cutoff})
-
-
-def _zero(f):
-    return f.eval(Scalar.zero())
-
-
-def _rand_point_args(rng, rank, force_level=False):
-    coords = [f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
-              for _ in range(rank)]
-    level = str(rng.randint(1, 3) if force_level else rng.randint(0, 3))
-    delta = f"{rng.randint(-2, 2)}/{rng.randint(1, 2)}"
-    return coords, level, delta
-
-
-def _rand_data(model, rng, n_points, n_roots):
-    zs = rng.sample([-3, -2, -1, 0, 1, 2, 3], n_points)
-    ws = rng.sample([5, 7, -5, -7], n_roots)
-    points = [(str(z), *_rand_point_args(rng, model.rank)) for z in zs]
-    roots = [(str(w), rng.randint(0, model.rank)) for w in ws]
-    return MiuraData.make(model, points, roots)
-
-
-def _on_shell_pair(model, rng):
-    """Two points and one root placed by the closed form."""
-    while True:
-        d0 = _rand_data(model, rng, n_points=2, n_roots=1)
-        try:
-            w = single_root_position(d0)
-        except ValueError:
-            continue
-        if any((w - z).is_zero for z, _ in d0.points):
-            continue
-        return MiuraData(model, d0.points, [(w, d0.roots[0][1])])
-
-
-def _rand_poly_rf(rng, deg):
-    return RationalFunction.from_poly(Polynomial.of(
-        [Scalar.parse(f"{rng.randint(-6, 6)}/{rng.randint(1, 3)}")
-         for _ in range(deg + 1)]))
 
 
 def _pair(x):
@@ -248,13 +208,6 @@ def test_closed_twisted_exact_forms_integrate_to_zero():
 # ---------------------------------------------- 7: coordinate covariance
 
 
-def _rand_mobius(rng):
-    while True:
-        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-        if a * d - b * c != 0:
-            return (a, b, c, d)
-
-
 def test_reduction_commutes_with_moebius_maps():
     t0 = time.perf_counter()
     rng = random.Random("acceptance/coords")
@@ -316,3 +269,29 @@ def test_deforming_across_roots_costs_the_residue():
         assert abs((i1.value - i0.value) - want) < 1e-8
 
     assert time.perf_counter() - t0 < 60.0
+
+
+# -------------------------------- 9: the Bethe equations on the fibre
+
+
+def _class_poles_at(d, w):
+    """Whether the class nf of some v_j, j >= 2, has a pole at w."""
+    q = quasi_canonicalize(build_miura(d))
+    hv = d.model.dual_coxeter
+    return any(twisted_class(q.phi, j, hv, q.v[j])[0].pole_order_at(w)
+               for j in q.v if j >= 2)
+
+
+def test_fibre_coordinates_read_the_bethe_equations():
+    # a root is on shell exactly when every higher class is regular there
+    t0 = time.perf_counter()
+    rng = random.Random("roadmap/bethe-nf")
+    for _ in range(12):
+        rank = rng.choice((1, 2))
+        d_on = _on_shell_pair(_model(rank, rng.randint(4, 5)), rng)
+        w_on, colour = d_on.roots[0]
+        assert not _class_poles_at(d_on, w_on)
+        w = w_on + Scalar.parse(f"{rng.randint(1, 3)}/7")
+        d_off = MiuraData(d_on.model, d_on.points, [(w, colour)])
+        assert _class_poles_at(d_off, w)
+    assert time.perf_counter() - t0 < 30.0

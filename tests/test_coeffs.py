@@ -71,40 +71,6 @@ def test_zero_polynomial_degree_sentinel():
     assert poly(5).degree == 0
 
 
-def test_poly_divmod_identity():
-    a = poly(1, 0, -3, 2, 1)
-    b = poly(-1, 1)
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.degree < b.degree
-
-
-coeff_st = st.integers(min_value=-6, max_value=6)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(coeff_st, min_size=1, max_size=6),
-    st.lists(coeff_st, min_size=1, max_size=4),
-)
-def test_poly_divmod_property(ac, bc):
-    a = Polynomial.of([sc(c) for c in ac])
-    b = Polynomial.of([sc(c) for c in bc])
-    if b.is_zero:
-        return
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.is_zero or r.degree < b.degree
-
-
-def test_poly_shift_matches_evaluation():
-    p = poly(2, -1, 0, 3)
-    a = sc("2/3")
-    q = p.shift(a)
-    for x in [sc(0), sc(1), sc(-2), sc("1/5")]:
-        assert q.eval(x) == p.eval(x + a)
-
-
 def test_poly_pow_and_derivative():
     p = (Z + ONE) ** 3
     assert p == poly(1, 3, 3, 1)
@@ -243,20 +209,8 @@ def test_exact_polynomial_product_matches_textbook(flags, xs, ys):
     assert a * b == Polynomial.of([sc(re, im) for re, im in want])
 
 
+coeff_st = st.integers(min_value=-6, max_value=6)
 pole_st = st.sampled_from([-3, -1, 0, 1, 2, 4])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(coeff_st, min_size=1, max_size=4),
-    st.dictionaries(pole_st, st.integers(min_value=1, max_value=2),
-                    min_size=1, max_size=3),
-)
-def test_partial_fraction_recombination_is_exact(nc, poles):
-    num = Polynomial.of([sc(c) for c in nc])
-    f = rf_split(num, poles)
-    qpart, terms = partial_fractions(f)
-    assert recombine(qpart, terms) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -446,7 +400,7 @@ def _assert_canonical(p):
 def test_integer_storage_stays_canonical(p, q, a):
     quotient, _rem = p.divide_linear(a)
     for x in (p, q, p + q, p - q, p * q, p.scale(a), p.derivative(),
-              p.shift(a), quotient, -p):
+              quotient, -p):
         _assert_canonical(x)
 
 
@@ -465,6 +419,28 @@ def test_divide_linear_identity(p, a):
     q, r = p.divide_linear(a)
     assert q * Polynomial.of([-a, sc(1)]) + Polynomial.constant(r) == p
     assert r == p.eval(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_st, poly_st)
+def test_partial_fraction_recombination_is_exact(data, extra):
+    # the added polynomial lets the numerator outgrow the denominator
+    f = _split_rf(data)[2] + RationalFunction.from_poly(extra)
+    qpart, terms = partial_fractions(f)
+    assert recombine(qpart, terms) == f
+    # the decomposition is unique, so its shape is fixed by f
+    total = sum(m for _p, m in f.poles)
+    assert qpart.degree == max(-1, f.num.degree - total)
+    assert terms == [(p, k, c) for p, _m in f.poles
+                     for k, c in f.laurent_at(p)]
+    for p, m in f.poles:
+        at_p = f.laurent_at(p)
+        orders = [k for k, _c in at_p]
+        assert orders[0] == m  # f is reduced, so the top term is there
+        assert orders == sorted(set(orders), reverse=True)
+        assert 1 <= orders[-1]
+        assert not any(c.is_zero for _k, c in at_p)
+        assert f.residue_at(p) == dict(at_p).get(1, sc(0))
 
 
 def _orders_added(f, g):

@@ -220,7 +220,7 @@ def test_gauge_probe_enclosed_pole_no_obstruction(a1):
     # exact bookkeeping of that cancellation: the simple-pole coefficient
     # of g plus s * phi(p) times its double-pole coefficient is zero
     parts = dict(g.laurent_at(p))
-    phi_p = dict(q.phi.laurent_at(p, keep_regular=1))[0]
+    phi_p = q.phi.eval(p)
     s = Scalar.parse("-1/2")
     assert (parts[1] + s * phi_p * parts[2]).is_zero
     before, after, diff = gauge_invariance_probe(d, q, 1, gamma, f)

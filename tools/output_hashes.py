@@ -1,10 +1,10 @@
-"""Print the four SHA-256 hashes that pin the package's outputs bit for bit.
+"""Print the five SHA-256 hashes that pin the package's outputs bit for bit.
 
 Run from the root of a checkout:
 
     python3 tools/output_hashes.py
 
-A change that must not move any output leaves all four lines as they
+A change that must not move any output leaves all five lines as they
 were at its parent.  Each hash covers:
 
 * ``reduce``  -- ``json.dumps(qc.to_json(), sort_keys=True)`` of every
@@ -18,7 +18,12 @@ were at its parent.  Each hash covers:
   ``json.dumps(q.v[j].to_json())`` for each exponent ``j``;
 * ``verify``  -- ``json.dumps(report, sort_keys=True)`` of
   ``affopers verify --suite all --seed 42`` with every ``seconds`` and
-  ``elapsed_seconds`` key dropped.
+  ``elapsed_seconds`` key dropped;
+* ``classes`` -- for seeds 1-3, every ``reduce`` case without a Moebius
+  map and then every ``periods`` case, reduced by
+  ``quasi_canonicalize``; where the twist ``q.phi`` has simple poles and
+  vanishes at infinity, ``json.dumps([nf.to_json(), F.to_json()])`` of
+  ``twisted_class(q.phi, j, hv, q.v[j])`` for each exponent ``j >= 2``.
 
 The case lists come from ``bench/workloads.py``; nothing under ``bench/``
 is written.  The run takes under a minute.
@@ -34,7 +39,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
-from affopers import integrate, miura, verify  # noqa: E402
+from affopers import integrate, miura, oper_core, verify  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -108,9 +113,31 @@ def verify_hash():
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def classes_hash():
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        _w, reduce_cases = _cases(workloads.Reduce, seed)
+        _w, periods_cases = _cases(workloads.Periods, seed)
+        for case in ([c for c in reduce_cases if c.mobius is None]
+                     + periods_cases):
+            q = oper_core.quasi_canonicalize(miura.build_miura(case.data))
+            phi = q.phi
+            if (any(m > 1 for _p, m in phi.poles)
+                    or phi.num.degree >= len(phi.poles)):
+                continue
+            hv = q.model.dual_coxeter
+            for j in sorted(q.v):
+                if j >= 2:
+                    nf, F = oper_core.twisted_class(phi, j, hv, q.v[j])
+                    h.update(json.dumps([nf.to_json(),
+                                         F.to_json()]).encode())
+    return h.hexdigest()
+
+
 def main():
     for name, fn in (("reduce", reduce_hash), ("bethe", bethe_hash),
-                     ("periods", periods_hash), ("verify", verify_hash)):
+                     ("periods", periods_hash), ("verify", verify_hash),
+                     ("classes", classes_hash)):
         print(f"{name:8s} {fn()}", flush=True)
 
 

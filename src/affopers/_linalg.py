@@ -6,7 +6,10 @@ the graded-algebra layer needs: rref, nullspace, solve, inverse.
 
 from __future__ import annotations
 
-from .coeffs import _RONE, _RZERO
+from fractions import Fraction
+
+_RZERO = Fraction(0)
+_RONE = Fraction(1)
 
 
 def rref(rows):

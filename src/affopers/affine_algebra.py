@@ -27,8 +27,8 @@ import random
 from fractions import Fraction
 
 from . import _linalg
-from .coeffs import (RationalFunction, Scalar, _MINUS_ONE, _ONE, _RONE,
-                     _RZERO)
+from ._linalg import _RONE, _RZERO
+from .coeffs import RationalFunction, Scalar, _MINUS_ONE, _ONE
 
 __all__ = [
     "AlgebraModel",
@@ -500,7 +500,7 @@ def _dot_form(F, x, y):
 
 
 def _qq_scalar(q) -> Scalar:
-    return Scalar(q, _RZERO)
+    return Scalar(q.numerator, 0, q.denominator)
 
 
 class GradedVector:

@@ -15,19 +15,37 @@ from .oper_core import quasi_canonicalize
 from .verify import SUITES, run_suite, summary_lines
 
 
+# the largest models bethe-check and integrate reduce: with three points
+# and one root, checking rank 8 at cutoff 40 takes seconds of CPU, and the
+# cost grows as about cutoff^4
+MAX_RANK = 8
+MAX_CUTOFF = 40
+
+
 def _load(path):
     with open(path) as fh:
         return json.load(fh)
 
 
+def _load_model(path):
+    """The MiuraData of a model file, refused above the size bounds."""
+    d = MiuraData.from_json(_load(path))
+    for name, value, bound in (("rank", d.model.rank, MAX_RANK),
+                               ("cutoff", d.model.cutoff, MAX_CUTOFF)):
+        if value > bound:
+            raise ValueError(f"{name} {value} exceeds the bound {bound} "
+                             f"of bethe-check and integrate")
+    return d
+
+
 def _fmt(scalar):
-    if scalar.im == 0:
+    if not scalar.i:
         return str(scalar.re)
     return f"{scalar.re} + {scalar.im} i"
 
 
 def cmd_bethe_check(args):
-    d = MiuraData.from_json(_load(args.model))
+    d = _load_model(args.model)
     if not d.roots:
         print("no roots to check; the data is trivially on shell")
         return 0
@@ -94,7 +112,7 @@ def cmd_integrate(args):
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, "
                          f"got {args.tol!r}")
-    d = MiuraData.from_json(_load(args.model))
+    d = _load_model(args.model)
     contour = Contour.from_json(_load(args.contour))
     q = quasi_canonicalize(build_miura(d))
     result = twisted_integral(d, q, args.exponent, contour,

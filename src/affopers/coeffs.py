@@ -1,11 +1,12 @@
 """Scalars, polynomials and rational functions in one variable.
 
-Every value is exact.  A :class:`Scalar` is a Gaussian rational, a pair of
-``fractions.Fraction`` (re, im).  A :class:`Polynomial` keeps Python
-integers: Gaussian-integer numerators over one positive denominator,
-normalized so that the gcd of all of them is 1 (FLINT's ``fmpq_poly``
-layout), so its arithmetic is integer convolutions and gcds, not
-``Fraction`` operations.  Floats appear only in
+Every value is exact and kept on Python integers, in one layout:
+Gaussian-integer numerators over one positive denominator, normalized so
+that the gcd of all of them is 1 (FLINT's ``fmpq_poly`` layout).  A
+:class:`Scalar` is the triple ``(r, i, q)`` of ``(r + i sqrt(-1))/q``, and
+a :class:`Polynomial` holds one such numerator pair per coefficient over a
+shared denominator, so the arithmetic of both is integer products and
+gcds, not ``Fraction`` operations.  Floats appear only in
 :meth:`RationalFunction.complex_form`, the cached complex form that
 quadrature reads, and in :meth:`RationalFunction.eval_complex`; a float
 enters only through :meth:`Scalar.from_complex`, which keeps its exact
@@ -30,9 +31,9 @@ subtracting its term leaves a numerator that synthetic division by
 A sum of many terms is one :meth:`RationalFunction.lincomb`: ``sum s_i f_i``
 merges the pole orders once, lifts each numerator to the common denominator
 and adds the integer numerators over one lcm denominator, so k terms cost one
-reduction, not k - 1; ``+`` and ``-`` are its two-term case.  A Scalar keeps
-its integer split ``(r, i, q)`` once computed, and a pole keeps the powers of
-``z - p`` it has been lifted by, each in a slot beside the cached hash.
+reduction, not k - 1; ``+`` and ``-`` are its two-term case.  A pole keeps
+the powers of ``z - p`` it has been lifted by in a slot beside its cached
+hash.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ from fractions import Fraction
 # ignore it) and reports _Q.__name__ as the rational type
 EXACT = "exact"
 _Q = Fraction
-
-_RZERO = Fraction(0)
-_RONE = Fraction(1)
 
 
 def _rat(x) -> Fraction:
@@ -65,25 +63,31 @@ def _rat(x) -> Fraction:
 
 
 class Scalar:
-    """A Gaussian rational: a pair of rationals (re, im), compared exactly.
+    """A Gaussian rational ``(r + i sqrt(-1))/q`` on three Python ints.
 
-    A value never changes, so three slots cache what is derived from it:
-    ``_hash``, ``_int`` (the integer split of ``_split``) and ``_pows``
+    The triple is canonical: ``q > 0`` and ``gcd(r, i, q) == 1``, so zero
+    is ``(0, 0, 1)``, and ``==`` and ``hash`` compare the ints directly.
+    The constructor takes a canonical triple as given; every other value
+    goes through ``_scalar``, the one normalizer.  A value never changes,
+    so two slots cache what is derived from it: ``_hash`` and ``_pows``
     (the powers of ``z - self`` when the Scalar is a pole).
     """
 
-    __slots__ = ("re", "im", "_hash", "_int", "_pows")
+    __slots__ = ("r", "i", "q", "_hash", "_pows")
 
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-        self._int = None  # the integer split, filled in by _split
+    def __init__(self, r, i, q):
+        self.r = r
+        self.i = i
+        self.q = q
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def exact(re, im=0) -> "Scalar":
-        return Scalar(_rat(re), _rat(im))
+        a, b = _rat(re), _rat(im)
+        return _scalar(a.numerator * b.denominator,
+                       b.numerator * a.denominator,
+                       a.denominator * b.denominator)
 
     @staticmethod
     def from_complex(z) -> "Scalar":
@@ -91,7 +95,7 @@ class Scalar:
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"cannot represent {z!r} exactly")
-        return Scalar(Fraction(z.real), Fraction(z.imag))
+        return Scalar.exact(Fraction(z.real), Fraction(z.imag))
 
     @staticmethod
     def zero() -> "Scalar":
@@ -116,67 +120,82 @@ class Scalar:
         return Scalar.exact(_parse_real(re), _parse_real(im))
 
     def to_json(self):
-        if self.im == 0:
+        if not self.i:
             return str(self.re)
         return [str(self.re), str(self.im)]
 
     # -- queries ---------------------------------------------------------
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self.r, self.q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.i, self.q)
+
+    @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.r and not self.i
 
     def as_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self.r / self.q, self.i / self.q)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if not self.im and not other.im:
-            return Scalar(self.re + other.re, _RZERO)
-        return Scalar(self.re + other.re, self.im + other.im)
+        q, s = self.q, other.q
+        return _scalar(self.r * s + other.r * q, self.i * s + other.i * q,
+                       q * s)
 
     def __sub__(self, other):
-        if not self.im and not other.im:
-            return Scalar(self.re - other.re, _RZERO)
-        return Scalar(self.re - other.re, self.im - other.im)
+        q, s = self.q, other.q
+        return _scalar(self.r * s - other.r * q, self.i * s - other.i * q,
+                       q * s)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return Scalar(-self.r, -self.i, self.q)
 
     def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            # real operands: the imaginary products are all exact zeros
-            return Scalar(a * c, _RZERO)
-        return Scalar(a * c - b * d, a * d + b * c)
+        a, b, c, d = self.r, self.i, other.r, other.i
+        return _scalar(a * c - b * d, a * d + b * c, self.q * other.q)
 
     def __truediv__(self, other):
-        c, d = other.re, other.im
+        c, d = other.r, other.i
         n = c * c + d * d
-        if n == 0:
+        if not n:
             raise ZeroDivisionError("scalar division by zero")
-        a, b = self.re, self.im
-        return Scalar((a * c + b * d) / n, (b * c - a * d) / n)
+        a, b, s = self.r, self.i, other.q
+        return _scalar((a * c + b * d) * s, (b * c - a * d) * s, self.q * n)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.r == other.r and self.i == other.i and self.q == other.q
 
     def __hash__(self):
-        # poles are dictionary keys in every sum and product, and a
-        # Fraction hash costs a modular inverse; a value never changes
+        # poles are dictionary keys in every sum and product
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.re, self.im))
+            self._hash = hash((self.r, self.i, self.q))
             return self._hash
 
     def __repr__(self):
-        if self.im == 0:
+        if not self.i:
             return f"Scalar({self.re})"
         return f"Scalar({self.re}, {self.im}i)"
+
+
+def _scalar(r, i, q) -> Scalar:
+    """The canonical Scalar ``(r + i sqrt(-1))/q`` of any ints, q != 0."""
+    if q < 0:
+        r, i, q = -r, -i, -q
+    g = math.gcd(r, i, q)
+    if g != 1:
+        r, i, q = r // g, i // g, q // g
+    return Scalar(r, i, q)
 
 
 def _parse_real(x):
@@ -192,9 +211,9 @@ def _parse_real(x):
     raise ValueError(f"cannot parse {x!r} as an exact real part")
 
 
-_ZERO = Scalar(_RZERO, _RZERO)
-_ONE = Scalar(_RONE, _RZERO)
-_MINUS_ONE = Scalar(-_RONE, _RZERO)
+_ZERO = Scalar(0, 0, 1)
+_ONE = Scalar(1, 0, 1)
+_MINUS_ONE = Scalar(-1, 0, 1)
 
 
 class Polynomial:
@@ -226,10 +245,9 @@ class Polynomial:
     @staticmethod
     def of(coeffs) -> "Polynomial":
         coeffs = list(coeffs)
-        den = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
-        re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
-        im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
-        return _make(re, im, den)
+        den = math.lcm(*(c.q for c in coeffs))
+        return _make([c.r * (den // c.q) for c in coeffs],
+                     [c.i * (den // c.q) for c in coeffs], den)
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -253,10 +271,8 @@ class Polynomial:
     def coeffs(self):
         """The coefficients as Scalars, ascending, built on each access."""
         den = self.den
-        if self.im is None:
-            return tuple(Scalar(Fraction(x, den), _RZERO) for x in self.re)
-        return tuple(Scalar(Fraction(x, den), Fraction(y, den))
-                     for x, y in zip(self.re, self.im))
+        return tuple(_scalar(x, y, den) for x, y in
+                     zip(self.re, self.im or (0,) * len(self.re)))
 
     @property
     def degree(self) -> int:
@@ -289,10 +305,9 @@ class Polynomial:
                      self.den * other.den)
 
     def scale(self, s: Scalar) -> "Polynomial":
-        r, i, q = _split(s)
-        if not self.re or not (r or i):
+        if not self.re or s.is_zero:
             return _PZERO
-        return _sum(((r, i, q, self.re, self.im, self.den),))
+        return _sum(((s.r, s.i, s.q, self.re, self.im, self.den),))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -315,10 +330,9 @@ class Polynomial:
     def eval(self, s: Scalar) -> Scalar:
         if not self.re:
             return _ZERO
-        r, i, q = _split(s)
-        x, y = self._horner(r, i, q)
-        d = self.den * q ** self.degree
-        return Scalar(Fraction(x, d), Fraction(y, d))
+        q = s.q
+        x, y = self._horner(s.r, s.i, q)
+        return _scalar(x, y, self.den * q ** self.degree)
 
     def _horner(self, r, i, q):
         """``den q^n p(A/q)`` with ``A = r + i s``, as an integer pair
@@ -356,8 +370,8 @@ class Polynomial:
         n = self.degree
         if n < 1:
             return _PZERO, (self.coeffs or (_ZERO,))[0]
-        r, i, q = _split(a)
-        sums = list(self._sums(r, i, q))
+        q = a.q
+        sums = list(self._sums(a.r, a.i, q))
         x, y = sums.pop()
         re, im = [], []
         qk = 1
@@ -366,7 +380,7 @@ class Polynomial:
             im.append(c * qk)
             qk *= q
         d = self.den * q ** (n - 1)
-        return _make(re, im, d), Scalar(Fraction(x, d * q), Fraction(y, d * q))
+        return _make(re, im, d), _scalar(x, y, d * q)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -387,26 +401,9 @@ class Polynomial:
         for k, c in enumerate(self.coeffs):
             if c.is_zero:
                 continue
-            cs = f"({c.re}+{c.im}i)" if c.im else str(c.re)
+            cs = f"({c.re}+{c.im}i)" if c.i else str(c.re)
             terms.append(cs if k == 0 else (f"{cs}*z^{k}" if k > 1 else f"{cs}*z"))
         return "Polynomial(" + " + ".join(terms) + ")"
-
-
-def _split(s: Scalar):
-    """Integers (r, i, q) with s = (r + i sqrt(-1))/q and q > 0 least,
-    computed once per Scalar and kept in its ``_int`` slot."""
-    got = s._int
-    if got is None:
-        a, b = s.re, s.im
-        q = a.denominator
-        if not b:
-            got = a.numerator, 0, q
-        else:
-            q = math.lcm(q, b.denominator)
-            got = (a.numerator * (q // a.denominator),
-                   b.numerator * (q // b.denominator), q)
-        s._int = got
-    return got
 
 
 def _conv(ar, ai, br, bi):
@@ -491,8 +488,8 @@ class RationalFunction:
     Construction and arithmetic keep that form.
 
     Every sum goes through :meth:`lincomb`, which reads the powers of
-    ``z - p`` and the integer split kept on each pole; values are compared
-    by value, so equal poles held by distinct Scalars give equal results
+    ``z - p`` kept on each pole; poles are compared by their integer
+    triples, so equal poles held by distinct Scalars give equal results
     and equal hashes.
 
     ``complex_form`` converts the numerator coefficients (highest first)
@@ -601,10 +598,8 @@ class RationalFunction:
         """
         items = []
         for s, f in terms:
-            if f.num.re:
-                r, i, q = _split(s)
-                if r or i:
-                    items.append((r, i, q, f))
+            if f.num.re and not s.is_zero:
+                items.append((s.r, s.i, s.q, f))
         if not items:
             return _RFZERO
         r, i, q, f = items[0]
@@ -730,7 +725,7 @@ class RationalFunction:
             den = num.den
             coeffs = tuple(complex(x / den, y / den) for x, y in zip(
                 reversed(num.re), reversed(num.im or (0,) * len(num.re))))
-            poles = tuple((complex(p.re, p.im), m) for p, m in self.poles)
+            poles = tuple((p.as_complex(), m) for p, m in self.poles)
             self._complex = coeffs, poles
             return self._complex
 
@@ -797,35 +792,26 @@ class RationalFunction:
             cc = b - p * d
             dpow += m
             if lc.is_zero:
-                # the pole sits at the image of infinity; factor is constant/B
-                for _ in range(m):
-                    scale = scale * cc
+                # the pole sits at the image of infinity; the factor is cc/B
+                lc = cc
             else:
                 root = -(cc / lc)
                 poles[root] = poles.get(root, 0) + m
-                for _ in range(m):
-                    scale = scale * lc
+            for _ in range(m):
+                scale = scale * lc
         # assemble: f(mu(z)) = num * B^(dpow - npow) / (scale * prod(z-root)^m)
-        invscale = _ONE / scale
-        num = num.scale(invscale)
         bexp = dpow - npow
         if bexp > 0:
             num = num * (B ** bexp)
         elif bexp < 0:
-            if c.is_zero:
-                # B is the constant d: fold its powers into the scale
-                sc = _ONE
-                for _ in range(-bexp):
-                    sc = sc * (_ONE / d)
-                num = num.scale(sc)
-            else:
+            # B^bexp is c^bexp (z + d/c)^bexp, or d^bexp when c is zero
+            if not c.is_zero:
                 root = -(d / c)
-                poles[root] = poles.get(root, 0) + (-bexp)
-                sc = _ONE
-                for _ in range(-bexp):
-                    sc = sc * (_ONE / c)
-                num = num.scale(sc)
-        return RationalFunction(num, _sorted_poles(poles))
+                poles[root] = poles.get(root, 0) - bexp
+            lead = d if c.is_zero else c
+            for _ in range(-bexp):
+                scale = scale * lead
+        return RationalFunction(num.scale(_ONE / scale), _sorted_poles(poles))
 
     # -- comparison / io -------------------------------------------------------
 
@@ -884,7 +870,7 @@ def _strip(num: Polynomial, p: Scalar, m: int):
     """Divide num by (z - p) while it vanishes at p, at most m times;
     returns the quotient and the pole order left.  The remainder test is
     an integer Horner; a quotient is built only when it is zero."""
-    while m and num.degree > 0 and num._horner(*_split(p)) == (0, 0):
+    while m and num.degree > 0 and num._horner(p.r, p.i, p.q) == (0, 0):
         num = num.divide_linear(p)[0]
         m -= 1
     return num, m
@@ -895,7 +881,7 @@ def _linear_power(p: Scalar, k: int) -> Polynomial:
     try:
         pows = p._pows
     except AttributeError:
-        r, i, q = _split(p)
+        r, i, q = p.r, p.i, p.q
         pows = p._pows = [_PONE, Polynomial((-r, q), (-i, 0) if i else None, q)]
     while len(pows) <= k:
         pows.append(pows[-1] * pows[1])
@@ -906,11 +892,11 @@ def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):
     """p((az+b)/(cz+d)) = (returned polynomial) / B^deg(p); returns (poly, deg)."""
     if p.is_zero:
         return Polynomial.zero(), 0
-    n = p.degree
+    n, cs = p.degree, p.coeffs
     # Horner in A/B: result = sum p_k A^k B^(n-k)
-    acc = Polynomial.constant(p.coeffs[n])
+    acc = Polynomial.constant(cs[n])
     for k in range(n - 1, -1, -1):
-        acc = acc * A + Polynomial.constant(p.coeffs[k]) * (B ** (n - k))
+        acc = acc * A + Polynomial.constant(cs[k]) * (B ** (n - k))
     return acc, n
 
 

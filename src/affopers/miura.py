@@ -89,16 +89,15 @@ class MiuraData:
         for z, lam in self.points:
             if lam.model is not model:
                 raise ValueError("weight over a different algebra model")
-            seen.add((z.re, z.im))
+            seen.add(z)
         if len(seen) != len(self.points):
             raise ValueError("marked points must be distinct")
         for w, c in self.roots:
             if not 0 <= c <= model.rank:
                 raise ValueError(f"color {c} outside 0..{model.rank}")
-            key = (w.re, w.im)
-            if key in seen:
+            if w in seen:
                 raise ValueError("root positions must avoid all other points")
-            seen.add(key)
+            seen.add(w)
 
     @staticmethod
     def make(model, points, roots=()):

@@ -26,8 +26,8 @@ gauge exactly when v_1 agrees and each other v_j - v_j' has class zero.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
+from ._linalg import _RONE
 from .affine_algebra import AlgebraModel, GradedVector, _qq_scalar
 from .coeffs import (Polynomial, RationalFunction, Scalar,
                      partial_fractions, recombine)
@@ -120,12 +120,12 @@ def _gauge_u(model, u: GradedVector, m: GradedVector,
         trunc = trunc or term.truncated
         if term.is_zero:
             break
-        terms.append((_qq_scalar(Fraction(1, math.factorial(k))), term))
+        terms.append((Scalar(1, 0, math.factorial(k)), term))
         k += 1
     # minus sum_k ad_m^{k-1}/k! (m')
     term, k = m.derivative(), 1
     while not term.is_zero:
-        terms.append((_qq_scalar(Fraction(-1, math.factorial(k))), term))
+        terms.append((Scalar(-1, 0, math.factorial(k)), term))
         term = m.bracket(term, upto)
         trunc = trunc or term.truncated
         k += 1
@@ -195,36 +195,30 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     cur = conn.u
     factors = []
     v = {}
+    zero = RationalFunction.zero()
     for n in range(0, model.cutoff + 1):
         comp = cur.component(n)
         if n == 0:
-            inv = model.decomposition_matrix_inv(0)
-            coords = _rf_mat_vec(inv, [cur.delta] + comp)
-            d_excess = coords[0]
-            c_coords = coords[1:]
-            m = GradedVector.zero(model)
-            for q, col in zip(c_coords, model.image_complement_basis(1)):
-                if not q.is_zero:
-                    m = m + GradedVector.from_coeff_vector(model, 1, col,
-                                                           scale=q)
-            if not d_excess.is_zero:
-                m = m + model.pplus().scale(-d_excess)
+            coords = _rf_mat_vec(model.decomposition_matrix_inv(0),
+                                 [cur.delta] + comp)
+            # the delta excess d is removed by -d p_1, and p_1 is the
+            # all-ones vector at grade 1
+            cols = (model.image_complement_basis(1)
+                    + [[_RONE] * model.dim_loop(1)])
+            mc = coords[1:] + [-coords[0]]
         else:
-            inv = model.decomposition_matrix_inv(n)
-            coords = _rf_mat_vec(inv, comp)
+            coords = _rf_mat_vec(model.decomposition_matrix_inv(n), comp)
             npv = len(model.principal_vectors().get(n, ()))
             if npv:
                 v[n] = coords[0]
-            c_coords = coords[npv:]
-            m = GradedVector.zero(model)
-            if any(not q.is_zero for q in c_coords):
-                scoords = _rf_mat_vec(model.step_solve_matrix_inv(n), c_coords)
-                for q, col in zip(scoords,
-                                  model.image_complement_basis(n + 1)):
-                    if not q.is_zero:
-                        m = m + GradedVector.from_coeff_vector(model, n + 1,
-                                                               col, scale=q)
-        if not m.is_zero:
+            cols = model.image_complement_basis(n + 1)
+            mc = coords[npv:]
+            if any(not q.is_zero for q in mc):
+                mc = _rf_mat_vec(model.step_solve_matrix_inv(n), mc)
+        # the gauge parameter is sum_k mc[k] cols[k], one lincomb per entry
+        mcomp = _rf_mat_vec(list(zip(*cols)), mc)
+        if any(not c.is_zero for c in mcomp):
+            m = GradedVector(model, {n + 1: mcomp}, zero, zero)
             cur = _gauge_u(model, cur, m, upto=model.cutoff)
             factors.append(m)
     # terms dropped above the cutoff never feed back into grades <= cutoff
@@ -388,8 +382,8 @@ def _resonances(phi, j, hv):
     c = Scalar.exact(j) / Scalar.exact(hv)
     cands = [(p, -(c * phi.residue_at(p))) for p, _m in phi.poles]
     cands.append((None, -sum((k for _p, k in cands), Scalar.zero())))
-    return [(p, int(k.re)) for p, k in cands
-            if k.im == 0 and k.re.denominator == 1 and k.re > 0]
+    return [(p, k.r) for p, k in cands
+            if not k.i and k.q == 1 and k.r > 0]
 
 
 def _rank(key):

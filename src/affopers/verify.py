@@ -201,13 +201,12 @@ def _chk_pole_support(rng):
         rank = rng.choice((1, 2))
         model = _model(rank, rng.randint(3, 6))
         d = _rand_data(model, rng, rng.randint(1, 3), rng.randint(0, 2))
-        allowed = {(z.re, z.im) for z, _ in d.points}
-        allowed |= {(w.re, w.im) for w, _ in d.roots}
+        allowed = {z for z, _ in d.points} | {w for w, _ in d.roots}
         qc = quasi_canonicalize(build_miura(d))
         for j, f in qc.v.items():
             cases += 1
             for p, _m in f.poles:
-                if (p.re, p.im) not in allowed:
+                if p not in allowed:
                     fails.append({"data": d.to_json(), "exponent": j,
                                   "stray pole": str(p)})
     return cases, fails
@@ -453,7 +452,7 @@ def _chk_deformation(rng):
     def pair(root_scalar):
         d = MiuraData.make(model, _DEFORM_POINTS, [(root_scalar, 1)])
         q = quasi_canonicalize(build_miura(d))
-        w = complex(float(root_scalar.re), float(root_scalar.im))
+        w = root_scalar.as_complex()
         gamma = pochhammer((1, 0), radius="1/5", basepoint=0.5)
         bridge = segment_chain(0.5, base)
         loop = loop_around(w, 0.05, base)
@@ -478,12 +477,12 @@ def _chk_deformation(rng):
         d, i0, i1 = pair(w_off)
         res = bethe_residuals(d)[0] / Scalar.exact(2)
         points = [0j, 1 + 0j]
-        root_c = complex(float(w_off.re), float(w_off.im))
+        root_c = w_off.as_complex()
         logs = start_logs(points, 0.5)
         logs = advance_logs(points, logs, Line(0.5, base), 0.0, 1.0)
         logs = advance_logs(points, logs, Line(base, root_c), 0.0, 1.0)
         branch = cmath.exp(-0.5 * sum(logs))  # both levels are 1
-        want = 2j * math.pi * branch * complex(float(res.re), float(res.im))
+        want = 2j * math.pi * branch * res.as_complex()
         got = i1.value - i0.value
         if not abs(got - want) < 1e-8:
             fails.append({"case": f"off shell at {w_off}",

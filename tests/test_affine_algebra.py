@@ -329,7 +329,7 @@ def test_step_solve_inverts_ad(a2):
             for i, ci in enumerate(col):
                 want[i] += q * ci
         assert got.component(n) == [
-            RationalFunction.from_scalar(Scalar(q, Fraction(0))) for q in want
+            RationalFunction.from_scalar(Scalar.exact(q)) for q in want
         ]
 
 

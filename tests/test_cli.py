@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from affopers import miura
+from affopers import cli, miura
 from affopers.cli import main
 from affopers.coeffs import Scalar
 from affopers.contour import Contour, pochhammer
@@ -253,6 +253,44 @@ def test_point_without_position(tmp_path, capsys):
     assert main(["bethe-check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'z'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bethe-check", "integrate"])
+@pytest.mark.parametrize("field, value, bound", [
+    ("cutoff", 41, 40), ("rank", 9, 8), ("cutoff", 40, None),
+])
+def test_model_size_bounds(tmp_path, capsys, monkeypatch, command, field,
+                           value, bound):
+    mpath = tmp_path / "model.json"
+    write_model(mpath, [{"w": "3/2", "color": 1}])
+    cpath = tmp_path / "contour.json"
+    assert main(["make-contour", "--model", str(mpath), "--pochhammer", "0,1",
+                 "--out", str(cpath)]) == 0
+    blob = json.loads(mpath.read_text())
+    blob["algebra"][field] = value
+    rank = blob["algebra"]["rank"]
+    for p in blob["points"]:
+        lam = p["weight"]["lambda_dot"]
+        p["weight"]["lambda_dot"] = lam + ["0"] * (rank - len(lam))
+    mpath.write_text(json.dumps(blob))
+    capsys.readouterr()
+
+    def reduction(*_args, **_kwargs):
+        raise AssertionError("a reduction ran")
+
+    monkeypatch.setattr(cli, "quasi_canonicalize", reduction)
+    monkeypatch.setattr(cli, "regularity_check", reduction)
+    argv = ([command, str(mpath)] if command == "bethe-check" else
+            [command, "--model", str(mpath), "--contour", str(cpath),
+             "--exponent", "1"])
+    if bound is None:  # at the bound the model reaches the reduction
+        with pytest.raises(AssertionError, match="a reduction ran"):
+            main(argv)
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} {value} exceeds the bound {bound}")
     assert "Traceback" not in err
 
 

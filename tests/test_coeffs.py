@@ -5,6 +5,7 @@ oracle in tests/oracles/gen_coeffs_expected.py.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -174,10 +175,29 @@ def _operand(re, im, real):
     return Scalar.exact(re, 0 if real else im)
 
 
-def _textbook(x, y):
-    """(a + bi)(c + di) = (ac - bd) + (ad + bc)i on the rational parts."""
+def _textbook(op, x, y):
+    """``x op y`` by the textbook formula on the rational parts, e.g.
+    (a + bi)(c + di) = (ac - bd) + (ad + bc)i."""
     a, b, c, d = x.re, x.im, y.re, y.im
-    return a * c - b * d, a * d + b * c
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
+def _assert_canonical_scalar(s):
+    """Three ints (r, i, q) with q > 0, gcd 1, and zero as (0, 0, 1)."""
+    assert all(type(x) is int for x in (s.r, s.i, s.q))
+    assert s.q > 0 and math.gcd(s.r, s.i, s.q) == 1
+    assert not s.is_zero or (s.r, s.i, s.q) == (0, 0, 1)
 
 
 # each operand is either forced real or a general Gaussian rational, so the
@@ -191,8 +211,33 @@ parts_st = st.lists(st.tuples(rat_st, rat_st), min_size=1, max_size=5)
 def test_exact_scalar_product_matches_textbook(flags, xs, ys):
     x = _operand(*xs, flags[0])
     y = _operand(*ys, flags[1])
-    got = x * y
-    assert (got.re, got.im) == _textbook(x, y)
+    for s in (x, y, -x):
+        _assert_canonical_scalar(s)
+    assert ((-x).re, (-x).im) == (-x.re, -x.im)
+    for op, f in _SCALAR_OPS.items():
+        if op == "/" and y.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        got = f(x, y)
+        _assert_canonical_scalar(got)
+        assert (got.re, got.im) == _textbook(op, x, y)
+
+
+def test_equal_scalars_share_one_triple():
+    routes = [Scalar.parse("2/4"), Scalar.parse("1/2"),
+              Scalar.from_complex(0.5), Scalar.exact(Fraction(1, 2)),
+              sc(3) / sc(6)]
+    gaussian = [sc("1/2", "1/3"), Scalar.parse(["2/4", "2/6"]),
+                sc(3, 2) / sc(6), sc("3/4", "1/2") * sc("2/3")]
+    zeros = [Scalar.zero(), sc("0/5"), sc("1/3") - sc("1/3"),
+             sc(0, 2) * sc(0)]
+    for group, triple in ((routes, (1, 0, 2)), (gaussian, (3, 2, 6)),
+                          (zeros, (0, 0, 1))):
+        for s in group:
+            _assert_canonical_scalar(s)
+            assert (s.r, s.i, s.q) == triple
+            assert s == group[0] and hash(s) == hash(group[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -203,7 +248,7 @@ def test_exact_polynomial_product_matches_textbook(flags, xs, ys):
     want = [[0, 0] for _ in range(len(a.coeffs) + len(b.coeffs) - 1)]
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
-            re, im = _textbook(x, y)
+            re, im = _textbook("*", x, y)
             want[i + j][0] += re
             want[i + j][1] += im
     assert a * b == Polynomial.of([sc(re, im) for re, im in want])
@@ -617,7 +662,7 @@ def test_lincomb_equals_the_fold_of_sums(case):
 
 def _equal_fresh_poles(f):
     """f over new Scalar objects equal to its poles, with empty caches."""
-    return RationalFunction(f.num, tuple((Scalar(p.re, p.im), m)
+    return RationalFunction(f.num, tuple((Scalar(p.r, p.i, p.q), m)
                                          for p, m in f.poles))
 
 

@@ -302,8 +302,8 @@ def test_residual_recovery_fails_cleanly(a2):
 # j K / hv = M for a positive integer M) are common.
 _POINTS = [Scalar.parse(p) for p in ("0", "1", "-2", ["1", "1"], "3/2")]
 _rat_st = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
-_scalar_st = st.builds(Scalar, _rat_st, st.one_of(st.just(Fraction(0)),
-                                                  _rat_st))
+_scalar_st = st.builds(Scalar.exact, _rat_st,
+                       st.one_of(st.just(Fraction(0)), _rat_st))
 # (point index or None for a power of z, order or power, coefficient)
 _terms_st = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)),
                                st.integers(0, 3), _scalar_st), max_size=5)

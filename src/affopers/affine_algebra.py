@@ -95,6 +95,8 @@ class AlgebraModel:
         self._cbas = {}
         self._dmatinv = {}
         self._smatinv = {}
+        self._lbrows = {}
+        self._steprows = {}
         self._pvecs = None
 
     # ---------------------------------------------------------------- cartan
@@ -233,6 +235,23 @@ class AlgebraModel:
                     table[(i, j)] = (tuple(terms), dq)
         self._btab[key] = table
         return table
+
+    def loop_bracket_rows(self, gx, gy):
+        """``bracket_table(gx, gy)`` without the center column, with Scalar
+        coefficients, grouped by the first index: a tuple of
+        ``(i, ((j, ((target index, Scalar), ...)), ...))`` over the entries
+        that have a loop term."""
+        key = (gx, gy)
+        got = self._lbrows.get(key)
+        if got is not None:
+            return got
+        rows = {}
+        for (i, j), (terms, _dq) in self.bracket_table(gx, gy).items():
+            if terms:
+                rows.setdefault(i, []).append(
+                    (j, tuple((idx, _qq_scalar(q)) for idx, q in terms)))
+        got = self._lbrows[key] = tuple((i, tuple(r)) for i, r in rows.items())
+        return got
 
     def form_table(self, g):
         """Pairing matrix between basis(g) and basis(-g)."""
@@ -430,6 +449,50 @@ class AlgebraModel:
         inv = _linalg.invert(S)
         self._smatinv[g] = inv
         return inv
+
+    def gauge_step_rows(self, n):
+        """One step of the reduction at grade n, as sparse Scalar rows.
+
+        Returns ``(vrow, mrows)`` for the grade-n loop component x (at
+        n = 0, the center coefficient followed by it): ``v_n = vrow . x``
+        (``vrow`` is None when n is not an exponent) and the grade-(n+1)
+        gauge parameter has the coordinates ``mrow . x``.  Each row is a
+        tuple of ``(column, Scalar)`` pairs over its nonzero entries; it
+        composes the decomposition, the step solve and the complement
+        columns once per model.
+        """
+        got = self._steprows.get(n)
+        if got is not None:
+            return got
+        D = self.decomposition_matrix_inv(n)
+        vrow = None
+        if n == 0:
+            # the delta excess d is removed by -d p_1, and p_1 is the
+            # all-ones vector at grade 1
+            cols = (self.image_complement_basis(1)
+                    + [[_RONE] * self.dim_loop(1)])
+            mc = D[1:] + [[-q for q in D[0]]]
+        else:
+            npv = len(self.principal_vectors().get(n, ()))
+            if npv:
+                vrow = D[0]
+            cols = self.image_complement_basis(n + 1)
+            mc = D[npv:]
+            if mc:
+                S = self.step_solve_matrix_inv(n)
+                mc = [[sum((s * row[j] for s, row in zip(srow, mc)), _RZERO)
+                       for j in range(len(D[0]))] for srow in S]
+        mrows = [[sum((col[i] * row[j] for col, row in zip(cols, mc)), _RZERO)
+                  for j in range(len(D[0]))]
+                 for i in range(self.dim_loop(n + 1))]
+
+        def sparse(row):
+            return tuple((j, _qq_scalar(q)) for j, q in enumerate(row) if q)
+
+        got = (None if vrow is None else sparse(vrow),
+               tuple(sparse(row) for row in mrows))
+        self._steprows[n] = got
+        return got
 
     # ------------------------------------------------------------- generators
 
@@ -660,14 +723,11 @@ class GradedVector:
 
     # -- bracket and form ------------------------------------------------------
 
-    def bracket(self, other: "GradedVector", upto=None) -> "GradedVector":
+    def bracket(self, other: "GradedVector") -> "GradedVector":
         """Lie bracket [self, other].
 
         Components outside the window |n| <= K+1 are dropped and flagged
-        ``truncated``.  With ``upto`` given, components above grade ``upto``
-        are not computed at all and not flagged: the result is then exact
-        only through that grade, which is all a caller that discards the
-        higher grades needs.
+        ``truncated``.
         """
         if other.model is not self.model:
             raise ValueError("graded vectors over different algebra models")
@@ -685,8 +745,6 @@ class GradedVector:
         for gx, vx in self.parts.items():
             for gy, vy in other.parts.items():
                 g = gx + gy
-                if upto is not None and g > upto:
-                    continue
                 if abs(g) > model.window:
                     truncated = True
                     continue
@@ -711,7 +769,7 @@ class GradedVector:
             if rho.is_zero:
                 continue
             for g, v in vec.parts.items():
-                if g == 0 or (upto is not None and g > upto):
+                if g == 0:
                     continue
                 tv = slot(g)
                 s = Scalar.exact(sign * g)

@@ -16,8 +16,8 @@ from .verify import SUITES, run_suite, summary_lines
 
 
 # the largest models bethe-check and integrate reduce: with three points
-# and one root, checking rank 8 at cutoff 40 takes seconds of CPU, and the
-# cost grows as about cutoff^4
+# and one root, checking rank 8 at cutoff 40 takes about 20 s of CPU, and
+# the cost grows as about cutoff^4.5
 MAX_RANK = 8
 MAX_CUTOFF = 40
 

@@ -34,6 +34,13 @@ and adds the integer numerators over one lcm denominator, so k terms cost one
 reduction, not k - 1; ``+`` and ``-`` are its two-term case.  A pole keeps
 the powers of ``z - p`` it has been lifted by in a slot beside its cached
 hash.
+
+Where every denominator is known in advance as a power ``L^k`` of one
+product ``L = prod (z - p)^c_p`` (the graded reduction of ``oper_core``), a
+computation can run on numerators alone: :func:`pole_frame` names the
+``(p, c_p)``, :func:`lift_numerator` takes a function to its numerator over
+``L^k``, :meth:`Polynomial.lincomb` is the n-ary sum, and
+:func:`lower_numerator` returns the canonical form once, at the end.
 """
 
 from __future__ import annotations
@@ -308,6 +315,19 @@ class Polynomial:
         if not self.re or s.is_zero:
             return _PZERO
         return _sum(((s.r, s.i, s.q, self.re, self.im, self.den),))
+
+    @staticmethod
+    def lincomb(terms) -> "Polynomial":
+        """The sum of ``s * p`` over the ``(Scalar s, Polynomial p)`` pairs,
+        as one integer pass per term over one lcm denominator."""
+        items = [(s.r, s.i, s.q, p.re, p.im, p.den) for s, p in terms
+                 if p.re and (s.r or s.i)]
+        if not items:
+            return _PZERO
+        r, i, q, re, im, den = items[0]
+        if len(items) == 1 and r == q and not i:
+            return Polynomial(re, im, den)
+        return _sum(items)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -886,6 +906,43 @@ def _linear_power(p: Scalar, k: int) -> Polynomial:
     while len(pows) <= k:
         pows.append(pows[-1] * pows[1])
     return pows[k]
+
+
+def pole_frame(orders: dict):
+    """The (pole, order) pairs of ``orders`` with a positive order, sorted
+    as a RationalFunction keeps its poles.  A frame names the fixed
+    denominators ``L^k`` with ``L = prod (z - p)^order`` that
+    :func:`lift_numerator` and :func:`lower_numerator` work over."""
+    return _sorted_poles(orders)
+
+
+def lift_numerator(f: RationalFunction, frame, k: int) -> Polynomial:
+    """The numerator of f over ``L^k`` (see :func:`pole_frame`); every pole
+    of f must lie in the frame with order at most k times its own."""
+    own = dict(f.poles)
+    num = f.num
+    for p, c in frame:
+        e = k * c - own.pop(p, 0)
+        if e < 0:
+            raise ValueError(f"pole order at {p!r} exceeds the frame")
+        if e and num.re:
+            num = num * _linear_power(p, e)
+    if own:
+        raise ValueError("pole outside the frame")
+    return num
+
+
+def lower_numerator(num: Polynomial, frame, k: int) -> RationalFunction:
+    """``num / L^k`` in canonical form: the inverse of
+    :func:`lift_numerator`, by a strip test at each pole of the frame."""
+    if not num.re:
+        return _RFZERO
+    out = []
+    for p, c in frame:
+        num, m = _strip(num, p, k * c)
+        if m:
+            out.append((p, m))
+    return RationalFunction(num, tuple(out))
 
 
 def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):

@@ -60,7 +60,10 @@ def _cnum(obj) -> complex:
             raise ContourError(f"position pair must have two entries: {obj!r}")
         return complex(_cnum(obj[0]).real, _cnum(obj[1]).real)
     if isinstance(obj, str):
-        return Scalar.parse(obj).as_complex()
+        try:
+            return Scalar.parse(obj).as_complex()
+        except ZeroDivisionError:
+            raise ContourError(f"cannot read {obj!r} as a position") from None
     raise ContourError(f"cannot read {obj!r} as a position")
 
 
@@ -184,14 +187,21 @@ class Arc:
                 f"{self.from_angle:g} -> {self.to_angle:g})")
 
 
-def _parse_segment(obj):
+def _parse_segment(obj, where):
+    if not isinstance(obj, dict):
+        raise ContourError(f"{where} must be an object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "line":
-        return Line(obj["from"], obj["to"])
-    if kind == "arc":
-        return Arc(obj["center"], obj["radius"],
-                   float(obj["from_angle"]), float(obj["to_angle"]))
-    raise ContourError(f"unknown segment kind {kind!r}")
+    try:
+        if kind == "line":
+            return Line(obj["from"], obj["to"])
+        if kind == "arc":
+            return Arc(obj["center"], obj["radius"],
+                       float(obj["from_angle"]), float(obj["to_angle"]))
+    except KeyError as exc:
+        raise ContourError(f"{where} lacks the key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ContourError(f"{where}: {exc}") from None
+    raise ContourError(f"{where}: unknown segment kind {kind!r}")
 
 
 class Contour:
@@ -248,9 +258,22 @@ class Contour:
     def from_json(obj) -> "Contour":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        segs = [_parse_segment(s) for s in obj["segments"]]
-        winds = [(w[0], w[1]) for w in obj.get("windings", ())]
-        return Contour(segs, obj.get("basepoint"), winds)
+        if not isinstance(obj, dict):
+            raise ContourError(f"contour JSON must be an object, got {obj!r}")
+        segs = obj.get("segments")
+        if not isinstance(segs, list):
+            raise ContourError(f"contour JSON: 'segments' must be a list, "
+                               f"got {segs!r}")
+        segs = [_parse_segment(s, f"segment {k}")
+                for k, s in enumerate(segs, 1)]
+        winds = obj.get("windings", [])
+        if not (isinstance(winds, list)
+                and all(isinstance(w, list) and len(w) == 2
+                        and isinstance(w[1], int) for w in winds)):
+            raise ContourError(f"contour JSON: 'windings' must be a list of "
+                               f"[point, integer] pairs, got {winds!r}")
+        return Contour(segs, obj.get("basepoint"),
+                       [(w[0], w[1]) for w in winds])
 
     def __repr__(self):
         state = "closed" if self.is_closed else "open"

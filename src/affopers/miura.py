@@ -114,27 +114,46 @@ class MiuraData:
 
     @staticmethod
     def from_json(obj, model=None):
+        """Read the form ``to_json`` writes; a malformed entry raises a
+        ValueError that names it."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"model JSON must be an object, got {obj!r}")
+        points = []
+        for k, p in enumerate(_json_list(obj, "points"), 1):
+            z = _json_key(p, "z", f"point {k}")
+            w = _json_key(p, "weight", f"point {k}")
+            where = f"point {k} weight"
+            lam = _json_key(w, "lambda_dot", where)
+            if not isinstance(lam, list):
+                raise ValueError(f"model JSON: {where}: 'lambda_dot' must "
+                                 f"be a list, got {lam!r}")
+            points.append((
+                _json_scalar(z, f"point {k} z"),
+                [_json_scalar(a, f"{where} lambda_dot") for a in lam],
+                _json_scalar(w.get("level", 0), f"{where} level"),
+                _json_scalar(w.get("delta", 0), f"{where} delta")))
+        roots = []
+        for k, r in enumerate(_json_list(obj, "bethe_roots"), 1):
+            where = f"root {k}"
+            c = _json_key(r, "color", where)
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"model JSON: {where}: 'color' must be an "
+                                 f"integer, got {c!r}")
+            roots.append((_json_scalar(_json_key(r, "w", where),
+                                       f"{where} w"), c))
         if model is None:
             desc = obj.get("algebra")
             if desc is None:
-                npts = obj.get("points") or []
-                if not npts:
+                if not points:
                     raise ValueError("cannot infer the algebra: no points")
-                rank = len(npts[0]["weight"]["lambda_dot"])
-                desc = {"type": "A", "rank": rank, "cutoff": DEFAULT_CUTOFF}
+                desc = {"type": "A", "rank": len(points[0][1]),
+                        "cutoff": DEFAULT_CUTOFF}
+            elif not isinstance(desc, dict):
+                raise ValueError(f"model JSON: 'algebra' must be an object, "
+                                 f"got {desc!r}")
             model = build_algebra(desc)
-        try:
-            points = []
-            for p in obj.get("points", ()):
-                w = p["weight"]
-                points.append((p["z"], w["lambda_dot"], w.get("level", 0),
-                               w.get("delta", 0)))
-            roots = [(r["w"], r["color"]) for r in obj.get("bethe_roots", ())]
-        except KeyError as exc:
-            raise ValueError(f"model JSON: a point or root lacks the key "
-                             f"{exc.args[0]!r}") from None
         return MiuraData.make(model, points, roots)
 
     def to_json(self):
@@ -185,6 +204,33 @@ class MiuraData:
     def __repr__(self):
         return (f"MiuraData({len(self.points)} points, "
                 f"{len(self.roots)} roots)")
+
+
+def _json_list(obj, key):
+    got = obj.get(key, [])
+    if not isinstance(got, list):
+        raise ValueError(f"model JSON: {key!r} must be a list, got {got!r}")
+    return got
+
+
+def _json_key(obj, key, where):
+    """obj[key] of the JSON object obj, the entry called ``where``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"model JSON: {where} must be an object, "
+                         f"got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"model JSON: {where} lacks the key {key!r}")
+    return obj[key]
+
+
+def _json_scalar(x, where) -> Scalar:
+    try:
+        return Scalar.parse(x)
+    except ValueError as exc:
+        raise ValueError(f"model JSON: {where}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"model JSON: {where}: zero denominator in "
+                         f"{x!r}") from None
 
 
 def weight_triple(model, lam_dot, level, delta) -> Weight:

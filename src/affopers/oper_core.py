@@ -17,6 +17,20 @@ composing them into a single exponential is possible (see ``bch``) but never
 needed, and at realistic cutoffs it is far more expensive than applying the
 steps in order.
 
+Every denominator of the reduction is known before it starts.  Each v_j is
+a section of Omega^(j+1), and the pole orders follow the grading: with c_p
+the least integer such that every input coefficient of grade g (delta and
+rho at grade 0) has order at most c_p (g+1) at p, and L = prod (z-p)^c_p, a
+grade-g coefficient of u stays a numerator over L^(g+1) and a grade-a
+coefficient of a gauge parameter one over L^a through every step.  A
+bracket adds grades, a + (b+1) = (a+b) + 1; m' raises each order by one,
+(N/L^a)' = (N' L - a N L') / L^(a+1); [rho, x] multiplies by rho = R/L;
+and the decomposition matrices are constant.  ``quasi_canonicalize``
+therefore runs on those numerators alone, as integer polynomial products
+and n-ary sums with no pole bookkeeping, and lowers each v_j and each gauge
+factor to its canonical rational function once, at the end.  The public
+``gauge_transform`` stays on rational functions.
+
 Higher coefficients are fixed only up to the residual gauge freedom
 v_j -> v_j - (f' - (j phi / h_dual) f); ``twisted_class`` reduces v_j to its
 class in that twisted cohomology: forms over one twist differ by a residual
@@ -27,10 +41,10 @@ from __future__ import annotations
 
 import math
 
-from ._linalg import _RONE
-from .affine_algebra import AlgebraModel, GradedVector, _qq_scalar
-from .coeffs import (Polynomial, RationalFunction, Scalar,
-                     partial_fractions, recombine)
+from .affine_algebra import AlgebraModel, GradedVector
+from .coeffs import (_ONE, _PONE, _PZERO, Polynomial, RationalFunction,
+                     Scalar, lift_numerator, lower_numerator,
+                     partial_fractions, pole_frame, recombine)
 
 __all__ = [
     "Connection",
@@ -44,13 +58,6 @@ __all__ = [
     "change_coordinate",
     "bch",
 ]
-
-
-def _rf_mat_vec(mat, vec):
-    """Rational matrix times a vector of rational functions."""
-    return [RationalFunction.lincomb([(_qq_scalar(q), f)
-                                      for q, f in zip(row, vec) if q])
-            for row in mat]
 
 
 def _rf_pow(f: RationalFunction, k: int) -> RationalFunction:
@@ -95,14 +102,11 @@ class Connection:
         return f"Connection({self.u!r})"
 
 
-def _gauge_u(model, u: GradedVector, m: GradedVector,
-             upto=None) -> GradedVector:
+def _gauge_u(model, u: GradedVector, m: GradedVector) -> GradedVector:
     """Matrix of the gauge transform of d + (p_-1 + u) dz by exp(m).
 
     m must be loop-valued in grades >= 1; the series terminates inside the
-    grading window.  With ``upto`` given, only grades <= upto of the result
-    are computed and kept: every bracket with m raises the grade, so the
-    dropped terms never feed back into the grades that are kept.
+    grading window.
     """
     if not m.delta.is_zero or not m.rho.is_zero:
         raise ValueError("gauge parameters must be loop-valued")
@@ -116,7 +120,7 @@ def _gauge_u(model, u: GradedVector, m: GradedVector,
     # plus sum_k ad_m^k/k! (p_-1 + u)
     term, k = full, 1
     while True:
-        term = m.bracket(term, upto)
+        term = m.bracket(term)
         trunc = trunc or term.truncated
         if term.is_zero:
             break
@@ -126,16 +130,13 @@ def _gauge_u(model, u: GradedVector, m: GradedVector,
     term, k = m.derivative(), 1
     while not term.is_zero:
         terms.append((Scalar(-1, 0, math.factorial(k)), term))
-        term = m.bracket(term, upto)
+        term = m.bracket(term)
         trunc = trunc or term.truncated
         k += 1
     acc = GradedVector.lincomb(model, terms)
     if acc.parts and min(acc.parts) < 0:
         raise AssertionError("gauge step leaked below grade 0")
-    parts = acc.parts
-    if upto is not None:
-        parts = {g: v for g, v in parts.items() if g <= upto}
-    return GradedVector(acc.model, parts, acc.delta, acc.rho, trunc)
+    return GradedVector(acc.model, acc.parts, acc.delta, acc.rho, trunc)
 
 
 def gauge_transform(conn: Connection, m: GradedVector) -> Connection:
@@ -190,41 +191,144 @@ class QuasiCanonicalForm:
 
 
 def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
-    """Reduce a connection to quasi-canonical form through grade = cutoff."""
+    """Reduce a connection to quasi-canonical form through grade = cutoff.
+
+    The reduction runs on numerators over fixed denominators (see the
+    module docstring).  With c_p the least integer such that every input
+    coefficient of grade g <= cutoff (delta and rho at grade 0) has order
+    at most c_p (g+1) at p, and L = prod (z-p)^c_p, a grade-g coefficient
+    of u is a numerator over L^(g+1) and a grade-a coefficient of a gauge
+    parameter one over L^a, through every step.  No step tests a pole;
+    each v_j and each gauge factor is lowered to its canonical form once,
+    at the end.  Delta is read only at grade 0 and rho never changes, so
+    the gauge steps compute neither; input grades above the cutoff never
+    feed a grade at or below it and are dropped on entry.
+    """
     model = conn.model
-    cur = conn.u
-    factors = []
-    v = {}
-    zero = RationalFunction.zero()
-    for n in range(0, model.cutoff + 1):
-        comp = cur.component(n)
+    K = model.cutoff
+    u = conn.u
+    parts = {g: comp for g, comp in u.parts.items() if g <= K}
+    orders = {}
+    for g, comp in [(0, (u.delta, u.rho))] + list(parts.items()):
+        for f in comp:
+            for p, m in f.poles:
+                c = -(-m // (g + 1))
+                if c > orders.get(p, 0):
+                    orders[p] = c
+    frame = pole_frame(orders)
+    L = lift_numerator(RationalFunction.one(), frame, 1)
+    ctx = (model, L, L.derivative(), lift_numerator(u.rho, frame, 1), K)
+    cur = {g: [lift_numerator(f, frame, g + 1) for f in comp]
+           for g, comp in parts.items()}
+    vnum = {}
+    steps = []
+    for n in range(0, K + 1):
+        comp = cur.get(n) or [_PZERO] * model.dim_loop(n)
         if n == 0:
-            coords = _rf_mat_vec(model.decomposition_matrix_inv(0),
-                                 [cur.delta] + comp)
-            # the delta excess d is removed by -d p_1, and p_1 is the
-            # all-ones vector at grade 1
-            cols = (model.image_complement_basis(1)
-                    + [[_RONE] * model.dim_loop(1)])
-            mc = coords[1:] + [-coords[0]]
-        else:
-            coords = _rf_mat_vec(model.decomposition_matrix_inv(n), comp)
-            npv = len(model.principal_vectors().get(n, ()))
-            if npv:
-                v[n] = coords[0]
-            cols = model.image_complement_basis(n + 1)
-            mc = coords[npv:]
-            if any(not q.is_zero for q in mc):
-                mc = _rf_mat_vec(model.step_solve_matrix_inv(n), mc)
-        # the gauge parameter is sum_k mc[k] cols[k], one lincomb per entry
-        mcomp = _rf_mat_vec(list(zip(*cols)), mc)
-        if any(not c.is_zero for c in mcomp):
-            m = GradedVector(model, {n + 1: mcomp}, zero, zero)
-            cur = _gauge_u(model, cur, m, upto=model.cutoff)
-            factors.append(m)
+            comp = [lift_numerator(u.delta, frame, 1)] + comp
+        vrow, mrows = model.gauge_step_rows(n)
+        if vrow is not None:
+            vnum[n] = _row_sum(vrow, comp)
+        mnum = [_row_sum(row, comp) for row in mrows]
+        if any(x.re for x in mnum):
+            cur = _gauge_step(ctx, cur, n + 1, mnum)
+            steps.append((n + 1, mnum))
+    zero = RationalFunction.zero()
+    v = {n: lower_numerator(x, frame, n + 1) for n, x in vnum.items()}
+    factors = [GradedVector(model, {a: [lower_numerator(x, frame, a)
+                                        for x in mnum]}, zero, zero)
+               for a, mnum in steps]
     # terms dropped above the cutoff never feed back into grades <= cutoff
     # (gauge parameters only raise grades), so the reported slice is exact;
     # the form is only marked truncated when the input already was
     return QuasiCanonicalForm(model, conn.phi, v, factors, conn.u.truncated)
+
+
+def _row_sum(row, vec) -> Polynomial:
+    return Polynomial.lincomb([(s, vec[j]) for j, s in row])
+
+
+def _gauge_step(ctx, cur, a, mnum):
+    """exp(m) applied to the numerators ``cur`` (grade g over L^(g+1)), for
+    m of grade a with numerators ``mnum`` over L^a.  Mirrors ``_gauge_u``:
+
+        u + sum_k ad_m^k/k! (p_-1 + u + rho) - sum_k ad_m^(k-1)/k! (m');
+
+    the grades below a - 1 pass through unchanged.
+    """
+    model, L, dL, R, K = ctx
+    acc = {g: [[(_ONE, x)] for x in xs] for g, xs in cur.items()
+           if g >= a - 1}
+    # [m, p_-1 + u + rho]: p_-1 is the numerator 1 at each grade -1 slot,
+    # and [m, rho] = -a m rho
+    pminus = [_PONE] * model.dim_loop(-1)
+    slots = _ad(model, a, mnum, {-1: pminus, **cur}, K)
+    ma = slots.setdefault(a, [[] for _ in mnum])
+    minus_a = Scalar(-a, 0, 1)
+    for t, x in zip(ma, mnum):
+        if x.re and R.re:
+            t.append((minus_a, x * R))
+    term, k = _summed(slots), 1
+    while term:
+        _collect(acc, term, Scalar(1, 0, math.factorial(k)))
+        k += 1
+        term = _summed(_ad(model, a, mnum, term, K))
+    # m' = (N' L - a N L') / L^(a+1), then its brackets
+    dm = [Polynomial.lincomb(((_ONE, x.derivative() * L), (minus_a, x * dL)))
+          for x in mnum]
+    term, k = ({a: dm} if any(x.re for x in dm) else {}), 1
+    while term:
+        _collect(acc, term, Scalar(-1, 0, math.factorial(k)))
+        k += 1
+        term = _summed(_ad(model, a, mnum, term, K))
+    out = {g: xs for g, xs in cur.items() if g < a - 1}
+    out.update(_summed(acc))
+    return out
+
+
+def _ad(model, a, mnum, x, K):
+    """The term lists of [m, x] per grade <= K and slot, for m of grade a;
+    the center is left out."""
+    slots = {}
+    for b, xb in x.items():
+        g = a + b
+        if g > K:
+            continue
+        rows = model.loop_bracket_rows(a, b)
+        if not rows:
+            continue
+        tv = slots.get(g)
+        if tv is None:
+            tv = slots[g] = [[] for _ in range(model.dim_loop(g))]
+        for i, row in rows:
+            cx = mnum[i]
+            if not cx.re:
+                continue
+            for j, terms in row:
+                cy = xb[j]
+                if not cy.re:
+                    continue
+                prod = cx * cy
+                for idx, s in terms:
+                    tv[idx].append((s, prod))
+    return slots
+
+
+def _collect(acc, term, s):
+    for g, xs in term.items():
+        tv = acc.setdefault(g, [[] for _ in xs])
+        for t, x in zip(tv, xs):
+            t.append((s, x))
+
+
+def _summed(slots):
+    """Each slot's n-ary sum, with the all-zero grades left out."""
+    out = {}
+    for g, tv in slots.items():
+        xs = [Polynomial.lincomb(t) for t in tv]
+        if any(x.re for x in xs):
+            out[g] = xs
+    return out
 
 
 def v1_direct(conn: Connection) -> RationalFunction:

@@ -307,3 +307,65 @@ def test_non_integer_algebra_field(tmp_path, capsys, field, value):
     assert err.startswith(f"error: {field} must be an integer, got ")
     assert repr(value) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bethe-check", "integrate"])
+@pytest.mark.parametrize("blob, message", [
+    ([1, 2], "model JSON must be an object, got [1, 2]"),
+    ({"points": [["0", ["1"], "1", "0"]]},
+     "model JSON: point 1 must be an object"),
+    ({"points": [{"z": "0", "weight": ["1"]}]},
+     "model JSON: point 1 weight must be an object, got ['1']"),
+    ({"points": [{"z": "0", "weight": {"lambda_dot": "12"}}]},
+     "model JSON: point 1 weight: 'lambda_dot' must be a list, got '12'"),
+    ({"points": 3}, "model JSON: 'points' must be a list, got 3"),
+    ({"algebra": [1], "points": []},
+     "model JSON: 'algebra' must be an object, got [1]"),
+    ({"points": [{"z": "1/0", "weight": {"lambda_dot": ["1"]}}]},
+     "model JSON: point 1 z: zero denominator in '1/0'"),
+    ({"points": [{"z": "0", "weight": {"lambda_dot": ["1"]}}],
+      "bethe_roots": [{"w": "2", "color": [1]}]},
+     "model JSON: root 1: 'color' must be an integer, got [1]"),
+], ids=["top-list", "point-list", "weight-list", "lambda-string",
+        "points-int", "algebra-list", "zero-denominator", "color-list"])
+def test_malformed_model_json(tmp_path, capsys, command, blob, message):
+    mpath = tmp_path / "model.json"
+    write_model(mpath, [])
+    cpath = tmp_path / "contour.json"
+    assert main(["make-contour", "--model", str(mpath), "--pochhammer", "0,1",
+                 "--out", str(cpath)]) == 0
+    mpath.write_text(json.dumps(blob))
+    capsys.readouterr()
+    argv = ([command, str(mpath)] if command == "bethe-check" else
+            [command, "--model", str(mpath), "--contour", str(cpath),
+             "--exponent", "1"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob, message", [
+    ([1], "contour JSON must be an object, got [1]"),
+    ({"segments": [1, 2]}, "segment 1 must be an object, got 1"),
+    ({}, "contour JSON: 'segments' must be a list, got None"),
+    ({"segments": [{"kind": "line", "from": "0"}]},
+     "segment 1 lacks the key 'to'"),
+    ({"segments": [{"kind": "arc", "center": "0", "radius": "1",
+                    "from_angle": [1], "to_angle": 0}]}, "segment 1: "),
+    ({"segments": [{"kind": "line", "from": "1/0", "to": "1"}]},
+     "segment 1: cannot read '1/0' as a position"),
+    ({"segments": [{"kind": "line", "from": "0", "to": "1"}],
+      "windings": [[0]]}, "contour JSON: 'windings' must be a list"),
+], ids=["top-list", "segment-int", "no-segments", "missing-key",
+        "angle-list", "zero-denominator", "short-winding"])
+def test_malformed_contour_json(tmp_path, capsys, blob, message):
+    mpath = tmp_path / "model.json"
+    write_model(mpath, [])
+    cpath = tmp_path / "contour.json"
+    cpath.write_text(json.dumps(blob))
+    assert main(["integrate", "--model", str(mpath), "--contour", str(cpath),
+                 "--exponent", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err

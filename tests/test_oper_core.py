@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from affopers.affine_algebra import GradedVector, Weight, build_algebra
 from affopers.coeffs import Polynomial, RationalFunction, Scalar
+from affopers.miura import MiuraData, build_miura, erase_root
 from affopers.oper_core import (
     Connection,
     bch,
@@ -190,26 +191,74 @@ def test_factor_list_matches_single_exponential():
             assert direct.u.component(g) == want.u.component(g), g
 
 
+def _replay_inputs(a1, a2):
+    """Connections of every shape the reduction's fixed denominators meet:
+    random rank 1 and 2 data; Moebius-moved data, whose image of infinity
+    gets c_p = 3 (a polynomial part) or 2 (a constant part; Miura data
+    alone vanish at infinity and give 1); Gaussian-rational Miura data;
+    rank 3; and an erase_root output, which carries grades above the
+    cutoff."""
+    rng = random.Random(43)
+    for model in (a1, a2):
+        for _ in range(3):
+            yield _rand_connection(model, rng, max_grade=2, with_delta=True)
+    mob = (1, 2, 1, 4)  # z = (s + 2)/(s + 4)
+    conn = _rand_connection(a1, rng, max_grade=1, with_delta=True)
+    yield change_coordinate(conn, mob)
+    real = MiuraData.make(a2, [("0", ["1", "-1/2"], "1", "0"),
+                               ("3", ["0", "2"], "2", "1/2")], [("5", 2)])
+    conn = Connection(a2, build_miura(real).u.add_monomial(0, ("h", 1), ONE))
+    yield change_coordinate(conn, mob)
+    gauss = MiuraData.make(a2, [
+        (["0", "1"], [["1/2", "1"], "-1"], "1", ["0", "1/2"]),
+        ("2", ["1", ["0", "-2/3"]], "2", "1"),
+    ], [(["1", "-1"], 1)])
+    yield build_miura(gauss)
+    a3 = build_algebra({"type": "A", "rank": 3, "cutoff": 5})
+    yield _rand_connection(a3, rng, max_grade=1, with_delta=True)
+    a2k3 = build_algebra({"type": "A", "rank": 2, "cutoff": 3})
+    conn = _rand_connection(a2k3, rng, max_grade=2, with_delta=True)
+    erased = erase_root(conn, Scalar.parse(["1", "1"]), 1)
+    assert max(erased.u.parts) > a2k3.cutoff
+    yield erased
+
+
 def test_bounded_reduction_matches_unbounded_replay(a1, a2):
     # The reduction never computes brackets above the cutoff.  Replaying
     # its factors through the unbounded public gauge_transform must land
     # on the same canonical form in every grade <= cutoff: each v_j
     # (j >= 2 included, which no closed form checks), no complement
     # component and no center.
-    rng = random.Random(43)
-    for model in (a1, a2):
-        for _ in range(3):
-            conn = _rand_connection(model, rng, max_grade=2, with_delta=True)
-            qc = quasi_canonicalize(conn)
-            assert any(not f.is_zero for j, f in qc.v.items() if j >= 2)
-            replayed = conn
-            for m in qc.gauge:
-                replayed = gauge_transform(replayed, m)
-            want = qc.connection()
-            assert replayed.u.delta == want.u.delta
-            assert replayed.u.rho == want.u.rho
-            for g in range(0, model.cutoff + 1):
-                assert replayed.u.component(g) == want.u.component(g), g
+    for conn in _replay_inputs(a1, a2):
+        model = conn.model
+        qc = quasi_canonicalize(conn)
+        assert any(not f.is_zero for j, f in qc.v.items() if j >= 2)
+        replayed = conn
+        for m in qc.gauge:
+            replayed = gauge_transform(replayed, m)
+        want = qc.connection()
+        assert replayed.u.delta == want.u.delta
+        assert replayed.u.rho == want.u.rho
+        for g in range(0, model.cutoff + 1):
+            assert replayed.u.component(g) == want.u.component(g), g
+
+
+def test_reduction_runs_on_numerators_alone(a1, a2, monkeypatch):
+    # Between lifting the input and lowering the output, the reduction
+    # makes no RationalFunction product or sum: every step is on the
+    # numerators over the fixed denominators.
+    inputs = list(_replay_inputs(a1, a2))
+    want = [quasi_canonicalize(conn) for conn in inputs]
+
+    def refuse(*_args):
+        raise AssertionError("rational-function arithmetic in the reduction")
+
+    monkeypatch.setattr(RationalFunction, "__mul__", refuse)
+    monkeypatch.setattr(RationalFunction, "lincomb", staticmethod(refuse))
+    for conn, qc in zip(inputs, want):
+        got = quasi_canonicalize(conn)
+        assert got.v == qc.v
+        assert [m.parts for m in got.gauge] == [m.parts for m in qc.gauge]
 
 
 def test_center_coefficient_removed(a1):

@@ -1,14 +1,17 @@
-"""Print the five SHA-256 hashes that pin the package's outputs bit for bit.
+"""Print the six SHA-256 hashes that pin the package's outputs bit for bit.
 
 Run from the root of a checkout:
 
     python3 tools/output_hashes.py
 
-A change that must not move any output leaves all five lines as they
+A change that must not move any output leaves all six lines as they
 were at its parent.  Each hash covers:
 
 * ``reduce``  -- ``json.dumps(qc.to_json(), sort_keys=True)`` of every
   ``bench`` ``reduce`` case of seeds 1-3, in case order;
+* ``gauge``   -- for the same cases, the gauge factors ``qc.gauge`` in
+  order, each as ``json.dumps`` of its grade and its coefficients'
+  ``to_json``;
 * ``bethe``   -- ``json.dumps(rows, sort_keys=True)`` of the
   ``regularity_check`` rows of every ``bethe`` case of seeds 1-3, with
   scalars written through ``to_json``;
@@ -58,6 +61,18 @@ def reduce_hash():
         for case in cases:
             qc = w.run(case)
             h.update(json.dumps(qc.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def gauge_hash():
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        w, cases = _cases(workloads.Reduce, seed)
+        for case in cases:
+            for m in w.run(case).gauge:
+                h.update(json.dumps([[g, [f.to_json() for f in comp]]
+                                     for g, comp in sorted(m.parts.items())]
+                                    ).encode())
     return h.hexdigest()
 
 
@@ -135,7 +150,8 @@ def classes_hash():
 
 
 def main():
-    for name, fn in (("reduce", reduce_hash), ("bethe", bethe_hash),
+    for name, fn in (("reduce", reduce_hash), ("gauge", gauge_hash),
+                     ("bethe", bethe_hash),
                      ("periods", periods_hash), ("verify", verify_hash),
                      ("classes", classes_hash)):
         print(f"{name:8s} {fn()}", flush=True)

@@ -16,8 +16,8 @@ from .verify import SUITES, run_suite, summary_lines
 
 
 # the largest models bethe-check and integrate reduce: with three points
-# and one root, checking rank 8 at cutoff 40 takes about 20 s of CPU, and
-# the cost grows as about cutoff^4.5
+# and one root, checking rank 8 at cutoff 40 takes about 23 s of CPU, and
+# the cost grows as about cutoff^4
 MAX_RANK = 8
 MAX_CUTOFF = 40
 
@@ -88,6 +88,8 @@ def cmd_make_contour(args):
     d = MiuraData.from_json(_load(args.model))
     try:
         i, j = (int(t) for t in args.pochhammer.split(","))
+        if i < 0 or j < 0:
+            raise IndexError
         p_i, p_j = d.points[i][0], d.points[j][0]
     except (ValueError, IndexError):
         raise ValueError(
@@ -202,8 +204,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # a RouteDisagreement is a bug, not bad input; the model file replays it
-    except (FileNotFoundError, ContourError, ValueError, NotImplementedError,
+    # a RouteDisagreement is a bug, not bad input; the model file replays
+    # it.  OSError covers every unreadable input and unwritable output path.
+    except (OSError, ContourError, ValueError, NotImplementedError,
             RouteDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

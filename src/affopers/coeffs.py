@@ -32,15 +32,19 @@ A sum of many terms is one :meth:`RationalFunction.lincomb`: ``sum s_i f_i``
 merges the pole orders once, lifts each numerator to the common denominator
 and adds the integer numerators over one lcm denominator, so k terms cost one
 reduction, not k - 1; ``+`` and ``-`` are its two-term case.  A pole keeps
-the powers of ``z - p`` it has been lifted by in a slot beside its cached
-hash.
+the powers of ``z - p`` it has been lifted by, and its sort key, in slots
+beside its cached hash.
 
 Where every denominator is known in advance as a power ``L^k`` of one
 product ``L = prod (z - p)^c_p`` (the graded reduction of ``oper_core``), a
-computation can run on numerators alone: :func:`pole_frame` names the
-``(p, c_p)``, :func:`lift_numerator` takes a function to its numerator over
-``L^k``, :meth:`Polynomial.lincomb` is the n-ary sum, and
-:func:`lower_numerator` returns the canonical form once, at the end.
+computation can run on raw numerators alone: integer triples
+``(re, im, den)`` in the polynomials' layout, with no trailing zero but no
+gcd taken, so zero is an empty ``re``.  :func:`pole_frame` names the
+``(p, c_p)``, :func:`lift_numerator` takes a function to its raw numerator
+over ``L^k``, ``_conv`` and ``_combine`` are the raw product and n-ary sum,
+``_reduced`` divides out the gcd where a caller chooses, and
+:func:`lower_numerator` normalizes and returns the canonical form once, at
+the end.
 """
 
 from __future__ import annotations
@@ -76,11 +80,12 @@ class Scalar:
     is ``(0, 0, 1)``, and ``==`` and ``hash`` compare the ints directly.
     The constructor takes a canonical triple as given; every other value
     goes through ``_scalar``, the one normalizer.  A value never changes,
-    so two slots cache what is derived from it: ``_hash`` and ``_pows``
-    (the powers of ``z - self`` when the Scalar is a pole).
+    so three slots cache what is derived from it: ``_hash``, ``_key`` (see
+    ``order_key``) and ``_pows`` (the powers of ``z - self`` when the Scalar
+    is a pole).
     """
 
-    __slots__ = ("r", "i", "q", "_hash", "_pows")
+    __slots__ = ("r", "i", "q", "_hash", "_key", "_pows")
 
     def __init__(self, r, i, q):
         self.r = r
@@ -140,6 +145,15 @@ class Scalar:
     @property
     def im(self) -> Fraction:
         return Fraction(self.i, self.q)
+
+    @property
+    def order_key(self):
+        """``(re, im)``, the key poles are sorted by; built once."""
+        try:
+            return self._key
+        except AttributeError:
+            self._key = (self.re, self.im)
+            return self._key
 
     @property
     def is_zero(self) -> bool:
@@ -295,8 +309,8 @@ class Polynomial:
             return self
         if not self.re:
             return other
-        return _sum(((1, 0, 1, self.re, self.im, self.den),
-                     (1, 0, 1, other.re, other.im, other.den)))
+        return _make(*_combine(((1, 0, 1, self.re, self.im, self.den),
+                                (1, 0, 1, other.re, other.im, other.den))))
 
     def __sub__(self, other):
         return self + (-other)
@@ -314,20 +328,8 @@ class Polynomial:
     def scale(self, s: Scalar) -> "Polynomial":
         if not self.re or s.is_zero:
             return _PZERO
-        return _sum(((s.r, s.i, s.q, self.re, self.im, self.den),))
-
-    @staticmethod
-    def lincomb(terms) -> "Polynomial":
-        """The sum of ``s * p`` over the ``(Scalar s, Polynomial p)`` pairs,
-        as one integer pass per term over one lcm denominator."""
-        items = [(s.r, s.i, s.q, p.re, p.im, p.den) for s, p in terms
-                 if p.re and (s.r or s.i)]
-        if not items:
-            return _PZERO
-        r, i, q, re, im, den = items[0]
-        if len(items) == 1 and r == q and not i:
-            return Polynomial(re, im, den)
-        return _sum(items)
+        return _make(*_combine(((s.r, s.i, s.q, self.re, self.im,
+                                 self.den),)))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -342,65 +344,54 @@ class Polynomial:
         return result
 
     def derivative(self) -> "Polynomial":
-        im = self.im
-        return _make([k * x for k, x in enumerate(self.re)][1:],
-                     None if im is None else [k * y for k, y in enumerate(im)][1:],
-                     self.den)
+        return _make(*_derivative(self.re, self.im), self.den)
 
     def eval(self, s: Scalar) -> Scalar:
         if not self.re:
             return _ZERO
         q = s.q
-        x, y = self._horner(s.r, s.i, q)
-        return _scalar(x, y, self.den * q ** self.degree)
+        xs, ys = self._sums(s.r, s.i, q)
+        return _scalar(xs[-1], ys[-1] if ys else 0,
+                       self.den * q ** self.degree)
 
-    def _horner(self, r, i, q):
-        """``den q^n p(A/q)`` with ``A = r + i s``, as an integer pair
-        (real, imag); n is the degree."""
+    def _sums(self, r, i, q):
+        """The Horner sums ``b_(n-1), ..., b_0, b_(-1)`` at ``A/q`` with
+        ``A = r + i sqrt(-1)``, as a list of real parts and one of imaginary
+        parts (``None`` when the polynomial and A are real): ``b_(n-1) =
+        N_n`` and ``b_(k-1) = N_k q^(n-k) + A b_k`` for the numerators N, so
+        ``b_(-1) = den q^n p(A/q)``."""
+        xs = []
+        x = 0
+        qp = 1
         if self.im is None and not i:
-            x = 0
-            qp = 1
             for c in reversed(self.re):
                 x = x * r + c * qp
                 qp *= q
-            return x, 0
-        for x in self._sums(r, i, q):
-            pass
-        return x
-
-    def _sums(self, r, i, q):
-        """The Horner sums ``b_(n-1), ..., b_0, b_(-1)`` at ``A/q`` as
-        integer pairs: ``b_(n-1) = N_n`` and ``b_(k-1) = N_k q^(n-k) + A b_k``
-        for the numerators N, so ``b_(-1) = den q^n p(A/q)``."""
-        x = y = 0
-        qp = 1
+                xs.append(x)
+            return xs, None
+        ys = []
+        y = 0
         for c, d in zip(reversed(self.re),
                         reversed(self.im or (0,) * len(self.re))):
             x, y = x * r - y * i + c * qp, x * i + y * r + d * qp
             qp *= q
-            yield x, y
+            xs.append(x)
+            ys.append(y)
+        return xs, ys
 
     def divide_linear(self, a: Scalar):
         """Synthetic division by (z - a): returns (quotient, remainder scalar).
 
-        With ``a = A/q``, the quotient's coefficient k is the Horner sum
-        ``b_k`` (see ``_sums``) times ``q^k / (den q^(n-1))``, and the
-        remainder is ``b_(-1) / (den q^n)``.
+        With ``a = A/q``, the quotient is built from the Horner sums (see
+        ``_quotient``) and the remainder is ``b_(-1) / (den q^n)``.
         """
         n = self.degree
         if n < 1:
             return _PZERO, (self.coeffs or (_ZERO,))[0]
         q = a.q
-        sums = list(self._sums(a.r, a.i, q))
-        x, y = sums.pop()
-        re, im = [], []
-        qk = 1
-        for b, c in reversed(sums):
-            re.append(b * qk)
-            im.append(c * qk)
-            qk *= q
-        d = self.den * q ** (n - 1)
-        return _make(re, im, d), _scalar(x, y, d * q)
+        xs, ys = self._sums(a.r, a.i, q)
+        return (_quotient(xs, ys, q, self.den),
+                _scalar(xs[-1], ys[-1] if ys else 0, self.den * q ** n))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -446,11 +437,30 @@ def _conv(ar, ai, br, bi):
     return outr, outi
 
 
-def _sum(items):
-    """The Polynomial sum of ``(r + i sqrt(-1))/q * (re + i im)/den`` over
-    the ``(r, i, q, re, im, den)`` items, with nonzero integer numerators
-    ``re`` and ``im`` (``None`` when real): one lcm denominator, one
-    integer pass per item and a single ``_make``."""
+def _derivative(re, im):
+    """The integer numerator lists (real, imaginary or None) of the
+    derivative of a numerator over the same denominator."""
+    return ([k * x for k, x in enumerate(re)][1:],
+            None if im is None else [k * y for k, y in enumerate(im)][1:])
+
+
+def _combine(items):
+    """The raw sum ``(re, im, den)`` of ``(r + i sqrt(-1))/q * (re + i
+    im)/den`` over the ``(r, i, q, re, im, den)`` items, whose numerators
+    ``re`` and ``im`` (``None`` when real) are integer sequences with no
+    trailing zero.  The sum's denominator is the lcm of the ``q * den``;
+    no gcd is taken, but trailing zeros are trimmed, so a zero sum has an
+    empty ``re``.  A single item with a real scalar is scaled without the
+    lcm, and a sum of real items keeps ``im`` at ``None``."""
+    if not items:
+        return (), None, 1
+    if len(items) == 1:
+        r, i, q, re, im, d = items[0]
+        if not i:
+            if r == q:
+                return re, im, d
+            return ([r * x for x in re],
+                    None if im is None else [r * y for y in im], q * d)
     den = math.lcm(*[it[2] * it[5] for it in items])
     outr = [0] * max(len(it[3]) for it in items)
     outi = None
@@ -467,7 +477,30 @@ def _sum(items):
         for k, x, y in zip(range(len(re)), re, im or (0,) * len(re)):
             outr[k] += a * x - b * y
             outi[k] += a * y + b * x
-    return _make(outr, outi, den)
+    n = len(outr)
+    if outi is None:
+        while n and not outr[n - 1]:
+            n -= 1
+    else:
+        while n and not outr[n - 1] and not outi[n - 1]:
+            n -= 1
+        outi = outi[:n] if any(outi) else None
+    return outr[:n], outi, den
+
+
+def _quotient(xs, ys, q, den) -> Polynomial:
+    """The quotient of a synthetic division by ``z - A/q`` from its Horner
+    sums (see ``Polynomial._sums``, the remainder sum last): coefficient k
+    is ``b_k q^k / (den q^(n-1))``."""
+    if q == 1:
+        return _make(xs[-2::-1], None if ys is None else ys[-2::-1], den)
+    pows = [1]
+    for _ in range(len(xs) - 2):
+        pows.append(pows[-1] * q)
+    return _make([b * f for b, f in zip(xs[-2::-1], pows)],
+                 None if ys is None else
+                 [c * f for c, f in zip(ys[-2::-1], pows)],
+                 den * pows[-1])
 
 
 def _make(re, im, den):
@@ -484,14 +517,20 @@ def _make(re, im, den):
             im = None
     if not n:
         return _PZERO
-    re = re[:n]
-    if den != 1:
-        g = math.gcd(den, *re) if im is None else math.gcd(den, *re, *im)
-        if g != 1:
-            re = [x // g for x in re]
-            im = None if im is None else [y // g for y in im]
-            den //= g
+    re, im, den = _reduced(re[:n], im, den)
     return Polynomial(tuple(re), None if im is None else tuple(im), den)
+
+
+def _reduced(re, im, den):
+    """The raw numerator ``(re, im, den)`` divided by the gcd of ``den``
+    and every numerator."""
+    if den == 1:
+        return re, im, den
+    g = math.gcd(den, *re) if im is None else math.gcd(den, *re, *im)
+    if g == 1:
+        return re, im, den
+    return ([x // g for x in re], None if im is None else [y // g for y in im],
+            den // g)
 
 
 _PZERO = Polynomial((), None, 1)
@@ -627,8 +666,8 @@ class RationalFunction:
             return f
         poles = f.poles
         if all(f.poles == poles for *_s, f in items):
-            num = _sum([(r, i, q, f.num.re, f.num.im, f.num.den)
-                        for r, i, q, f in items])
+            num = _make(*_combine([(r, i, q, f.num.re, f.num.im, f.num.den)
+                                   for r, i, q, f in items]))
             # two or more terms reach every top order; one term cannot cancel
             shared = None if len(items) > 1 else ()
         else:
@@ -644,7 +683,7 @@ class RationalFunction:
                         re, im = _conv(re, im, lp.re, lp.im)
                         den *= lp.den
                 lifted.append((r, i, q, re, im, den))
-            num = _sum(lifted)
+            num = _make(*_combine(lifted))
         if not num.re:
             return _RFZERO
         out = []
@@ -717,7 +756,7 @@ class RationalFunction:
             t = prefix[j] * suffix
             S.append((poles[j][1], 0, 1, t.re, t.im, t.den))
             suffix = suffix * lins[j]
-        num = n.derivative() * prefix[-1] - n * _sum(S)
+        num = n.derivative() * prefix[-1] - n * _make(*_combine(S))
         return RationalFunction(num, tuple((p, m + 1) for p, m in poles))
 
     # -- evaluation ---------------------------------------------------------
@@ -856,7 +895,7 @@ _RFZERO = RationalFunction(_PZERO, ())
 
 def _sorted_poles(poles: dict):
     items = [(p, m) for p, m in poles.items() if m]
-    items.sort(key=lambda pm: (pm[0].re, pm[0].im))
+    items.sort(key=lambda pm: pm[0].order_key)
     return tuple(items)
 
 
@@ -889,9 +928,14 @@ def _merge_orders(pole_tuples):
 def _strip(num: Polynomial, p: Scalar, m: int):
     """Divide num by (z - p) while it vanishes at p, at most m times;
     returns the quotient and the pole order left.  The remainder test is
-    an integer Horner; a quotient is built only when it is zero."""
-    while m and num.degree > 0 and num._horner(p.r, p.i, p.q) == (0, 0):
-        num = num.divide_linear(p)[0]
+    an integer Horner, and when it is zero the quotient is built from the
+    same Horner sums."""
+    r, i, q = p.r, p.i, p.q
+    while m and num.degree > 0:
+        xs, ys = num._sums(r, i, q)
+        if xs[-1] or (ys is not None and ys[-1]):
+            break
+        num = _quotient(xs, ys, q, num.den)
         m -= 1
     return num, m
 
@@ -916,9 +960,10 @@ def pole_frame(orders: dict):
     return _sorted_poles(orders)
 
 
-def lift_numerator(f: RationalFunction, frame, k: int) -> Polynomial:
-    """The numerator of f over ``L^k`` (see :func:`pole_frame`); every pole
-    of f must lie in the frame with order at most k times its own."""
+def lift_numerator(f: RationalFunction, frame, k: int):
+    """The raw numerator ``(re, im, den)`` of f over ``L^k`` (see
+    :func:`pole_frame`); every pole of f must lie in the frame with order
+    at most k times its own."""
     own = dict(f.poles)
     num = f.num
     for p, c in frame:
@@ -929,12 +974,14 @@ def lift_numerator(f: RationalFunction, frame, k: int) -> Polynomial:
             num = num * _linear_power(p, e)
     if own:
         raise ValueError("pole outside the frame")
-    return num
+    return num.re, num.im, num.den
 
 
-def lower_numerator(num: Polynomial, frame, k: int) -> RationalFunction:
-    """``num / L^k`` in canonical form: the inverse of
-    :func:`lift_numerator`, by a strip test at each pole of the frame."""
+def lower_numerator(raw, frame, k: int) -> RationalFunction:
+    """``num / L^k`` in canonical form for the raw numerator ``(re, im,
+    den)``: the inverse of :func:`lift_numerator`, by one normalization and
+    a strip test at each pole of the frame."""
+    num = _make(*raw)
     if not num.re:
         return _RFZERO
     out = []

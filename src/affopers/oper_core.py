@@ -27,9 +27,15 @@ bracket adds grades, a + (b+1) = (a+b) + 1; m' raises each order by one,
 (N/L^a)' = (N' L - a N L') / L^(a+1); [rho, x] multiplies by rho = R/L;
 and the decomposition matrices are constant.  ``quasi_canonicalize``
 therefore runs on those numerators alone, as integer polynomial products
-and n-ary sums with no pole bookkeeping, and lowers each v_j and each gauge
-factor to its canonical rational function once, at the end.  The public
-``gauge_transform`` stays on rational functions.
+and n-ary sums with no pole bookkeeping.  Each numerator is a raw integer
+triple (re, im, den) in the polynomials' layout: no trailing zero, so zero
+is an empty re, and no gcd taken by any product or sum, since every value
+is only multiplied, added or tested for zero again.  Once per gauge step
+the parameter's numerators and the step's results are divided by their
+content gcd, so that unreduced denominators do not compound from step to
+step at large cutoffs.  Each v_j and each gauge factor entry is normalized
+once, when it is lowered to its canonical rational function at the end.
+The public ``gauge_transform`` stays on rational functions.
 
 Higher coefficients are fixed only up to the residual gauge freedom
 v_j -> v_j - (f' - (j phi / h_dual) f); ``twisted_class`` reduces v_j to its
@@ -42,8 +48,8 @@ from __future__ import annotations
 import math
 
 from .affine_algebra import AlgebraModel, GradedVector
-from .coeffs import (_ONE, _PONE, _PZERO, Polynomial, RationalFunction,
-                     Scalar, lift_numerator, lower_numerator,
+from .coeffs import (Polynomial, RationalFunction, Scalar, _combine, _conv,
+                     _derivative, _reduced, lift_numerator, lower_numerator,
                      partial_fractions, pole_frame, recombine)
 
 __all__ = [
@@ -58,6 +64,11 @@ __all__ = [
     "change_coordinate",
     "bch",
 ]
+
+
+# raw numerators (re, im, den): see the module docstring
+_NUM_ZERO = ((), None, 1)
+_NUM_ONE = ((1,), None, 1)
 
 
 def _rf_pow(f: RationalFunction, k: int) -> RationalFunction:
@@ -193,16 +204,17 @@ class QuasiCanonicalForm:
 def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     """Reduce a connection to quasi-canonical form through grade = cutoff.
 
-    The reduction runs on numerators over fixed denominators (see the
+    The reduction runs on raw numerators over fixed denominators (see the
     module docstring).  With c_p the least integer such that every input
     coefficient of grade g <= cutoff (delta and rho at grade 0) has order
     at most c_p (g+1) at p, and L = prod (z-p)^c_p, a grade-g coefficient
     of u is a numerator over L^(g+1) and a grade-a coefficient of a gauge
-    parameter one over L^a, through every step.  No step tests a pole;
-    each v_j and each gauge factor is lowered to its canonical form once,
-    at the end.  Delta is read only at grade 0 and rho never changes, so
-    the gauge steps compute neither; input grades above the cutoff never
-    feed a grade at or below it and are dropped on entry.
+    parameter one over L^a, through every step.  No product or sum tests
+    a pole or takes a gcd; each v_j and each gauge factor is normalized
+    and lowered to its canonical form once, at the end.  Delta is read
+    only at grade 0 and rho never changes, so the gauge steps compute
+    neither; input grades above the cutoff never feed a grade at or below
+    it and are dropped on entry.
     """
     model = conn.model
     K = model.cutoff
@@ -217,20 +229,26 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
                     orders[p] = c
     frame = pole_frame(orders)
     L = lift_numerator(RationalFunction.one(), frame, 1)
-    ctx = (model, L, L.derivative(), lift_numerator(u.rho, frame, 1), K)
+    dL = (*_derivative(L[0], L[1]), L[2])
+    ctx = (model, L, dL, lift_numerator(u.rho, frame, 1), K)
     cur = {g: [lift_numerator(f, frame, g + 1) for f in comp]
            for g, comp in parts.items()}
     vnum = {}
     steps = []
     for n in range(0, K + 1):
-        comp = cur.get(n) or [_PZERO] * model.dim_loop(n)
+        comp = cur.get(n) or [_NUM_ZERO] * model.dim_loop(n)
         if n == 0:
             comp = [lift_numerator(u.delta, frame, 1)] + comp
         vrow, mrows = model.gauge_step_rows(n)
         if vrow is not None:
-            vnum[n] = _row_sum(vrow, comp)
-        mnum = [_row_sum(row, comp) for row in mrows]
-        if any(x.re for x in mnum):
+            mrows = (vrow,) + mrows
+        sums = [_combine([(s.r, s.i, s.q, *comp[j]) for j, s in row
+                          if comp[j][0]])
+                for row in mrows]
+        if vrow is not None:
+            vnum[n] = sums.pop(0)
+        mnum = [_reduced(*x) for x in sums]
+        if any(x[0] for x in mnum):
             cur = _gauge_step(ctx, cur, n + 1, mnum)
             steps.append((n + 1, mnum))
     zero = RationalFunction.zero()
@@ -244,51 +262,59 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     return QuasiCanonicalForm(model, conn.phi, v, factors, conn.u.truncated)
 
 
-def _row_sum(row, vec) -> Polynomial:
-    return Polynomial.lincomb([(s, vec[j]) for j, s in row])
-
-
 def _gauge_step(ctx, cur, a, mnum):
-    """exp(m) applied to the numerators ``cur`` (grade g over L^(g+1)), for
-    m of grade a with numerators ``mnum`` over L^a.  Mirrors ``_gauge_u``:
+    """exp(m) applied to the raw numerators ``cur`` (grade g over
+    L^(g+1)), for m of grade a with raw numerators ``mnum`` over L^a.
+    Mirrors ``_gauge_u``:
 
         u + sum_k ad_m^k/k! (p_-1 + u + rho) - sum_k ad_m^(k-1)/k! (m');
 
     the grades below a - 1 pass through unchanged.
     """
     model, L, dL, R, K = ctx
-    acc = {g: [[(_ONE, x)] for x in xs] for g, xs in cur.items()
-           if g >= a - 1}
+    acc = {g: [[(1, 0, 1, *x)] if x[0] else [] for x in xs]
+           for g, xs in cur.items() if g >= a - 1}
     # [m, p_-1 + u + rho]: p_-1 is the numerator 1 at each grade -1 slot,
     # and [m, rho] = -a m rho
-    pminus = [_PONE] * model.dim_loop(-1)
+    pminus = [_NUM_ONE] * model.dim_loop(-1)
     slots = _ad(model, a, mnum, {-1: pminus, **cur}, K)
     ma = slots.setdefault(a, [[] for _ in mnum])
-    minus_a = Scalar(-a, 0, 1)
-    for t, x in zip(ma, mnum):
-        if x.re and R.re:
-            t.append((minus_a, x * R))
+    if R[0]:
+        for t, (re, im, den) in zip(ma, mnum):
+            if re:
+                t.append((-a, 0, 1, *_conv(re, im, R[0], R[1]), den * R[2]))
     term, k = _summed(slots), 1
     while term:
-        _collect(acc, term, Scalar(1, 0, math.factorial(k)))
+        _collect(acc, term, 1, math.factorial(k))
         k += 1
         term = _summed(_ad(model, a, mnum, term, K))
     # m' = (N' L - a N L') / L^(a+1), then its brackets
-    dm = [Polynomial.lincomb(((_ONE, x.derivative() * L), (minus_a, x * dL)))
-          for x in mnum]
-    term, k = ({a: dm} if any(x.re for x in dm) else {}), 1
+    dm = []
+    for re, im, den in mnum:
+        terms = []
+        if len(re) > 1:
+            terms.append((1, 0, 1, *_conv(*_derivative(re, im), L[0], L[1]),
+                          den * L[2]))
+        if re and dL[0]:
+            terms.append((-a, 0, 1, *_conv(re, im, dL[0], dL[1]),
+                          den * dL[2]))
+        dm.append(_combine(terms))
+    term, k = ({a: dm} if any(x[0] for x in dm) else {}), 1
     while term:
-        _collect(acc, term, Scalar(-1, 0, math.factorial(k)))
+        _collect(acc, term, -1, math.factorial(k))
         k += 1
         term = _summed(_ad(model, a, mnum, term, K))
     out = {g: xs for g, xs in cur.items() if g < a - 1}
-    out.update(_summed(acc))
+    # one content gcd per rewritten numerator and step, so that unreduced
+    # denominators do not compound over the steps
+    for g, xs in _summed(acc).items():
+        out[g] = [_reduced(*x) for x in xs]
     return out
 
 
 def _ad(model, a, mnum, x, K):
-    """The term lists of [m, x] per grade <= K and slot, for m of grade a;
-    the center is left out."""
+    """The term lists of [m, x] per grade <= K and slot, for m of grade a
+    and raw numerators; the center is left out."""
     slots = {}
     for b, xb in x.items():
         g = a + b
@@ -301,32 +327,36 @@ def _ad(model, a, mnum, x, K):
         if tv is None:
             tv = slots[g] = [[] for _ in range(model.dim_loop(g))]
         for i, row in rows:
-            cx = mnum[i]
-            if not cx.re:
+            xr, xi, xd = mnum[i]
+            if not xr:
                 continue
             for j, terms in row:
-                cy = xb[j]
-                if not cy.re:
+                yr, yi, yd = xb[j]
+                if not yr:
                     continue
-                prod = cx * cy
+                zr, zi = _conv(xr, xi, yr, yi)
+                zd = xd * yd
                 for idx, s in terms:
-                    tv[idx].append((s, prod))
+                    tv[idx].append((s.r, s.i, s.q, zr, zi, zd))
     return slots
 
 
-def _collect(acc, term, s):
+def _collect(acc, term, r, q):
+    """Append each nonzero numerator of ``term``, scaled by r/q, to the
+    term lists of ``acc``."""
     for g, xs in term.items():
         tv = acc.setdefault(g, [[] for _ in xs])
         for t, x in zip(tv, xs):
-            t.append((s, x))
+            if x[0]:
+                t.append((r, 0, q, *x))
 
 
 def _summed(slots):
-    """Each slot's n-ary sum, with the all-zero grades left out."""
+    """Each slot's raw n-ary sum, with the all-zero grades left out."""
     out = {}
     for g, tv in slots.items():
-        xs = [Polynomial.lincomb(t) for t in tv]
-        if any(x.re for x in xs):
+        xs = [_combine(t) for t in tv]
+        if any(x[0] for x in xs):
             out[g] = xs
     return out
 
@@ -493,7 +523,7 @@ def _resonances(phi, j, hv):
 def _rank(key):
     """Elimination order: powers of z above poles, higher orders first."""
     p, n = key
-    return (1, n, 0, 0) if p is None else (0, n, p.re, p.im)
+    return (1, n, 0, 0) if p is None else (0, n, *p.order_key)
 
 
 def change_coordinate(obj, mobius):

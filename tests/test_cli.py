@@ -128,6 +128,13 @@ def test_make_contour_rejects_bad_indices(tmp_path, capsys):
     assert main(["make-contour", "--model", str(path),
                  "--pochhammer", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+    # a negative index must not wrap around to the last point
+    for pair in ("-1,0", "0,-2"):
+        assert main(["make-contour", "--model", str(path),
+                     f"--pochhammer={pair}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0..1" in captured.err
 
 
 # ------------------------------------------------------------------ integrate
@@ -222,6 +229,22 @@ def test_verify_rejects_unknown_suite():
 def test_missing_model_file(tmp_path, capsys):
     assert main(["bethe-check", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_directory_paths_are_error_exits(tmp_path, capsys):
+    # any OSError on an input or output path exits 2 with a message
+    path = tmp_path / "model.json"
+    write_model(path, [{"w": "3/2", "color": 1}])
+    for argv in (["bethe-check", str(tmp_path)],
+                 ["bethe-check", str(path), "--json", str(tmp_path)],
+                 ["make-contour", "--model", str(path), "--pochhammer", "0,1",
+                  "--out", str(tmp_path)],
+                 ["make-contour", "--model", str(tmp_path),
+                  "--pochhammer", "0,1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), argv
+        assert "Traceback" not in err
 
 
 def test_route_disagreement_is_an_error_exit(tmp_path, capsys, monkeypatch):

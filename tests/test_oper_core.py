@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affopers import coeffs, oper_core
 from affopers.affine_algebra import GradedVector, Weight, build_algebra
 from affopers.coeffs import Polynomial, RationalFunction, Scalar
 from affopers.miura import MiuraData, build_miura, erase_root
@@ -196,8 +197,10 @@ def _replay_inputs(a1, a2):
     random rank 1 and 2 data; Moebius-moved data, whose image of infinity
     gets c_p = 3 (a polynomial part) or 2 (a constant part; Miura data
     alone vanish at infinity and give 1); Gaussian-rational Miura data;
-    rank 3; and an erase_root output, which carries grades above the
-    cutoff."""
+    Miura data whose weights have the coprime denominators 7, 11 and 13,
+    with one Gaussian point, so the raw numerators carry denominators that
+    never cancel; rank 3; and an erase_root output, which carries grades
+    above the cutoff."""
     rng = random.Random(43)
     for model in (a1, a2):
         for _ in range(3):
@@ -214,6 +217,12 @@ def _replay_inputs(a1, a2):
         ("2", ["1", ["0", "-2/3"]], "2", "1"),
     ], [(["1", "-1"], 1)])
     yield build_miura(gauss)
+    coprime = MiuraData.make(a2, [
+        ("0", ["1/7", "-3/11"], "2/13", "0"),
+        (["1", "2"], ["-2/11", "5/7"], "1", "1/13"),
+        ("-1", ["4/13", "1/7"], "3/11", "0"),
+    ], [("2", 1)])
+    yield build_miura(coprime)
     a3 = build_algebra({"type": "A", "rank": 3, "cutoff": 5})
     yield _rand_connection(a3, rng, max_grade=1, with_delta=True)
     a2k3 = build_algebra({"type": "A", "rank": 2, "cutoff": 3})
@@ -246,15 +255,28 @@ def test_bounded_reduction_matches_unbounded_replay(a1, a2):
 def test_reduction_runs_on_numerators_alone(a1, a2, monkeypatch):
     # Between lifting the input and lowering the output, the reduction
     # makes no RationalFunction product or sum: every step is on the
-    # numerators over the fixed denominators.
+    # numerators over the fixed denominators.  Inside a gauge step the
+    # numerators stay raw: no Polynomial product and no normalization.
     inputs = list(_replay_inputs(a1, a2))
     want = [quasi_canonicalize(conn) for conn in inputs]
 
     def refuse(*_args):
         raise AssertionError("rational-function arithmetic in the reduction")
 
+    def refuse_in_step(*_args):
+        raise AssertionError("normalized polynomial in a gauge step")
+
+    step = oper_core._gauge_step
+
+    def guarded_step(*args):
+        with monkeypatch.context() as m:
+            m.setattr(Polynomial, "__mul__", refuse_in_step)
+            m.setattr(coeffs, "_make", refuse_in_step)
+            return step(*args)
+
     monkeypatch.setattr(RationalFunction, "__mul__", refuse)
     monkeypatch.setattr(RationalFunction, "lincomb", staticmethod(refuse))
+    monkeypatch.setattr(oper_core, "_gauge_step", guarded_step)
     for conn, qc in zip(inputs, want):
         got = quasi_canonicalize(conn)
         assert got.v == qc.v

@@ -3,9 +3,11 @@
 Run from the root of a checkout:
 
     python3 tools/output_hashes.py
+    python3 tools/output_hashes.py reduce gauge bethe
 
-A change that must not move any output leaves all six lines as they
-were at its parent.  Each hash covers:
+With no arguments it prints all six hashes; with names it prints only
+those, in the order given.  A change that must not move any output leaves
+all six lines as they were at its parent.  Each hash covers:
 
 * ``reduce``  -- ``json.dumps(qc.to_json(), sort_keys=True)`` of every
   ``bench`` ``reduce`` case of seeds 1-3, in case order;
@@ -149,13 +151,21 @@ def classes_hash():
     return h.hexdigest()
 
 
-def main():
-    for name, fn in (("reduce", reduce_hash), ("gauge", gauge_hash),
-                     ("bethe", bethe_hash),
-                     ("periods", periods_hash), ("verify", verify_hash),
-                     ("classes", classes_hash)):
-        print(f"{name:8s} {fn()}", flush=True)
+HASHES = {"reduce": reduce_hash, "gauge": gauge_hash, "bethe": bethe_hash,
+          "periods": periods_hash, "verify": verify_hash,
+          "classes": classes_hash}
+
+
+def main(names):
+    unknown = [n for n in names if n not in HASHES]
+    if unknown:
+        print(f"unknown hash {', '.join(unknown)}; choose from "
+              f"{', '.join(HASHES)}", file=sys.stderr)
+        return 2
+    for name in names or HASHES:
+        print(f"{name:8s} {HASHES[name]()}", flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

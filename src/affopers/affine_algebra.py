@@ -89,6 +89,7 @@ class AlgebraModel:
         self._basis = {}
         self._index = {}
         self._btab = {}
+        self._sbtab = {}
         self._ftab = {}
         self._adm = {}
         self._anull = {}
@@ -236,6 +237,19 @@ class AlgebraModel:
         self._btab[key] = table
         return table
 
+    def scalar_bracket_table(self, gx, gy):
+        """``bracket_table(gx, gy)`` with Scalar coefficients, built once
+        per model on first use: ``{(i, j): (((target index, Scalar), ...),
+        center Scalar or None where the center term vanishes)}``."""
+        key = (gx, gy)
+        got = self._sbtab.get(key)
+        if got is None:
+            got = self._sbtab[key] = {
+                ij: (tuple((idx, _qq_scalar(q)) for idx, q in terms),
+                     _qq_scalar(dq) if dq else None)
+                for ij, (terms, dq) in self.bracket_table(gx, gy).items()}
+        return got
+
     def loop_bracket_rows(self, gx, gy):
         """``bracket_table(gx, gy)`` without the center column, with Scalar
         coefficients, grouped by the first index: a tuple of
@@ -246,10 +260,9 @@ class AlgebraModel:
         if got is not None:
             return got
         rows = {}
-        for (i, j), (terms, _dq) in self.bracket_table(gx, gy).items():
+        for (i, j), (terms, _dq) in self.scalar_bracket_table(gx, gy).items():
             if terms:
-                rows.setdefault(i, []).append(
-                    (j, tuple((idx, _qq_scalar(q)) for idx, q in terms)))
+                rows.setdefault(i, []).append((j, terms))
         got = self._lbrows[key] = tuple((i, tuple(r)) for i, r in rows.items())
         return got
 
@@ -748,7 +761,7 @@ class GradedVector:
                 if abs(g) > model.window:
                     truncated = True
                     continue
-                tab = model.bracket_table(gx, gy)
+                tab = model.scalar_bracket_table(gx, gy)
                 if not tab:
                     continue
                 tv = slot(g)
@@ -760,10 +773,10 @@ class GradedVector:
                     if cy.is_zero:
                         continue
                     prod = cx * cy
-                    for idx, q in terms:
-                        tv[idx].append((_qq_scalar(q), prod))
-                    if dq != 0:
-                        delta.append((_qq_scalar(dq), prod))
+                    for idx, s in terms:
+                        tv[idx].append((s, prod))
+                    if dq is not None:
+                        delta.append((dq, prod))
         # derivation: [rho, x] = (grade of x) x
         for rho, vec, sign in ((self.rho, other, 1), (other.rho, self, -1)):
             if rho.is_zero:
@@ -772,7 +785,7 @@ class GradedVector:
                 if g == 0:
                     continue
                 tv = slot(g)
-                s = Scalar.exact(sign * g)
+                s = Scalar(sign * g, 0, 1)
                 for t, c in zip(tv, v):
                     if not c.is_zero:
                         t.append((s, c * rho))

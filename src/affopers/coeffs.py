@@ -37,18 +37,28 @@ beside its cached hash.
 
 Where every denominator is known in advance as a power ``L^k`` of one
 product ``L = prod (z - p)^c_p`` (the graded reduction of ``oper_core``), a
-computation can run on raw numerators alone: integer triples
-``(re, im, den)`` in the polynomials' layout, with no trailing zero but no
-gcd taken, so zero is an empty ``re``.  :func:`pole_frame` names the
+computation can run on numerators alone.  A raw numerator is an integer
+triple ``(re, im, den)`` in the polynomials' layout, with no trailing zero
+but no gcd taken, so zero is an empty ``re``.  :func:`pole_frame` names the
 ``(p, c_p)``, :func:`lift_numerator` takes a function to its raw numerator
-over ``L^k``, ``_conv`` and ``_combine`` are the raw product and n-ary sum,
-``_reduced`` divides out the gcd where a caller chooses, and
-:func:`lower_numerator` normalizes and returns the canonical form once, at
-the end.
+over ``L^k`` and :func:`lower_numerator` normalizes one and returns the
+canonical form.  In between, a numerator is packed by Kronecker
+substitution at a base ``2^w``: :func:`pack_numerator` makes its real and
+its imaginary coefficients one int each, ``sum c_k 2^(w k)``, and records a
+bound on their bit length, which stays below ``w - 1`` so the balanced
+digits unpack uniquely (:func:`unpack_numerator`); :func:`rebase_numerator`
+moves a packing to another base.  ``_kmul`` and ``_ksum`` are the packed
+product and n-ary sum, each deriving its result's bound and raising
+:class:`BaseOverflow` rather than use a value whose bound reaches
+``w - 1``, and ``_kreduced`` divides out the content gcd.  ``_conv``,
+``_combine`` and ``_reduced`` are the same operations on integer lists,
+which :class:`Polynomial` uses (and the reduction, ``_reduced``, for the
+digits of its gauge parameters).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -963,7 +973,9 @@ def pole_frame(orders: dict):
 def lift_numerator(f: RationalFunction, frame, k: int):
     """The raw numerator ``(re, im, den)`` of f over ``L^k`` (see
     :func:`pole_frame`); every pole of f must lie in the frame with order
-    at most k times its own."""
+    at most k times its own.  A computation packs it with
+    :func:`pack_numerator` at a base whose ``w - 1`` exceeds its
+    :func:`numerator_bits`."""
     own = dict(f.poles)
     num = f.num
     for p, c in frame:
@@ -980,7 +992,9 @@ def lift_numerator(f: RationalFunction, frame, k: int):
 def lower_numerator(raw, frame, k: int) -> RationalFunction:
     """``num / L^k`` in canonical form for the raw numerator ``(re, im,
     den)``: the inverse of :func:`lift_numerator`, by one normalization and
-    a strip test at each pole of the frame."""
+    a strip test at each pole of the frame.  A packed numerator is lowered
+    through :func:`unpack_numerator` at its base, which its bound below
+    ``w - 1`` makes exact."""
     num = _make(*raw)
     if not num.re:
         return _RFZERO
@@ -990,6 +1004,226 @@ def lower_numerator(raw, frame, k: int) -> RationalFunction:
         if m:
             out.append((p, m))
     return RationalFunction(num, tuple(out))
+
+
+class BaseOverflow(ArithmeticError):
+    """A packed result's coefficient bound reached ``w - 1``: the base
+    ``2^w`` is too narrow to unpack it, or to tell it from zero.  ``bound``
+    is the bound that did; the caller recomputes at a wider base."""
+
+    def __init__(self, bound):
+        super().__init__(bound)
+        self.bound = bound
+
+
+# the packed zero: (pr, pi, den, bound, n)
+_KZERO = (0, 0, 1, 0, 0)
+
+
+@functools.lru_cache(maxsize=4096)
+def _bias(nb, n, m=None):
+    """``sum_k 2^(8 m - 1) 2^(8 nb k)`` over k < n, with ``m = nb`` by
+    default: the half of an m-byte digit in each of n digits of nb bytes."""
+    m = nb if m is None else m
+    return int.from_bytes((b"\0" * (nb - m) + b"\x80" + b"\0" * (m - 1))
+                          * n)
+
+
+def numerator_bits(raw) -> int:
+    """The bit length of the largest numerator of a raw ``(re, im, den)``."""
+    re, im, _den = raw
+    if not re:
+        return 0
+    top = max(map(abs, re))
+    if im is not None:
+        top = max(top, max(map(abs, im)))
+    return top.bit_length()
+
+
+def pack_numerator(raw, w: int):
+    """The raw numerator ``(re, im, den)`` packed at the base ``2^w``:
+    ``(pr, pi, den, bound, n)``, where ``pr = sum re[k] 2^(w k)`` and ``pi``
+    likewise (0 when every imaginary part is), ``n = len(re)`` and every
+    numerator has fewer than ``bound`` bits, here exactly.  ``w`` is a
+    multiple of 8; a numerator of ``w - 1`` or more bits raises
+    :class:`BaseOverflow`.
+
+    Each digit is biased by ``2^(w-1)`` into ``[0, 2^w)`` and written with
+    one ``to_bytes``, and the whole is read with one ``from_bytes`` and
+    unbiased, so the cost is linear in the digits.  The bytes are
+    big-endian, the default of both calls, which CPython parses faster
+    than a keyword."""
+    re, im, den = raw
+    if not re:
+        return _KZERO
+    b = numerator_bits(raw)
+    if b >= w - 1:
+        raise BaseOverflow(b)
+    n = len(re)
+    nb = w >> 3
+    h = 1 << (w - 1)
+    bias = _bias(nb, n)
+    pr = int.from_bytes(b"".join([(c + h).to_bytes(nb)
+                                  for c in reversed(re)])) - bias
+    pi = 0 if im is None else int.from_bytes(
+        b"".join([(c + h).to_bytes(nb) for c in reversed(im)])) - bias
+    return pr, pi, den, b, n
+
+
+def unpack_numerator(x, w: int):
+    """The raw numerator ``(re, im, den)`` of the packed ``x`` (see
+    :func:`pack_numerator`), with trailing zeros trimmed and ``im`` None
+    when every imaginary part is zero.  The digits are read back from the
+    bytes of the biased value, one ``from_bytes`` each."""
+    pr, pi, den, _b, n = x
+    if not pr and not pi:
+        return (), None, 1
+    nb = w >> 3
+    h = 1 << (w - 1)
+    bias = _bias(nb, n)
+    size = n * nb
+    fb = int.from_bytes
+    data = (pr + bias).to_bytes(size)
+    re = [fb(data[k:k + nb]) - h for k in range(size - nb, -1, -nb)]
+    im = None
+    if pi:
+        data = (pi + bias).to_bytes(size)
+        im = [fb(data[k:k + nb]) - h for k in range(size - nb, -1, -nb)]
+        if not re[n - 1] and not im[n - 1]:
+            while not re[n - 1] and not im[n - 1]:
+                n -= 1
+            return re[:n], im[:n], den
+    elif not re[n - 1]:
+        while not re[n - 1]:
+            n -= 1
+        return re[:n], im, den
+    return re, im, den
+
+
+def rebase_numerator(x, w: int, w2: int):
+    """The packed ``x`` moved from the base ``2^w`` to ``2^w2``, as bytes:
+    with ``m`` the smaller of the two digit sizes in bytes, biasing each
+    digit by ``2^(8 m - 1)`` puts it in ``[0, 2^(8 m))``, so its last m
+    bytes are copied into a digit of the new size and unbiased there.  A
+    bound of ``w2 - 1`` or more raises :class:`BaseOverflow`."""
+    pr, pi, den, b, n = x
+    if w2 == w or not (pr or pi):
+        return x
+    if b >= w2 - 1:
+        raise BaseOverflow(b)
+    nb, nb2 = w >> 3, w2 >> 3
+    m = min(nb, nb2)
+    bias, bias2 = _bias(nb, n, m), _bias(nb2, n, m)
+    pad = b"\0" * (nb2 - m)
+    size = n * nb
+
+    def moved(p):
+        data = (p + bias).to_bytes(size)
+        return int.from_bytes(pad.join([data[k - m:k]
+                                        for k in range(nb, size + 1, nb)])
+                              ) - bias2
+
+    return moved(pr), moved(pi) if pi else 0, den, b, n
+
+
+def _kmul(x, y, w: int):
+    """The packed product of two packed numerators at the base ``2^w``:
+    one integer product for real data, three for Gaussian data.  A
+    coefficient of the product is a sum of at most ``t = min(n_x, n_y)``
+    products (twice as many for two Gaussian factors), so its bound is
+    ``b_x + b_y + ceil(log2 t)``; at ``w - 1`` or above it raises
+    :class:`BaseOverflow`."""
+    xr, xi, xd, xb, xn = x
+    yr, yi, yd, yb, yn = y
+    t = xn if xn < yn else yn
+    if xi and yi:
+        rr = xr * yr
+        ii = xi * yi
+        zr, zi = rr - ii, (xr + xi) * (yr + yi) - rr - ii
+        t += t
+    else:
+        zr = xr * yr
+        zi = xr * yi if yi else xi * yr
+    b = xb + yb + (t - 1).bit_length()
+    if b >= w - 1:
+        raise BaseOverflow(b)
+    return zr, zi, xd * yd, b, xn + yn - 1
+
+
+def _ksum(items, w: int):
+    """The packed sum of ``s * x`` over the ``(Scalar s, packed x)``
+    items at the base ``2^w``, over the lcm of the ``s.q * den``; the
+    packed counterpart of ``_combine``, with the same shortcut for a single
+    item with a real scalar.  Item k scaled to that denominator is
+    ``(a + c sqrt(-1)) x``, whose coefficients are below
+    ``(|a| + |c|) 2^(b_x)``; the bound of the sum adds ``ceil(log2 items)``
+    to the largest of those.  At ``w - 1`` or above it raises
+    :class:`BaseOverflow`; a zero sum is the packed zero."""
+    if not items:
+        return _KZERO
+    if len(items) == 1:
+        s, x = items[0]
+        r, q = s.r, s.q
+        if not s.i:
+            if r == q:
+                return x
+            b = x[3] + abs(r).bit_length()
+            if b >= w - 1:
+                raise BaseOverflow(b)
+            return r * x[0], r * x[1], q * x[2], b, x[4]
+    den = math.lcm(*[s.q * x[2] for s, x in items])
+    zr = zi = 0
+    top = n = 0
+    for s, (pr, pi, d, b, m) in items:
+        f = den // (s.q * d)
+        a = s.r * f
+        c = s.i * f
+        if c:
+            zr += a * pr - c * pi
+            zi += a * pi + c * pr
+            e = (abs(a) + abs(c)).bit_length() + b
+        else:
+            zr += a * pr
+            zi += a * pi
+            e = abs(a).bit_length() + b
+        if e > top:
+            top = e
+        if m > n:
+            n = m
+    b = top + (len(items) - 1).bit_length()
+    if b >= w - 1:
+        raise BaseOverflow(b)
+    if not zr and not zi:
+        return _KZERO
+    return zr, zi, den, b, n
+
+
+def _kreduced(x, w: int):
+    """The packed ``x`` divided by the gcd of its denominator and every
+    numerator: the packed counterpart of ``_reduced``.  When the
+    denominator is coprime to both packed ints, no common divisor exists
+    and x is returned as it is, without reading its digits; else they are
+    read, and the result
+    carries their exact bit length as its bound and their exact length.
+    The packed ints are divided as they stand, since the gcd divides every
+    digit."""
+    pr, pi, den, _b, _n = x
+    if math.gcd(den, pr, pi) == 1:
+        # every common divisor of den and the digits divides den, pr, pi
+        return x
+    re, im, den = unpack_numerator(x, w)
+    if im is None:
+        g = math.gcd(den, *re)
+        top = max(map(abs, re))
+    else:
+        g = math.gcd(den, *re, *im)
+        top = max(max(map(abs, re)), max(map(abs, im)))
+    if g > 1:
+        pr //= g
+        pi //= g
+        den //= g
+        top //= g
+    return pr, pi, den, top.bit_length(), len(re)
 
 
 def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):

@@ -27,15 +27,32 @@ bracket adds grades, a + (b+1) = (a+b) + 1; m' raises each order by one,
 (N/L^a)' = (N' L - a N L') / L^(a+1); [rho, x] multiplies by rho = R/L;
 and the decomposition matrices are constant.  ``quasi_canonicalize``
 therefore runs on those numerators alone, as integer polynomial products
-and n-ary sums with no pole bookkeeping.  Each numerator is a raw integer
-triple (re, im, den) in the polynomials' layout: no trailing zero, so zero
-is an empty re, and no gcd taken by any product or sum, since every value
-is only multiplied, added or tested for zero again.  Once per gauge step
-the parameter's numerators and the step's results are divided by their
-content gcd, so that unreduced denominators do not compound from step to
-step at large cutoffs.  Each v_j and each gauge factor entry is normalized
-once, when it is lowered to its canonical rational function at the end.
-The public ``gauge_transform`` stays on rational functions.
+and n-ary sums with no pole bookkeeping, and with no gcd taken by any
+product or sum, since every value is only multiplied, added or tested for
+zero again.
+
+Inside the reduction a numerator is packed (Kronecker substitution): its
+real and its imaginary coefficients are each one Python int
+``sum c_k 2^(w k)`` with balanced digits, held as ``(pr, pi, den, bound,
+n)`` beside a proven bound on the bit length of every digit.  A product
+of two numerators is then one integer product (three for Gaussian data)
+and a sum ``sum (r f) x`` over the lcm denominator, so CPython's integer
+arithmetic does the coefficient loops.  Each product and sum derives its
+result's bound from its operands', and the invariant is bound < w - 1:
+every digit then lies strictly inside ``(-2^(w-1), 2^(w-1))``, so a value
+unpacks uniquely and is zero exactly when both ints are.  One base serves
+a whole gauge step; it is chosen from the exact bit lengths of the step's
+inputs and an estimate of their growth, and an operation whose bound
+would reach w - 1 raises ``BaseOverflow``, upon which the step, a pure
+function of its inputs, is computed again at a wider base, so no wrapped
+value is ever used.  Values are unpacked only to take the content gcd,
+for the parameter m (whose derivative and lowering read its digits) and
+at the final lowering: once per gauge step the parameter's numerators and
+the step's results are divided by their content gcd, so that unreduced
+denominators do not compound from step to step at large cutoffs.  Each
+v_j and each gauge factor entry is normalized once, when it is lowered to
+its canonical rational function at the end.  The public
+``gauge_transform`` stays on rational functions.
 
 Higher coefficients are fixed only up to the residual gauge freedom
 v_j -> v_j - (f' - (j phi / h_dual) f); ``twisted_class`` reduces v_j to its
@@ -48,9 +65,11 @@ from __future__ import annotations
 import math
 
 from .affine_algebra import AlgebraModel, GradedVector
-from .coeffs import (Polynomial, RationalFunction, Scalar, _combine, _conv,
-                     _derivative, _reduced, lift_numerator, lower_numerator,
-                     partial_fractions, pole_frame, recombine)
+from .coeffs import (_KZERO, BaseOverflow, Polynomial, RationalFunction,
+                     Scalar, _derivative, _kmul, _kreduced, _ksum, _reduced,
+                     lift_numerator, lower_numerator, numerator_bits,
+                     pack_numerator, partial_fractions, pole_frame,
+                     rebase_numerator, recombine, unpack_numerator)
 
 __all__ = [
     "Connection",
@@ -66,9 +85,10 @@ __all__ = [
 ]
 
 
-# raw numerators (re, im, den): see the module docstring
-_NUM_ZERO = ((), None, 1)
-_NUM_ONE = ((1,), None, 1)
+# packed numerators (pr, pi, den, bound, length): see the module docstring;
+# the packed 1 is the same at every base
+_KONE = (1, 0, 1, 1, 1)
+_SONE = Scalar(1, 0, 1)
 
 
 def _rf_pow(f: RationalFunction, k: int) -> RationalFunction:
@@ -204,17 +224,23 @@ class QuasiCanonicalForm:
 def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     """Reduce a connection to quasi-canonical form through grade = cutoff.
 
-    The reduction runs on raw numerators over fixed denominators (see the
-    module docstring).  With c_p the least integer such that every input
-    coefficient of grade g <= cutoff (delta and rho at grade 0) has order
-    at most c_p (g+1) at p, and L = prod (z-p)^c_p, a grade-g coefficient
-    of u is a numerator over L^(g+1) and a grade-a coefficient of a gauge
-    parameter one over L^a, through every step.  No product or sum tests
-    a pole or takes a gcd; each v_j and each gauge factor is normalized
-    and lowered to its canonical form once, at the end.  Delta is read
-    only at grade 0 and rho never changes, so the gauge steps compute
-    neither; input grades above the cutoff never feed a grade at or below
-    it and are dropped on entry.
+    The reduction runs on packed numerators over fixed denominators (see
+    the module docstring).  With c_p the least integer such that every
+    input coefficient of grade g <= cutoff (delta and rho at grade 0) has
+    order at most c_p (g+1) at p, and L = prod (z-p)^c_p, a grade-g
+    coefficient of u is a numerator over L^(g+1) and a grade-a coefficient
+    of a gauge parameter one over L^a, through every step.  No product or
+    sum tests a pole or takes a gcd; each v_j and each gauge factor is
+    normalized and lowered to its canonical form once, at the end.  Delta
+    is read only at grade 0 and rho never changes, so the gauge steps
+    compute neither; input grades above the cutoff never feed a grade at
+    or below it and are dropped on entry.
+
+    Between ``lift_numerator`` and ``lower_numerator`` the numerators are
+    packed at a base 2^w chosen per gauge step, and every packed value
+    keeps bound < w - 1; a step whose bound would reach w - 1 is computed
+    again from the same inputs at a wider base, so no wrapped value is
+    ever used.
     """
     model = conn.model
     K = model.cutoff
@@ -229,28 +255,41 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
                     orders[p] = c
     frame = pole_frame(orders)
     L = lift_numerator(RationalFunction.one(), frame, 1)
-    dL = (*_derivative(L[0], L[1]), L[2])
-    ctx = (model, L, dL, lift_numerator(u.rho, frame, 1), K)
-    cur = {g: [lift_numerator(f, frame, g + 1) for f in comp]
+    # L, L', rho's numerator R and the center's, packed again at each base
+    consts = (L, (*_derivative(L[0], L[1]), L[2]),
+              lift_numerator(u.rho, frame, 1),
+              lift_numerator(u.delta, frame, 1))
+    raw = {g: [lift_numerator(f, frame, g + 1) for f in comp]
            for g, comp in parts.items()}
+    w = _base(max(numerator_bits(x) for xs in (consts, *raw.values())
+                  for x in xs), 0)
+    cur = {g: [pack_numerator(x, w) for x in xs] for g, xs in raw.items()}
+    packed = [pack_numerator(x, w) for x in consts]
     vnum = {}
     steps = []
     for n in range(0, K + 1):
-        comp = cur.get(n) or [_NUM_ZERO] * model.dim_loop(n)
-        if n == 0:
-            comp = [lift_numerator(u.delta, frame, 1)] + comp
-        vrow, mrows = model.gauge_step_rows(n)
-        if vrow is not None:
-            mrows = (vrow,) + mrows
-        sums = [_combine([(s.r, s.i, s.q, *comp[j]) for j, s in row
-                          if comp[j][0]])
-                for row in mrows]
-        if vrow is not None:
-            vnum[n] = sums.pop(0)
-        mnum = [_reduced(*x) for x in sums]
-        if any(x[0] for x in mnum):
-            cur = _gauge_step(ctx, cur, n + 1, mnum)
-            steps.append((n + 1, mnum))
+        floor = 0
+        while True:
+            try:
+                vx, mraw = _grade_rows(model, w, packed, cur, n)
+                if mraw is not None:
+                    w2 = max(_base(_step_bound(cur, mraw, n + 1, K), w), floor)
+                    if w2 != w:
+                        cur, packed = _rebased(cur, consts, w, w2)
+                        w = w2
+                    new = _gauge_step(model, w, packed, cur, n + 1, mraw)
+                break
+            except BaseOverflow as e:
+                # a wider base for the same inputs: the bounds do not
+                # depend on the base, so the floor rises until none fails
+                floor = _base(e.bound + e.bound // 4 + 16, 0)
+                cur, packed = _rebased(cur, consts, w, floor)
+                w = floor
+        if vx is not None:
+            vnum[n] = vx
+        if mraw is not None:
+            steps.append((n + 1, mraw))
+            cur = new
     zero = RationalFunction.zero()
     v = {n: lower_numerator(x, frame, n + 1) for n, x in vnum.items()}
     factors = [GradedVector(model, {a: [lower_numerator(x, frame, a)
@@ -262,59 +301,113 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     return QuasiCanonicalForm(model, conn.phi, v, factors, conn.u.truncated)
 
 
-def _gauge_step(ctx, cur, a, mnum):
-    """exp(m) applied to the raw numerators ``cur`` (grade g over
-    L^(g+1)), for m of grade a with raw numerators ``mnum`` over L^a.
-    Mirrors ``_gauge_u``:
+def _base(bits, w):
+    """The base exponent for values whose bound reaches ``bits``: the
+    current ``w`` while it holds them and wastes at most a quarter, else a
+    new multiple of 8 with an eighth to spare."""
+    if bits + 1 < w <= bits + bits // 4 + 32:
+        return w
+    return -(-(bits + bits // 8 + 16) // 8) * 8
+
+
+def _step_bound(cur, mraw, a, K):
+    """An estimate of the largest bound a gauge step of grade a reaches:
+    each grade b of u (and p_-1) can be bracketed (K - b) // a times by m,
+    each adding about the bits of m."""
+    bm = max(map(numerator_bits, mraw)) + 5
+    est = 1 + (K + 1) // a * bm
+    for b, xs in cur.items():
+        e = max(x[3] for x in xs) + (K - b) // a * bm
+        if e > est:
+            est = e
+    return est
+
+
+def _rebased(cur, consts, w, w2):
+    """``cur`` moved from the base 2^w to 2^w2, and the raw ``consts``
+    packed at 2^w2."""
+    return ({g: [rebase_numerator(x, w, w2) for x in xs]
+             for g, xs in cur.items()},
+            [pack_numerator(x, w2) for x in consts])
+
+
+def _grade_rows(model, w, consts, cur, n):
+    """The raw v_n (None when n is not an exponent) and the raw numerators
+    of the grade-(n+1) gauge parameter, divided by their content gcd (None
+    when it vanishes), from the grade-n numerators of ``cur``."""
+    comp = cur.get(n) or [_KZERO] * model.dim_loop(n)
+    if n == 0:
+        comp = [consts[3]] + comp
+    vrow, mrows = model.gauge_step_rows(n)
+    if vrow is not None:
+        mrows = (vrow,) + mrows
+    sums = [_ksum([(s, comp[j]) for j, s in row if comp[j][0] or comp[j][1]],
+                  w)
+            for row in mrows]
+    vx = None if vrow is None else unpack_numerator(sums.pop(0), w)
+    mraw = [_reduced(*unpack_numerator(x, w)) for x in sums]
+    if not any(x[0] for x in mraw):
+        return vx, None
+    return vx, mraw
+
+
+def _gauge_step(model, w, consts, cur, a, mraw):
+    """exp(m) applied to the packed numerators ``cur`` (grade g over
+    L^(g+1)), for m of grade a with raw numerators ``mraw`` over L^a, all
+    packed at the base 2^w.  Mirrors ``_gauge_u``:
 
         u + sum_k ad_m^k/k! (p_-1 + u + rho) - sum_k ad_m^(k-1)/k! (m');
 
     the grades below a - 1 pass through unchanged.
     """
-    model, L, dL, R, K = ctx
-    acc = {g: [[(1, 0, 1, *x)] if x[0] else [] for x in xs]
+    K = model.cutoff
+    L, dL, R = consts[:3]
+    mnum = [pack_numerator(x, w) for x in mraw]
+    acc = {g: [[(_SONE, x)] if x[0] or x[1] else [] for x in xs]
            for g, xs in cur.items() if g >= a - 1}
     # [m, p_-1 + u + rho]: p_-1 is the numerator 1 at each grade -1 slot,
     # and [m, rho] = -a m rho
-    pminus = [_NUM_ONE] * model.dim_loop(-1)
-    slots = _ad(model, a, mnum, {-1: pminus, **cur}, K)
+    pminus = [_KONE] * model.dim_loop(-1)
+    slots = _ad(model, w, a, mnum, {-1: pminus, **cur}, K)
     ma = slots.setdefault(a, [[] for _ in mnum])
-    if R[0]:
-        for t, (re, im, den) in zip(ma, mnum):
-            if re:
-                t.append((-a, 0, 1, *_conv(re, im, R[0], R[1]), den * R[2]))
-    term, k = _summed(slots), 1
+    if R[0] or R[1]:
+        s = Scalar(-a, 0, 1)
+        for t, x in zip(ma, mnum):
+            if x[0] or x[1]:
+                t.append((s, _kmul(x, R, w)))
+    term, k = _summed(slots, w), 1
     while term:
-        _collect(acc, term, 1, math.factorial(k))
+        _collect(acc, term, Scalar(1, 0, math.factorial(k)))
         k += 1
-        term = _summed(_ad(model, a, mnum, term, K))
+        term = _summed(_ad(model, w, a, mnum, term, K), w)
     # m' = (N' L - a N L') / L^(a+1), then its brackets
+    s = Scalar(-a, 0, 1)
     dm = []
-    for re, im, den in mnum:
+    for (re, im, den), x in zip(mraw, mnum):
         terms = []
         if len(re) > 1:
-            terms.append((1, 0, 1, *_conv(*_derivative(re, im), L[0], L[1]),
-                          den * L[2]))
-        if re and dL[0]:
-            terms.append((-a, 0, 1, *_conv(re, im, dL[0], dL[1]),
-                          den * dL[2]))
-        dm.append(_combine(terms))
-    term, k = ({a: dm} if any(x[0] for x in dm) else {}), 1
+            dx = pack_numerator((*_derivative(re, im), den), w)
+            terms.append((_SONE, _kmul(dx, L, w)))
+        if re and (dL[0] or dL[1]):
+            terms.append((s, _kmul(x, dL, w)))
+        dm.append(_ksum(terms, w))
+    term, k = ({a: dm} if any(x[0] or x[1] for x in dm) else {}), 1
     while term:
-        _collect(acc, term, -1, math.factorial(k))
+        _collect(acc, term, Scalar(-1, 0, math.factorial(k)))
         k += 1
-        term = _summed(_ad(model, a, mnum, term, K))
+        term = _summed(_ad(model, w, a, mnum, term, K), w)
     out = {g: xs for g, xs in cur.items() if g < a - 1}
     # one content gcd per rewritten numerator and step, so that unreduced
-    # denominators do not compound over the steps
-    for g, xs in _summed(acc).items():
-        out[g] = [_reduced(*x) for x in xs]
+    # denominators do not compound over the steps; where it unpacks, the
+    # bound becomes exact again
+    for g, xs in _summed(acc, w).items():
+        out[g] = [_kreduced(x, w) for x in xs]
     return out
 
 
-def _ad(model, a, mnum, x, K):
+def _ad(model, w, a, mnum, x, K):
     """The term lists of [m, x] per grade <= K and slot, for m of grade a
-    and raw numerators; the center is left out."""
+    and packed numerators; the center is left out."""
     slots = {}
     for b, xb in x.items():
         g = a + b
@@ -327,36 +420,35 @@ def _ad(model, a, mnum, x, K):
         if tv is None:
             tv = slots[g] = [[] for _ in range(model.dim_loop(g))]
         for i, row in rows:
-            xr, xi, xd = mnum[i]
-            if not xr:
+            mx = mnum[i]
+            if not (mx[0] or mx[1]):
                 continue
             for j, terms in row:
-                yr, yi, yd = xb[j]
-                if not yr:
+                y = xb[j]
+                if not (y[0] or y[1]):
                     continue
-                zr, zi = _conv(xr, xi, yr, yi)
-                zd = xd * yd
+                z = _kmul(mx, y, w)
                 for idx, s in terms:
-                    tv[idx].append((s.r, s.i, s.q, zr, zi, zd))
+                    tv[idx].append((s, z))
     return slots
 
 
-def _collect(acc, term, r, q):
-    """Append each nonzero numerator of ``term``, scaled by r/q, to the
-    term lists of ``acc``."""
+def _collect(acc, term, s):
+    """Append each nonzero numerator of ``term``, scaled by the Scalar s,
+    to the term lists of ``acc``."""
     for g, xs in term.items():
         tv = acc.setdefault(g, [[] for _ in xs])
         for t, x in zip(tv, xs):
-            if x[0]:
-                t.append((r, 0, q, *x))
+            if x[0] or x[1]:
+                t.append((s, x))
 
 
-def _summed(slots):
-    """Each slot's raw n-ary sum, with the all-zero grades left out."""
+def _summed(slots, w):
+    """Each slot's packed n-ary sum, with the all-zero grades left out."""
     out = {}
     for g, tv in slots.items():
-        xs = [_combine(t) for t in tv]
-        if any(x[0] for x in xs):
+        xs = [_ksum(t, w) for t in tv]
+        if any(x[0] or x[1] for x in xs):
             out[g] = xs
     return out
 

@@ -706,3 +706,180 @@ def test_derivative_of_a_moved_function_matches_the_quotient_rule(mobius):
     df = moved.derivative()
     assert df == _quotient_rule(moved)
     assert df.pole_dict() == {p: m + 1 for p, m in moved.poles}
+
+
+# ------------------------------------------------------ packed numerators
+
+from affopers.coeffs import (  # noqa: E402
+    BaseOverflow,
+    _combine,
+    _conv,
+    _kmul,
+    _kreduced,
+    _ksum,
+    _reduced,
+    numerator_bits,
+    pack_numerator,
+    rebase_numerator,
+    unpack_numerator,
+)
+
+
+def _trimmed(re, im, den):
+    """A raw numerator in the layout unpack_numerator returns: no trailing
+    zero, ``im`` None when every imaginary part is zero, zero as
+    ``((), None, 1)``."""
+    re, im = list(re), None if im is None else list(im)
+    n = len(re)
+    while n and not re[n - 1] and (im is None or not im[n - 1]):
+        n -= 1
+    if not n:
+        return (), None, 1
+    im = None if im is None or not any(im[:n]) else im[:n]
+    return re[:n], im, den
+
+
+def _base_for(bits):
+    """The narrowest base exponent (a multiple of 8) whose packings hold
+    a bound of ``bits``: bound < w - 1."""
+    return -(-(bits + 2) // 8) * 8
+
+
+@st.composite
+def raw_st(draw, max_bits=120, max_len=7):
+    """A Gaussian-integer raw numerator (re, im or None, den)."""
+    n = draw(st.integers(min_value=1, max_value=max_len))
+    bits = draw(st.integers(min_value=1, max_value=max_bits))
+    digit = st.integers(min_value=-(2 ** bits) + 1, max_value=2 ** bits - 1)
+    re = draw(st.lists(digit, min_size=n, max_size=n))
+    im = draw(st.one_of(st.none(), st.lists(digit, min_size=n, max_size=n)))
+    den = draw(st.integers(min_value=1, max_value=10 ** 6))
+    return re, im, den
+
+
+# the reduction's layout: no trailing zero, im None when all zero, and
+# nonzero, since zero numerators are skipped before any product or sum
+layout_raw_st = raw_st().map(lambda raw: _trimmed(*raw)).filter(
+    lambda raw: bool(raw[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_st(), st.integers(min_value=0, max_value=40))
+def test_pack_round_trips(raw, extra):
+    re, im, den = raw
+    w = _base_for(numerator_bits(raw)) + 8 * (extra // 8)
+    x = pack_numerator(raw, w)
+    assert x[0] == sum(c << (w * k) for k, c in enumerate(re))
+    assert x[3] == numerator_bits(raw) < w - 1
+    assert unpack_numerator(x, w) == _trimmed(re, im, den)
+    assert bool(x[0] or x[1]) == any(re + (im or []))
+
+
+def test_pack_edges():
+    w = 64
+    top = 2 ** (w - 2) - 1  # one bit below the base: bound w - 2 < w - 1
+    for raw in (([top, -top, 0, -top], None, 3),
+                ([5, -top], [top, -1], 7),
+                ([-1], None, 1),
+                ([0, 0, 0], [0, 2, -top], 5)):
+        x = pack_numerator(raw, w)
+        assert unpack_numerator(x, w) == _trimmed(*raw)
+    # a real part of zeros and a nonzero imaginary part is nonzero
+    x = pack_numerator(([0, 0], [1, -2], 1), w)
+    assert x[0] == 0 and x[1] and (x[0] or x[1])
+    assert unpack_numerator(x, w) == ([0, 0], [1, -2], 1)
+    assert _ksum([(Scalar(1, 0, 2), x)], w)[1]
+    assert unpack_numerator(_kreduced(x, w), w) == ([0, 0], [1, -2], 1)
+    # a digit of w - 1 bits does not fit
+    with pytest.raises(BaseOverflow):
+        pack_numerator(([2 ** (w - 2)], None, 1), w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_st(), st.integers(min_value=0, max_value=80),
+       st.integers(min_value=0, max_value=80))
+def test_rebase_equals_packing_at_the_new_base(raw, e1, e2):
+    b = numerator_bits(raw)
+    w, w2 = _base_for(b) + 8 * (e1 // 8), _base_for(b) + 8 * (e2 // 8)
+    assert (rebase_numerator(pack_numerator(raw, w), w, w2)
+            == pack_numerator(raw, w2))
+    if b > 1:
+        with pytest.raises(BaseOverflow):
+            rebase_numerator(pack_numerator(raw, w), w, _base_for(b) - 8)
+
+
+def _product_bound(a, b):
+    t = min(len(a[0]), len(b[0]))
+    if a[1] and b[1]:
+        t += t
+    return numerator_bits(a) + numerator_bits(b) + (t - 1).bit_length()
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_raw_st, layout_raw_st)
+def test_packed_product_equals_conv(a, b):
+    bound = _product_bound(a, b)
+    w = _base_for(bound)
+    z = _kmul(pack_numerator(a, w), pack_numerator(b, w), w)
+    assert z[3] == bound
+    want = (*_conv(a[0], a[1], b[0], b[1]), a[2] * b[2])
+    assert unpack_numerator(z, w) == _trimmed(*want)
+    # one byte narrower and the product's bound reaches the base: it is
+    # refused, never wrapped
+    with pytest.raises(BaseOverflow):
+        _kmul(pack_numerator(a, w), pack_numerator(b, w), w - 8)
+
+
+def test_packed_product_at_the_base_refuses():
+    # coefficients one bit below the base square to a bound at 2w - 4, so
+    # the product's bound reaches w - 1 and must widen
+    w = 64
+    top = 2 ** (w - 2) - 1
+    x = pack_numerator(([top, -top], None, 1), w)
+    with pytest.raises(BaseOverflow) as err:
+        _kmul(x, x, w)
+    assert err.value.bound >= w - 1
+    wide = 2 * w
+    z = _kmul(rebase_numerator(x, w, wide), rebase_numerator(x, w, wide),
+              wide)
+    assert unpack_numerator(z, wide) == ([top * top, -2 * top * top,
+                                          top * top], None, 1)
+
+
+scalar_st = st.builds(
+    lambda r, i, q: Scalar.exact(Fraction(r, q), Fraction(i, q)),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=1, max_value=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(scalar_st, layout_raw_st), min_size=1,
+                max_size=5))
+def test_packed_sum_equals_combine(terms):
+    terms = [(s, raw) for s, raw in terms if not s.is_zero]
+    if not terms:
+        return
+    den = math.lcm(*[s.q * raw[2] for s, raw in terms])
+    top = max((abs(s.r * den // (s.q * raw[2]))
+               + abs(s.i * den // (s.q * raw[2]))).bit_length()
+              + numerator_bits(raw) for s, raw in terms)
+    w = _base_for(top + (len(terms) - 1).bit_length())
+    got = _ksum([(s, pack_numerator(raw, w)) for s, raw in terms], w)
+    want = _combine([(s.r, s.i, s.q, *raw) for s, raw in terms])
+    assert unpack_numerator(got, w) == _trimmed(*want)
+    assert bool(got[0] or got[1]) == bool(want[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_raw_st, st.integers(min_value=1, max_value=10 ** 4))
+def test_packed_content_gcd_equals_reduced(raw, k):
+    # a common factor k of every numerator and the denominator
+    re, im, den = raw
+    raw = ([k * c for c in re], None if im is None else [k * c for c in im],
+           k * den)
+    w = _base_for(numerator_bits(raw))
+    got = _kreduced(pack_numerator(raw, w), w)
+    want = _reduced(*_trimmed(*raw))
+    assert unpack_numerator(got, w) == _trimmed(*want)
+    assert got[3] >= numerator_bits(want)

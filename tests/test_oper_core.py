@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from affopers import coeffs, oper_core
 from affopers.affine_algebra import GradedVector, Weight, build_algebra
 from affopers.coeffs import Polynomial, RationalFunction, Scalar
-from affopers.miura import MiuraData, build_miura, erase_root
+from affopers.miura import MiuraData, build_miura, erase_root, v1_predicted
 from affopers.oper_core import (
     Connection,
     bch,
@@ -256,7 +256,8 @@ def test_reduction_runs_on_numerators_alone(a1, a2, monkeypatch):
     # Between lifting the input and lowering the output, the reduction
     # makes no RationalFunction product or sum: every step is on the
     # numerators over the fixed denominators.  Inside a gauge step the
-    # numerators stay raw: no Polynomial product and no normalization.
+    # numerators stay packed: no Polynomial product, no normalization and
+    # no product or sum on integer lists.
     inputs = list(_replay_inputs(a1, a2))
     want = [quasi_canonicalize(conn) for conn in inputs]
 
@@ -266,12 +267,20 @@ def test_reduction_runs_on_numerators_alone(a1, a2, monkeypatch):
     def refuse_in_step(*_args):
         raise AssertionError("normalized polynomial in a gauge step")
 
+    def refuse_lists(*_args):
+        raise AssertionError("integer-list kernel in a gauge step")
+
     step = oper_core._gauge_step
 
     def guarded_step(*args):
         with monkeypatch.context() as m:
             m.setattr(Polynomial, "__mul__", refuse_in_step)
             m.setattr(coeffs, "_make", refuse_in_step)
+            for name in ("_conv", "_combine"):
+                m.setattr(coeffs, name, refuse_lists)
+                # the names as oper_core would hold them, had it imported
+                # them
+                m.setattr(oper_core, name, refuse_lists, raising=False)
             return step(*args)
 
     monkeypatch.setattr(RationalFunction, "__mul__", refuse)
@@ -281,6 +290,46 @@ def test_reduction_runs_on_numerators_alone(a1, a2, monkeypatch):
         got = quasi_canonicalize(conn)
         assert got.v == qc.v
         assert [m.parts for m in got.gauge] == [m.parts for m in qc.gauge]
+
+
+def test_wide_rationals_widen_the_base_and_match_the_replay(
+        a1, a2, monkeypatch):
+    # Weights of about 200 bits (100-bit numerators over 100-bit
+    # denominators) make the lcm of the series' sums outgrow the base a
+    # step chooses from the bits of its inputs, so steps are recomputed at
+    # a wider base.  The result must still be the unbounded replay's, and
+    # v_1 that of both closed forms.
+    rng = random.Random(47)
+
+    def big():
+        return f"{rng.getrandbits(100) - 2 ** 99}/{rng.getrandbits(100) | 1}"
+
+    widenings = []
+    step = oper_core._gauge_step
+
+    def counted(*args):
+        try:
+            return step(*args)
+        except coeffs.BaseOverflow:
+            widenings.append(args[4])
+            raise
+
+    monkeypatch.setattr(oper_core, "_gauge_step", counted)
+    for model in (a1, a2):
+        d = MiuraData.make(model, [
+            (z, [big() for _ in range(model.rank)], big(), big())
+            for z in ("0", "1", ["-1", "2"])], [("1/3", 1)])
+        conn = build_miura(d)
+        qc = quasi_canonicalize(conn)
+        replayed = conn
+        for m in qc.gauge:
+            replayed = gauge_transform(replayed, m)
+        want = qc.connection()
+        assert replayed.u.delta == want.u.delta
+        for g in range(0, model.cutoff + 1):
+            assert replayed.u.component(g) == want.u.component(g), g
+        assert qc.v[1] == v1_direct(conn) == v1_predicted(d)
+    assert widenings
 
 
 def test_center_coefficient_removed(a1):

@@ -1,13 +1,13 @@
-"""Print the six SHA-256 hashes that pin the package's outputs bit for bit.
+"""Print the seven SHA-256 hashes that pin the package's outputs bit for bit.
 
 Run from the root of a checkout:
 
     python3 tools/output_hashes.py
     python3 tools/output_hashes.py reduce gauge bethe
 
-With no arguments it prints all six hashes; with names it prints only
+With no arguments it prints all seven hashes; with names it prints only
 those, in the order given.  A change that must not move any output leaves
-all six lines as they were at its parent.  Each hash covers:
+all seven lines as they were at its parent.  Each hash covers:
 
 * ``reduce``  -- ``json.dumps(qc.to_json(), sort_keys=True)`` of every
   ``bench`` ``reduce`` case of seeds 1-3, in case order;
@@ -28,10 +28,20 @@ all six lines as they were at its parent.  Each hash covers:
   map and then every ``periods`` case, reduced by
   ``quasi_canonicalize``; where the twist ``q.phi`` has simple poles and
   vanishes at infinity, ``json.dumps([nf.to_json(), F.to_json()])`` of
-  ``twisted_class(q.phi, j, hv, q.v[j])`` for each exponent ``j >= 2``.
+  ``twisted_class(q.phi, j, hv, q.v[j])`` for each exponent ``j >= 2``;
+* ``wide``    -- for seeds 1-3 and the algebras A1 at cutoff 5, A2 at
+  cutoff 6 and A3 at cutoff 4, Miura data at the points 0, 1 and
+  -1 + 2i whose weights, levels and deltas are rationals of about 200 bits
+  (``random.Random(seed)``, 100-bit numerators over odd 100-bit
+  denominators) with the root 1/3 of colour 1, reduced by
+  ``quasi_canonicalize``: ``json.dumps`` of ``qc.to_json()`` and of the
+  gauge factors as for ``gauge``; then the ``regularity_check`` rows of the
+  ``r1k40`` probe of ``tools/large_cutoffs.py``, written as for ``bethe``.
+  These reductions grow coefficients of thousands of bits and take the
+  paths that widen a packed base.
 
 The case lists come from ``bench/workloads.py``; nothing under ``bench/``
-is written.  The run takes under a minute.
+is written.  The run takes about a minute.
 """
 
 from __future__ import annotations
@@ -39,12 +49,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 from affopers import integrate, miura, oper_core, verify  # noqa: E402
+from affopers.affine_algebra import build_algebra  # noqa: E402
+import large_cutoffs  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -151,9 +164,37 @@ def classes_hash():
     return h.hexdigest()
 
 
+def _wide_data(rng, rank, cutoff):
+    def big():
+        return f"{rng.getrandbits(100) - 2 ** 99}/{rng.getrandbits(100) | 1}"
+
+    model = build_algebra({"type": "A", "rank": rank, "cutoff": cutoff})
+    return miura.MiuraData.make(model, [
+        (z, [big() for _ in range(rank)], big(), big())
+        for z in ("0", "1", ["-1", "2"])], [("1/3", 1)])
+
+
+def wide_hash():
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for rank, cutoff in ((1, 5), (2, 6), (3, 4)):
+            qc = oper_core.quasi_canonicalize(
+                miura.build_miura(_wide_data(rng, rank, cutoff)))
+            h.update(json.dumps(qc.to_json(), sort_keys=True).encode())
+            for m in qc.gauge:
+                h.update(json.dumps([[g, [f.to_json() for f in comp]]
+                                     for g, comp in sorted(m.parts.items())]
+                                    ).encode())
+    rows = miura.regularity_check(large_cutoffs.probe_data(1, 40))
+    h.update(json.dumps(rows, sort_keys=True,
+                        default=lambda x: x.to_json()).encode())
+    return h.hexdigest()
+
+
 HASHES = {"reduce": reduce_hash, "gauge": gauge_hash, "bethe": bethe_hash,
           "periods": periods_hash, "verify": verify_hash,
-          "classes": classes_hash}
+          "classes": classes_hash, "wide": wide_hash}
 
 
 def main(names):

@@ -16,7 +16,7 @@ from .verify import SUITES, run_suite, summary_lines
 
 
 # the largest models bethe-check and integrate reduce: with three points
-# and one root, checking rank 8 at cutoff 40 takes about 25 s of CPU, and
+# and one root, checking rank 8 at cutoff 40 takes about 15 s of CPU, and
 # the cost grows as about cutoff^4
 MAX_RANK = 8
 MAX_CUTOFF = 40

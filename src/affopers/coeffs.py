@@ -46,11 +46,13 @@ canonical form.  In between, a numerator is packed by Kronecker
 substitution at a base ``2^w``: :func:`pack_numerator` makes its real and
 its imaginary coefficients one int each, ``sum c_k 2^(w k)``, and records a
 bound on their bit length, which stays below ``w - 1`` so the balanced
-digits unpack uniquely (:func:`unpack_numerator`); :func:`rebase_numerator`
-moves a packing to another base.  ``_kmul`` and ``_ksum`` are the packed
-product and n-ary sum, each deriving its result's bound and raising
-:class:`BaseOverflow` rather than use a value whose bound reaches
-``w - 1``, and ``_kreduced`` divides out the content gcd.  ``_conv``,
+digits unpack uniquely (:func:`unpack_numerator`), and the base itself.
+:func:`packing_base` is the ladder of bases a bound is stored at, and
+:func:`rebase_numerator` moves a packing to another base.  ``_kmul`` and
+``_ksum`` are the packed product and n-ary sum; each derives its result's
+bound and takes the result at the widest base of its operands, or at the
+ladder's base for its bound where that does not hold it, so no digit ever
+wraps.  ``_kreduced`` divides out the content gcd.  ``_conv``,
 ``_combine`` and ``_reduced`` are the same operations on integer lists,
 which :class:`Polynomial` uses (and the reduction, ``_reduced``, for the
 digits of its gauge parameters).
@@ -974,7 +976,7 @@ def lift_numerator(f: RationalFunction, frame, k: int):
     """The raw numerator ``(re, im, den)`` of f over ``L^k`` (see
     :func:`pole_frame`); every pole of f must lie in the frame with order
     at most k times its own.  A computation packs it with
-    :func:`pack_numerator` at a base whose ``w - 1`` exceeds its
+    :func:`pack_numerator`, by default at :func:`packing_base` of its
     :func:`numerator_bits`."""
     own = dict(f.poles)
     num = f.num
@@ -993,8 +995,8 @@ def lower_numerator(raw, frame, k: int) -> RationalFunction:
     """``num / L^k`` in canonical form for the raw numerator ``(re, im,
     den)``: the inverse of :func:`lift_numerator`, by one normalization and
     a strip test at each pole of the frame.  A packed numerator is lowered
-    through :func:`unpack_numerator` at its base, which its bound below
-    ``w - 1`` makes exact."""
+    through :func:`unpack_numerator`, which its bound below ``w - 1`` makes
+    exact."""
     num = _make(*raw)
     if not num.re:
         return _RFZERO
@@ -1006,25 +1008,36 @@ def lower_numerator(raw, frame, k: int) -> RationalFunction:
     return RationalFunction(num, tuple(out))
 
 
-class BaseOverflow(ArithmeticError):
-    """A packed result's coefficient bound reached ``w - 1``: the base
-    ``2^w`` is too narrow to unpack it, or to tell it from zero.  ``bound``
-    is the bound that did; the caller recomputes at a wider base."""
-
-    def __init__(self, bound):
-        super().__init__(bound)
-        self.bound = bound
+# the ladder of bases: a bound needs w >= bound + 2, and w is the least
+# multiple of 2^max(_COARSE, bitlen(bound + 2) - _FINE) that holds it
+_COARSE = 6
+_FINE = 3
 
 
-# the packed zero: (pr, pi, den, bound, n)
-_KZERO = (0, 0, 1, 0, 0)
+def packing_base(bound: int) -> int:
+    """The base exponent ``w`` at which a packed value whose digits have
+    fewer than ``bound`` bits is stored: the least rung of a ladder with
+    ``bound < w - 1``.  The rungs are the multiples of 64 up to 512 and
+    then four to the octave (640, 768, 896, 1024, 1280, ...): above 512
+    bits a bound fills more than four fifths of its base, and below it a
+    value changes base at most every 64 bits, since there a move between
+    bases costs more than the padding it saves."""
+    need = bound + 2
+    step = 1 << max(_COARSE, need.bit_length() - _FINE)
+    return -(-need // step) * step
 
 
-@functools.lru_cache(maxsize=4096)
-def _bias(nb, n, m=None):
-    """``sum_k 2^(8 m - 1) 2^(8 nb k)`` over k < n, with ``m = nb`` by
-    default: the half of an m-byte digit in each of n digits of nb bytes."""
-    m = nb if m is None else m
+# the packed zero: (pr, pi, den, bound, n, w); callers skip zeros before
+# any product
+_KZERO = (0, 0, 1, 0, 0, 1 << _COARSE)
+
+
+# cached: for a small value, building its bias costs about as much as
+# the pack, unpack or move that needs it
+@functools.lru_cache(maxsize=256)
+def _bias(nb, n, m):
+    """``sum_k 2^(8 m - 1) 2^(8 nb k)`` over k < n: the half of an m-byte
+    digit in each of n digits of nb bytes."""
     return int.from_bytes((b"\0" * (nb - m) + b"\x80" + b"\0" * (m - 1))
                           * n)
 
@@ -1040,13 +1053,13 @@ def numerator_bits(raw) -> int:
     return top.bit_length()
 
 
-def pack_numerator(raw, w: int):
+def pack_numerator(raw, w: int | None = None):
     """The raw numerator ``(re, im, den)`` packed at the base ``2^w``:
-    ``(pr, pi, den, bound, n)``, where ``pr = sum re[k] 2^(w k)`` and ``pi``
-    likewise (0 when every imaginary part is), ``n = len(re)`` and every
-    numerator has fewer than ``bound`` bits, here exactly.  ``w`` is a
-    multiple of 8; a numerator of ``w - 1`` or more bits raises
-    :class:`BaseOverflow`.
+    ``(pr, pi, den, bound, n, w)``, where ``pr = sum re[k] 2^(w k)`` and
+    ``pi`` likewise (0 when every imaginary part is), ``n = len(re)`` and
+    every numerator has fewer than ``bound`` bits, here exactly.  ``w``
+    defaults to :func:`packing_base` of the bound; a given ``w`` must be a
+    multiple of 8 with ``bound < w - 1``.
 
     Each digit is biased by ``2^(w-1)`` into ``[0, 2^w)`` and written with
     one ``to_bytes``, and the whole is read with one ``from_bytes`` and
@@ -1057,30 +1070,32 @@ def pack_numerator(raw, w: int):
     if not re:
         return _KZERO
     b = numerator_bits(raw)
-    if b >= w - 1:
-        raise BaseOverflow(b)
+    if w is None:
+        w = packing_base(b)
+    elif b >= w - 1:
+        raise ValueError(f"a {b}-bit digit does not fit the base 2^{w}")
     n = len(re)
     nb = w >> 3
     h = 1 << (w - 1)
-    bias = _bias(nb, n)
+    bias = _bias(nb, n, nb)
     pr = int.from_bytes(b"".join([(c + h).to_bytes(nb)
                                   for c in reversed(re)])) - bias
     pi = 0 if im is None else int.from_bytes(
         b"".join([(c + h).to_bytes(nb) for c in reversed(im)])) - bias
-    return pr, pi, den, b, n
+    return pr, pi, den, b, n, w
 
 
-def unpack_numerator(x, w: int):
+def unpack_numerator(x):
     """The raw numerator ``(re, im, den)`` of the packed ``x`` (see
     :func:`pack_numerator`), with trailing zeros trimmed and ``im`` None
     when every imaginary part is zero.  The digits are read back from the
     bytes of the biased value, one ``from_bytes`` each."""
-    pr, pi, den, _b, n = x
+    pr, pi, den, _b, n, w = x
     if not pr and not pi:
         return (), None, 1
     nb = w >> 3
     h = 1 << (w - 1)
-    bias = _bias(nb, n)
+    bias = _bias(nb, n, nb)
     size = n * nb
     fb = int.from_bytes
     data = (pr + bias).to_bytes(size)
@@ -1100,81 +1115,98 @@ def unpack_numerator(x, w: int):
     return re, im, den
 
 
-def rebase_numerator(x, w: int, w2: int):
-    """The packed ``x`` moved from the base ``2^w`` to ``2^w2``, as bytes:
-    with ``m`` the smaller of the two digit sizes in bytes, biasing each
-    digit by ``2^(8 m - 1)`` puts it in ``[0, 2^(8 m))``, so its last m
-    bytes are copied into a digit of the new size and unbiased there.  A
-    bound of ``w2 - 1`` or more raises :class:`BaseOverflow`."""
-    pr, pi, den, b, n = x
-    if w2 == w or not (pr or pi):
+def rebase_numerator(x, w2: int):
+    """The packed ``x`` moved to the base ``2^w2``, which must hold its
+    bound (see ``_moved``)."""
+    pr, pi, den, b, n, w = x
+    if w2 == w:
         return x
     if b >= w2 - 1:
-        raise BaseOverflow(b)
+        raise ValueError(f"a {b}-bit digit does not fit the base 2^{w2}")
+    return _moved(pr, n, w, w2), _moved(pi, n, w, w2), den, b, n, w2
+
+
+def _moved(p, n, w, w2):
+    """``p = sum c_k 2^(w k)`` of n digits as ``sum c_k 2^(w2 k)``, as
+    bytes: with ``m`` the smaller of the two digit sizes in bytes, biasing
+    each digit by ``2^(8 m - 1)`` puts it in ``[0, 2^(8 m))``, so its last
+    m bytes are copied into a digit of the new size and unbiased there."""
+    if not p:
+        return 0
     nb, nb2 = w >> 3, w2 >> 3
     m = min(nb, nb2)
-    bias, bias2 = _bias(nb, n, m), _bias(nb2, n, m)
-    pad = b"\0" * (nb2 - m)
     size = n * nb
-
-    def moved(p):
-        data = (p + bias).to_bytes(size)
-        return int.from_bytes(pad.join([data[k - m:k]
-                                        for k in range(nb, size + 1, nb)])
-                              ) - bias2
-
-    return moved(pr), moved(pi) if pi else 0, den, b, n
+    data = (p + _bias(nb, n, m)).to_bytes(size)
+    return int.from_bytes((b"\0" * (nb2 - m)).join(
+        [data[k - m:k] for k in range(nb, size + 1, nb)])) - _bias(nb2, n, m)
 
 
-def _kmul(x, y, w: int):
-    """The packed product of two packed numerators at the base ``2^w``:
-    one integer product for real data, three for Gaussian data.  A
-    coefficient of the product is a sum of at most ``t = min(n_x, n_y)``
-    products (twice as many for two Gaussian factors), so its bound is
-    ``b_x + b_y + ceil(log2 t)``; at ``w - 1`` or above it raises
-    :class:`BaseOverflow`."""
-    xr, xi, xd, xb, xn = x
-    yr, yi, yd, yb, yn = y
+def _kmul(x, y):
+    """The packed product of two nonzero packed numerators: one integer
+    product for real data, three for Gaussian data.  A coefficient of the
+    product is a sum of at most ``t = min(n_x, n_y)`` products (twice as
+    many for two Gaussian factors), so its bound is ``b_x + b_y +
+    ceil(log2 t)``.  The product is taken at the wider of the operands'
+    bases, or at :func:`packing_base` of its bound where that does not
+    hold it, and an operand at another base is moved there first, so no
+    digit ever wraps."""
+    xr, xi, xd, xb, xn, xw = x
+    yr, yi, yd, yb, yn, yw = y
     t = xn if xn < yn else yn
+    if xi and yi:
+        t += t
+    b = xb + yb + (t - 1).bit_length()
+    w = xw if xw > yw else yw
+    if b >= w - 1:
+        w = packing_base(b)
+    if xw != w:
+        xr, xi = rebase_numerator(x, w)[:2]
+    if yw != w:
+        yr, yi = rebase_numerator(y, w)[:2]
     if xi and yi:
         rr = xr * yr
         ii = xi * yi
         zr, zi = rr - ii, (xr + xi) * (yr + yi) - rr - ii
-        t += t
     else:
         zr = xr * yr
         zi = xr * yi if yi else xi * yr
-    b = xb + yb + (t - 1).bit_length()
-    if b >= w - 1:
-        raise BaseOverflow(b)
-    return zr, zi, xd * yd, b, xn + yn - 1
+    return zr, zi, xd * yd, b, xn + yn - 1, w
 
 
-def _ksum(items, w: int):
+def _ksum(items, w=None):
     """The packed sum of ``s * x`` over the ``(Scalar s, packed x)``
-    items at the base ``2^w``, over the lcm of the ``s.q * den``; the
-    packed counterpart of ``_combine``, with the same shortcut for a single
-    item with a real scalar.  Item k scaled to that denominator is
-    ``(a + c sqrt(-1)) x``, whose coefficients are below
-    ``(|a| + |c|) 2^(b_x)``; the bound of the sum adds ``ceil(log2 items)``
-    to the largest of those.  At ``w - 1`` or above it raises
-    :class:`BaseOverflow`; a zero sum is the packed zero."""
+    items, over the lcm of the ``s.q * den``; the packed counterpart of
+    ``_combine``, with the same shortcut for a single item with a real
+    scalar.  Item k scaled to that denominator is ``(a + c sqrt(-1)) x``,
+    whose coefficients are below ``(|a| + |c|) 2^(b_x)``; the bound of the
+    sum adds ``ceil(log2 items)`` to the largest of those.  The sum is
+    taken at the base ``2^w``, by default the widest of the items' bases,
+    with the narrower items moved there; where that does not hold its
+    bound, the sum is taken again at :func:`packing_base` of the bound, so
+    no digit ever wraps.  A zero sum is the packed zero."""
     if not items:
         return _KZERO
-    if len(items) == 1:
+    if len(items) == 1 and w is None:
         s, x = items[0]
         r, q = s.r, s.q
         if not s.i:
             if r == q:
                 return x
             b = x[3] + abs(r).bit_length()
-            if b >= w - 1:
-                raise BaseOverflow(b)
-            return r * x[0], r * x[1], q * x[2], b, x[4]
+            if b >= x[5] - 1:
+                x = rebase_numerator(x, packing_base(b))
+            return r * x[0], r * x[1], q * x[2], b, x[4], x[5]
     den = math.lcm(*[s.q * x[2] for s, x in items])
+    if w is None:
+        w = items[0][1][5]
     zr = zi = 0
     top = n = 0
-    for s, (pr, pi, d, b, m) in items:
+    for s, x in items:
+        pr, pi, d, b, m, xw = x
+        if xw != w:
+            if xw > w:
+                return _ksum(items, max([x[5] for _s, x in items]))
+            pr, pi = rebase_numerator(x, w)[:2]
         f = den // (s.q * d)
         a = s.r * f
         c = s.i * f
@@ -1192,26 +1224,26 @@ def _ksum(items, w: int):
             n = m
     b = top + (len(items) - 1).bit_length()
     if b >= w - 1:
-        raise BaseOverflow(b)
+        # the digits may have wrapped: sum again at a base that holds them
+        return _ksum(items, packing_base(b))
     if not zr and not zi:
         return _KZERO
-    return zr, zi, den, b, n
+    return zr, zi, den, b, n, w
 
 
-def _kreduced(x, w: int):
+def _kreduced(x):
     """The packed ``x`` divided by the gcd of its denominator and every
     numerator: the packed counterpart of ``_reduced``.  When the
     denominator is coprime to both packed ints, no common divisor exists
     and x is returned as it is, without reading its digits; else they are
-    read, and the result
-    carries their exact bit length as its bound and their exact length.
-    The packed ints are divided as they stand, since the gcd divides every
+    read, and the result carries their exact bit length as its bound and
+    their exact length.  The packed ints are divided as they stand, since the gcd divides every
     digit."""
-    pr, pi, den, _b, _n = x
+    pr, pi, den, _b, _n, w = x
     if math.gcd(den, pr, pi) == 1:
         # every common divisor of den and the digits divides den, pr, pi
         return x
-    re, im, den = unpack_numerator(x, w)
+    re, im, den = unpack_numerator(x)
     if im is None:
         g = math.gcd(den, *re)
         top = max(map(abs, re))
@@ -1223,7 +1255,7 @@ def _kreduced(x, w: int):
         pi //= g
         den //= g
         top //= g
-    return pr, pi, den, top.bit_length(), len(re)
+    return pr, pi, den, top.bit_length(), len(re), w
 
 
 def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):

@@ -34,25 +34,30 @@ zero again.
 Inside the reduction a numerator is packed (Kronecker substitution): its
 real and its imaginary coefficients are each one Python int
 ``sum c_k 2^(w k)`` with balanced digits, held as ``(pr, pi, den, bound,
-n)`` beside a proven bound on the bit length of every digit.  A product
-of two numerators is then one integer product (three for Gaussian data)
-and a sum ``sum (r f) x`` over the lcm denominator, so CPython's integer
-arithmetic does the coefficient loops.  Each product and sum derives its
-result's bound from its operands', and the invariant is bound < w - 1:
-every digit then lies strictly inside ``(-2^(w-1), 2^(w-1))``, so a value
-unpacks uniquely and is zero exactly when both ints are.  One base serves
-a whole gauge step; it is chosen from the exact bit lengths of the step's
-inputs and an estimate of their growth, and an operation whose bound
-would reach w - 1 raises ``BaseOverflow``, upon which the step, a pure
-function of its inputs, is computed again at a wider base, so no wrapped
-value is ever used.  Values are unpacked only to take the content gcd,
-for the parameter m (whose derivative and lowering read its digits) and
-at the final lowering: once per gauge step the parameter's numerators and
-the step's results are divided by their content gcd, so that unreduced
-denominators do not compound from step to step at large cutoffs.  Each
-v_j and each gauge factor entry is normalized once, when it is lowered to
-its canonical rational function at the end.  The public
-``gauge_transform`` stays on rational functions.
+n, w)`` beside a proven bound on the bit length of every digit and the
+base it is packed at.  A product of two numerators is then one integer
+product (three for Gaussian data) and a sum ``sum (r f) x`` over the lcm
+denominator, so CPython's integer arithmetic does the coefficient loops.
+Each product and sum derives its result's bound from its operands', and
+the invariant is bound < w - 1: every digit then lies strictly inside
+``(-2^(w-1), 2^(w-1))``, so a value unpacks uniquely and is zero exactly
+when both ints are.  Every value carries its own base, a rung of the
+ladder ``coeffs.packing_base``: an operation is taken at the widest base
+of its operands, or where that does not hold its bound at the ladder's
+base for the bound, and its narrower operands are moved there first.  An
+operand's digits always fit its own base, so moving it is exact and no
+wrapped value is ever used.  The products of a bracket into one grade
+share one base, so each operand moves at most once per bracket.  A base
+thus follows the digits it holds: the grades of a step, whose
+coefficients grow with the grade, are not padded to the widest of them.
+Values are unpacked only to take the content gcd, for the parameter m
+(whose derivative and lowering read its digits) and at the final
+lowering: once per gauge step the parameter's numerators and the step's
+results are divided by their content gcd, so that unreduced denominators
+do not compound from step to step at large cutoffs.  Each v_j and each
+gauge factor entry is normalized once, when it is lowered to its
+canonical rational function at the end.  The public ``gauge_transform``
+stays on rational functions.
 
 Higher coefficients are fixed only up to the residual gauge freedom
 v_j -> v_j - (f' - (j phi / h_dual) f); ``twisted_class`` reduces v_j to its
@@ -65,11 +70,12 @@ from __future__ import annotations
 import math
 
 from .affine_algebra import AlgebraModel, GradedVector
-from .coeffs import (_KZERO, BaseOverflow, Polynomial, RationalFunction,
-                     Scalar, _derivative, _kmul, _kreduced, _ksum, _reduced,
+from .coeffs import (_KZERO, Polynomial, RationalFunction, Scalar,
+                     _derivative, _kmul, _kreduced, _ksum, _reduced,
                      lift_numerator, lower_numerator, numerator_bits,
-                     pack_numerator, partial_fractions, pole_frame,
-                     rebase_numerator, recombine, unpack_numerator)
+                     pack_numerator, packing_base, partial_fractions,
+                     pole_frame, rebase_numerator, recombine,
+                     unpack_numerator)
 
 __all__ = [
     "Connection",
@@ -85,9 +91,9 @@ __all__ = [
 ]
 
 
-# packed numerators (pr, pi, den, bound, length): see the module docstring;
-# the packed 1 is the same at every base
-_KONE = (1, 0, 1, 1, 1)
+# packed numerators (pr, pi, den, bound, length, base): see the module
+# docstring; the packed 1 is the same int at every base
+_KONE = pack_numerator(((1,), None, 1))
 _SONE = Scalar(1, 0, 1)
 
 
@@ -237,10 +243,10 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     or below it and are dropped on entry.
 
     Between ``lift_numerator`` and ``lower_numerator`` the numerators are
-    packed at a base 2^w chosen per gauge step, and every packed value
-    keeps bound < w - 1; a step whose bound would reach w - 1 is computed
-    again from the same inputs at a wider base, so no wrapped value is
-    ever used.
+    packed, each at a base 2^w from the ladder ``packing_base``, and every
+    packed value keeps bound < w - 1.  A product or sum whose bound would
+    reach the base of its operands is taken at a wider base, to which its
+    operands are moved first, so no wrapped value is ever used.
     """
     model = conn.model
     K = model.cutoff
@@ -255,41 +261,21 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
                     orders[p] = c
     frame = pole_frame(orders)
     L = lift_numerator(RationalFunction.one(), frame, 1)
-    # L, L', rho's numerator R and the center's, packed again at each base
-    consts = (L, (*_derivative(L[0], L[1]), L[2]),
-              lift_numerator(u.rho, frame, 1),
-              lift_numerator(u.delta, frame, 1))
-    raw = {g: [lift_numerator(f, frame, g + 1) for f in comp]
+    # L, L', rho's numerator R and the center's
+    consts = [pack_numerator(x) for x in (
+        L, (*_derivative(L[0], L[1]), L[2]), lift_numerator(u.rho, frame, 1),
+        lift_numerator(u.delta, frame, 1))]
+    cur = {g: [pack_numerator(lift_numerator(f, frame, g + 1)) for f in comp]
            for g, comp in parts.items()}
-    w = _base(max(numerator_bits(x) for xs in (consts, *raw.values())
-                  for x in xs), 0)
-    cur = {g: [pack_numerator(x, w) for x in xs] for g, xs in raw.items()}
-    packed = [pack_numerator(x, w) for x in consts]
     vnum = {}
     steps = []
     for n in range(0, K + 1):
-        floor = 0
-        while True:
-            try:
-                vx, mraw = _grade_rows(model, w, packed, cur, n)
-                if mraw is not None:
-                    w2 = max(_base(_step_bound(cur, mraw, n + 1, K), w), floor)
-                    if w2 != w:
-                        cur, packed = _rebased(cur, consts, w, w2)
-                        w = w2
-                    new = _gauge_step(model, w, packed, cur, n + 1, mraw)
-                break
-            except BaseOverflow as e:
-                # a wider base for the same inputs: the bounds do not
-                # depend on the base, so the floor rises until none fails
-                floor = _base(e.bound + e.bound // 4 + 16, 0)
-                cur, packed = _rebased(cur, consts, w, floor)
-                w = floor
+        vx, mraw = _grade_rows(model, consts, cur, n)
         if vx is not None:
             vnum[n] = vx
         if mraw is not None:
             steps.append((n + 1, mraw))
-            cur = new
+            cur = _gauge_step(model, consts, cur, n + 1, mraw)
     zero = RationalFunction.zero()
     v = {n: lower_numerator(x, frame, n + 1) for n, x in vnum.items()}
     factors = [GradedVector(model, {a: [lower_numerator(x, frame, a)
@@ -301,37 +287,7 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     return QuasiCanonicalForm(model, conn.phi, v, factors, conn.u.truncated)
 
 
-def _base(bits, w):
-    """The base exponent for values whose bound reaches ``bits``: the
-    current ``w`` while it holds them and wastes at most a quarter, else a
-    new multiple of 8 with an eighth to spare."""
-    if bits + 1 < w <= bits + bits // 4 + 32:
-        return w
-    return -(-(bits + bits // 8 + 16) // 8) * 8
-
-
-def _step_bound(cur, mraw, a, K):
-    """An estimate of the largest bound a gauge step of grade a reaches:
-    each grade b of u (and p_-1) can be bracketed (K - b) // a times by m,
-    each adding about the bits of m."""
-    bm = max(map(numerator_bits, mraw)) + 5
-    est = 1 + (K + 1) // a * bm
-    for b, xs in cur.items():
-        e = max(x[3] for x in xs) + (K - b) // a * bm
-        if e > est:
-            est = e
-    return est
-
-
-def _rebased(cur, consts, w, w2):
-    """``cur`` moved from the base 2^w to 2^w2, and the raw ``consts``
-    packed at 2^w2."""
-    return ({g: [rebase_numerator(x, w, w2) for x in xs]
-             for g, xs in cur.items()},
-            [pack_numerator(x, w2) for x in consts])
-
-
-def _grade_rows(model, w, consts, cur, n):
+def _grade_rows(model, consts, cur, n):
     """The raw v_n (None when n is not an exponent) and the raw numerators
     of the grade-(n+1) gauge parameter, divided by their content gcd (None
     when it vanishes), from the grade-n numerators of ``cur``."""
@@ -341,20 +297,19 @@ def _grade_rows(model, w, consts, cur, n):
     vrow, mrows = model.gauge_step_rows(n)
     if vrow is not None:
         mrows = (vrow,) + mrows
-    sums = [_ksum([(s, comp[j]) for j, s in row if comp[j][0] or comp[j][1]],
-                  w)
+    sums = [_ksum([(s, comp[j]) for j, s in row if comp[j][0] or comp[j][1]])
             for row in mrows]
-    vx = None if vrow is None else unpack_numerator(sums.pop(0), w)
-    mraw = [_reduced(*unpack_numerator(x, w)) for x in sums]
+    vx = None if vrow is None else unpack_numerator(sums.pop(0))
+    mraw = [_reduced(*unpack_numerator(x)) for x in sums]
     if not any(x[0] for x in mraw):
         return vx, None
     return vx, mraw
 
 
-def _gauge_step(model, w, consts, cur, a, mraw):
+def _gauge_step(model, consts, cur, a, mraw):
     """exp(m) applied to the packed numerators ``cur`` (grade g over
-    L^(g+1)), for m of grade a with raw numerators ``mraw`` over L^a, all
-    packed at the base 2^w.  Mirrors ``_gauge_u``:
+    L^(g+1)), for m of grade a with raw numerators ``mraw`` over L^a.
+    Mirrors ``_gauge_u``:
 
         u + sum_k ad_m^k/k! (p_-1 + u + rho) - sum_k ad_m^(k-1)/k! (m');
 
@@ -362,52 +317,81 @@ def _gauge_step(model, w, consts, cur, a, mraw):
     """
     K = model.cutoff
     L, dL, R = consts[:3]
-    mnum = [pack_numerator(x, w) for x in mraw]
+    m = _Parameter(mraw)
+    mnum = m.at(packing_base(m.bound))
     acc = {g: [[(_SONE, x)] if x[0] or x[1] else [] for x in xs]
            for g, xs in cur.items() if g >= a - 1}
     # [m, p_-1 + u + rho]: p_-1 is the numerator 1 at each grade -1 slot,
     # and [m, rho] = -a m rho
     pminus = [_KONE] * model.dim_loop(-1)
-    slots = _ad(model, w, a, mnum, {-1: pminus, **cur}, K)
+    slots = _ad(model, a, m, {-1: pminus, **cur}, K)
     ma = slots.setdefault(a, [[] for _ in mnum])
     if R[0] or R[1]:
         s = Scalar(-a, 0, 1)
         for t, x in zip(ma, mnum):
             if x[0] or x[1]:
-                t.append((s, _kmul(x, R, w)))
-    term, k = _summed(slots, w), 1
+                t.append((s, _kmul(x, R)))
+    term, k = _summed(slots), 1
     while term:
         _collect(acc, term, Scalar(1, 0, math.factorial(k)))
         k += 1
-        term = _summed(_ad(model, w, a, mnum, term, K), w)
+        term = _summed(_ad(model, a, m, term, K))
     # m' = (N' L - a N L') / L^(a+1), then its brackets
     s = Scalar(-a, 0, 1)
     dm = []
     for (re, im, den), x in zip(mraw, mnum):
         terms = []
         if len(re) > 1:
-            dx = pack_numerator((*_derivative(re, im), den), w)
-            terms.append((_SONE, _kmul(dx, L, w)))
+            dx = pack_numerator((*_derivative(re, im), den))
+            terms.append((_SONE, _kmul(dx, L)))
         if re and (dL[0] or dL[1]):
-            terms.append((s, _kmul(x, dL, w)))
-        dm.append(_ksum(terms, w))
+            terms.append((s, _kmul(x, dL)))
+        dm.append(_ksum(terms))
     term, k = ({a: dm} if any(x[0] or x[1] for x in dm) else {}), 1
     while term:
         _collect(acc, term, Scalar(-1, 0, math.factorial(k)))
         k += 1
-        term = _summed(_ad(model, w, a, mnum, term, K), w)
+        term = _summed(_ad(model, a, m, term, K))
     out = {g: xs for g, xs in cur.items() if g < a - 1}
     # one content gcd per rewritten numerator and step, so that unreduced
     # denominators do not compound over the steps; where it unpacks, the
     # bound becomes exact again
-    for g, xs in _summed(acc, w).items():
-        out[g] = [_kreduced(x, w) for x in xs]
+    for g, xs in _summed(acc).items():
+        out[g] = [_kreduced(x) for x in xs]
     return out
 
 
-def _ad(model, w, a, mnum, x, K):
-    """The term lists of [m, x] per grade <= K and slot, for m of grade a
-    and packed numerators; the center is left out."""
+class _Parameter:
+    """The raw numerators of a gauge parameter, packed at each base a
+    product asks for, once per base."""
+
+    __slots__ = ("raw", "bound", "product_bits", "_at")
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.bound = max(map(numerator_bits, raw))
+        # the bound of _kmul less the other factor's, with m's length for
+        # the number of terms of a coefficient
+        t = max(len(re) for re, _im, _den in raw)
+        if any(im is not None for _re, im, _den in raw):
+            t += t
+        self.product_bits = self.bound + (t - 1).bit_length()
+        self._at = {}
+
+    def at(self, w):
+        xs = self._at.get(w)
+        if xs is None:
+            xs = self._at[w] = [pack_numerator(x, w) for x in self.raw]
+        return xs
+
+
+def _ad(model, a, m, x, K):
+    """The term lists of [m, x] per grade <= K and slot, for the gauge
+    parameter m of grade a (a ``_Parameter``) and packed numerators x; the
+    center is left out.  The products into one grade are all taken at one
+    base: the widest of their operands', or the base of the largest
+    product bound where that does not hold it, so each operand is moved
+    between bases at most once."""
     slots = {}
     for b, xb in x.items():
         g = a + b
@@ -416,6 +400,16 @@ def _ad(model, w, a, mnum, x, K):
         rows = model.loop_bracket_rows(a, b)
         if not rows:
             continue
+        # a bound of every product of the grade (a zero has bound 0 and
+        # the narrowest base)
+        ws = [y[5] for y in xb]
+        bound = m.product_bits + max([y[3] for y in xb])
+        w = max(ws)
+        if bound >= w - 1:
+            w = packing_base(bound)
+        if min(ws) != w:
+            xb = [y if y[5] == w else rebase_numerator(y, w) for y in xb]
+        mnum = m.at(w)
         tv = slots.get(g)
         if tv is None:
             tv = slots[g] = [[] for _ in range(model.dim_loop(g))]
@@ -427,7 +421,7 @@ def _ad(model, w, a, mnum, x, K):
                 y = xb[j]
                 if not (y[0] or y[1]):
                     continue
-                z = _kmul(mx, y, w)
+                z = _kmul(mx, y)
                 for idx, s in terms:
                     tv[idx].append((s, z))
     return slots
@@ -443,11 +437,11 @@ def _collect(acc, term, s):
                 t.append((s, x))
 
 
-def _summed(slots, w):
+def _summed(slots):
     """Each slot's packed n-ary sum, with the all-zero grades left out."""
     out = {}
     for g, tv in slots.items():
-        xs = [_ksum(t, w) for t in tv]
+        xs = [_ksum(t) for t in tv]
         if any(x[0] or x[1] for x in xs):
             out[g] = xs
     return out

@@ -711,7 +711,6 @@ def test_derivative_of_a_moved_function_matches_the_quotient_rule(mobius):
 # ------------------------------------------------------ packed numerators
 
 from affopers.coeffs import (  # noqa: E402
-    BaseOverflow,
     _combine,
     _conv,
     _kmul,
@@ -720,6 +719,7 @@ from affopers.coeffs import (  # noqa: E402
     _reduced,
     numerator_bits,
     pack_numerator,
+    packing_base,
     rebase_numerator,
     unpack_numerator,
 )
@@ -763,6 +763,16 @@ layout_raw_st = raw_st().map(lambda raw: _trimmed(*raw)).filter(
     lambda raw: bool(raw[0]))
 
 
+def test_packing_base_holds_the_bound_on_a_ladder():
+    for bound in range(0, 5000):
+        w = packing_base(bound)
+        assert w % 8 == 0 and bound < w - 1
+        # above 512 bits, a bound fills more than four fifths of its base
+        assert w <= 512 or 5 * (bound + 2) > 4 * w
+    assert [packing_base(b) for b in (0, 62, 63, 126, 510, 511, 638)] == [
+        64, 64, 128, 128, 512, 640, 640]
+
+
 @settings(max_examples=100, deadline=None)
 @given(raw_st(), st.integers(min_value=0, max_value=40))
 def test_pack_round_trips(raw, extra):
@@ -771,8 +781,11 @@ def test_pack_round_trips(raw, extra):
     x = pack_numerator(raw, w)
     assert x[0] == sum(c << (w * k) for k, c in enumerate(re))
     assert x[3] == numerator_bits(raw) < w - 1
-    assert unpack_numerator(x, w) == _trimmed(re, im, den)
+    assert x[5] == w
+    assert unpack_numerator(x) == _trimmed(re, im, den)
     assert bool(x[0] or x[1]) == any(re + (im or []))
+    # by default at the ladder's base for the bound
+    assert pack_numerator(raw)[5] == packing_base(numerator_bits(raw))
 
 
 def test_pack_edges():
@@ -783,15 +796,15 @@ def test_pack_edges():
                 ([-1], None, 1),
                 ([0, 0, 0], [0, 2, -top], 5)):
         x = pack_numerator(raw, w)
-        assert unpack_numerator(x, w) == _trimmed(*raw)
+        assert unpack_numerator(x) == _trimmed(*raw)
     # a real part of zeros and a nonzero imaginary part is nonzero
     x = pack_numerator(([0, 0], [1, -2], 1), w)
     assert x[0] == 0 and x[1] and (x[0] or x[1])
-    assert unpack_numerator(x, w) == ([0, 0], [1, -2], 1)
-    assert _ksum([(Scalar(1, 0, 2), x)], w)[1]
-    assert unpack_numerator(_kreduced(x, w), w) == ([0, 0], [1, -2], 1)
+    assert unpack_numerator(x) == ([0, 0], [1, -2], 1)
+    assert _ksum([(Scalar(1, 0, 2), x)])[1]
+    assert unpack_numerator(_kreduced(x)) == ([0, 0], [1, -2], 1)
     # a digit of w - 1 bits does not fit
-    with pytest.raises(BaseOverflow):
+    with pytest.raises(ValueError):
         pack_numerator(([2 ** (w - 2)], None, 1), w)
 
 
@@ -801,11 +814,11 @@ def test_pack_edges():
 def test_rebase_equals_packing_at_the_new_base(raw, e1, e2):
     b = numerator_bits(raw)
     w, w2 = _base_for(b) + 8 * (e1 // 8), _base_for(b) + 8 * (e2 // 8)
-    assert (rebase_numerator(pack_numerator(raw, w), w, w2)
+    assert (rebase_numerator(pack_numerator(raw, w), w2)
             == pack_numerator(raw, w2))
     if b > 1:
-        with pytest.raises(BaseOverflow):
-            rebase_numerator(pack_numerator(raw, w), w, _base_for(b) - 8)
+        with pytest.raises(ValueError):
+            rebase_numerator(pack_numerator(raw, w), _base_for(b) - 8)
 
 
 def _product_bound(a, b):
@@ -816,34 +829,35 @@ def _product_bound(a, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(layout_raw_st, layout_raw_st)
-def test_packed_product_equals_conv(a, b):
+@given(layout_raw_st, layout_raw_st, st.integers(min_value=0, max_value=3))
+def test_packed_product_equals_conv(a, b, extra):
     bound = _product_bound(a, b)
-    w = _base_for(bound)
-    z = _kmul(pack_numerator(a, w), pack_numerator(b, w), w)
-    assert z[3] == bound
-    want = (*_conv(a[0], a[1], b[0], b[1]), a[2] * b[2])
-    assert unpack_numerator(z, w) == _trimmed(*want)
-    # one byte narrower and the product's bound reaches the base: it is
-    # refused, never wrapped
-    with pytest.raises(BaseOverflow):
-        _kmul(pack_numerator(a, w), pack_numerator(b, w), w - 8)
+    want = _trimmed(*_conv(a[0], a[1], b[0], b[1]), a[2] * b[2])
+    # at a common base that holds the product, the product stays there
+    w = _base_for(bound) + 8 * extra
+    z = _kmul(pack_numerator(a, w), pack_numerator(b, w))
+    assert z[3] == bound and z[5] == w
+    assert unpack_numerator(z) == want
+    # each operand at its own narrowest base: the product is taken at the
+    # wider of the two where that holds its bound, else at the ladder's
+    # base for it, and never wraps
+    x, y = (pack_numerator(r, _base_for(numerator_bits(r))) for r in (a, b))
+    z = _kmul(x, y)
+    wide = max(x[5], y[5])
+    assert z[5] == (wide if bound < wide - 1 else packing_base(bound))
+    assert unpack_numerator(z) == want
 
 
-def test_packed_product_at_the_base_refuses():
-    # coefficients one bit below the base square to a bound at 2w - 4, so
+def test_packed_product_at_the_base_widens():
+    # coefficients one bit below the base square to a bound at 2w - 3, so
     # the product's bound reaches w - 1 and must widen
     w = 64
     top = 2 ** (w - 2) - 1
     x = pack_numerator(([top, -top], None, 1), w)
-    with pytest.raises(BaseOverflow) as err:
-        _kmul(x, x, w)
-    assert err.value.bound >= w - 1
-    wide = 2 * w
-    z = _kmul(rebase_numerator(x, w, wide), rebase_numerator(x, w, wide),
-              wide)
-    assert unpack_numerator(z, wide) == ([top * top, -2 * top * top,
-                                          top * top], None, 1)
+    z = _kmul(x, x)
+    assert z[3] >= w - 1 and z[5] == packing_base(z[3]) > w
+    assert unpack_numerator(z) == ([top * top, -2 * top * top, top * top],
+                                   None, 1)
 
 
 scalar_st = st.builds(
@@ -854,21 +868,40 @@ scalar_st = st.builds(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(scalar_st, layout_raw_st), min_size=1,
-                max_size=5))
+@given(st.lists(st.tuples(scalar_st, layout_raw_st,
+                          st.integers(min_value=0, max_value=2)),
+                min_size=1, max_size=5))
 def test_packed_sum_equals_combine(terms):
-    terms = [(s, raw) for s, raw in terms if not s.is_zero]
+    # the items at mixed bases, each the narrowest for its digits or wider
+    terms = [(s, raw, e) for s, raw, e in terms if not s.is_zero]
     if not terms:
         return
-    den = math.lcm(*[s.q * raw[2] for s, raw in terms])
-    top = max((abs(s.r * den // (s.q * raw[2]))
-               + abs(s.i * den // (s.q * raw[2]))).bit_length()
-              + numerator_bits(raw) for s, raw in terms)
-    w = _base_for(top + (len(terms) - 1).bit_length())
-    got = _ksum([(s, pack_numerator(raw, w)) for s, raw in terms], w)
-    want = _combine([(s.r, s.i, s.q, *raw) for s, raw in terms])
-    assert unpack_numerator(got, w) == _trimmed(*want)
+    items = [(s, pack_numerator(raw, _base_for(numerator_bits(raw)) + 64 * e))
+             for s, raw, e in terms]
+    got = _ksum(items)
+    want = _combine([(s.r, s.i, s.q, *raw) for s, raw, _e in terms])
+    assert unpack_numerator(got) == _trimmed(*want)
     assert bool(got[0] or got[1]) == bool(want[0])
+    if got[0] or got[1]:
+        assert got[3] < got[5] - 1
+        assert got[5] >= max(x[5] for _s, x in items)
+
+
+def test_packed_sum_at_the_base_widens():
+    # two digits of w - 2 bits sum to w - 1 bits: the sum is taken again
+    # at a wider base, and no digit wraps
+    w = 64
+    top = 2 ** (w - 2) - 1
+    raw = ([top, -top, 3], None, 1)
+    x = pack_numerator(raw, w)
+    one = Scalar(1, 0, 1)
+    got = _ksum([(one, x), (one, x)])
+    assert got[5] == packing_base(got[3]) > w
+    assert unpack_numerator(got) == ([2 * top, -2 * top, 6], None, 1)
+    # a single item scaled past the base widens too
+    got = _ksum([(Scalar(3, 0, 1), x)])
+    assert got[5] > w
+    assert unpack_numerator(got) == ([3 * top, -3 * top, 9], None, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -878,8 +911,12 @@ def test_packed_content_gcd_equals_reduced(raw, k):
     re, im, den = raw
     raw = ([k * c for c in re], None if im is None else [k * c for c in im],
            k * den)
-    w = _base_for(numerator_bits(raw))
-    got = _kreduced(pack_numerator(raw, w), w)
+    w = _base_for(numerator_bits(raw)) + 64
+    got = _kreduced(pack_numerator(raw, w))
     want = _reduced(*_trimmed(*raw))
-    assert unpack_numerator(got, w) == _trimmed(*want)
+    assert unpack_numerator(got) == _trimmed(*want)
     assert got[3] >= numerator_bits(want)
+    assert got[5] == w
+    if k > 1:
+        # the digits were read: the bound is exact
+        assert got[3] == numerator_bits(want)

@@ -295,26 +295,35 @@ def test_reduction_runs_on_numerators_alone(a1, a2, monkeypatch):
 def test_wide_rationals_widen_the_base_and_match_the_replay(
         a1, a2, monkeypatch):
     # Weights of about 200 bits (100-bit numerators over 100-bit
-    # denominators) make the lcm of the series' sums outgrow the base a
-    # step chooses from the bits of its inputs, so steps are recomputed at
-    # a wider base.  The result must still be the unbounded replay's, and
-    # v_1 that of both closed forms.
+    # denominators) grow coefficients of thousands of bits, so products
+    # and sums outgrow the bases of their operands and widen, and some
+    # sums reach their items' base and are taken again at a wider one.
+    # The result must still be the unbounded replay's, and v_1 that of
+    # both closed forms.
     rng = random.Random(47)
 
     def big():
         return f"{rng.getrandbits(100) - 2 ** 99}/{rng.getrandbits(100) | 1}"
 
-    widenings = []
-    step = oper_core._gauge_step
+    moves, resums = [], []
+    rebase, ksum = coeffs.rebase_numerator, coeffs._ksum
 
-    def counted(*args):
-        try:
-            return step(*args)
-        except coeffs.BaseOverflow:
-            widenings.append(args[4])
-            raise
+    def counted_rebase(x, w2):
+        if x[0] or x[1]:
+            moves.append((x[5], w2))
+        return rebase(x, w2)
 
-    monkeypatch.setattr(oper_core, "_gauge_step", counted)
+    def counted_ksum(items, w=None):
+        # oper_core holds its own name for _ksum, so only the sums that
+        # _ksum itself takes again come through here; those at a base
+        # wider than every item's are the ones whose bound reached it
+        if w is not None and w > max(x[5] for _s, x in items):
+            resums.append(w)
+        return ksum(items, w)
+
+    monkeypatch.setattr(coeffs, "rebase_numerator", counted_rebase)
+    monkeypatch.setattr(oper_core, "rebase_numerator", counted_rebase)
+    monkeypatch.setattr(coeffs, "_ksum", counted_ksum)
     for model in (a1, a2):
         d = MiuraData.make(model, [
             (z, [big() for _ in range(model.rank)], big(), big())
@@ -329,7 +338,8 @@ def test_wide_rationals_widen_the_base_and_match_the_replay(
         for g in range(0, model.cutoff + 1):
             assert replayed.u.component(g) == want.u.component(g), g
         assert qc.v[1] == v1_direct(conn) == v1_predicted(d)
-    assert widenings
+    assert any(w2 > w for w, w2 in moves)
+    assert resums
 
 
 def test_center_coefficient_removed(a1):

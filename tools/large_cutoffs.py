@@ -49,9 +49,14 @@ def probe_data(rank, cutoff):
     return MiuraData.make(model, points, [("1/3", 1)])
 
 
+def rows_json(rows):
+    """The bytes a hash reads of ``regularity_check`` rows."""
+    return json.dumps(rows, sort_keys=True,
+                      default=lambda x: x.to_json()).encode()
+
+
 def rows_hash(rows):
-    text = json.dumps(rows, sort_keys=True, default=lambda x: x.to_json())
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(rows_json(rows)).hexdigest()
 
 
 def run_probe(name):

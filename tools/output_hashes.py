@@ -38,7 +38,7 @@ all seven lines as they were at its parent.  Each hash covers:
   gauge factors as for ``gauge``; then the ``regularity_check`` rows of the
   ``r1k40`` probe of ``tools/large_cutoffs.py``, written as for ``bethe``.
   These reductions grow coefficients of thousands of bits and take the
-  paths that widen a packed base.
+  paths that move values to wider packed bases.
 
 The case lists come from ``bench/workloads.py``; nothing under ``bench/``
 is written.  The run takes about a minute.
@@ -79,15 +79,19 @@ def reduce_hash():
     return h.hexdigest()
 
 
+def _gauge_json(qc):
+    """The bytes a hash reads of each gauge factor of ``qc``, in order."""
+    return b"".join(json.dumps([[g, [f.to_json() for f in comp]]
+                                for g, comp in sorted(m.parts.items())]
+                               ).encode() for m in qc.gauge)
+
+
 def gauge_hash():
     h = hashlib.sha256()
     for seed in SEEDS:
         w, cases = _cases(workloads.Reduce, seed)
         for case in cases:
-            for m in w.run(case).gauge:
-                h.update(json.dumps([[g, [f.to_json() for f in comp]]
-                                     for g, comp in sorted(m.parts.items())]
-                                    ).encode())
+            h.update(_gauge_json(w.run(case)))
     return h.hexdigest()
 
 
@@ -96,9 +100,8 @@ def bethe_hash():
     for seed in SEEDS:
         _w, cases = _cases(workloads.Bethe, seed)
         for case in cases:
-            rows = miura.regularity_check(case.data)
-            h.update(json.dumps(rows, sort_keys=True,
-                                default=lambda x: x.to_json()).encode())
+            h.update(large_cutoffs.rows_json(
+                miura.regularity_check(case.data)))
     return h.hexdigest()
 
 
@@ -165,6 +168,8 @@ def classes_hash():
 
 
 def _wide_data(rng, rank, cutoff):
+    # kept here rather than shared with the tests, so that the tool runs
+    # against the src of an older checkout too
     def big():
         return f"{rng.getrandbits(100) - 2 ** 99}/{rng.getrandbits(100) | 1}"
 
@@ -182,13 +187,9 @@ def wide_hash():
             qc = oper_core.quasi_canonicalize(
                 miura.build_miura(_wide_data(rng, rank, cutoff)))
             h.update(json.dumps(qc.to_json(), sort_keys=True).encode())
-            for m in qc.gauge:
-                h.update(json.dumps([[g, [f.to_json() for f in comp]]
-                                     for g, comp in sorted(m.parts.items())]
-                                    ).encode())
-    rows = miura.regularity_check(large_cutoffs.probe_data(1, 40))
-    h.update(json.dumps(rows, sort_keys=True,
-                        default=lambda x: x.to_json()).encode())
+            h.update(_gauge_json(qc))
+    h.update(large_cutoffs.rows_json(
+        miura.regularity_check(large_cutoffs.probe_data(1, 40))))
     return h.hexdigest()
 
 

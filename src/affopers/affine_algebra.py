@@ -83,7 +83,6 @@ class AlgebraModel:
         self.cutoff = cutoff
         self.n = rank + 1            # matrix size for sl_{rank+1}
         self.dual_coxeter = rank + 1
-        self.comarks = [1] * (rank + 1)
         self.window = cutoff + 1
         self._seed = basis_seed
         self._basis = {}
@@ -516,35 +515,11 @@ class AlgebraModel:
             return GradedVector.monomial(self, 1, ("r", self.n, 1), one)
         return GradedVector.monomial(self, 1, ("r", i, i + 1), one)
 
-    def simple_lowering(self, i) -> "GradedVector":
-        one = RationalFunction.one()
-        if i == 0:
-            return GradedVector.monomial(self, -1, ("r", 1, self.n), one)
-        return GradedVector.monomial(self, -1, ("r", i + 1, i), one)
-
-    def simple_coroot_vector(self, i) -> "GradedVector":
-        """alpha_i realized at grade 0 (i = 0 gives delta - h_theta)."""
-        out = GradedVector.zero(self)
-        one = RationalFunction.one()
-        if i == 0:
-            out = out.add_delta(one)
-            for k in range(1, self.rank + 1):
-                out = out.add_monomial(0, ("h", k), -one)
-            return out
-        return out.add_monomial(0, ("h", i), one)
-
     def pminus(self) -> "GradedVector":
         one = RationalFunction.one()
         out = GradedVector.zero(self)
         for lab, _p in self.basis(-1):
             out = out.add_monomial(-1, lab, one)
-        return out
-
-    def pplus(self) -> "GradedVector":
-        one = RationalFunction.one()
-        out = GradedVector.zero(self)
-        for lab, _p in self.basis(1):
-            out = out.add_monomial(1, lab, one)
         return out
 
     def descriptor(self):
@@ -927,22 +902,6 @@ class Weight:
         acc = acc + self.rho * sumb + other.rho * suma
         hv = Scalar.exact(self.model.dual_coxeter)
         acc = acc + (self.rho * other.delta + other.rho * self.delta) * hv
-        return acc
-
-    def pair_coroot(self, i) -> Scalar:
-        """Pairing with the i-th simple coroot of the dual side, i = 0..rank."""
-        A = self.model.affine_cartan()
-        acc = self.rho  # <rho, coroot_i> = 1 for every i
-        for j, a in enumerate(self.alpha, start=1):
-            if A[j][i]:
-                acc = acc + a * Scalar.exact(A[j][i])
-        return acc
-
-    def pair_central(self) -> Scalar:
-        """Pairing with the canonical central combination (comark-weighted)."""
-        acc = Scalar.zero()
-        for i, cm in enumerate(self.model.comarks):
-            acc = acc + Scalar.exact(cm) * self.pair_coroot(i)
         return acc
 
     def to_vector(self, scale=None) -> GradedVector:

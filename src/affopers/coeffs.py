@@ -60,6 +60,7 @@ digits of its gauge parameters).
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from fractions import Fraction
@@ -172,8 +173,7 @@ class Scalar:
         return not self.r and not self.i
 
     def as_complex(self) -> complex:
-        # int true division rounds correctly, as float(Fraction) does
-        return complex(self.r / self.q, self.i / self.q)
+        return _complex(self.r, self.i, self.q)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -235,6 +235,9 @@ def _parse_real(x):
     if isinstance(x, int):
         return x
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            for part in x.lower().split("/"):
+                _check_exponent(part)
         return x
     if isinstance(x, float):
         raise ValueError(
@@ -242,6 +245,36 @@ def _parse_real(x):
             "pass a 'p/q' or decimal string"
         )
     raise ValueError(f"cannot parse {x!r} as an exact real part")
+
+
+def _check_exponent(text):
+    """Refuse a decimal whose exponent makes ``Fraction`` build an integer
+    of over 4300 digits, CPython's default limit on ``int`` from a string
+    (``1e200000`` would reach the arithmetic with 200,001 digits)."""
+    mantissa, _e, exponent = text.partition("e")
+    try:
+        n = int(exponent)
+    except ValueError:
+        return  # no exponent, or a malformed one that Fraction reports
+    # the mantissa's digits times 10^n, or over 10^-n
+    digits = sum(c.isdigit() for c in mantissa) + abs(n)
+    if digits > 4300:
+        raise ValueError(
+            f"the exponent of {text.strip()!r} makes an integer of {digits} "
+            f"digits, above the limit of 4300")
+
+
+def _complex(r, i, q) -> complex:
+    """``(r + i sqrt(-1))/q`` as a complex; a value beyond the float range
+    raises a ValueError that names it."""
+    try:
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(r / q, i / q)
+    except OverflowError:
+        six = decimal.Context(prec=6, Emax=decimal.MAX_EMAX)
+        re, im = (six.normalize(six.divide(x, q)) for x in (r, i))
+        text = f"{re} + {im} i" if i else f"{re}"
+        raise ValueError(f"{text} is beyond the float range") from None
 
 
 _ZERO = Scalar(0, 0, 1)
@@ -633,9 +666,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return not self.poles
 
-    def pole_dict(self) -> dict:
-        return dict(self.poles)
-
     def den_poly(self) -> Polynomial:
         """Expanded (monic) denominator."""
         out = _PONE
@@ -794,7 +824,7 @@ class RationalFunction:
         except AttributeError:
             num = self.num
             den = num.den
-            coeffs = tuple(complex(x / den, y / den) for x, y in zip(
+            coeffs = tuple(_complex(x, y, den) for x, y in zip(
                 reversed(num.re), reversed(num.im or (0,) * len(num.re))))
             poles = tuple((p.as_complex(), m) for p, m in self.poles)
             self._complex = coeffs, poles

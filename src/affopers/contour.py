@@ -8,9 +8,9 @@ accumulating principal-log increments per puncture with adaptive bisection
 until every increment has modulus below pi/4; that bound rules out hopping
 a branch cut between consecutive sample points.
 
-The tracker stores the per-puncture logs unweighted; any exponent vector
-(the k_i, possibly complex) and any overall power s are applied afterward.
-One tracking pass therefore serves every integrand built on the same path.
+``start_logs`` and ``advance_logs`` thread the per-puncture logs
+unweighted; the exponents k_i (possibly complex) and the overall power s
+are applied afterward, by the quadrature of ``integrate``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ __all__ = [
     "pochhammer",
     "loop_around",
     "segment_chain",
-    "BranchTrack",
-    "branch_track",
-    "closure_check",
     "advance_logs",
     "start_logs",
     "default_clearance",
@@ -417,91 +414,6 @@ def advance_logs(points, logs, seg, ta, tb, depth=0, za=None, zb=None):
     zm = seg.point(tm)
     half = advance_logs(points, logs, seg, ta, tm, depth + 1, za, zm)
     return advance_logs(points, half, seg, tm, tb, depth + 1, zm, zb)
-
-
-class BranchTrack:
-    """Continuous determination of sum_i k_i log(z - z_i) along a contour.
-
-    ``samples`` holds (z, value) pairs in path order, where the value is
-    s * sum_i k_i log_i with the tracked logs.  ``discrepancy`` is the end
-    minus start difference of that value; ``multiplier`` its exponential.
-    """
-
-    __slots__ = ("points", "weights", "s", "samples", "start_vector",
-                 "end_vector", "windings")
-
-    def __init__(self, points, weights, s, samples, start_vector, end_vector):
-        self.points = points
-        self.weights = weights
-        self.s = s
-        self.samples = samples
-        self.start_vector = start_vector
-        self.end_vector = end_vector
-        self.windings = [
-            (e - a).imag / (2 * math.pi)
-            for a, e in zip(start_vector, end_vector)
-        ]
-
-    def value(self, logs) -> complex:
-        return self.s * sum(k * L for k, L in zip(self.weights, logs))
-
-    @property
-    def discrepancy(self) -> complex:
-        return self.value(self.end_vector) - self.value(self.start_vector)
-
-    @property
-    def multiplier(self) -> complex:
-        return cmath.exp(self.discrepancy)
-
-
-def _marked_data(d):
-    """Puncture positions and level weights from point data."""
-    points = [z.as_complex() for z, _lam in d.points]
-    hv = Scalar.exact(d.model.dual_coxeter)
-    weights = [(lam.rho * hv).as_complex() for _z, lam in d.points]
-    return points, weights
-
-
-def branch_track(d, s, contour: Contour, steps: int = 16,
-                 clearance=None) -> BranchTrack:
-    """Track s * log P along the contour, P = prod (z - z_i)^{k_i} with the
-    punctures and levels taken from the point data ``d``."""
-    points, weights = _marked_data(d)
-    sc = s.as_complex()
-    if points:
-        eps = default_clearance(points) if clearance is None else clearance
-        bad = clearance_violations(contour, points, eps)
-        if bad:
-            p, dist = bad[0]
-            raise ContourError(
-                f"contour passes within {dist:.3g} of the puncture at "
-                f"{p:g} (clearance {eps:.3g})")
-    logs = start_logs(points, contour.segments[0].point(0.0))
-    start_vector = list(logs)
-    samples = []
-
-    def emit(z, logs):
-        val = sc * sum(k * L for k, L in zip(weights, logs))
-        samples.append((z, val))
-
-    emit(contour.segments[0].point(0.0), logs)
-    for seg in contour.segments:
-        for i in range(steps):
-            ta = i / steps
-            tb = (i + 1) / steps
-            logs = advance_logs(points, logs, seg, ta, tb)
-            emit(seg.point(tb), logs)
-    return BranchTrack(points, weights, sc, samples, start_vector, logs)
-
-
-def closure_check(d, s, contour: Contour, steps: int = 16, tol: float = 1e-9):
-    """Whether P^s returns to its starting branch along the closed contour.
-    Returns (passed, multiplier)."""
-    if not contour.is_closed:
-        return False, complex("nan")
-    track = branch_track(d, s, contour, steps=steps)
-    m = track.multiplier
-    return abs(m - 1.0) < tol, m
 
 
 # --------------------------------------------------------------- clearance

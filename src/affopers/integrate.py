@@ -42,15 +42,13 @@ import cmath
 import math
 
 from .coeffs import RationalFunction, Scalar
-from .contour import (_BRANCH_STEP, Contour, ContourError, _marked_data,
-                      advance_logs, clearance_violations, default_clearance,
-                      start_logs)
+from .contour import (_BRANCH_STEP, Contour, ContourError, advance_logs,
+                      clearance_violations, default_clearance, start_logs)
 from .oper_core import QuasiCanonicalForm, twisted_derivative
 
 __all__ = [
     "IntegralResult",
     "twisted_integral",
-    "gauge_invariance_probe",
     "stokes_check",
     "integrate_twisted_form",
 ]
@@ -219,6 +217,14 @@ def _adaptive(seg, ta, tb, za, zb, logs, tol, depth, points, integrand,
     return i1 + i2, e1 + e2, logs_b
 
 
+def _marked_data(d):
+    """Puncture positions and level weights from point data."""
+    points = [z.as_complex() for z, _lam in d.points]
+    hv = Scalar.exact(d.model.dual_coxeter)
+    weights = [(lam.rho * hv).as_complex() for _z, lam in d.points]
+    return points, weights
+
+
 def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
                            abs_tol: float = 1e-10) -> IntegralResult:
     """Integrate P^{-r/h} * g along the contour, threading the branch.
@@ -272,18 +278,6 @@ def twisted_integral(d, q: QuasiCanonicalForm, r: int, contour: Contour,
         raise ValueError(f"no coefficient at exponent {r} in the canonical "
                          f"form (have {sorted(q.v)})")
     return integrate_twisted_form(d, r, q.v[r], contour, abs_tol)
-
-
-def gauge_invariance_probe(d, q, r, contour, f_r: RationalFunction,
-                           abs_tol: float = 1e-10):
-    """Integrate v_r and its twisted-derivative shift by f_r; the two values
-    agree on closed contours with trivial branch monodromy.  Returns
-    (before, after, |difference|)."""
-    hv = d.model.dual_coxeter
-    before = twisted_integral(d, q, r, contour, abs_tol)
-    shifted = q.v[r] - twisted_derivative(q.phi, r, hv, f_r)
-    after = integrate_twisted_form(d, r, shifted, contour, abs_tol)
-    return before, after, abs(before.value - after.value)
 
 
 def stokes_check(d, j: int, f: RationalFunction, contour: Contour,

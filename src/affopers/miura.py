@@ -188,16 +188,6 @@ class MiuraData:
                 acc = acc + RationalFunction.simple_pole(k, z)
         return acc
 
-    def lambda_infinity(self) -> Weight:
-        """Residue bookkeeping at infinity: sum of lambdas minus sum of
-        root residues."""
-        acc = Weight(self.model, [Scalar.zero()] * self.model.rank)
-        for _z, lam in self.points:
-            acc = acc + lam
-        for _w, c in self.roots:
-            acc = acc - affine_simple_root(self.model, c)
-        return acc
-
     def root_weight(self, j) -> Weight:
         return affine_simple_root(self.model, self.roots[j][1])
 

@@ -12,10 +12,9 @@ The reduction to quasi-canonical form
 runs one graded step at a time: at grade n the component splits into its
 kernel part (the v_j coefficient when n is an exponent) and its complement
 part, and one homogeneous gauge factor exp(m_{n+1}) removes the complement
-without touching anything below.  The factors are kept as an ordered list;
-composing them into a single exponential is possible (see ``bch``) but never
-needed, and at realistic cutoffs it is far more expensive than applying the
-steps in order.
+without touching anything below.  The factors are kept as an ordered list:
+composing them into a single exponential is never needed, and at realistic
+cutoffs it is far more expensive than applying the steps in order.
 
 Every denominator of the reduction is known before it starts.  Each v_j is
 a section of Omega^(j+1), and the pole orders follow the grading: with c_p
@@ -87,7 +86,6 @@ __all__ = [
     "twisted_derivative",
     "twisted_class",
     "change_coordinate",
-    "bch",
 ]
 
 
@@ -121,12 +119,6 @@ class Connection:
     def phi(self) -> RationalFunction:
         """Twist function: u carries -phi/h_dual on the derivation."""
         return self.u.rho.scale(Scalar.exact(-self.model.dual_coxeter))
-
-    @staticmethod
-    def with_twist(model, u: GradedVector, phi: RationalFunction) -> "Connection":
-        hv = Scalar.exact(model.dual_coxeter)
-        u = u.add_rho(phi.scale(Scalar.exact(-1) / hv) - u.rho)
-        return Connection(model, u)
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
@@ -666,20 +658,3 @@ def change_coordinate(obj, mobius):
 
     raise TypeError(f"cannot change coordinates on {type(obj).__name__}")
 
-
-def bch(x: GradedVector, y: GradedVector) -> GradedVector:
-    """log(exp(x) exp(y)) through 4-letter terms.
-
-    Exact whenever both arguments sit in grades >= 1 and the grading window
-    is at most 4 (higher terms then die in the window); used by tests to
-    confirm that applying gauge factors in order matches one combined
-    exponential.
-    """
-    one = Scalar.one()
-    half = Scalar.exact("1/2")
-    twelfth = Scalar.exact("1/12")
-    xy = x.bracket(y)
-    return GradedVector.lincomb(x.model, (
-        (one, x), (one, y), (half, xy), (twelfth, x.bracket(xy)),
-        (twelfth, y.bracket(y.bracket(x))),
-        (Scalar.exact("-1/24"), y.bracket(x.bracket(xy)))))

@@ -20,6 +20,7 @@ from affopers.affine_algebra import (
     principal_decomposition,
 )
 from affopers.coeffs import RationalFunction, Scalar
+from affopers.miura import affine_simple_root
 
 
 def _const(q):
@@ -28,6 +29,31 @@ def _const(q):
 
 def _as_scalar(f):
     return f.eval(Scalar.zero())
+
+
+def _lowering(model, i):
+    """f_i at grade -1 (i = 0 .. rank)."""
+    lab = ("r", 1, model.n) if i == 0 else ("r", i + 1, i)
+    return GradedVector.monomial(model, -1, lab, RationalFunction.one())
+
+
+def _coroot(model, i):
+    """alpha_i realized at grade 0 (i = 0 gives delta - h_theta)."""
+    one = RationalFunction.one()
+    if i:
+        return GradedVector.monomial(model, 0, ("h", i), one)
+    out = GradedVector.zero(model).add_delta(one)
+    for k in range(1, model.rank + 1):
+        out = out.add_monomial(0, ("h", k), -one)
+    return out
+
+
+def _pplus(model):
+    """p_1, the sum of the grade-1 basis monomials."""
+    return GradedVector.lincomb(model, [
+        (Scalar.one(), GradedVector.monomial(model, 1, lab,
+                                             RationalFunction.one()))
+        for lab, _p in model.basis(1)])
 
 
 @pytest.fixture(scope="module")
@@ -113,14 +139,14 @@ def test_chevalley_relations(a2):
     model = a2
     for i in range(model.rank + 1):
         for j in range(model.rank + 1):
-            got = model.simple_raising(i).bracket(model.simple_lowering(j))
+            got = model.simple_raising(i).bracket(_lowering(model, j))
             if i == j:
-                assert got == model.simple_coroot_vector(i)
+                assert got == _coroot(model, i)
             else:
                 # [e_i, f_j] for i != j may be a nonzero root vector in sl_n
                 assert got.delta.is_zero
     # alpha_0 realization carries the center
-    alpha0 = model.simple_coroot_vector(0)
+    alpha0 = _coroot(model, 0)
     assert _as_scalar(alpha0.delta) == Scalar.one()
 
 
@@ -128,7 +154,7 @@ def test_cartan_acts_by_cartan_matrix(a2):
     model = a2
     A = model.affine_cartan()
     for i in range(model.rank + 1):
-        hi = model.simple_coroot_vector(i)
+        hi = _coroot(model, i)
         for j in range(model.rank + 1):
             ej = model.simple_raising(j)
             got = hi.bracket(ej)
@@ -137,7 +163,7 @@ def test_cartan_acts_by_cartan_matrix(a2):
 
 def test_pplus_pminus_is_delta(a1, a2, a3):
     for model in (a1, a2, a3):
-        got = model.pplus().bracket(model.pminus())
+        got = _pplus(model).bracket(model.pminus())
         assert not got.parts
         assert got.rho.is_zero
         assert _as_scalar(got.delta) == Scalar.one()
@@ -156,7 +182,7 @@ def test_rho_grades_and_form(a2):
     assert _as_scalar(delta.pair(rho)) == Scalar.exact(3)
     assert _as_scalar(delta.pair(delta)) == Scalar.zero()
     assert _as_scalar(delta.pair(x)) == Scalar.zero()
-    h1 = model.simple_coroot_vector(1)
+    h1 = _coroot(model, 1)
     assert _as_scalar(rho.pair(h1)) == Scalar.one()
 
 
@@ -202,10 +228,10 @@ def test_truncation_flag():
     model = build_algebra({"type": "A", "rank": 1, "cutoff": 2})
     one = RationalFunction.one()
     x = GradedVector.monomial(model, 2, model.basis(2)[0][0], one)
-    got = x.bracket(x.bracket(model.pplus()))  # lands at grade 5 > 3
+    got = x.bracket(x.bracket(_pplus(model)))  # lands at grade 5 > 3
     assert got.truncated
     assert not got.parts
-    ok = model.pplus().bracket(model.pminus())
+    ok = _pplus(model).bracket(model.pminus())
     assert not ok.truncated
 
 
@@ -251,7 +277,7 @@ def test_cyclic_element_powers(a2):
 def test_pinned_first_grade(a1, a2):
     for model in (a1, a2):
         pb = normalize_principal_basis(model)
-        assert pb.vector(1) == model.pplus()
+        assert pb.vector(1) == _pplus(model)
         assert pb.vector(-1) == model.pminus()
 
 
@@ -337,20 +363,22 @@ def test_step_solve_inverts_ad(a2):
 
 
 def test_weight_coroot_pairings(a2):
+    # simply laced: pairing with the coroot of alpha_j is the form with
+    # alpha_j, and pairing with the center is the form with delta
     model = a2
     A = model.affine_cartan()
+    roots = [affine_simple_root(model, j) for j in range(3)]
     for i in (1, 2):
         ai = Weight.simple_root(model, i)
         for j in range(3):
-            assert ai.pair_coroot(j) == Scalar.exact(A[i][j])
+            assert ai.form(roots[j]) == Scalar.exact(A[i][j])
     rho = Weight.rho_weight(model)
-    for j in range(3):
-        assert rho.pair_coroot(j) == Scalar.one()
-    assert rho.pair_central() == Scalar.exact(3)
     delta = Weight(model, [Scalar.zero()] * 2, delta=Scalar.one())
     for j in range(3):
-        assert delta.pair_coroot(j) == Scalar.zero()
-    assert delta.pair_central() == Scalar.zero()
+        assert rho.form(roots[j]) == Scalar.one()
+        assert delta.form(roots[j]) == Scalar.zero()
+    assert rho.form(delta) == Scalar.exact(3)
+    assert delta.form(delta) == Scalar.zero()
 
 
 def test_weight_form_matches_realization(a2):

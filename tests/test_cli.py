@@ -349,8 +349,14 @@ def test_non_integer_algebra_field(tmp_path, capsys, field, value):
     ({"points": [{"z": "0", "weight": {"lambda_dot": ["1"]}}],
       "bethe_roots": [{"w": "2", "color": [1]}]},
      "model JSON: root 1: 'color' must be an integer, got [1]"),
+    # refused as the same number written out is, before any reduction
+    ({"points": [{"z": "0", "weight": {"lambda_dot": ["1"]}}],
+      "bethe_roots": [{"w": "1e5000", "color": 1}]},
+     "model JSON: root 1 w: the exponent of '1e5000' makes an integer of "
+     "5001 digits, above the limit of 4300\n"),
 ], ids=["top-list", "point-list", "weight-list", "lambda-string",
-        "points-int", "algebra-list", "zero-denominator", "color-list"])
+        "points-int", "algebra-list", "zero-denominator", "color-list",
+        "exponent-digits"])
 def test_malformed_model_json(tmp_path, capsys, command, blob, message):
     mpath = tmp_path / "model.json"
     write_model(mpath, [])
@@ -392,3 +398,25 @@ def test_malformed_contour_json(tmp_path, capsys, blob, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-contour", "--pochhammer", "0,1", "--radius", "1e400"],
+    ["make-contour", "--pochhammer", "0,1", "--basepoint", "1e400"],
+    ["integrate", "--exponent", "1"],
+], ids=["radius", "basepoint", "root"])
+def test_value_beyond_float_range(tmp_path, capsys, argv):
+    # exact, finite, and too large for the float the quadrature needs
+    mpath = tmp_path / "model.json"
+    write_model(mpath, [])
+    cpath = tmp_path / "contour.json"
+    assert main(["make-contour", "--model", str(mpath), "--pochhammer", "0,1",
+                 "--out", str(cpath)]) == 0
+    write_model(mpath, [{"w": "1e400", "color": 1}])
+    capsys.readouterr()
+    extra = ["--contour", str(cpath)] if argv[0] == "integrate" else []
+    assert main(argv[:1] + ["--model", str(mpath)] + extra + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1E+400 is beyond the float range\n"
+

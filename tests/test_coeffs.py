@@ -341,7 +341,7 @@ def _split_rf(data):
 def test_derivative_raises_each_pole_order_by_one(data):
     _num, _poles, f = _split_rf(data)
     df = f.derivative()
-    assert df.pole_dict() == {p: m + 1 for p, m in f.poles}
+    assert dict(df.poles) == {p: m + 1 for p, m in f.poles}
     # quotient rule on the expanded polynomials, cross-multiplied
     n, D = f.num, f.den_poly()
     ref = n.derivative() * D - n * D.derivative()
@@ -489,7 +489,7 @@ def test_partial_fraction_recombination_is_exact(data, extra):
 
 
 def _orders_added(f, g):
-    out = f.pole_dict()
+    out = dict(f.poles)
     for p, m in g.poles:
         out[p] = out.get(p, 0) + m
     return out
@@ -524,7 +524,7 @@ def test_sum_and_product_equal_the_fully_reduced_form(a, b, kc):
     p = f.poles[0][0]
     lin = Polynomial.of([-p, sc(1)])
     # equal orders at every pole of f, cancelling at p: f + h = k (z-p) / D
-    h = RationalFunction.from_split(k * lin - f.num, f.pole_dict())
+    h = RationalFunction.from_split(k * lin - f.num, f.poles)
     _assert_sum_and_product_reduced(f, h)
     assert (f + h).pole_order_at(p) < f.pole_order_at(p)
     # p is a pole of f only, and the other factor's numerator vanishes there
@@ -588,7 +588,7 @@ def lincomb_st(draw):
             f = RationalFunction(Polynomial.one(), ((p, top),))
         lin = Polynomial.of([-p, sc(1)])
         k = Polynomial.of(draw(st.lists(gauss_st, min_size=1, max_size=2)))
-        h = RationalFunction.from_split(k * lin - f.num, f.pole_dict())
+        h = RationalFunction.from_split(k * lin - f.num, f.poles)
         s = scalar()
         rest = [(scalar(), rf({p: top - 1, pool[2]: 1} if top > 1
                               else {pool[2]: 2})) for _ in range(n - 2)]
@@ -705,7 +705,7 @@ def test_derivative_of_a_moved_function_matches_the_quotient_rule(mobius):
         assert moved.num.degree > sum(m for _p, m in moved.poles)
     df = moved.derivative()
     assert df == _quotient_rule(moved)
-    assert df.pole_dict() == {p: m + 1 for p, m in moved.poles}
+    assert dict(df.poles) == {p: m + 1 for p, m in moved.poles}
 
 
 # ------------------------------------------------------ packed numerators

@@ -7,10 +7,11 @@ import random
 import pytest
 
 from affopers.affine_algebra import build_algebra
-from affopers.coeffs import Scalar
-from affopers.contour import (Arc, BranchTrack, Contour, ContourError, Line,
-                              branch_track, closure_check, default_clearance,
-                              loop_around, pochhammer, segment_chain)
+from affopers.coeffs import RationalFunction, Scalar
+from affopers.contour import (Arc, Contour, ContourError, Line, advance_logs,
+                              default_clearance, loop_around, pochhammer,
+                              segment_chain, start_logs)
+from affopers.integrate import integrate_twisted_form
 from affopers.miura import MiuraData
 
 
@@ -136,40 +137,55 @@ def test_loop_around_validation():
 # ---------------------------------------------------------------- tracking
 
 
+def closure(d, s, contour):
+    """The integral of P^s along the contour, whose ``multiplier`` and
+    ``valid`` report the branch closure; r = -s h puts P^s in the
+    integrand, and the zero integrand leaves only the branch threading."""
+    r = s * Scalar.exact(-d.model.dual_coxeter)
+    return integrate_twisted_form(d, r, RationalFunction.zero(), contour)
+
+
+def log_changes(points, contour, steps=16):
+    """End minus start of each puncture's log, threaded in ``steps`` equal
+    parameter steps per segment (one step would see only its endpoints,
+    which coincide on a full circle)."""
+    logs = start_logs(points, contour.segments[0].point(0.0))
+    start = list(logs)
+    for seg in contour.segments:
+        for i in range(steps):
+            logs = advance_logs(points, logs, seg, i / steps, (i + 1) / steps)
+    return [b - a for a, b in zip(start, logs)]
+
+
 def test_empty_product_track(a1):
     d = MiuraData(a1, [], [])
     c = pochhammer((0, 1), radius="1/4")
-    tr = branch_track(d, Scalar.parse("-1/2"), c)
-    assert tr.discrepancy == 0
-    assert abs(tr.multiplier - 1) < 1e-15
+    res = closure(d, Scalar.parse("-1/2"), c)
+    assert res.multiplier == 1
+    assert res.valid
 
 
 def test_single_loop_winding(a1):
     d = point_data(a1, [("0", "4")])
     c = loop_around(0, 0.5, 2.0)
-    s = Scalar.parse("-1/2")
-    tr = branch_track(d, s, c)
     # winding +1 around the only puncture
-    assert abs(tr.windings[0] - 1.0) < 1e-12
+    (change,) = log_changes([0j], c)
+    assert abs(change - 2j * math.pi) < 1e-12
     # s k = -2, so the discrepancy is -4 pi i and the multiplier is 1
-    assert abs(tr.discrepancy - (-4j * math.pi)) < 1e-12
-    assert abs(tr.multiplier - 1) < 1e-12
-    ok, mult = closure_check(d, s, c)
-    assert ok
+    res = closure(d, Scalar.parse("-1/2"), c)
+    assert abs(res.multiplier - 1) < 1e-12
+    assert res.valid
     # generic exponent: multiplier e^{2 pi i s k}
-    s2 = Scalar.parse("1/3")
-    tr2 = branch_track(d, s2, c)
+    res2 = closure(d, Scalar.parse("1/3"), c)
     expect = cmath.exp(2j * math.pi * (4 / 3))
-    assert abs(tr2.multiplier - expect) < 1e-12
-    ok2, _ = closure_check(d, s2, c)
-    assert not ok2
+    assert abs(res2.multiplier - expect) < 1e-12
+    assert not res2.valid
 
 
-def test_double_turns(a1):
-    d = point_data(a1, [("0", "1")])
+def test_double_turns():
     c = loop_around(0, 0.5, 2.0, turns=-2)
-    tr = branch_track(d, Scalar.exact(1), c)
-    assert abs(tr.windings[0] + 2.0) < 1e-12
+    (change,) = log_changes([0j], c)
+    assert abs(change.imag / (2 * math.pi) + 2.0) < 1e-12
 
 
 def test_commutator_trivial_monodromy(a1):
@@ -180,42 +196,45 @@ def test_commutator_trivial_monodromy(a1):
         d = point_data(a1, [("0", k0), ("1", k1)])
         s = Scalar.parse([f"{rng.randint(-9, 9)}/7", f"{rng.randint(-4, 4)}/3"])
         c = pochhammer((0, 1), radius="1/4")
-        ok, mult = closure_check(d, s, c)
-        assert ok
-        assert abs(mult - 1) < 1e-12
+        res = closure(d, s, c)
+        assert res.valid
+        assert abs(res.multiplier - 1) < 1e-12
 
 
-def test_reversal_negates_discrepancy(a1):
-    d = point_data(a1, [("0", "2"), ("1", "3")])
+def test_reversal_negates_discrepancy():
     base = -1.0 + 0.5j  # off-axis so no connecting line grazes a puncture
     c = loop_around(0.0, 0.3, base) + loop_around(1.0, 0.25, base)
-    s = Scalar.parse("-1/2")
-    fwd = branch_track(d, s, c)
-    bwd = branch_track(d, s, c.reversed())
-    assert abs(fwd.discrepancy + bwd.discrepancy) < 1e-12
+    fwd = log_changes([0j, 1 + 0j], c)
+    bwd = log_changes([0j, 1 + 0j], c.reversed())
+    assert all(abs(f + b) < 1e-12 for f, b in zip(fwd, bwd))
 
 
 def test_refinement_invariance(a1):
+    # the quadrature threads the branch through its panels' nodes; equal
+    # steps of advance_logs reach the same multiplier
     d = point_data(a1, [("0", "2"), ("1", "3")])
-    c = pochhammer((0, 1), radius="1/3")
-    s = Scalar.parse("-5/2")
-    d16 = branch_track(d, s, c, steps=16).discrepancy
-    d64 = branch_track(d, s, c, steps=64).discrepancy
-    assert abs(d16 - d64) < 1e-12
+    base = -1.0 + 0.5j
+    c = loop_around(0.0, 0.3, base) + loop_around(1.0, 0.25, base, turns=2)
+    changes = log_changes([0j, 1 + 0j], c)
+    finer = log_changes([0j, 1 + 0j], c, steps=64)
+    assert all(abs(a - b) < 1e-12 for a, b in zip(changes, finer))
+    threaded = cmath.exp((2 * changes[0] + 3 * changes[1]) / 7)
+    got = closure(d, Scalar.parse("1/7"), c).multiplier
+    assert abs(got - threaded) < 1e-12
+    assert abs(got - cmath.exp(2j * math.pi * 8 / 7)) < 1e-12
 
 
 def test_clearance_enforced(a1):
     d = point_data(a1, [("0", "1"), ("1", "1")])
     grazing = segment_chain(-1 - 1e-8j, 2 - 1e-8j)  # runs through both
     with pytest.raises(ContourError):
-        branch_track(d, Scalar.exact(1), grazing)
+        closure(d, Scalar.exact(1), grazing)
 
 
 def test_open_path_closure(a1):
     d = point_data(a1, [("0", "1")])
     path = segment_chain(1, 2)
-    ok, mult = closure_check(d, Scalar.exact(1), path)
-    assert not ok
+    assert not closure(d, Scalar.exact(1), path).valid
 
 
 def test_default_clearance_scales():

@@ -91,10 +91,9 @@ def test_affine_root_zero_weight(a2):
     rho = Weight.rho_weight(a2)
     assert al0.form(al0) == sc(2)
     assert al0.form(rho) == sc(1)
-    # pairing with coroots reads off the affine Cartan matrix column
-    assert al0.pair_coroot(0) == sc(2)
-    assert al0.pair_coroot(1) == sc(-1)
-    assert al0.pair_coroot(2) == sc(-1)
+    # the form with the simple roots reads off the affine Cartan matrix
+    for j, want in enumerate((2, -1, -1)):
+        assert al0.form(affine_simple_root(a2, j)) == sc(want)
 
 
 # ------------------------------------------------------- master function
@@ -187,7 +186,12 @@ def test_coefficient_at_infinity(a2):
         d = rand_data(a2, rng, n_points=2, n_roots=1)
         qc = quasi_canonicalize(build_miura(d))
         flipped = change_coordinate(qc, ("0", "1", "1", "0"))
-        lam_inf = d.lambda_infinity()
+        # the residue at infinity: the lambdas minus the root residues
+        lam_inf = Weight(a2, [sc(0)] * a2.rank)
+        for _z, lam in d.points:
+            lam_inf = lam_inf + lam
+        for j in range(len(d.roots)):
+            lam_inf = lam_inf - d.root_weight(j)
         c = casimir(lam_inf) / sc(3)
         v1 = flipped.v[1]
         remainder = v1 - RationalFunction.from_split(
@@ -359,15 +363,3 @@ def test_json_infers_algebra():
     assert d.model.rank == 1
     assert d.model.type == "A"
     assert d.roots[0][0] == sc("1/2")
-
-
-def test_lambda_infinity_bookkeeping(a2):
-    d = MiuraData.make(
-        a2,
-        [("0", ["1", "0"], "1", "0"), ("1", ["0", "1"], "0", "0")],
-        [("3", 1), ("5", 2)],
-    )
-    lam = d.lambda_infinity()
-    # alpha coords: (1,0)+(0,1)-(1,0)-(0,1) = 0; levels add up
-    assert all(a.is_zero for a in lam.alpha)
-    assert lam.rho == sc("1/3")

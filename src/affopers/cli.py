@@ -38,10 +38,17 @@ def _load_model(path):
     return d
 
 
-def _fmt(scalar):
-    if not scalar.i:
-        return str(scalar.re)
-    return f"{scalar.re} + {scalar.im} i"
+def _fmt(scalar, where):
+    """The scalar as text; ``where`` names it in the error raised when an
+    integer in it has more digits than CPython converts to a string."""
+    try:
+        if not scalar.i:
+            return str(scalar.re)
+        return f"{scalar.re} + {scalar.im} i"
+    except ValueError:
+        raise ValueError(f"{where} has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, too many "
+                         f"to print") from None
 
 
 def cmd_bethe_check(args):
@@ -50,11 +57,17 @@ def cmd_bethe_check(args):
         print("no roots to check; the data is trivially on shell")
         return 0
     rows = regularity_check(d)
+    # every line is formatted before any is printed, so that a value too
+    # large to print leaves no partial report
+    lines = []
     for i, row in enumerate(rows, start=1):
         verdict = ("regular (pole-free representative)" if row["regular"]
                    else f"obstructed (pole order {row['max_pole_order']})")
-        print(f"root {i}: w = {_fmt(row['root'])} (color {row['color']})  "
-              f"residual = {_fmt(row['bethe_residual'])}  ->  {verdict}")
+        w = _fmt(row["root"], f"root {i}: w")
+        res = _fmt(row["bethe_residual"], f"root {i}: the residual")
+        lines.append(f"root {i}: w = {w} (color {row['color']})  "
+                     f"residual = {res}  ->  {verdict}")
+    print("\n".join(lines))
     bad = sum(1 for r in rows if not r["regular"])
     if bad == 0:
         print(f"verdict: ON SHELL ({len(rows)} Bethe equation(s) satisfied)")

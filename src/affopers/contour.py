@@ -11,6 +11,11 @@ a branch cut between consecutive sample points.
 ``start_logs`` and ``advance_logs`` thread the per-puncture logs
 unweighted; the exponents k_i (possibly complex) and the overall power s
 are applied afterward, by the quadrature of ``integrate``.
+
+Every coordinate, radius and angle must be finite, and an arc may sweep
+at most 64 full turns (``_MAX_TURNS``, 128 pi radians): the quadrature's
+work grows with the sweep, so a larger one is refused with a
+``ContourError`` that names the field.
 """
 
 from __future__ import annotations
@@ -38,10 +43,18 @@ __all__ = [
 _GLUE_TOL = 1e-9          # endpoint matching tolerance, relative to span
 _BRANCH_STEP = math.pi / 4
 _MAX_DEPTH = 48           # adaptive bisection depth cap per step
+_MAX_TURNS = 64           # the largest arc sweep, in full turns
 
 
 class ContourError(ValueError):
     pass
+
+
+def _finite(x, field):
+    """The float or complex x, refused unless finite."""
+    if not cmath.isfinite(x):
+        raise ContourError(f"{field} must be finite, got {x!r}")
+    return x
 
 
 def _cnum(obj) -> complex:
@@ -71,8 +84,8 @@ class Line:
     kind = "line"
 
     def __init__(self, start, end):
-        self.start = _cnum(start)
-        self.end = _cnum(end)
+        self.start = _finite(_cnum(start), "'from'")
+        self.end = _finite(_cnum(end), "'to'")
 
     def point(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)
@@ -112,18 +125,23 @@ class Line:
 class Arc:
     """Circular arc, z(t) = center + radius * exp(i theta(t)) with theta
     running linearly from from_angle to to_angle (radians; decreasing means
-    clockwise)."""
+    clockwise), at most 64 full turns (``_MAX_TURNS``) apart."""
 
     __slots__ = ("center", "radius", "from_angle", "to_angle")
     kind = "arc"
 
     def __init__(self, center, radius, from_angle, to_angle):
-        self.center = _cnum(center)
-        self.radius = float(_cnum(radius).real)
+        self.center = _finite(_cnum(center), "'center'")
+        self.radius = _finite(float(_cnum(radius).real), "'radius'")
         if self.radius <= 0:
             raise ContourError("arc radius must be positive")
-        self.from_angle = float(from_angle)
-        self.to_angle = float(to_angle)
+        self.from_angle = _finite(float(from_angle), "'from_angle'")
+        self.to_angle = _finite(float(to_angle), "'to_angle'")
+        sweep = abs(self.to_angle - self.from_angle)
+        if sweep > _MAX_TURNS * 2 * math.pi:
+            raise ContourError(
+                f"arc sweep |'to_angle' - 'from_angle'| = {sweep:g} exceeds "
+                f"{_MAX_TURNS} turns ({_MAX_TURNS * 2 * math.pi:g} radians)")
 
     def _theta(self, t: float) -> float:
         return self.from_angle + t * (self.to_angle - self.from_angle)
@@ -217,12 +235,14 @@ class Contour:
                 raise ContourError(
                     f"segments do not join: {a!r} ends at {a.end:g}, "
                     f"next starts at {b.start:g}")
-        self.basepoint = (_cnum(basepoint) if basepoint is not None
+        self.basepoint = (_finite(_cnum(basepoint), "'basepoint'")
+                          if basepoint is not None
                           else self.segments[0].start)
         if abs(self.basepoint - self.segments[0].start) > _GLUE_TOL * scale:
             raise ContourError("basepoint must be the start of the chain")
         # optional declared winding numbers: list of (point, integer)
-        self.windings = ([(_cnum(p), int(n)) for p, n in windings]
+        self.windings = ([(_finite(_cnum(p), "winding point"), int(n))
+                          for p, n in windings]
                          if windings else [])
 
     @property

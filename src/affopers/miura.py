@@ -239,14 +239,14 @@ def build_miura(d: MiuraData) -> Connection:
     -phi/h automatically.
     """
     model = d.model
-    u = GradedVector.zero(model)
-    for z, lam in d.points:
-        pole = RationalFunction.simple_pole(Scalar.exact(-1), z)
-        u = u + lam.to_vector(scale=pole)
-    for w, c in d.roots:
-        pole = RationalFunction.simple_pole(Scalar.one(), w)
-        u = u + affine_simple_root(model, c).to_vector(scale=pole)
-    return Connection(model, u)
+    one = Scalar.one()
+    # one n-ary sum, so that each coefficient is reduced once
+    terms = [(one, lam.to_vector(
+        scale=RationalFunction.simple_pole(Scalar.exact(-1), z)))
+        for z, lam in d.points]
+    terms += [(one, affine_simple_root(model, c).to_vector(
+        scale=RationalFunction.simple_pole(one, w))) for w, c in d.roots]
+    return Connection(model, GradedVector.lincomb(model, terms))
 
 
 def master_partials(d: MiuraData):
@@ -254,34 +254,42 @@ def master_partials(d: MiuraData):
 
     Returns (z-partials, w-partials), one scalar per marked point / root.
     """
-    zs = [z for z, _ in d.points]
-    lams = [lam for _, lam in d.points]
-    ws = [w for w, _ in d.roots]
     als = [affine_simple_root(d.model, c) for _, c in d.roots]
+    return _z_partials(d, als), _w_partials(d, als)
+
+
+def _z_partials(d: MiuraData, als):
+    """dPhi/dz_i for each marked point; ``als`` are the root weights."""
     dz = []
-    for i, (zi, li) in enumerate(zip(zs, lams)):
+    for i, (zi, li) in enumerate(d.points):
         acc = Scalar.zero()
-        for i2, (z2, l2) in enumerate(zip(zs, lams)):
+        for i2, (z2, l2) in enumerate(d.points):
             if i2 != i:
                 acc = acc + li.form(l2) / (zi - z2)
-        for w, al in zip(ws, als):
+        for (w, _c), al in zip(d.roots, als):
             acc = acc - li.form(al) / (zi - w)
         dz.append(acc)
+    return dz
+
+
+def _w_partials(d: MiuraData, als):
+    """dPhi/dw_j for each root; ``als`` are the root weights."""
     dw = []
-    for j, (wj, aj) in enumerate(zip(ws, als)):
+    for j, ((wj, _c), aj) in enumerate(zip(d.roots, als)):
         acc = Scalar.zero()
-        for zi, li in zip(zs, lams):
+        for zi, li in d.points:
             acc = acc - li.form(aj) / (wj - zi)
-        for j2, (w2, a2) in enumerate(zip(ws, als)):
+        for j2, ((w2, _c2), a2) in enumerate(zip(d.roots, als)):
             if j2 != j:
                 acc = acc + aj.form(a2) / (wj - w2)
         dw.append(acc)
-    return dz, dw
+    return dw
 
 
 def bethe_residuals(d: MiuraData):
     """One scalar per root: the w-partials of the master function."""
-    return master_partials(d)[1]
+    return _w_partials(d, [affine_simple_root(d.model, c)
+                           for _, c in d.roots])
 
 
 def is_on_shell(d: MiuraData) -> bool:
@@ -408,15 +416,16 @@ def _coroot_pairing_at(conn: Connection, d: MiuraData, j: int) -> Scalar:
     model = d.model
     w, c = d.roots[j]
     al = affine_simple_root(model, c)
-    rest = conn.u - al.to_vector(
-        scale=RationalFunction.simple_pole(Scalar.one(), w))
-    comp = rest.component(0)
+    comp = conn.u.component(0)
     hv = Scalar.exact(model.dual_coxeter)
     acc = Scalar.zero()
-    # <h_i t^0, coroot(c)> through the Cartan matrix rows
+    # <h_i t^0, coroot(c)> through the Cartan matrix rows, each h-slot
+    # taken without the root's own term alpha_i/(z - w)
     A = model.affine_cartan()
-    for i in range(1, model.rank + 1):
+    for i, a in enumerate(al.alpha, start=1):
         f = comp[model.index(0, ("h", i))]
+        if not a.is_zero:
+            f = f - RationalFunction.simple_pole(a, w)
         if not f.is_zero:
             acc = acc + f.eval(w) * Scalar.exact(A[i][c])
     return hv * acc - conn.phi.eval(w)

@@ -53,10 +53,12 @@ Values are unpacked only to take the content gcd, for the parameter m
 (whose derivative and lowering read its digits) and at the final
 lowering: once per gauge step the parameter's numerators and the step's
 results are divided by their content gcd, so that unreduced denominators
-do not compound from step to step at large cutoffs.  Each v_j and each
-gauge factor entry is normalized once, when it is lowered to its
-canonical rational function at the end.  The public ``gauge_transform``
-stays on rational functions.
+do not compound from step to step at large cutoffs.  Each v_j is
+normalized once, when it is lowered to its canonical rational function at
+the end.  The gauge factors are bookkeeping that no output reads: the form
+keeps their raw numerators, and each entry is normalized and lowered once,
+on the first read of ``QuasiCanonicalForm.gauge``.  The public
+``gauge_transform`` stays on rational functions.
 
 Higher coefficients are fixed only up to the residual gauge freedom
 v_j -> v_j - (f' - (j phi / h_dual) f); ``twisted_class`` reduces v_j to its
@@ -178,18 +180,37 @@ class QuasiCanonicalForm:
 
     ``v`` maps each exponent j <= cutoff to its coefficient (the form is
     only pinned down through grade K, and nothing above it is kept);
-    ``gauge`` is the ordered list of homogeneous gauge parameters that were
-    applied (first factor first).
+    ``gauge`` is the ordered tuple of homogeneous gauge parameters that
+    were applied (first factor first).  A form made by
+    ``quasi_canonicalize`` holds them as the reduction's raw numerators and
+    lowers them to canonical rational functions on the first read of
+    ``gauge``, once; until then they cost no lowering.
     """
 
-    __slots__ = ("model", "phi", "v", "gauge", "truncated")
+    __slots__ = ("model", "phi", "v", "_gauge", "_raw", "truncated")
 
     def __init__(self, model, phi, v, gauge=(), truncated=False):
         self.model = model
         self.phi = phi
         self.v = dict(v)
-        self.gauge = tuple(gauge)
+        self._gauge = tuple(gauge)
+        # (frame, [(grade a, raw numerators over L^a)]) while unread
+        self._raw = None
         self.truncated = truncated
+
+    @property
+    def gauge(self):
+        """The gauge factors, lowered on the first read."""
+        raw = self._raw
+        if raw is not None:
+            frame, steps = raw
+            zero = RationalFunction.zero()
+            self._gauge = tuple(
+                GradedVector(self.model, {a: [lower_numerator(x, frame, a)
+                                              for x in mnum]}, zero, zero)
+                for a, mnum in steps)
+            self._raw = None
+        return self._gauge
 
     def coefficient(self, j) -> RationalFunction:
         return self.v.get(j, RationalFunction.zero())
@@ -228,11 +249,11 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     order at most c_p (g+1) at p, and L = prod (z-p)^c_p, a grade-g
     coefficient of u is a numerator over L^(g+1) and a grade-a coefficient
     of a gauge parameter one over L^a, through every step.  No product or
-    sum tests a pole or takes a gcd; each v_j and each gauge factor is
-    normalized and lowered to its canonical form once, at the end.  Delta
-    is read only at grade 0 and rho never changes, so the gauge steps
-    compute neither; input grades above the cutoff never feed a grade at
-    or below it and are dropped on entry.
+    sum tests a pole or takes a gcd; each v_j is normalized and lowered to
+    its canonical form once, at the end, and each gauge factor on the first
+    read of the form's ``gauge``.  Delta is read only at grade 0 and rho
+    never changes, so the gauge steps compute neither; input grades above
+    the cutoff never feed a grade at or below it and are dropped on entry.
 
     Between ``lift_numerator`` and ``lower_numerator`` the numerators are
     packed, each at a base 2^w from the ladder ``packing_base``, and every
@@ -268,15 +289,13 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
         if mraw is not None:
             steps.append((n + 1, mraw))
             cur = _gauge_step(model, consts, cur, n + 1, mraw)
-    zero = RationalFunction.zero()
     v = {n: lower_numerator(x, frame, n + 1) for n, x in vnum.items()}
-    factors = [GradedVector(model, {a: [lower_numerator(x, frame, a)
-                                        for x in mnum]}, zero, zero)
-               for a, mnum in steps]
     # terms dropped above the cutoff never feed back into grades <= cutoff
     # (gauge parameters only raise grades), so the reported slice is exact;
     # the form is only marked truncated when the input already was
-    return QuasiCanonicalForm(model, conn.phi, v, factors, conn.u.truncated)
+    qc = QuasiCanonicalForm(model, conn.phi, v, (), conn.u.truncated)
+    qc._raw = (frame, steps)
+    return qc
 
 
 def _grade_rows(model, consts, cur, n):
@@ -493,7 +512,10 @@ def residual_gauge(qc: QuasiCanonicalForm, params, allow_first=False):
         if j not in v:
             raise ValueError(f"{j} is not an exponent below the cutoff")
         v[j] = v[j] - twisted_derivative(qc.phi, j, model.dual_coxeter, f)
-    return QuasiCanonicalForm(model, qc.phi, v, qc.gauge, qc.truncated)
+    out = QuasiCanonicalForm(model, qc.phi, v, qc._gauge, qc.truncated)
+    # the factors are unchanged: an unread one stays unlowered
+    out._raw = qc._raw
+    return out
 
 
 def twisted_class(phi: RationalFunction, j: int, hv: int,

@@ -247,6 +247,18 @@ def test_directory_paths_are_error_exits(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_output_beyond_the_digit_limit_names_its_field(tmp_path, capsys):
+    # the root itself has 4300 digits and prints; the residual's
+    # denominator has about twice as many
+    path = tmp_path / "model.json"
+    write_model(path, [{"w": "1e4299", "color": 1}])
+    assert main(["bethe-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: root 1: the residual has an integer of "
+                            "more than 4300 digits, too many to print\n")
+
+
 def test_route_disagreement_is_an_error_exit(tmp_path, capsys, monkeypatch):
     path = tmp_path / "model.json"
     write_model(path, [{"w": "3/2", "color": 1}])
@@ -386,13 +398,26 @@ def test_malformed_model_json(tmp_path, capsys, command, blob, message):
      "segment 1: cannot read '1/0' as a position"),
     ({"segments": [{"kind": "line", "from": "0", "to": "1"}],
       "windings": [[0]]}, "contour JSON: 'windings' must be a list"),
+    # sweeps that ran unbounded or hit the panel budget after seconds
+    ({"segments": [{"kind": "arc", "center": "0", "radius": "1/2",
+                    "from_angle": 0, "to_angle": 1e300}]},
+     "segment 1: arc sweep |'to_angle' - 'from_angle'| = 1e+300 exceeds "
+     "64 turns"),
+    ({"segments": [{"kind": "arc", "center": "0", "radius": "1/2",
+                    "from_angle": 0, "to_angle": 1e6}]},
+     "segment 1: arc sweep |'to_angle' - 'from_angle'| = 1e+06 exceeds "
+     "64 turns"),
+    # the JSON number 1e400 reads as an infinite float
+    ('{"segments": [{"kind": "line", "from": 1e400, "to": "1"}]}',
+     "segment 1: 'from' must be finite, got (inf+0j)"),
 ], ids=["top-list", "segment-int", "no-segments", "missing-key",
-        "angle-list", "zero-denominator", "short-winding"])
+        "angle-list", "zero-denominator", "short-winding", "huge-sweep",
+        "long-sweep", "infinite-position"])
 def test_malformed_contour_json(tmp_path, capsys, blob, message):
     mpath = tmp_path / "model.json"
     write_model(mpath, [])
     cpath = tmp_path / "contour.json"
-    cpath.write_text(json.dumps(blob))
+    cpath.write_text(blob if isinstance(blob, str) else json.dumps(blob))
     assert main(["integrate", "--model", str(mpath), "--contour", str(cpath),
                  "--exponent", "1"]) == 2
     err = capsys.readouterr().err

@@ -309,6 +309,40 @@ def test_reduction_runs_on_numerators_alone(a1, a2, monkeypatch):
         assert [m.parts for m in got.gauge] == [m.parts for m in qc.gauge]
 
 
+def test_gauge_factors_are_lowered_once_on_first_read(a2, monkeypatch):
+    # quasi_canonicalize lowers only the v_j; each gauge factor entry is
+    # lowered on the first read of .gauge, once, and residual_gauge passes
+    # the unread factors on without lowering them
+    rng = random.Random(53)
+    conn = _rand_connection(a2, rng, max_grade=2, with_delta=True)
+    want = [m.parts for m in quasi_canonicalize(conn).gauge]
+    calls = []
+    lower = oper_core.lower_numerator
+
+    def counted(raw, frame, k):
+        calls.append(k)
+        return lower(raw, frame, k)
+
+    monkeypatch.setattr(oper_core, "lower_numerator", counted)
+    qc = quasi_canonicalize(conn)
+    assert sorted(calls) == sorted(j + 1 for j in qc.v)
+    calls.clear()
+    moved = residual_gauge(qc, {2: _pole(1, 0)})
+    assert calls == []
+    factors = qc.gauge
+    entries = [a for parts in want for a, comp in parts.items()
+               for _ in comp]
+    assert len(entries) > len(qc.v)
+    assert calls == entries
+    assert [m.parts for m in factors] == want
+    calls.clear()
+    assert qc.gauge is factors
+    assert calls == []
+    # the moved form lowers its own copy, as unread as it was passed on
+    assert [m.parts for m in moved.gauge] == want
+    assert calls == entries
+
+
 def test_wide_rationals_widen_the_base_and_match_the_replay(
         a1, a2, monkeypatch):
     # Weights of about 200 bits (100-bit numerators over 100-bit

@@ -1,0 +1,32 @@
+"""Bit identity of the exact outputs: the ``reduce``, ``gauge`` and
+``bethe`` hashes of ``tools/output_hashes.py``.
+
+These three cover exact rational output only, so they do not depend on
+the platform.  The float ``periods`` hash and the slower hashes are left
+to the tool itself.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+WANT = {
+    "reduce":
+        "3a863ab1592b7d0a1d4c799fc9ccc1a74458709d4aea42688a460f650be9a2d9",
+    "gauge":
+        "e6ed9b0318d0051e7d9b1d008ce499c9a2bb97d9ec380a1f2afb8efbf7db1159",
+    "bethe":
+        "c44f56028a2eb89d041ab03937a91c31b35f117782ca9710ab5dc57e60dfafb5",
+}
+
+
+def test_exact_output_hashes_are_unchanged():
+    # a fresh interpreter, so that no patch made by another test leaks in
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "output_hashes.py"),
+         *WANT], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = dict(line.split() for line in run.stdout.splitlines())
+    assert got == WANT

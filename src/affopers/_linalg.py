@@ -1,15 +1,13 @@
-"""Tiny exact linear algebra over the rationals.
+"""Tiny exact linear algebra over the Gaussian rationals.
 
-Matrices are lists of lists of ``fractions.Fraction``.  Only the operations
-the graded-algebra layer needs: rref, nullspace, solve, inverse.
+Matrices are lists of lists of :class:`~affopers.coeffs.Scalar`.  Only the
+operations the graded-algebra layer needs: rref, nullspace, solve, inverse.
+A Scalar has no truth value, so zero tests read ``is_zero``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-_RZERO = Fraction(0)
-_RONE = Fraction(1)
+from .coeffs import _ONE, _ZERO
 
 
 def rref(rows):
@@ -23,16 +21,16 @@ def rref(rows):
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if m[i][c] != 0:
+            if not m[i][c].is_zero:
                 pr = i
                 break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = _RONE / m[r][c]
+        inv = _ONE / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
+            if i != r and not m[i][c].is_zero:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
@@ -52,15 +50,15 @@ def nullspace(rows, ncols=None):
     if not rows:
         if ncols is None:
             raise ValueError("need ncols for an empty constraint set")
-        return [[_RONE if i == j else _RZERO for i in range(ncols)]
+        return [[_ONE if i == j else _ZERO for i in range(ncols)]
                 for j in range(ncols)]
     ncols = len(rows[0]) if ncols is None else ncols
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [_RZERO] * ncols
-        v[fc] = _RONE
+        v = [_ZERO] * ncols
+        v[fc] = _ONE
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -80,7 +78,7 @@ def solve(rows, rhs):
     red, pivots = rref(aug)
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
-    x = [_RZERO] * ncols
+    x = [_ZERO] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
@@ -89,7 +87,7 @@ def solve(rows, rhs):
 def invert(rows):
     """Inverse of a square exact matrix; raises on singular input."""
     n = len(rows)
-    aug = [list(r) + [_RONE if i == j else _RZERO for j in range(n)]
+    aug = [list(r) + [_ONE if i == j else _ZERO for j in range(n)]
            for i, r in enumerate(rows)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
@@ -98,4 +96,4 @@ def invert(rows):
 
 
 def mat_vec(rows, v):
-    return [sum((a * b for a, b in zip(r, v)), _RZERO) for r in rows]
+    return [sum((a * b for a, b in zip(r, v)), _ZERO) for r in rows]

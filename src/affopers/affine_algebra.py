@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 
 from . import _linalg
-from ._linalg import _RONE, _RZERO
-from .coeffs import RationalFunction, Scalar, _MINUS_ONE, _ONE
+from .coeffs import RationalFunction, Scalar, _MINUS_ONE, _ONE, _ZERO
 
 __all__ = [
     "AlgebraModel",
@@ -88,14 +86,12 @@ class AlgebraModel:
         self._basis = {}
         self._index = {}
         self._btab = {}
-        self._sbtab = {}
         self._ftab = {}
         self._adm = {}
         self._anull = {}
         self._cbas = {}
         self._dmatinv = {}
         self._smatinv = {}
-        self._lbrows = {}
         self._steprows = {}
         self._pvecs = None
 
@@ -175,45 +171,51 @@ class AlgebraModel:
     def _finite_form(self, lx, ly):
         """(x | y) for matrix-unit / coroot labels (trace form)."""
         if lx[0] == "r" and ly[0] == "r":
-            return _RONE if (lx[2] == ly[1] and lx[1] == ly[2]) else _RZERO
+            return _ONE if (lx[2] == ly[1] and lx[1] == ly[2]) else _ZERO
         if lx[0] == "h" and ly[0] == "h":
             k, m = lx[1], ly[1]
             if k == m:
-                return Fraction(2)
+                return Scalar(2, 0, 1)
             if abs(k - m) == 1:
-                return Fraction(-1)
-            return _RZERO
-        return _RZERO
+                return _MINUS_ONE
+            return _ZERO
+        return _ZERO
 
     def _finite_bracket(self, lx, ly):
-        """[x, y] for labels; returns list of (label, rational coeff)."""
+        """[x, y] for labels; returns list of (label, Scalar coeff)."""
         if lx[0] == "r" and ly[0] == "r":
             _, a, b = lx
             _, c, d = ly
             out = []
             if b == c and a == d:
                 # E_aa - E_bb in the coroot basis: signed partial sums
-                lo, hi, sgn = (a, b, _RONE) if a < b else (b, a, -_RONE)
+                lo, hi, sgn = (a, b, _ONE) if a < b else (b, a, _MINUS_ONE)
                 for k in range(lo, hi):
                     out.append((("h", k), sgn))
                 return out
             if b == c:
-                out.append((("r", a, d), _RONE))
+                out.append((("r", a, d), _ONE))
             if d == a:
-                out.append((("r", c, b), -_RONE))
+                out.append((("r", c, b), _MINUS_ONE))
             return out
         if lx[0] == "h" and ly[0] == "r":
             k = lx[1]
             _, c, d = ly
             coeff = ((1 if k == c else 0) - (1 if k + 1 == c else 0)
                      - (1 if k == d else 0) + (1 if k + 1 == d else 0))
-            return [(ly, Fraction(coeff))] if coeff else []
+            return [(ly, Scalar(coeff, 0, 1))] if coeff else []
         if lx[0] == "r" and ly[0] == "h":
             return [(lab, -q) for lab, q in self._finite_bracket(ly, lx)]
         return []  # cartan-cartan
 
     def bracket_table(self, gx, gy):
-        """Sparse table {(i, j): (((target index, coeff), ...), delta coeff)}."""
+        """The structure constants of [grade gx, grade gy], grouped by the
+        first index: a tuple of ``(i, ((j, terms, center), ...))`` over the
+        nonzero brackets of basis(gx)[i] with basis(gy)[j], in index order,
+        where ``terms`` is a tuple of ``(index into basis(gx + gy), Scalar)``
+        (empty when only the center is hit) and ``center`` the Scalar
+        coefficient of delta, or None where the center term vanishes.
+        Built once per model."""
         key = (gx, gy)
         got = self._btab.get(key)
         if got is not None:
@@ -222,47 +224,22 @@ class AlgebraModel:
         g = gx + gy
         self.basis(g)
         idx = self._index[g]
-        table = {}
+        table = []
         for i, (lx, px) in enumerate(bx):
+            row = []
             for j, (ly, py) in enumerate(by):
-                terms = [(idx[lab], q) for lab, q in self._finite_bracket(lx, ly)]
-                dq = _RZERO
+                terms = tuple((idx[lab], q)
+                              for lab, q in self._finite_bracket(lx, ly))
+                center = None
                 if px + py == 0 and px != 0:
                     f = self._finite_form(lx, ly)
-                    if f != 0:
-                        dq = px * f
-                if terms or dq != 0:
-                    table[(i, j)] = (tuple(terms), dq)
-        self._btab[key] = table
-        return table
-
-    def scalar_bracket_table(self, gx, gy):
-        """``bracket_table(gx, gy)`` with Scalar coefficients, built once
-        per model on first use: ``{(i, j): (((target index, Scalar), ...),
-        center Scalar or None where the center term vanishes)}``."""
-        key = (gx, gy)
-        got = self._sbtab.get(key)
-        if got is None:
-            got = self._sbtab[key] = {
-                ij: (tuple((idx, _qq_scalar(q)) for idx, q in terms),
-                     _qq_scalar(dq) if dq else None)
-                for ij, (terms, dq) in self.bracket_table(gx, gy).items()}
-        return got
-
-    def loop_bracket_rows(self, gx, gy):
-        """``bracket_table(gx, gy)`` without the center column, with Scalar
-        coefficients, grouped by the first index: a tuple of
-        ``(i, ((j, ((target index, Scalar), ...)), ...))`` over the entries
-        that have a loop term."""
-        key = (gx, gy)
-        got = self._lbrows.get(key)
-        if got is not None:
-            return got
-        rows = {}
-        for (i, j), (terms, _dq) in self.scalar_bracket_table(gx, gy).items():
-            if terms:
-                rows.setdefault(i, []).append((j, terms))
-        got = self._lbrows[key] = tuple((i, tuple(r)) for i, r in rows.items())
+                    if not f.is_zero:
+                        center = Scalar(px, 0, 1) * f
+                if terms or center is not None:
+                    row.append((j, terms, center))
+            if row:
+                table.append((i, tuple(row)))
+        got = self._btab[key] = tuple(table)
         return got
 
     def form_table(self, g):
@@ -271,7 +248,7 @@ class AlgebraModel:
         if got is not None:
             return got
         bx, by = self.basis(g), self.basis(-g)
-        F = [[_RZERO] * len(by) for _ in bx]
+        F = [[_ZERO] * len(by) for _ in bx]
         for i, (lx, px) in enumerate(bx):
             for j, (ly, py) in enumerate(by):
                 if px + py == 0:
@@ -284,13 +261,13 @@ class AlgebraModel:
     def pminus_vector(self, sign=-1):
         """Coefficient vector of p_-1 (or p_1 with sign=+1) over basis(sign)."""
         n = self.n
-        vec = [_RZERO] * self.dim_loop(sign)
+        vec = [_ZERO] * self.dim_loop(sign)
         if sign == -1:
             labels = [("r", i + 1, i) for i in range(1, n)] + [("r", 1, n)]
         else:
             labels = [("r", i, i + 1) for i in range(1, n)] + [("r", n, 1)]
         for lab in labels:
-            vec[self.index(sign, lab)] = _RONE
+            vec[self.index(sign, lab)] = _ONE
         return vec
 
     def ad_pminus_matrix(self, g):
@@ -298,21 +275,22 @@ class AlgebraModel:
         got = self._adm.get(g)
         if got is not None:
             return got
-        tab = self.bracket_table(-1, g)
-        rows = [[_RZERO] * self.dim_loop(g) for _ in range(self.dim_loop(g - 1))]
-        for (i, j), (terms, _dq) in tab.items():
-            for idx, q in terms:
-                rows[idx][j] += q
+        rows = [[_ZERO] * self.dim_loop(g) for _ in range(self.dim_loop(g - 1))]
+        for _i, row in self.bracket_table(-1, g):
+            for j, terms, _center in row:
+                for idx, q in terms:
+                    rows[idx][j] += q
         self._adm[g] = rows
         return rows
 
     def ad_pminus_delta_row(self, g):
         """Delta component of [p_-1, .] on grade g (nonzero only for g = 1)."""
-        tab = self.bracket_table(-1, g)
-        row = [_RZERO] * self.dim_loop(g)
-        for (_i, j), (_terms, dq) in tab.items():
-            row[j] += dq
-        return row
+        out = [_ZERO] * self.dim_loop(g)
+        for _i, row in self.bracket_table(-1, g):
+            for j, _terms, center in row:
+                if center is not None:
+                    out[j] += center
+        return out
 
     def kernel_basis(self, g):
         """Basis of a_g = ker(loop part of ad p_-1) inside grade g, g != 0."""
@@ -335,7 +313,7 @@ class AlgebraModel:
         rows = []
         for a in kern:
             rows.append([
-                sum((F[i][j] * a[j] for j in range(len(a))), _RZERO)
+                sum((F[i][j] * a[j] for j in range(len(a))), _ZERO)
                 for i in range(len(F))
             ])
         if rows:
@@ -357,7 +335,7 @@ class AlgebraModel:
         out = []
         for v in self.image_complement_basis(1):
             loop = _linalg.mat_vec(M, v)
-            dq = sum((a * b for a, b in zip(drow, v)), _RZERO)
+            dq = sum((a * b for a, b in zip(drow, v)), _ZERO)
             out.append((dq, loop))
         self._cbas[0] = out
         return out
@@ -382,7 +360,7 @@ class AlgebraModel:
         """
         if self._pvecs is not None:
             return self._pvecs
-        hv = Fraction(self.dual_coxeter)
+        hv = Scalar(self.dual_coxeter, 0, 1)
         out = {}
         for j in self.exponent_multiset(min(self.cutoff, self.window - 1)):
             if j in out:
@@ -397,7 +375,7 @@ class AlgebraModel:
             B = [[_dot_form(F, x, y) for y in ys] for x in xs]
             if len(xs) == 1:
                 t = B[0][0]
-                if t == 0:
+                if t.is_zero:
                     raise ValueError(f"degenerate pairing at grade {j}")
                 out[j] = [xs[0]]
                 out[-j] = [[c * hv / t for c in ys[0]]]
@@ -407,7 +385,7 @@ class AlgebraModel:
                 out[-j] = [
                     [
                         sum((Binv[c][b] * hv * ys[c][i] for c in range(len(ys))),
-                            _RZERO)
+                            _ZERO)
                         for i in range(len(ys[0]))
                     ]
                     for b in range(len(ys))
@@ -424,7 +402,7 @@ class AlgebraModel:
         if got is not None:
             return got
         if g == 0:
-            cols = [[_RONE] + [_RZERO] * self.rank]
+            cols = [[_ONE] + [_ZERO] * self.rank]
             for dq, loop in self.c0_basis():
                 cols.append([dq] + list(loop))
             mat = [list(col) for col in zip(*cols)]
@@ -482,7 +460,7 @@ class AlgebraModel:
             # the delta excess d is removed by -d p_1, and p_1 is the
             # all-ones vector at grade 1
             cols = (self.image_complement_basis(1)
-                    + [[_RONE] * self.dim_loop(1)])
+                    + [[_ONE] * self.dim_loop(1)])
             mc = D[1:] + [[-q for q in D[0]]]
         else:
             npv = len(self.principal_vectors().get(n, ()))
@@ -492,14 +470,14 @@ class AlgebraModel:
             mc = D[npv:]
             if mc:
                 S = self.step_solve_matrix_inv(n)
-                mc = [[sum((s * row[j] for s, row in zip(srow, mc)), _RZERO)
+                mc = [[sum((s * row[j] for s, row in zip(srow, mc)), _ZERO)
                        for j in range(len(D[0]))] for srow in S]
-        mrows = [[sum((col[i] * row[j] for col, row in zip(cols, mc)), _RZERO)
+        mrows = [[sum((col[i] * row[j] for col, row in zip(cols, mc)), _ZERO)
                   for j in range(len(D[0]))]
                  for i in range(self.dim_loop(n + 1))]
 
         def sparse(row):
-            return tuple((j, _qq_scalar(q)) for j, q in enumerate(row) if q)
+            return tuple((j, q) for j, q in enumerate(row) if not q.is_zero)
 
         got = (None if vrow is None else sparse(vrow),
                tuple(sparse(row) for row in mrows))
@@ -531,27 +509,23 @@ class AlgebraModel:
 
 def _normalize_first_nonzero(v):
     for x in v:
-        if x != 0:
-            inv = _RONE / x
+        if not x.is_zero:
+            inv = _ONE / x
             for i in range(len(v)):
                 v[i] = v[i] * inv
             return
 
 
 def _dot_form(F, x, y):
-    acc = _RZERO
+    acc = _ZERO
     for i, xi in enumerate(x):
-        if xi == 0:
+        if xi.is_zero:
             continue
         row = F[i]
         for j, yj in enumerate(y):
-            if yj != 0 and row[j] != 0:
+            if not (yj.is_zero or row[j].is_zero):
                 acc += xi * row[j] * yj
     return acc
-
-
-def _qq_scalar(q) -> Scalar:
-    return Scalar(q.numerator, 0, q.denominator)
 
 
 class GradedVector:
@@ -585,14 +559,13 @@ class GradedVector:
 
     @staticmethod
     def from_coeff_vector(model, g, qvec, scale=None) -> "GradedVector":
-        """Lift a rational coefficient vector at grade g, optionally scaled
+        """Lift a Scalar coefficient vector at grade g, optionally scaled
         by a rational function."""
         out = GradedVector.zero(model)
         comp = [RationalFunction.zero()] * model.dim_loop(g)
-        for i, q in enumerate(qvec):
-            if q == 0:
+        for i, s in enumerate(qvec):
+            if s.is_zero:
                 continue
-            s = _qq_scalar(q)
             comp[i] = (RationalFunction.from_scalar(s) if scale is None
                        else scale.scale(s))
         if any(not c.is_zero for c in comp):
@@ -736,22 +709,23 @@ class GradedVector:
                 if abs(g) > model.window:
                     truncated = True
                     continue
-                tab = model.scalar_bracket_table(gx, gy)
+                tab = model.bracket_table(gx, gy)
                 if not tab:
                     continue
                 tv = slot(g)
-                for (i, j), (terms, dq) in tab.items():
+                for i, row in tab:
                     cx = vx[i]
                     if cx.is_zero:
                         continue
-                    cy = vy[j]
-                    if cy.is_zero:
-                        continue
-                    prod = cx * cy
-                    for idx, s in terms:
-                        tv[idx].append((s, prod))
-                    if dq is not None:
-                        delta.append((dq, prod))
+                    for j, terms, center in row:
+                        cy = vy[j]
+                        if cy.is_zero:
+                            continue
+                        prod = cx * cy
+                        for idx, s in terms:
+                            tv[idx].append((s, prod))
+                        if center is not None:
+                            delta.append((center, prod))
         # derivation: [rho, x] = (grade of x) x
         for rho, vec, sign in ((self.rho, other, 1), (other.rho, self, -1)):
             if rho.is_zero:
@@ -783,8 +757,8 @@ class GradedVector:
                 row = F[i]
                 for j, cy in enumerate(vy):
                     q = row[j]
-                    if q != 0 and not cy.is_zero:
-                        terms.append((_qq_scalar(q), cx * cy))
+                    if not (q.is_zero or cy.is_zero):
+                        terms.append((q, cx * cy))
         hv = Scalar.exact(model.dual_coxeter)
         if not self.delta.is_zero and not other.rho.is_zero:
             terms.append((hv, self.delta * other.rho))
@@ -947,8 +921,8 @@ def principal_decomposition(model: AlgebraModel, n: int):
         c = []
         for dq, loop in model.c0_basis():
             v = GradedVector.from_coeff_vector(model, 0, loop)
-            if dq != 0:
-                v = v.add_delta(RationalFunction.from_scalar(_qq_scalar(dq)))
+            if not dq.is_zero:
+                v = v.add_delta(RationalFunction.from_scalar(dq))
             c.append(v)
         return a, c
     a = [GradedVector.from_coeff_vector(model, n, v)

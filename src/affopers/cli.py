@@ -9,8 +9,8 @@ import sys
 from .coeffs import Scalar
 from .contour import Contour, ContourError, pochhammer
 from .integrate import twisted_integral
-from .miura import (MiuraData, RouteDisagreement, build_miura,
-                    regularity_check)
+from .miura import (MiuraData, RouteDisagreement, bethe_residuals,
+                    build_miura, regularity_check)
 from .oper_core import quasi_canonicalize
 from .verify import SUITES, run_suite, summary_lines
 
@@ -56,15 +56,17 @@ def cmd_bethe_check(args):
     if not d.roots:
         print("no roots to check; the data is trivially on shell")
         return 0
+    # every root and residual is formatted before the reduction runs, so
+    # that a value too large to print costs no reduction and leaves no
+    # partial report
+    shown = [(_fmt(w, f"root {i}: w"), _fmt(res, f"root {i}: the residual"))
+             for i, ((w, _c), res)
+             in enumerate(zip(d.roots, bethe_residuals(d)), start=1)]
     rows = regularity_check(d)
-    # every line is formatted before any is printed, so that a value too
-    # large to print leaves no partial report
     lines = []
-    for i, row in enumerate(rows, start=1):
+    for i, (row, (w, res)) in enumerate(zip(rows, shown), start=1):
         verdict = ("regular (pole-free representative)" if row["regular"]
                    else f"obstructed (pole order {row['max_pole_order']})")
-        w = _fmt(row["root"], f"root {i}: w")
-        res = _fmt(row["bethe_residual"], f"root {i}: the residual")
         lines.append(f"root {i}: w = {w} (color {row['color']})  "
                      f"residual = {res}  ->  {verdict}")
     print("\n".join(lines))

@@ -408,7 +408,7 @@ def _ad(model, a, m, x, K):
         g = a + b
         if g > K:
             continue
-        rows = model.loop_bracket_rows(a, b)
+        rows = model.bracket_table(a, b)
         if not rows:
             continue
         # a bound of every product of the grade (a zero has bound 0 and
@@ -428,7 +428,7 @@ def _ad(model, a, m, x, K):
             mx = mnum[i]
             if not (mx[0] or mx[1]):
                 continue
-            for j, terms in row:
+            for j, terms, _center in row:
                 y = xb[j]
                 if not (y[0] or y[1]):
                     continue

@@ -5,7 +5,6 @@ tests/oracles/gen_affine_expected.py (brute-force sympy enumeration).
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -320,13 +319,14 @@ def test_decomposition_matrices_reconstruct(a2):
 
     for n in (1, 2, 3, 4):
         inv = model.decomposition_matrix_inv(n)
-        vec = [Fraction(rng.randint(-5, 5)) for _ in range(model.dim_loop(n))]
+        vec = [Scalar.exact(rng.randint(-5, 5))
+               for _ in range(model.dim_loop(n))]
         coords = mat_vec(inv, vec)
         # rebuild from a- and c- bases
         pvs = model.principal_vectors().get(n, [])
         cols = [list(v) for v in pvs]
         cols += [list(v) for v in model.image_complement_basis(n)]
-        rebuilt = [Fraction(0)] * len(vec)
+        rebuilt = [Scalar.zero()] * len(vec)
         for q, col in zip(coords, cols):
             for i, ci in enumerate(col):
                 rebuilt[i] += q * ci
@@ -340,23 +340,53 @@ def test_step_solve_inverts_ad(a2):
 
     for n in (1, 2, 3):
         chere = model.image_complement_basis(n)
-        target = [Fraction(rng.randint(-4, 4)) for _ in chere]
+        target = [Scalar.exact(rng.randint(-4, 4)) for _ in chere]
         minv = model.step_solve_matrix_inv(n)
         mcoords = mat_vec(minv, target)
         # lift to grade n+1 and bracket with p_-1
-        lift = [Fraction(0)] * model.dim_loop(n + 1)
+        lift = [Scalar.zero()] * model.dim_loop(n + 1)
         for q, col in zip(mcoords, model.image_complement_basis(n + 1)):
             for i, ci in enumerate(col):
                 lift[i] += q * ci
         m = GradedVector.from_coeff_vector(model, n + 1, lift)
         got = model.pminus().bracket(m)
-        want = [Fraction(0)] * model.dim_loop(n)
+        want = [Scalar.zero()] * model.dim_loop(n)
         for q, col in zip(target, chere):
             for i, ci in enumerate(col):
                 want[i] += q * ci
         assert got.component(n) == [
-            RationalFunction.from_scalar(Scalar.exact(q)) for q in want
+            RationalFunction.from_scalar(q) for q in want
         ]
+
+
+@pytest.mark.parametrize("rank, cutoff", [(1, 5), (2, 4), (3, 4)])
+@pytest.mark.parametrize("basis_seed", [None, 3])
+def test_constant_tables_hold_nonzero_scalars(rank, cutoff, basis_seed):
+    model = build_algebra({"type": "A", "rank": rank, "cutoff": cutoff,
+                           "basis_seed": basis_seed})
+
+    def nonzero(q):
+        return isinstance(q, Scalar) and not q.is_zero
+
+    for n in range(cutoff + 1):
+        vrow, mrows = model.gauge_step_rows(n)
+        for row in ((vrow,) if vrow is not None else ()) + mrows:
+            assert all(nonzero(q) for _j, q in row), (n, row)
+        for row in model.decomposition_matrix_inv(n):
+            assert all(isinstance(q, Scalar) for q in row), n
+    for a in range(-2, cutoff + 1):
+        for b in range(-2, cutoff + 1):
+            if abs(a + b) > model.window:
+                continue
+            for _i, row in model.bracket_table(a, b):
+                assert row
+                for _j, terms, center in row:
+                    assert terms or center is not None
+                    assert all(nonzero(q) for _idx, q in terms), (a, b)
+                    assert center is None or nonzero(center), (a, b)
+    for vecs in model.principal_vectors().values():
+        for v in vecs:
+            assert all(isinstance(q, Scalar) for q in v)
 
 
 # ------------------------------------------------------------------- weights

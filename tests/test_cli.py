@@ -247,11 +247,17 @@ def test_directory_paths_are_error_exits(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_output_beyond_the_digit_limit_names_its_field(tmp_path, capsys):
+def test_output_beyond_the_digit_limit_names_its_field(tmp_path, capsys,
+                                                       monkeypatch):
     # the root itself has 4300 digits and prints; the residual's
-    # denominator has about twice as many
+    # denominator has about twice as many, which shows before any reduction
     path = tmp_path / "model.json"
     write_model(path, [{"w": "1e4299", "color": 1}])
+
+    def reduction(*_args, **_kwargs):
+        raise AssertionError("a reduction ran")
+
+    monkeypatch.setattr(cli, "regularity_check", reduction)
     assert main(["bethe-check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,9 +1,9 @@
-"""Bit identity of the exact outputs: the ``reduce``, ``gauge`` and
-``bethe`` hashes of ``tools/output_hashes.py``.
+"""Bit identity of the exact outputs: the ``reduce``, ``gauge``,
+``bethe``, ``classes`` and ``wide`` hashes of ``tools/output_hashes.py``.
 
-These three cover exact rational output only, so they do not depend on
-the platform.  The float ``periods`` hash and the slower hashes are left
-to the tool itself.
+These five cover exact rational output only, so they do not depend on
+the platform; ``wide`` reaches the cutoff-40 algebra tables.  The float
+``periods`` hash and the ``verify`` report are left to the tool itself.
 """
 
 import os
@@ -19,6 +19,10 @@ WANT = {
         "e6ed9b0318d0051e7d9b1d008ce499c9a2bb97d9ec380a1f2afb8efbf7db1159",
     "bethe":
         "c44f56028a2eb89d041ab03937a91c31b35f117782ca9710ab5dc57e60dfafb5",
+    "classes":
+        "22a6c040e56130e07436bd9e2a5f8ed87f824bf0b5a32da738d8aa92ce96b7cc",
+    "wide":
+        "7b3bec5219cf0952c7cc1758f0931499eabd153ff18bc49c2b4d211f8735c2d7",
 }
 
 

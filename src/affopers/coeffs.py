@@ -109,6 +109,8 @@ class Scalar:
 
     @staticmethod
     def exact(re, im=0) -> "Scalar":
+        if type(re) is int and type(im) is int:
+            return Scalar(re, im, 1)
         a, b = _rat(re), _rat(im)
         return _scalar(a.numerator * b.denominator,
                        b.numerator * a.denominator,

@@ -93,10 +93,6 @@ class Line:
     def derivative(self, t: float) -> complex:
         return self.end - self.start
 
-    def point_and_derivative(self, t: float):
-        d = self.end - self.start
-        return self.start + t * d, d
-
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
 
@@ -152,12 +148,6 @@ class Arc:
     def derivative(self, t: float) -> complex:
         sweep = self.to_angle - self.from_angle
         return self.radius * sweep * 1j * cmath.exp(1j * self._theta(t))
-
-    def point_and_derivative(self, t: float):
-        """``(point(t), derivative(t))`` from one exponential."""
-        e = cmath.exp(1j * self._theta(t))
-        sweep = self.to_angle - self.from_angle
-        return self.center + self.radius * e, self.radius * sweep * 1j * e
 
     @property
     def start(self) -> complex:

@@ -17,14 +17,25 @@ is load-bearing for correctness and is why a stock quadrature routine is
 not used: the integrand is not a function of z alone, and rules that sample
 in an unspecified internal order would lose the branch.
 
-One loop in ``_panel`` does all the work of a node: the position and path
-derivative from one evaluation of the segment (one exponential on an arc),
-the branch step from the previous node as ``advance_logs`` takes it when no
-increment needs bisecting (a step that must bisect goes to ``advance_logs``),
-the weighted log sum, and g by Horner over the complex coefficients and
-poles that ``RationalFunction.complex_form`` converts once per function.
-Every float operation is the one those functions would do, in the same
-order, so the values are theirs.
+A panel is evaluated by a kernel generated for its shape: the segment
+kind (line or arc), the number of marked points, the length of g's
+numerator and, per pole of g, the index of the marked point it sits at or
+None (``_shape``).  ``_kernel`` writes the kernel's source from ints and
+fixed text only, compiles it once per shape and keeps it in a bounded
+cache; ``integrate_twisted_form`` finds the shape once per integral.  A
+kernel reads the segment constants once per panel and runs the 15 nodes as
+a loop whose body is unrolled over the points and the coefficients: the
+position and path derivative (one exponential on an arc), the branch step
+from the previous node as ``advance_logs`` takes it when no increment
+needs bisecting (a step that must bisect, or that lands on a puncture,
+goes to ``advance_logs`` through this module's attribute), the weighted log
+sum, and g by Horner over the coefficients and poles that
+``RationalFunction.complex_form`` converts once per function.  Each
+``z - p`` is computed once per node, and serves as the next step's
+denominator and as the factor of a pole at that point.  Every float
+operation is the one ``Line.point``, ``Arc.point`` and ``derivative``,
+``advance_logs`` and ``eval_complex`` would do, in the same order, so the
+values are theirs bit for bit.
 
 A panel is accepted when its Kronrod-Gauss difference ``err`` is within
 its share of ``abs_tol`` (halved at each bisection) or within ``_ROUNDOFF``
@@ -39,9 +50,11 @@ reports an ``err`` above ``abs_tol``, the accuracy it actually reached.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .coeffs import RationalFunction, Scalar
+# _BRANCH_STEP and advance_logs are read by the generated panel kernels
 from .contour import (_BRANCH_STEP, Contour, ContourError, advance_logs,
                       clearance_violations, default_clearance, start_logs)
 from .oper_core import QuasiCanonicalForm, twisted_derivative
@@ -132,61 +145,122 @@ class _Budget:
                 "the integrand is probably too close to a singularity")
 
 
-def _panel(seg, ta, tb, za, zb, logs, points, integrand, budget):
-    """One Gauss-Kronrod panel with the branch threaded through the nodes;
-    ``za`` and ``zb`` are the positions at ta and tb, and ``integrand`` is
+# The geometry of a panel kernel, per segment kind: the statements that
+# read the segment constants once per panel, and those that leave the
+# position at a node t in ``z`` and the path derivative in ``dz``, the
+# operations of ``Line.point`` and ``Arc.point`` and ``derivative``.
+_GEOMETRY = {
+    "line": ("start = seg.start\n"
+             "dz = seg.end - start\n",
+             "z = start + t * dz\n"),
+    "arc": ("fa = seg.from_angle\n"
+            "sweep = seg.to_angle - fa\n"
+            "center = seg.center\n"
+            "radius = seg.radius\n"
+            "rs1j = (radius * sweep) * 1j\n",
+            "e = exp(1j * (fa + t * sweep))\n"
+            "z = center + radius * e\n"
+            "dz = rs1j * e\n"),
+}
+
+
+def _names(fmt, count):
+    """``count`` numbered names as an assignment target or a list body."""
+    names = [fmt.format(i) for i in range(count)]
+    return ", ".join(names) + ("," if count == 1 else "")
+
+
+def _kernel_source(kind, npoints, ncoeffs, sites):
+    """The source of the panel kernel of one shape; see the module
+    docstring.  It is built from ints and fixed text only."""
+    setup, node = _GEOMETRY[kind]
+    pts = range(npoints)
+    logs = _names("L{}", npoints)
+    out = ["def kernel(seg, ta, tb, za, zb, logs, points, integrand, budget,",
+           "           exp=cmath.exp, log=cmath.log, step=_BRANCH_STEP,",
+           "           nodes=_NODES):",
+           "    budget.spend()",
+           "    s, weights, coeffs, poles = integrand"]
+    if npoints:
+        out += [f"    {_names('p{}', npoints)} = points",
+                f"    {_names('k{}', npoints)} = weights",
+                f"    {logs} = logs"]
+        out += [f"    a{i} = za - p{i}" for i in pts]
+    if ncoeffs:
+        out.append(f"    {_names('c{}', ncoeffs)} = coeffs")
+    if sites:
+        out.append(f"    {_names('(q{0}, m{0})', len(sites))} = poles")
+    out += ["    " + line for line in setup.splitlines()]
+    out += ["    mid = 0.5 * (ta + tb)",
+            "    half = 0.5 * (tb - ta)",
+            "    acc_k = 0j",
+            "    acc_g = 0j",
+            "    acc_abs = 0.0",
+            "    tprev, zprev = ta, za",
+            "    for x, wk, wg in nodes:",
+            "        t = mid + half * x"]
+    out += ["        " + line for line in node.splitlines()]
+    if npoints:
+        out += [f"        b{i} = z - p{i}" for i in pts]
+        out += [("        if (" if i == 0 else "                or ")
+                + f"b{i} == 0 or abs(d{i} := log(b{i} / a{i})) >= step"
+                for i in pts]
+        out[-1] += "):"
+        out += [f"            {logs} = advance_logs(",
+                f"                points, [{logs}], seg, tprev, t, za=zprev,"
+                " zb=z)",
+                "        else:"]
+        out += [f"            L{i} += d{i}" for i in pts]
+    out.append("        w = 0" + "".join(f" + k{i} * L{i}" for i in pts))
+    out.append("        num = 0j")
+    out += [f"        num = num * z + c{j}" for j in range(ncoeffs)]
+    out.append("        den = (1 + 0j)" + "".join(
+        f" * (z - q{j}) ** m{j}" if i is None else f" * b{i} ** m{j}"
+        for j, i in enumerate(sites)))
+    out += ["        val = exp(s * w) * (num / den) * dz",
+            "        acc_k += wk * val",
+            "        acc_abs += wk * abs(val)",
+            "        if wg is not None:",
+            "            acc_g += wg * val"]
+    if npoints:
+        out.append(f"        {_names('a{}', npoints)} = "
+                   f"{_names('b{}', npoints)}")
+    out += ["        tprev, zprev = t, z",
+            f"    logs = advance_logs(points, [{logs}], seg, tprev, tb,",
+            "                        za=zprev, zb=zb)",
+            "    return half * acc_k, half * acc_g, abs(half) * acc_abs, logs",
+            ""]
+    return "\n".join(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel(kind, npoints, ncoeffs, sites):
+    """The panel kernel for a segment of this kind and an integrand of this
+    shape (see ``_shape``), compiled on first use.  It is a function of
+    ``(seg, ta, tb, za, zb, logs, points, integrand, budget)``, where ``za``
+    and ``zb`` are the positions at ta and tb and ``integrand`` is
     ``(s, weights, coeffs, poles)``: the power, the level weights, and g in
-    ``RationalFunction.complex_form``.
-    Returns (kronrod, gauss, resabs, logs at tb)."""
-    budget.spend()
-    s, weights, coeffs, poles = integrand
-    point_and_derivative = seg.point_and_derivative
-    mid = 0.5 * (ta + tb)
-    half = 0.5 * (tb - ta)
-    acc_k = 0j
-    acc_g = 0j
-    acc_abs = 0.0
-    tprev, zprev = ta, za
-    for x, wk, wg in _NODES:
-        t = mid + half * x
-        z, dz = point_and_derivative(t)
-        # the branch step from tprev as advance_logs takes it when no
-        # increment needs bisecting, with the weighted log sum added left
-        # to right as sum() adds it; a step that must bisect, or that
-        # lands on a puncture, goes to advance_logs itself
-        stepped = []
-        w = 0
-        for p, k, L in zip(points, weights, logs):
-            b = z - p
-            if b == 0:
-                break
-            d = cmath.log(b / (zprev - p))
-            if abs(d) >= _BRANCH_STEP:
-                break
-            L += d
-            stepped.append(L)
-            w += k * L
-        else:
-            logs = stepped
-        if logs is not stepped:
-            logs = advance_logs(points, logs, seg, tprev, t, za=zprev, zb=z)
-            w = 0
-            for k, L in zip(weights, logs):
-                w += k * L
-        num = 0j
-        for c in coeffs:
-            num = num * z + c
-        den = 1 + 0j
-        for p, m in poles:
-            den *= (z - p) ** m
-        val = cmath.exp(s * w) * (num / den) * dz
-        acc_k += wk * val
-        acc_abs += wk * abs(val)
-        if wg is not None:
-            acc_g += wg * val
-        tprev, zprev = t, z
-    logs = advance_logs(points, logs, seg, tprev, tb, za=zprev, zb=zb)
-    return half * acc_k, half * acc_g, abs(half) * acc_abs, logs
+    ``RationalFunction.complex_form``; it returns (kronrod, gauss, resabs,
+    logs at tb).  Its globals are this module's, so it calls
+    ``advance_logs`` through the module attribute."""
+    namespace = {}
+    exec(compile(_kernel_source(kind, npoints, ncoeffs, sites),
+                 f"<panel kernel {kind} {npoints} {ncoeffs} {sites}>",
+                 "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
+def _shape(points, integrand):
+    """``(npoints, ncoeffs, sites)``: the number of marked points, the
+    length of g's numerator and, per pole of g, the index of the marked
+    point it sits at (the same bits, signed zeros included), or None."""
+    _s, _weights, coeffs, poles = integrand
+    bits = [(p.real.hex(), p.imag.hex()) for p in points]
+    sites = []
+    for q, _m in poles:
+        key = (q.real.hex(), q.imag.hex())
+        sites.append(bits.index(key) if key in bits else None)
+    return len(points), len(coeffs), tuple(sites)
 
 
 # requesting absolute accuracy below the rounding noise of the node sums
@@ -200,9 +274,9 @@ _STALLED = 0.25
 _NOISE = 1e-11
 
 
-def _adaptive(seg, ta, tb, za, zb, logs, tol, depth, points, integrand,
-              budget, parent_err):
-    ik, ig, resabs, logs_b = _panel(seg, ta, tb, za, zb, logs, points,
+def _adaptive(kernel, seg, ta, tb, za, zb, logs, tol, depth, points,
+              integrand, budget, parent_err):
+    ik, ig, resabs, logs_b = kernel(seg, ta, tb, za, zb, logs, points,
                                     integrand, budget)
     err = abs(ik - ig)
     if (err <= max(tol, _ROUNDOFF * resabs) or depth >= _MAX_DEPTH
@@ -210,10 +284,11 @@ def _adaptive(seg, ta, tb, za, zb, logs, tol, depth, points, integrand,
         return ik, err, logs_b
     tm = 0.5 * (ta + tb)
     zm = seg.point(tm)
-    i1, e1, logs_m = _adaptive(seg, ta, tm, za, zm, logs, 0.5 * tol,
+    i1, e1, logs_m = _adaptive(kernel, seg, ta, tm, za, zm, logs, 0.5 * tol,
                                depth + 1, points, integrand, budget, err)
-    i2, e2, logs_b = _adaptive(seg, tm, tb, zm, zb, logs_m, 0.5 * tol,
-                               depth + 1, points, integrand, budget, err)
+    i2, e2, logs_b = _adaptive(kernel, seg, tm, tb, zm, zb, logs_m,
+                               0.5 * tol, depth + 1, points, integrand,
+                               budget, err)
     return i1 + i2, e1 + e2, logs_b
 
 
@@ -257,10 +332,11 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     total = 0j
     err = 0.0
     tol = abs_tol / max(1, len(contour.segments))
+    shape = _shape(points, integrand)
     for seg in contour.segments:
-        val, e, logs = _adaptive(seg, 0.0, 1.0, seg.point(0.0),
-                                 seg.point(1.0), logs, tol, 0, points,
-                                 integrand, budget, math.inf)
+        val, e, logs = _adaptive(_kernel(seg.kind, *shape), seg, 0.0, 1.0,
+                                 seg.point(0.0), seg.point(1.0), logs, tol,
+                                 0, points, integrand, budget, math.inf)
         total += val
         err += e
     disc = s * sum(k * (L1 - L0)

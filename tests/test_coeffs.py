@@ -240,6 +240,23 @@ def test_equal_scalars_share_one_triple():
             assert s == group[0] and hash(s) == hash(group[0])
 
 
+def test_exact_from_ints_matches_the_fraction_route():
+    # ints take a fast path; bools take the Fraction route, so that the
+    # canonical check below sees ints in the triple, never True or False
+    big = 3 ** 90
+    calls = [(0,), (1,), (-1,), (big,), (-big,), (0, 1), (0, -1), (2, -7),
+             (-big, big + 1), (5, "1/2"), ("3/4", -2), ("-1/3", big),
+             (True,), (False, True), (1, True)]
+    for args in calls:
+        got = Scalar.exact(*args)
+        re, im = (*args, 0)[:2]
+        a, b = Fraction(re), Fraction(im)
+        want = Scalar.exact(a, b)
+        _assert_canonical_scalar(got)
+        assert (got.r, got.i, got.q) == (want.r, want.i, want.q)
+        assert got == want and hash(got) == hash(want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(real_flags_st, parts_st, parts_st)
 def test_exact_polynomial_product_matches_textbook(flags, xs, ys):

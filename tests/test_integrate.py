@@ -373,26 +373,82 @@ def _reference_panel(seg, ta, tb, logs, points, weights, s, g, steps=None):
     return half * acc_k, half * acc_g, abs(half) * acc_abs, logs
 
 
-_POINTS = [0j, 1 + 0j]
-_WEIGHTS = [complex(1, -0.5), complex(-0.75, 0.25)]
-_S = complex(-1 / 3, 0.125)
+def _c(*parts):
+    """A complex from exact parts, with the bits ``as_complex`` gives."""
+    return Scalar.exact(*parts).as_complex()
+
+
+def _integrand(num, poles):
+    """g = num / prod (z - p)^m from exact coefficient and pole parts."""
+    return RationalFunction.from_split(
+        Polynomial.of([Scalar.exact(*c) for c in num]),
+        {Scalar.exact(*p): m for p, m in poles})
 
 
 def _gaussian_integrand():
     """A Gaussian-rational g with a double and a triple pole."""
-    num = Polynomial.of([Scalar.exact("1/2", "-2/3"), Scalar.exact(-3, 1),
-                         Scalar.exact("5/4", "1/7")])
-    return RationalFunction.from_split(num, {Scalar.exact(2, 1): 2,
-                                             Scalar.exact("-1/3", -2): 3})
+    return _integrand([("1/2", "-2/3"), (-3, 1), ("5/4", "1/7")],
+                      [((2, 1), 2), (("-1/3", -2), 3)])
+
+
+_REAL_8 = [(1,), ("-2/3",), (0,), ("5/4",), (3,), ("-1/7",), (2,), ("1/9",)]
+_GAUSS_8 = [(1, "1/2"), ("-2/3", 0), (0, 3), ("5/4", "-1/5"), (3, -1),
+            ("-1/7", "2/3"), (2, 0), ("1/9", "-4")]
+
+# (points, level weights, power s, g, the shape of its kernel: numerator
+# length and pole sites); every case has a point that each segment below
+# passes within 0.01 of or circles twice
+_PANEL_CASES = {
+    "1pt-real-len1-at": (
+        [_c(1)], [_c("3/2")], _c("-1/3"),
+        _integrand([(2,)], [((1,), 1)]), (1, (0,))),
+    "2pt-gauss-len3-off": (
+        [_c(0), _c(1)], [_c(1, "-1/2"), _c("-3/4", "1/4")],
+        _c("-1/3", "1/8"), _gaussian_integrand(), (3, (None, None))),
+    "2pt-real-len0": (
+        [_c(0), _c(1)], [_c("1/2"), _c("-3/2")], _c("-1/2"),
+        RationalFunction.zero(), (0, ())),
+    "3pt-real-len8-both": (
+        [_c(0), _c(1), _c(-1)], [_c("1/2"), _c("-3/4"), _c(2)],
+        _c("-2/3"), _integrand(_REAL_8, [((-1,), 1), ((0,), 2), ((3,), 1)]),
+        (8, (2, 0, None))),
+    "4pt-gauss-len8-both": (
+        [_c(0), _c(1), _c(-1), _c("1/2", 1)],
+        [_c(1, "-1/2"), _c("-3/4", "1/4"), _c("1/3"), _c(0, 2)],
+        _c("-1/4", "1/5"),
+        _integrand(_GAUSS_8, [((1,), 1), (("1/2", 1), 2), ((2, 1), 1)]),
+        (8, (3, 1, None))),
+    "4pt-gauss-len1-at": (
+        [_c(0), _c(1), _c(-1), _c("1/2", 1)],
+        [_c("1/2", 1), _c(-1), _c("3/4", "-1/4"), _c(1)], _c("-1/3"),
+        _integrand([("2/3", -1)], [((0,), 1), ((1,), 3)]), (1, (0, 1))),
+}
+
+
+def _bits(x):
+    """Floats and complexes by their hex digits, so that signed zeros and
+    NaNs compare as bits."""
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return x.hex()
+    return tuple(_bits(y) for y in x)
+
+
+def _kernel_panel(seg, ta, tb, logs, points, weights, s, g):
+    integrand = (s, weights, *g.complex_form())
+    kernel = integrate._kernel(seg.kind,
+                               *integrate._shape(points, integrand))
+    return kernel(seg, ta, tb, seg.point(ta), seg.point(tb), logs, points,
+                  integrand, integrate._Budget())
 
 
 @pytest.mark.parametrize("seg", [
-    Line(-1.5 + 0.01j, 1.5 + 0.01j),        # passes 0.01 from the puncture 0
+    Line(-1.5 + 0.01j, 1.5 + 0.01j),        # passes 0.01 from 0, 1 and -1
     Arc(0.25, 0.76, -1.0, 1.2),              # passes 0.01 from the puncture 1
     Arc(0.0, 0.5, 0.3, 0.3 + 4 * math.pi),   # two turns around 0
 ])
 def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
-    g = _gaussian_integrand()
     # the steps advance_logs bisects into, recorded through the module
     # attribute its recursion calls
     steps = []
@@ -402,21 +458,68 @@ def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
         steps.append((ta, tb))
         return inner(points, logs, seg, ta, tb, *args, **kwargs)
 
+    # the kernel's own calls, made through the integrate module attribute
+    # that bench/tracer.py patches
+    calls = []
+    outer = integrate.advance_logs
+
+    def counting(*args, **kwargs):
+        calls.append(args[3:5])
+        return outer(*args, **kwargs)
+
     monkeypatch.setattr(contour, "advance_logs", recording)
-    for ta, tb in ((0.0, 1.0), (0.25, 0.5), (0.5, 0.625)):
-        logs = start_logs(_POINTS, seg.point(ta))
-        want_steps = []
-        want = _reference_panel(seg, ta, tb, logs, _POINTS, _WEIGHTS, _S, g,
-                                want_steps)
-        steps[:] = []
-        got = integrate._panel(seg, ta, tb, seg.point(ta), seg.point(tb),
-                               logs, _POINTS,
-                               (_S, _WEIGHTS, *g.complex_form()),
-                               integrate._Budget())
-        assert got == want
-        assert steps == want_steps
-        if ta == 0.0:
-            assert steps, "the full-width panel must bisect a branch step"
+    monkeypatch.setattr(integrate, "advance_logs", counting)
+    for case, (points, weights, s, g, shape) in _PANEL_CASES.items():
+        integrand = (s, weights, *g.complex_form())
+        assert integrate._shape(points, integrand) == (len(points), *shape)
+        for ta, tb in ((0.0, 1.0), (0.25, 0.5), (0.5, 0.625)):
+            logs = start_logs(points, seg.point(ta))
+            want_steps = []
+            want = _reference_panel(seg, ta, tb, logs, points, weights, s, g,
+                                    want_steps)
+            steps[:] = []
+            calls[:] = []
+            got = _kernel_panel(seg, ta, tb, logs, points, weights, s, g)
+            assert _bits(got) == _bits(want), (case, ta, tb)
+            assert steps == want_steps, (case, ta, tb)
+            assert calls and calls[-1][1] == tb, (case, ta, tb)
+            if ta == 0.0:
+                assert steps, f"{case}: the full-width panel must bisect"
+
+
+def test_kernel_cache_keeps_no_state():
+    # two integrands of one shape, run one after the other and again: the
+    # cached kernel they share gives each its own reference values
+    seg = Line(-1.5 + 0.01j, 1.5 + 0.01j)
+    points = [_c(0), _c(1), _c(-1)]
+    weights = [_c("1/2"), _c("-3/4"), _c(2)]
+    first = _integrand(_REAL_8, [((-1,), 1), ((0,), 2), ((3,), 1)])
+    second = _integrand(_GAUSS_8, [((-1,), 2), ((0,), 1), (("1/3", 2), 3)])
+    shapes = {integrate._shape(points, (0j, weights, *g.complex_form()))
+              for g in (first, second)}
+    assert len(shapes) == 1
+    for g, s in ((first, _c("-2/3")), (second, _c("1/4", -1)),
+                 (first, _c("-2/3"))):
+        logs = start_logs(points, seg.point(0.25))
+        want = _reference_panel(seg, 0.25, 0.5, logs, points, weights, s, g)
+        got = _kernel_panel(seg, 0.25, 0.5, logs, points, weights, s, g)
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("points", [[_c(0), _c(2)], [_c(2), _c(0)]],
+                         ids=["first", "second"])
+def test_node_on_a_puncture_raises_as_the_reference(points):
+    # the middle node of the full-width panel on [-1, 1] is exactly 0
+    seg = Line(-1, 1)
+    assert seg.point(0.5 + 0.5 * integrate._KX[7]) == 0
+    weights = [_c("1/2"), _c(-1)]
+    g = _gaussian_integrand()
+    logs = start_logs(points, seg.point(0.0))
+    with pytest.raises(ContourError) as want:
+        _reference_panel(seg, 0.0, 1.0, logs, points, weights, _c("-1/3"), g)
+    with pytest.raises(ContourError) as got:
+        _kernel_panel(seg, 0.0, 1.0, logs, points, weights, _c("-1/3"), g)
+    assert str(got.value) == str(want.value)
 
 
 def _found_data():
@@ -438,8 +541,19 @@ def _noise_floor_case(a1):
     return d, 3, q.v[3], pochhammer((1, 0), radius="1/4")
 
 
-@pytest.mark.parametrize("case", [_beta_gaussian_case, _noise_floor_case],
-                         ids=["beta_gaussian", "noise_floor"])
+def _three_point_case(a1):
+    """Rank 2 at the points -1, 0, 1, a shape of the periods benchmark."""
+    model = build_algebra({"type": "A", "rank": 2, "cutoff": 3})
+    d = MiuraData.make(model, [("-1", ["1/2", "-1/3"], "1", "1/2"),
+                               ("0", ["-3/2", "2/3"], "2", "0"),
+                               ("1", ["1", "4/3"], "3", "-1/2")])
+    q = quasi_canonicalize(build_miura(d))
+    return d, 2, q.v[2], pochhammer((0, 1), radius="1/4")
+
+
+@pytest.mark.parametrize("case", [_beta_gaussian_case, _noise_floor_case,
+                                  _three_point_case],
+                         ids=["beta_gaussian", "noise_floor", "three_point"])
 def test_integral_matches_reference_bit_for_bit(a1, case):
     """The whole adaptive integral against the reference panels, with the
     stopping rule restated: value, error and panel count are identical."""
@@ -480,7 +594,8 @@ def test_integral_matches_reference_bit_for_bit(a1, case):
     assert len(panels) > len(gamma.segments)  # some panels were bisected
     if case is _noise_floor_case:
         assert stalled, "the noise stop must end some panels"
-    assert (res.value, res.err, res.panels) == (value, err, len(panels))
+    assert _bits((res.value, res.err)) == _bits((value, err))
+    assert res.panels == len(panels)
 
 
 def test_noise_floor_stops_bisecting():

@@ -17,25 +17,45 @@ is load-bearing for correctness and is why a stock quadrature routine is
 not used: the integrand is not a function of z alone, and rules that sample
 in an unspecified internal order would lose the branch.
 
-A panel is evaluated by a kernel generated for its shape: the segment
-kind (line or arc), the number of marked points, the length of g's
+Each segment is integrated by one routine generated for its shape: the
+segment kind (line or arc), the number of marked points, the length of g's
 numerator and, per pole of g, the index of the marked point it sits at or
-None (``_shape``).  ``_kernel`` writes the kernel's source from ints and
-fixed text only, compiles it once per shape and keeps it in a bounded
-cache; ``integrate_twisted_form`` finds the shape once per integral.  A
-kernel reads the segment constants once per panel and runs the 15 nodes as
-a loop whose body is unrolled over the points and the coefficients: the
-position and path derivative (one exponential on an arc), the branch step
-from the previous node as ``advance_logs`` takes it when no increment
-needs bisecting (a step that must bisect, or that lands on a puncture,
-goes to ``advance_logs`` through this module's attribute), the weighted log
-sum, and g by Horner over the coefficients and poles that
-``RationalFunction.complex_form`` converts once per function.  Each
-``z - p`` is computed once per node, and serves as the next step's
-denominator and as the factor of a pole at that point.  Every float
-operation is the one ``Line.point``, ``Arc.point`` and ``derivative``,
-``advance_logs`` and ``eval_complex`` would do, in the same order, so the
-values are theirs bit for bit.
+None, with the pole's order (``_shape``).  ``_routine`` writes the
+routine's source from ints and fixed text only, compiles it once per shape
+and keeps it in a bounded cache; ``integrate_twisted_form`` finds the
+shape once per integral and calls the routine once per segment.  The
+routine reads the segment and integrand constants once and binds them as
+the defaults of a recursive panel function, so that its node loop reads
+them as locals.  One call of that function does all of one panel: it
+counts the panel against ``_MAX_PANELS``, runs the 15 nodes, applies the
+acceptance test below, and then either bisects or, for an accepted panel
+only, takes the last branch step from the 15th node to the panel's end.
+
+The 15 nodes run as a loop whose body is unrolled over the points, the
+coefficients and the poles: the position and path derivative (one
+exponential on an arc), the branch step from the previous node, the
+weighted log sum, and g by Horner over the coefficients and poles that
+``RationalFunction.complex_form`` converts once per function.  A step's
+increments are the principal logs of ``(z - p) / (zprev - p)``; a zero
+``z - p`` makes ``cmath.log`` raise ``ValueError``, which stands in for a
+test per point.  A step that lands on a puncture, or whose increment
+reaches ``_BRANCH_STEP``, goes to ``advance_logs`` through this module's
+attribute, which bisects it or raises.  Each ``z - p`` is computed once per
+node, and serves as the next step's denominator and as the factor of a
+pole at that point.  A pole of order m <= 100 is raised to its power by
+the products that CPython's ``c_powu`` forms for ``** m``: ``(1+0j)*b``,
+``(1+0j)*(b*b)``, ``((1+0j)*b)*(b*b)`` and so on (``_pole_power``).
+Above 100, CPython's ``**`` goes through exp and log, and the routine
+keeps ``** m``.  Every float operation is the one ``Line.point``,
+``Arc.point`` and ``derivative``, ``advance_logs`` and ``eval_complex``
+would do, in the same order, so the values are theirs bit for bit.  Only
+the operands of a float-by-complex product, and of the ``0 +`` that starts
+the weighted log sum, are swapped to put the complex first: CPython then
+runs the complex operation at once instead of first trying the float's or
+the int's, and an IEEE product or sum does not depend on the order of its
+two operands.  The one difference is a pole power beyond the float range:
+there ``**`` raises ``OverflowError``, while the products give infinite or
+NaN parts, as the numerator's Horner sum already does.
 
 A panel is accepted when its Kronrod-Gauss difference ``err`` is within
 its share of ``abs_tol`` (halved at each bisection) or within ``_ROUNDOFF``
@@ -54,7 +74,7 @@ import functools
 import math
 
 from .coeffs import RationalFunction, Scalar
-# _BRANCH_STEP and advance_logs are read by the generated panel kernels
+# _BRANCH_STEP and advance_logs are read by the generated routines
 from .contour import (_BRANCH_STEP, Contour, ContourError, advance_logs,
                       clearance_violations, default_clearance, start_logs)
 from .oper_core import QuasiCanonicalForm, twisted_derivative
@@ -131,137 +151,8 @@ class IntegralResult:
                 f"{flag})")
 
 
-class _Budget:
-    __slots__ = ("panels",)
-
-    def __init__(self):
-        self.panels = 0
-
-    def spend(self):
-        self.panels += 1
-        if self.panels > _MAX_PANELS:
-            raise ContourError(
-                "quadrature did not converge within the panel budget; "
-                "the integrand is probably too close to a singularity")
-
-
-# The geometry of a panel kernel, per segment kind: the statements that
-# read the segment constants once per panel, and those that leave the
-# position at a node t in ``z`` and the path derivative in ``dz``, the
-# operations of ``Line.point`` and ``Arc.point`` and ``derivative``.
-_GEOMETRY = {
-    "line": ("start = seg.start\n"
-             "dz = seg.end - start\n",
-             "z = start + t * dz\n"),
-    "arc": ("fa = seg.from_angle\n"
-            "sweep = seg.to_angle - fa\n"
-            "center = seg.center\n"
-            "radius = seg.radius\n"
-            "rs1j = (radius * sweep) * 1j\n",
-            "e = exp(1j * (fa + t * sweep))\n"
-            "z = center + radius * e\n"
-            "dz = rs1j * e\n"),
-}
-
-
-def _names(fmt, count):
-    """``count`` numbered names as an assignment target or a list body."""
-    names = [fmt.format(i) for i in range(count)]
-    return ", ".join(names) + ("," if count == 1 else "")
-
-
-def _kernel_source(kind, npoints, ncoeffs, sites):
-    """The source of the panel kernel of one shape; see the module
-    docstring.  It is built from ints and fixed text only."""
-    setup, node = _GEOMETRY[kind]
-    pts = range(npoints)
-    logs = _names("L{}", npoints)
-    out = ["def kernel(seg, ta, tb, za, zb, logs, points, integrand, budget,",
-           "           exp=cmath.exp, log=cmath.log, step=_BRANCH_STEP,",
-           "           nodes=_NODES):",
-           "    budget.spend()",
-           "    s, weights, coeffs, poles = integrand"]
-    if npoints:
-        out += [f"    {_names('p{}', npoints)} = points",
-                f"    {_names('k{}', npoints)} = weights",
-                f"    {logs} = logs"]
-        out += [f"    a{i} = za - p{i}" for i in pts]
-    if ncoeffs:
-        out.append(f"    {_names('c{}', ncoeffs)} = coeffs")
-    if sites:
-        out.append(f"    {_names('(q{0}, m{0})', len(sites))} = poles")
-    out += ["    " + line for line in setup.splitlines()]
-    out += ["    mid = 0.5 * (ta + tb)",
-            "    half = 0.5 * (tb - ta)",
-            "    acc_k = 0j",
-            "    acc_g = 0j",
-            "    acc_abs = 0.0",
-            "    tprev, zprev = ta, za",
-            "    for x, wk, wg in nodes:",
-            "        t = mid + half * x"]
-    out += ["        " + line for line in node.splitlines()]
-    if npoints:
-        out += [f"        b{i} = z - p{i}" for i in pts]
-        out += [("        if (" if i == 0 else "                or ")
-                + f"b{i} == 0 or abs(d{i} := log(b{i} / a{i})) >= step"
-                for i in pts]
-        out[-1] += "):"
-        out += [f"            {logs} = advance_logs(",
-                f"                points, [{logs}], seg, tprev, t, za=zprev,"
-                " zb=z)",
-                "        else:"]
-        out += [f"            L{i} += d{i}" for i in pts]
-    out.append("        w = 0" + "".join(f" + k{i} * L{i}" for i in pts))
-    out.append("        num = 0j")
-    out += [f"        num = num * z + c{j}" for j in range(ncoeffs)]
-    out.append("        den = (1 + 0j)" + "".join(
-        f" * (z - q{j}) ** m{j}" if i is None else f" * b{i} ** m{j}"
-        for j, i in enumerate(sites)))
-    out += ["        val = exp(s * w) * (num / den) * dz",
-            "        acc_k += wk * val",
-            "        acc_abs += wk * abs(val)",
-            "        if wg is not None:",
-            "            acc_g += wg * val"]
-    if npoints:
-        out.append(f"        {_names('a{}', npoints)} = "
-                   f"{_names('b{}', npoints)}")
-    out += ["        tprev, zprev = t, z",
-            f"    logs = advance_logs(points, [{logs}], seg, tprev, tb,",
-            "                        za=zprev, zb=zb)",
-            "    return half * acc_k, half * acc_g, abs(half) * acc_abs, logs",
-            ""]
-    return "\n".join(out)
-
-
-@functools.lru_cache(maxsize=256)
-def _kernel(kind, npoints, ncoeffs, sites):
-    """The panel kernel for a segment of this kind and an integrand of this
-    shape (see ``_shape``), compiled on first use.  It is a function of
-    ``(seg, ta, tb, za, zb, logs, points, integrand, budget)``, where ``za``
-    and ``zb`` are the positions at ta and tb and ``integrand`` is
-    ``(s, weights, coeffs, poles)``: the power, the level weights, and g in
-    ``RationalFunction.complex_form``; it returns (kronrod, gauss, resabs,
-    logs at tb).  Its globals are this module's, so it calls
-    ``advance_logs`` through the module attribute."""
-    namespace = {}
-    exec(compile(_kernel_source(kind, npoints, ncoeffs, sites),
-                 f"<panel kernel {kind} {npoints} {ncoeffs} {sites}>",
-                 "exec"), globals(), namespace)
-    return namespace["kernel"]
-
-
-def _shape(points, integrand):
-    """``(npoints, ncoeffs, sites)``: the number of marked points, the
-    length of g's numerator and, per pole of g, the index of the marked
-    point it sits at (the same bits, signed zeros included), or None."""
-    _s, _weights, coeffs, poles = integrand
-    bits = [(p.real.hex(), p.imag.hex()) for p in points]
-    sites = []
-    for q, _m in poles:
-        key = (q.real.hex(), q.imag.hex())
-        sites.append(bits.index(key) if key in bits else None)
-    return len(points), len(coeffs), tuple(sites)
-
+_BUDGET_MESSAGE = ("quadrature did not converge within the panel budget; "
+                   "the integrand is probably too close to a singularity")
 
 # requesting absolute accuracy below the rounding noise of the node sums
 # would bisect forever; 50 ulps of the |f| mass is the floor a panel can hit
@@ -273,23 +164,207 @@ _ROUNDOFF = 50 * 2.220446049250313e-16
 _STALLED = 0.25
 _NOISE = 1e-11
 
+# the largest integer power that CPython's complex ** forms by repeated
+# squaring (c_powu in Objects/complexobject.c); above it, ** goes through
+# exp and log
+_POWU_LIMIT = 100
 
-def _adaptive(kernel, seg, ta, tb, za, zb, logs, tol, depth, points,
-              integrand, budget, parent_err):
-    ik, ig, resabs, logs_b = kernel(seg, ta, tb, za, zb, logs, points,
-                                    integrand, budget)
-    err = abs(ik - ig)
-    if (err <= max(tol, _ROUNDOFF * resabs) or depth >= _MAX_DEPTH
-            or _STALLED * parent_err <= err <= _NOISE * resabs):
-        return ik, err, logs_b
-    tm = 0.5 * (ta + tb)
-    zm = seg.point(tm)
-    i1, e1, logs_m = _adaptive(kernel, seg, ta, tm, za, zm, logs, 0.5 * tol,
-                               depth + 1, points, integrand, budget, err)
-    i2, e2, logs_b = _adaptive(kernel, seg, tm, tb, zm, zb, logs_m,
-                               0.5 * tol, depth + 1, points, integrand,
-                               budget, err)
-    return i1 + i2, e1 + e2, logs_b
+# The geometry of a routine, per segment kind: the segment constants, read
+# once per segment as (name, expression) pairs; the statements that leave
+# the position at a node t in ``z`` and the path derivative in ``dz``; and
+# the one that leaves the position at a bisection point tm in ``zm``: the
+# operations of ``Line.point`` and ``Arc.point`` and ``derivative``.
+_GEOMETRY = {
+    "line": ((("start", "seg.start"),
+              ("dz", "seg.end - start")),
+             "z = start + dz * t\n",
+             "zm = start + dz * tm\n"),
+    "arc": ((("fa", "seg.from_angle"),
+             ("sweep", "seg.to_angle - fa"),
+             ("center", "seg.center"),
+             ("radius", "seg.radius"),
+             ("rs1j", "(radius * sweep) * 1j")),
+            "e = exp(1j * (fa + t * sweep))\n"
+            "z = center + e * radius\n"
+            "dz = rs1j * e\n",
+            "zm = center + exp(1j * (fa + tm * sweep)) * radius\n"),
+}
+
+
+def _names(fmt, count):
+    """``count`` numbered names as an assignment target or a list body."""
+    names = [fmt.format(i) for i in range(count)]
+    return ", ".join(names) + ("," if count == 1 else "")
+
+
+def _pole_power(base, m, out):
+    """Statements that leave ``base ** m`` in ``out``, bit for bit.  For
+    1 <= m <= 100 they are the products CPython's ``c_powu`` forms: 1 + 0j
+    times, from the lowest set bit of m up, the repeated squares of
+    ``base`` that m's bits select; above 100 the statement is ``** m``."""
+    if not 1 <= m <= _POWU_LIMIT:
+        return [f"{out} = {base} ** {m:d}"]
+    lines, factors, square = [], [], base
+    for k in range(m.bit_length()):
+        if k:
+            lines.append(f"{out}_{k} = {square} * {square}")
+            square = f"{out}_{k}"
+        if m >> k & 1:
+            factors.append(square)
+    lines.append(f"{out} = (1 + 0j) * " + " * ".join(factors))
+    return lines
+
+
+def _branch_step(npoints, t, z):
+    """Statements that carry the logs ``L{i}`` from the previous node
+    (``tprev``, ``zprev``, with ``a{i} = zprev - p{i}``) to ``t`` at the
+    position ``z``, leaving ``b{i} = z - p{i}``.  Each increment is the
+    principal log of ``b{i} / a{i}``; a zero ``b{i}`` makes that log raise
+    ``ValueError``.  A step that hits a puncture, or whose increment
+    reaches ``step``, goes to ``advance_logs`` through this module's
+    attribute, which bisects it or raises."""
+    if not npoints:
+        return []
+    pts = range(npoints)
+    logs = _names("L{}", npoints)
+    return ([f"b{i} = {z} - p{i}" for i in pts]
+            + ["try:"]
+            + [f"    d{i} = log(b{i} / a{i})" for i in pts]
+            + ["except ValueError:",
+               "    d0 = step",
+               "if " + " or ".join(f"abs(d{i}) >= step" for i in pts) + ":",
+               f"    {logs} = advance_logs(points, [{logs}], seg, tprev, {t},",
+               f"                          za=zprev, zb={z})",
+               "else:"]
+            + [f"    L{i} += d{i}" for i in pts])
+
+
+def _indent(depth, lines):
+    return [" " * depth + line for line in lines]
+
+
+def _routine_source(kind, npoints, ncoeffs, sites):
+    """The source of the adaptive routine of one shape; see the module
+    docstring.  It is built from ints and fixed text only."""
+    setup, node, midpoint = _GEOMETRY[kind]
+    pts = range(npoints)
+    logs = _names("L{}", npoints)
+    out = ["def adaptive(seg, ta, tb, logs, tol, panels, points, integrand):",
+           "    s, weights, coeffs, poles = integrand"]
+    if npoints:
+        out += [f"    {_names('p{}', npoints)} = points",
+                f"    {_names('k{}', npoints)} = weights"]
+    if ncoeffs:
+        out.append(f"    {_names('c{}', ncoeffs)} = coeffs")
+    if sites:
+        out.append(f"    {_names('(q{}, _)', len(sites))} = poles")
+    out += [f"    {name} = {expr}" for name, expr in setup]
+    # the constants become the panel function's defaults, so that its
+    # node loop reads them as locals
+    consts = (["s"] + [f"{x}{i}" for x in "pk" for i in pts]
+              + [f"c{j}" for j in range(ncoeffs)]
+              + [f"q{j}" for j in range(len(sites))]
+              + [name for name, _expr in setup])
+    defaults = [f"{name}={name}" for name in consts] + [
+        "exp=cmath.exp", "log=cmath.log", "step=_BRANCH_STEP",
+        "nodes=_NODES"]
+    out += ["    count = panels",
+            "",
+            "    def panel(ta, tb, za, zb, logs, tol, depth, parent_err,",
+            f"              {', '.join(defaults)}):",
+            "        nonlocal count",
+            "        count += 1",
+            "        if count > _MAX_PANELS:",
+            "            raise ContourError(_BUDGET_MESSAGE)"]
+    if npoints:
+        out.append(f"        {logs} = logs")
+        out += [f"        a{i} = za - p{i}" for i in pts]
+    out += ["        mid = 0.5 * (ta + tb)",
+            "        half = 0.5 * (tb - ta)",
+            "        acc_k = 0j",
+            "        acc_g = 0j",
+            "        acc_abs = 0.0",
+            "        tprev, zprev = ta, za",
+            "        for x, wk, wg in nodes:",
+            "            t = mid + half * x"]
+    out += _indent(12, node.splitlines())
+    out += _indent(12, _branch_step(npoints, "t", "z"))
+    terms = [f"k{i} * L{i}" for i in pts]
+    out.append("            w = " + " + ".join(terms[:1] + ["0j"] + terms[1:]))
+    out.append("            num = 0j")
+    out += [f"            num = num * z + c{j}" for j in range(ncoeffs)]
+    for j, (i, m) in enumerate(sites):
+        if i is None:
+            out.append(f"            u{j} = z - q{j}")
+        out += _indent(12, _pole_power(f"u{j}" if i is None else f"b{i}",
+                                       m, f"pw{j}"))
+    out.append("            den = (1 + 0j)"
+               + "".join(f" * pw{j}" for j in range(len(sites))))
+    out += ["            val = exp(s * w) * (num / den) * dz",
+            "            acc_k += val * wk",
+            "            acc_abs += wk * abs(val)",
+            "            if wg is not None:",
+            "                acc_g += val * wg"]
+    if npoints:
+        out.append(f"            {_names('a{}', npoints)} = "
+                   f"{_names('b{}', npoints)}")
+    out += ["            tprev, zprev = t, z",
+            "        ik = acc_k * half",
+            "        err = abs(ik - acc_g * half)",
+            "        resabs = abs(half) * acc_abs",
+            "        if (err <= max(tol, _ROUNDOFF * resabs)",
+            "                or depth >= _MAX_DEPTH",
+            "                or _STALLED * parent_err <= err"
+            " <= _NOISE * resabs):"]
+    out += _indent(12, _branch_step(npoints, "tb", "zb"))
+    out += [f"            return ik, err, ({logs})",
+            "        tm = 0.5 * (ta + tb)"]
+    out += _indent(8, midpoint.splitlines())
+    out += ["        i1, e1, logs = panel(ta, tm, za, zm, logs, 0.5 * tol,",
+            "                             depth + 1, err)",
+            "        i2, e2, logs = panel(tm, tb, zm, zb, logs, 0.5 * tol,",
+            "                             depth + 1, err)",
+            "        return i1 + i2, e1 + e2, logs",
+            "",
+            "    value, err, logs = panel(ta, tb, seg.point(ta),",
+            "                             seg.point(tb), logs, tol, 0,",
+            "                             math.inf)",
+            "    return value, err, logs, count",
+            ""]
+    return "\n".join(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _routine(kind, npoints, ncoeffs, sites):
+    """The adaptive routine for a segment of this kind and an integrand of
+    this shape (see ``_shape``), compiled on first use.  It is a function
+    of ``(seg, ta, tb, logs, tol, panels, points, integrand)``, where
+    ``logs`` are the logs at ta, ``tol`` is the absolute tolerance of
+    [ta, tb], ``panels`` the panels spent so far and ``integrand`` is
+    ``(s, weights, coeffs, poles)``: the power, the level weights, and g in
+    ``RationalFunction.complex_form``.  It returns (value, err, logs at
+    tb, panels spent).  Its globals are this module's, so it calls
+    ``advance_logs`` through the module attribute and reads the stopping
+    constants and ``_MAX_PANELS`` at each panel."""
+    namespace = {}
+    exec(compile(_routine_source(kind, npoints, ncoeffs, sites),
+                 f"<adaptive routine {kind} {npoints} {ncoeffs} {sites}>",
+                 "exec"), globals(), namespace)
+    return namespace["adaptive"]
+
+
+def _shape(points, integrand):
+    """``(npoints, ncoeffs, sites)``: the number of marked points, the
+    length of g's numerator and, per pole of g, the index of the marked
+    point it sits at (the same bits, signed zeros included) or None,
+    paired with the pole's order."""
+    _s, _weights, coeffs, poles = integrand
+    bits = [(p.real.hex(), p.imag.hex()) for p in points]
+    sites = []
+    for q, m in poles:
+        key = (q.real.hex(), q.imag.hex())
+        sites.append((bits.index(key) if key in bits else None, m))
+    return len(points), len(coeffs), tuple(sites)
 
 
 def _marked_data(d):
@@ -326,17 +401,16 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
                 f"contour (clearance {eps:.3g})")
 
     integrand = (s, weights, *g.complex_form())
-    budget = _Budget()
     logs = start_logs(points, contour.segments[0].point(0.0))
     start_vec = list(logs)
     total = 0j
     err = 0.0
+    panels = 0
     tol = abs_tol / max(1, len(contour.segments))
     shape = _shape(points, integrand)
     for seg in contour.segments:
-        val, e, logs = _adaptive(_kernel(seg.kind, *shape), seg, 0.0, 1.0,
-                                 seg.point(0.0), seg.point(1.0), logs, tol,
-                                 0, points, integrand, budget, math.inf)
+        val, e, logs, panels = _routine(seg.kind, *shape)(
+            seg, 0.0, 1.0, logs, tol, panels, points, integrand)
         total += val
         err += e
     disc = s * sum(k * (L1 - L0)
@@ -344,7 +418,7 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     multiplier = cmath.exp(disc)
     valid = contour.is_closed and abs(multiplier - 1.0) < 1e-9
     return IntegralResult(total, err, multiplier, len(contour.segments),
-                          budget.panels, valid)
+                          panels, valid)
 
 
 def twisted_integral(d, q: QuasiCanonicalForm, r: int, contour: Contour,

@@ -326,25 +326,33 @@ def test_error_estimate_honest(a1):
 # ----------------------------------------- the panel, bit for bit
 
 
-def _reference_advance(points, logs, seg, ta, tb, steps, depth=0):
+def _reference_advance(points, logs, seg, ta, tb, steps, slow, depth=0):
     """advance_logs with both ends of every step, bisected ones included,
-    evaluated anew; appends each bisected step to ``steps``."""
+    evaluated anew; appends each bisected half-step to ``steps`` and each
+    node-to-node step that must bisect to ``slow``."""
     if depth:
         steps.append((ta, tb))
     inc = contour._log_increment(points, seg.point(ta), seg.point(tb))
     if inc is not None:
         return [L + d for L, d in zip(logs, inc)]
+    if not depth:
+        slow.append((ta, tb))
     assert depth < contour._MAX_DEPTH
     tm = 0.5 * (ta + tb)
-    half = _reference_advance(points, logs, seg, ta, tm, steps, depth + 1)
-    return _reference_advance(points, half, seg, tm, tb, steps, depth + 1)
+    half = _reference_advance(points, logs, seg, ta, tm, steps, slow,
+                              depth + 1)
+    return _reference_advance(points, half, seg, tm, tb, steps, slow,
+                              depth + 1)
 
 
-def _reference_panel(seg, ta, tb, logs, points, weights, s, g, steps=None):
+def _reference_panel(seg, ta, tb, logs, points, weights, s, g, steps=None,
+                     slow=None):
     """One Gauss-Kronrod panel evaluated naively: separate seg.point and
     seg.derivative calls, every coefficient and pole of g converted to
-    complex at every node, and every branch step's ends recomputed."""
+    complex at every node, every pole power taken by ``**``, and every
+    branch step's ends recomputed."""
     steps = [] if steps is None else steps
+    slow = [] if slow is None else slow
     mid = 0.5 * (ta + tb)
     half = 0.5 * (tb - ta)
     acc_k = 0j
@@ -353,7 +361,7 @@ def _reference_panel(seg, ta, tb, logs, points, weights, s, g, steps=None):
     tprev = ta
     for i, (x, wk) in enumerate(zip(integrate._KX, integrate._KW)):
         t = mid + half * x
-        logs = _reference_advance(points, logs, seg, tprev, t, steps)
+        logs = _reference_advance(points, logs, seg, tprev, t, steps, slow)
         z = seg.point(t)
         num = 0j
         for c in reversed(g.num.coeffs):
@@ -369,7 +377,7 @@ def _reference_panel(seg, ta, tb, logs, points, weights, s, g, steps=None):
         if wg is not None:
             acc_g += wg * val
         tprev = t
-    logs = _reference_advance(points, logs, seg, tprev, tb, steps)
+    logs = _reference_advance(points, logs, seg, tprev, tb, steps, slow)
     return half * acc_k, half * acc_g, abs(half) * acc_abs, logs
 
 
@@ -395,33 +403,41 @@ _REAL_8 = [(1,), ("-2/3",), (0,), ("5/4",), (3,), ("-1/7",), (2,), ("1/9",)]
 _GAUSS_8 = [(1, "1/2"), ("-2/3", 0), (0, 3), ("5/4", "-1/5"), (3, -1),
             ("-1/7", "2/3"), (2, 0), ("1/9", "-4")]
 
-# (points, level weights, power s, g, the shape of its kernel: numerator
-# length and pole sites); every case has a point that each segment below
-# passes within 0.01 of or circles twice
+# (points, level weights, power s, g, the shape of its routine: numerator
+# length and, per pole, its site and order); every case has a point that
+# each segment below passes within 0.01 of or circles twice
 _PANEL_CASES = {
     "1pt-real-len1-at": (
         [_c(1)], [_c("3/2")], _c("-1/3"),
-        _integrand([(2,)], [((1,), 1)]), (1, (0,))),
+        _integrand([(2,)], [((1,), 1)]), (1, ((0, 1),))),
     "2pt-gauss-len3-off": (
         [_c(0), _c(1)], [_c(1, "-1/2"), _c("-3/4", "1/4")],
-        _c("-1/3", "1/8"), _gaussian_integrand(), (3, (None, None))),
+        _c("-1/3", "1/8"), _gaussian_integrand(),
+        (3, ((None, 3), (None, 2)))),
     "2pt-real-len0": (
         [_c(0), _c(1)], [_c("1/2"), _c("-3/2")], _c("-1/2"),
         RationalFunction.zero(), (0, ())),
     "3pt-real-len8-both": (
         [_c(0), _c(1), _c(-1)], [_c("1/2"), _c("-3/4"), _c(2)],
         _c("-2/3"), _integrand(_REAL_8, [((-1,), 1), ((0,), 2), ((3,), 1)]),
-        (8, (2, 0, None))),
+        (8, ((2, 1), (0, 2), (None, 1)))),
     "4pt-gauss-len8-both": (
         [_c(0), _c(1), _c(-1), _c("1/2", 1)],
         [_c(1, "-1/2"), _c("-3/4", "1/4"), _c("1/3"), _c(0, 2)],
         _c("-1/4", "1/5"),
         _integrand(_GAUSS_8, [((1,), 1), (("1/2", 1), 2), ((2, 1), 1)]),
-        (8, (3, 1, None))),
+        (8, ((3, 2), (1, 1), (None, 1)))),
     "4pt-gauss-len1-at": (
         [_c(0), _c(1), _c(-1), _c("1/2", 1)],
         [_c("1/2", 1), _c(-1), _c("3/4", "-1/4"), _c(1)], _c("-1/3"),
-        _integrand([("2/3", -1)], [((0,), 1), ((1,), 3)]), (1, (0, 1))),
+        _integrand([("2/3", -1)], [((0,), 1), ((1,), 3)]),
+        (1, ((0, 1), (1, 3)))),
+    # the largest order c_powu forms at a point, and the smallest that
+    # CPython's ** takes through exp and log
+    "2pt-real-len2-order100-101": (
+        [_c(0), _c(1)], [_c("1/2"), _c("-3/2")], _c("-1/3"),
+        _integrand([(1,), ("1/2",)], [((1,), 100), ((2,), 101)]),
+        (2, ((1, 100), (None, 101)))),
 }
 
 
@@ -435,22 +451,30 @@ def _bits(x):
     return tuple(_bits(y) for y in x)
 
 
-def _kernel_panel(seg, ta, tb, logs, points, weights, s, g):
+def _routine_panel(seg, ta, tb, logs, points, weights, s, g):
+    """The adaptive routine on [ta, tb] with an infinite tolerance, so that
+    it evaluates one panel and accepts it: (value, err, logs at tb,
+    panels)."""
     integrand = (s, weights, *g.complex_form())
-    kernel = integrate._kernel(seg.kind,
-                               *integrate._shape(points, integrand))
-    return kernel(seg, ta, tb, seg.point(ta), seg.point(tb), logs, points,
-                  integrand, integrate._Budget())
+    routine = integrate._routine(seg.kind,
+                                 *integrate._shape(points, integrand))
+    return routine(seg, ta, tb, logs, math.inf, 0, points, integrand)
 
 
-@pytest.mark.parametrize("seg", [
-    Line(-1.5 + 0.01j, 1.5 + 0.01j),        # passes 0.01 from 0, 1 and -1
-    Arc(0.25, 0.76, -1.0, 1.2),              # passes 0.01 from the puncture 1
-    Arc(0.0, 0.5, 0.3, 0.3 + 4 * math.pi),   # two turns around 0
-])
-def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
-    # the steps advance_logs bisects into, recorded through the module
-    # attribute its recursion calls
+def _reference_accepted(seg, ta, tb, logs, points, weights, s, g, steps=None,
+                        slow=None):
+    """What an accepted panel yields: (kronrod, its error, logs at tb)."""
+    ik, ig, _resabs, logs = _reference_panel(seg, ta, tb, logs, points,
+                                             weights, s, g, steps, slow)
+    return ik, abs(ik - ig), logs
+
+
+@pytest.fixture
+def advance_calls(monkeypatch):
+    """(steps, calls): the steps ``advance_logs`` bisects into, recorded
+    through the module attribute its recursion calls, and the (ta, tb) of
+    the routine's own calls, made through the integrate module attribute
+    that bench/tracer.py patches."""
     steps = []
     inner = contour.advance_logs
 
@@ -458,8 +482,6 @@ def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
         steps.append((ta, tb))
         return inner(points, logs, seg, ta, tb, *args, **kwargs)
 
-    # the kernel's own calls, made through the integrate module attribute
-    # that bench/tracer.py patches
     calls = []
     outer = integrate.advance_logs
 
@@ -469,40 +491,114 @@ def test_panel_matches_reference_bit_for_bit(seg, monkeypatch):
 
     monkeypatch.setattr(contour, "advance_logs", recording)
     monkeypatch.setattr(integrate, "advance_logs", counting)
+    return steps, calls
+
+
+@pytest.mark.parametrize("seg", [
+    Line(-1.5 + 0.01j, 1.5 + 0.01j),        # passes 0.01 from 0, 1 and -1
+    Arc(0.25, 0.76, -1.0, 1.2),              # passes 0.01 from the puncture 1
+    Arc(0.0, 0.5, 0.3, 0.3 + 4 * math.pi),   # two turns around 0
+])
+def test_panel_matches_reference_bit_for_bit(seg, advance_calls):
+    steps, calls = advance_calls
     for case, (points, weights, s, g, shape) in _PANEL_CASES.items():
         integrand = (s, weights, *g.complex_form())
         assert integrate._shape(points, integrand) == (len(points), *shape)
         for ta, tb in ((0.0, 1.0), (0.25, 0.5), (0.5, 0.625)):
             logs = start_logs(points, seg.point(ta))
-            want_steps = []
-            want = _reference_panel(seg, ta, tb, logs, points, weights, s, g,
-                                    want_steps)
+            want_steps, want_slow = [], []
+            want = _reference_accepted(seg, ta, tb, logs, points, weights,
+                                       s, g, want_steps, want_slow)
             steps[:] = []
             calls[:] = []
-            got = _kernel_panel(seg, ta, tb, logs, points, weights, s, g)
+            *got, panels = _routine_panel(seg, ta, tb, logs, points,
+                                          weights, s, g)
+            assert panels == 1
             assert _bits(got) == _bits(want), (case, ta, tb)
             assert steps == want_steps, (case, ta, tb)
-            assert calls and calls[-1][1] == tb, (case, ta, tb)
+            # the routine steps inline, calling advance_logs for exactly
+            # the steps that must bisect
+            assert calls == want_slow, (case, ta, tb)
             if ta == 0.0:
                 assert steps, f"{case}: the full-width panel must bisect"
 
 
-def test_kernel_cache_keeps_no_state():
+def test_last_step_bisects_as_the_reference(advance_calls):
+    # the puncture 1.496 lies 0.01 below the path, between the last node
+    # (1.4872 + 0.01i) and the end of the panel (1.5 + 0.01i)
+    steps, calls = advance_calls
+    seg = Line(-1.5 + 0.01j, 1.5 + 0.01j)
+    points, weights, s, g, _shape = _PANEL_CASES["3pt-real-len8-both"]
+    points = points[:2] + [_c("187/125")]
+    logs = start_logs(points, seg.point(0.0))
+    want_steps, want_slow = [], []
+    want = _reference_accepted(seg, 0.0, 1.0, logs, points, weights, s, g,
+                               want_steps, want_slow)
+    assert want_slow[-1] == (0.5 + 0.5 * integrate._KX[-1], 1.0)
+    *got, _panels = _routine_panel(seg, 0.0, 1.0, logs, points, weights, s,
+                                   g)
+    assert _bits(got) == _bits(want)
+    assert steps == want_steps
+    assert calls == want_slow
+
+
+def test_end_on_a_puncture_raises_as_the_reference(advance_calls):
+    # the panel ends exactly on the puncture 1
+    _steps, calls = advance_calls
+    seg = Line(-1, 1)
+    assert seg.point(1.0) == 1
+    points = [_c(3), _c(1)]
+    weights = [_c("1/2"), _c(-1)]
+    g = _gaussian_integrand()
+    logs = start_logs(points, seg.point(0.0))
+    with pytest.raises(ContourError) as want:
+        _reference_panel(seg, 0.0, 1.0, logs, points, weights, _c("-1/3"), g)
+    with pytest.raises(ContourError) as got:
+        _routine_panel(seg, 0.0, 1.0, logs, points, weights, _c("-1/3"), g)
+    assert str(got.value) == str(want.value)
+    assert calls[-1] == (0.5 + 0.5 * integrate._KX[-1], 1.0)
+
+
+def test_pole_products_match_power_bit_for_bit():
+    rng = random.Random(20)
+
+    def part():
+        return rng.randint(-9, 9) / rng.randint(1, 7)
+
+    bases = [complex(part(), 0.0) for _ in range(6)]
+    bases += [complex(part(), part()) for _ in range(6)]
+    bases += [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+              for _ in range(6)]
+    bases += [complex(x, y) for x in (0.0, -0.0, 1.25, -0.75)
+              for y in (0.0, -0.0, 0.5, -1.5)]
+    for m in range(1, integrate._POWU_LIMIT + 1):
+        code = compile("\n".join(integrate._pole_power("b", m, "out")),
+                       f"<power {m}>", "exec")
+        for b in bases:
+            namespace = {"b": b}
+            exec(code, namespace)
+            assert _bits(namespace["out"]) == _bits(b ** m), (m, b)
+    assert integrate._pole_power("b", 101, "out") == ["out = b ** 101"]
+
+
+def test_routine_cache_keeps_no_state():
     # two integrands of one shape, run one after the other and again: the
-    # cached kernel they share gives each its own reference values
+    # cached routine they share gives each its own reference values
     seg = Line(-1.5 + 0.01j, 1.5 + 0.01j)
     points = [_c(0), _c(1), _c(-1)]
     weights = [_c("1/2"), _c("-3/4"), _c(2)]
     first = _integrand(_REAL_8, [((-1,), 1), ((0,), 2), ((3,), 1)])
-    second = _integrand(_GAUSS_8, [((-1,), 2), ((0,), 1), (("1/3", 2), 3)])
+    second = _integrand(_GAUSS_8, [((-1,), 1), ((0,), 2), (("1/3", 2), 1)])
     shapes = {integrate._shape(points, (0j, weights, *g.complex_form()))
               for g in (first, second)}
     assert len(shapes) == 1
     for g, s in ((first, _c("-2/3")), (second, _c("1/4", -1)),
                  (first, _c("-2/3"))):
         logs = start_logs(points, seg.point(0.25))
-        want = _reference_panel(seg, 0.25, 0.5, logs, points, weights, s, g)
-        got = _kernel_panel(seg, 0.25, 0.5, logs, points, weights, s, g)
+        want = _reference_accepted(seg, 0.25, 0.5, logs, points, weights, s,
+                                   g)
+        *got, _panels = _routine_panel(seg, 0.25, 0.5, logs, points,
+                                       weights, s, g)
         assert _bits(got) == _bits(want)
 
 
@@ -518,7 +614,7 @@ def test_node_on_a_puncture_raises_as_the_reference(points):
     with pytest.raises(ContourError) as want:
         _reference_panel(seg, 0.0, 1.0, logs, points, weights, _c("-1/3"), g)
     with pytest.raises(ContourError) as got:
-        _kernel_panel(seg, 0.0, 1.0, logs, points, weights, _c("-1/3"), g)
+        _routine_panel(seg, 0.0, 1.0, logs, points, weights, _c("-1/3"), g)
     assert str(got.value) == str(want.value)
 
 
@@ -551,13 +647,15 @@ def _three_point_case(a1):
     return d, 2, q.v[2], pochhammer((0, 1), radius="1/4")
 
 
-@pytest.mark.parametrize("case", [_beta_gaussian_case, _noise_floor_case,
-                                  _three_point_case],
-                         ids=["beta_gaussian", "noise_floor", "three_point"])
-def test_integral_matches_reference_bit_for_bit(a1, case):
-    """The whole adaptive integral against the reference panels, with the
-    stopping rule restated: value, error and panel count are identical."""
-    d, r, g, gamma = case(a1)
+_BUDGET_MESSAGE = ("quadrature did not converge within the panel budget; "
+                   "the integrand is probably too close to a singularity")
+
+
+def _reference_integral(d, r, g, gamma):
+    """The whole adaptive integral from the reference panels, with the
+    stopping rule and the panel budget restated: (value, err, panels,
+    stalled), the last two the (ta, tb) of every panel and of those that
+    the noise stop ended."""
     points, weights = integrate._marked_data(d)
     s = complex(r) * (-1.0 / d.model.dual_coxeter)
     tol = 1e-10 / len(gamma.segments)
@@ -565,9 +663,11 @@ def test_integral_matches_reference_bit_for_bit(a1, case):
     stalled = []
 
     def adaptive(seg, ta, tb, logs, tol, depth, parent_err):
+        panels.append((ta, tb))
+        if len(panels) > integrate._MAX_PANELS:
+            raise ContourError(_BUDGET_MESSAGE)
         ik, ig, resabs, logs_b = _reference_panel(seg, ta, tb, logs, points,
                                                   weights, s, g)
-        panels.append((ta, tb))
         err = abs(ik - ig)
         if (err <= max(tol, integrate._ROUNDOFF * resabs)
                 or depth >= integrate._MAX_DEPTH):
@@ -590,12 +690,77 @@ def test_integral_matches_reference_bit_for_bit(a1, case):
         v, e, logs = adaptive(seg, 0.0, 1.0, logs, tol, 0, math.inf)
         value += v
         err += e
+    return value, err, panels, stalled
+
+
+# the four shapes of the periods benchmark at cutoff 3: rank, the points
+# with their (pairing, level, delta) weights, and the pair whose
+# Pochhammer cycle is integrated
+_PERIODS_SHAPES = {
+    "rank1_0_1": (1, [("0", ["1/2"], "1", "1/3"),
+                      ("1", ["-3/2"], "2", "0")], (0, 1)),
+    "rank2_0_1": (2, [("0", ["1/2", "-2/3"], "1", "0"),
+                      ("1", ["2/3", "1"], "3", "-1/2")], (0, 1)),
+    "rank2_0_1_2": (2, [("0", ["-1/2", "1/3"], "2", "1/2"),
+                        ("1", ["1", "-1/2"], "1", "0"),
+                        ("2", ["1/3", "3/2"], "3", "-1/3")], (1, 2)),
+    "rank2_-1_0_1": (2, [("-1", ["3/2", "-1"], "1", "0"),
+                         ("0", ["-1/3", "1/2"], "3", "1/2"),
+                         ("1", ["2/3", "1/3"], "2", "-1/2")], (-1, 0)),
+}
+
+
+def _periods_case(name, r):
+    def case(a1):
+        rank, points, pair = _PERIODS_SHAPES[name]
+        model = build_algebra({"type": "A", "rank": rank, "cutoff": 3})
+        d = MiuraData.make(model, points)
+        q = quasi_canonicalize(build_miura(d))
+        return d, r, q.v[r], pochhammer(pair, radius="1/4")
+    return case
+
+
+_INTEGRAL_CASES = {
+    "beta_gaussian": _beta_gaussian_case,
+    "noise_floor": _noise_floor_case,
+    "three_point": _three_point_case,
+    **{f"{name}-r{r}": _periods_case(name, r)
+       for name, (rank, _points, _pair) in _PERIODS_SHAPES.items()
+       for r in ((1, 3) if rank == 1 else (1, 2))},
+}
+
+
+@pytest.mark.parametrize("case", list(_INTEGRAL_CASES.values()),
+                         ids=list(_INTEGRAL_CASES))
+def test_integral_matches_reference_bit_for_bit(a1, case):
+    """The whole adaptive integral against the reference panels, with the
+    stopping rule restated: value, error and panel count are identical."""
+    d, r, g, gamma = case(a1)
+    value, err, panels, stalled = _reference_integral(d, r, g, gamma)
     res = integrate_twisted_form(d, r, g, gamma)
     assert len(panels) > len(gamma.segments)  # some panels were bisected
     if case is _noise_floor_case:
         assert stalled, "the noise stop must end some panels"
     assert _bits((res.value, res.err)) == _bits((value, err))
     assert res.panels == len(panels)
+
+
+def test_panel_budget_raises_as_the_reference(a1, monkeypatch):
+    # the budget counts panels across the segments of one integral; with
+    # the budget one short of what the integral needs, the last panel
+    # raises, on both sides, and with the budget exact nothing does
+    d, r, g, gamma = _beta_gaussian_case(a1)
+    *_value_err, panels, _stalled = _reference_integral(d, r, g, gamma)
+    needed = len(panels)
+    for budget in (1, 2, 40, needed - 1):
+        monkeypatch.setattr(integrate, "_MAX_PANELS", budget)
+        with pytest.raises(ContourError) as want:
+            _reference_integral(d, r, g, gamma)
+        with pytest.raises(ContourError) as got:
+            integrate_twisted_form(d, r, g, gamma)
+        assert str(got.value) == str(want.value) == _BUDGET_MESSAGE
+    monkeypatch.setattr(integrate, "_MAX_PANELS", needed)
+    assert integrate_twisted_form(d, r, g, gamma).panels == needed
 
 
 def test_noise_floor_stops_bisecting():

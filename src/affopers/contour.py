@@ -298,19 +298,18 @@ def segment_chain(*points) -> Contour:
     return Contour([Line(a, b) for a, b in zip(pts, pts[1:])], pts[0])
 
 
-def _unit_loop(center: float, radius: float, basepoint: float, sign: int):
+def _unit_loop(center: float, radius: float, basepoint: float):
     """In normalized coordinates: from basepoint on the real axis, walk to
     the circle of given radius around center (0 or 1), go around once
-    (counterclockwise for sign +1), walk back."""
+    counterclockwise, walk back."""
     if center == 0.0:
         entry = radius
         th0 = 0.0
     else:
         entry = 1.0 - radius
         th0 = math.pi
-    th1 = th0 + sign * 2 * math.pi
     return [Line(basepoint, entry),
-            Arc(complex(center), radius, th0, th1),
+            Arc(complex(center), radius, th0, th0 + 2 * math.pi),
             Line(entry, basepoint)]
 
 
@@ -318,7 +317,10 @@ def pochhammer(points, radius=None, basepoint=None) -> Contour:
     """Commutator loop around two punctures: once counterclockwise around
     the first, once around the second, then both again clockwise.  Net
     winding around each puncture is zero, so products (z-p)^k return to
-    their starting branch for every exponent."""
+    their starting branch for every exponent.  Each clockwise loop is the
+    exact ``reversed()`` of its counterclockwise one, segment by segment,
+    so the cycle has four pieces, two lines and two circles, that the
+    quadrature integrates once each."""
     p0, p1 = (_cnum(p) for p in points)
     span = p1 - p0
     dist = abs(span)
@@ -340,9 +342,7 @@ def pochhammer(points, radius=None, basepoint=None) -> Contour:
                 "basepoint must lie on the segment strictly between the "
                 "two circles")
         bt = rel.real
-    segs = []
-    for center, sign in ((0.0, +1), (1.0, +1), (0.0, -1), (1.0, -1)):
-        segs.extend(_unit_loop(center, rho, bt, sign))
+    segs = _unit_loop(0.0, rho, bt) + _unit_loop(1.0, rho, bt)
     # map the normalized picture onto the actual pair of punctures
     rot = cmath.phase(span)
     out = []
@@ -352,6 +352,8 @@ def pochhammer(points, radius=None, basepoint=None) -> Contour:
         else:
             out.append(Arc(p0 + span * s.center, s.radius * dist,
                            s.from_angle + rot, s.to_angle + rot))
+    for loop in (out[:3], out[3:]):
+        out += [s.reversed() for s in reversed(loop)]
     return Contour(out, p0 + span * bt, [(p0, 0), (p1, 0)])
 
 

@@ -57,6 +57,21 @@ two operands.  The one difference is a pole power beyond the float range:
 there ``**`` raises ``OverflowError``, while the products give infinite or
 NaN parts, as the numerator's Horner sum already does.
 
+A contour may run over one piece more than once: the twelve segments of
+a Pochhammer cycle are four pieces, two lines run four times each and two
+circles run twice, half of the runs reversed.
+``integrate_twisted_form`` keeps, per integral, the value, ``err`` and
+start and end logs of each segment it integrates, keyed by the segment's
+exact float bits (``_piece_keys``).  A later segment with the key of a
+kept piece, or with the key of its ``reversed()``, is not integrated when
+its start logs are the piece's start logs (its end logs, for a reverse)
+plus 2 pi i n with integer n, within ``_TURN_TOL``: along it the
+integrand is the piece's times ``factor = exp(s sum_i k_i 2 pi i n_i)``,
+so it adds ``+-factor`` times the piece's value and ``|factor|`` times
+its ``err``, and the logs move on to the piece's end logs (start logs,
+for a reverse) plus 2 pi i n (``_repeat``).  ``panels`` and the panel
+budget count evaluated panels only.
+
 A panel is accepted when its Kronrod-Gauss difference ``err`` is within
 its share of ``abs_tol`` (halved at each bisection) or within ``_ROUNDOFF``
 of its |f| mass, or when it lies at ``_MAX_DEPTH``.  It is also accepted
@@ -65,6 +80,9 @@ is at least ``_STALLED`` of its parent's and at most ``_NOISE`` of its |f|
 mass.  Bisecting such a panel halves the tolerance without reducing the
 noise, so it would otherwise go down to the depth cap; the integral then
 reports an ``err`` above ``abs_tol``, the accuracy it actually reached.
+A panel that is not accepted and whose ``err`` is not finite, because the
+integrand overflows the float range on it, raises ``ContourError`` in
+place of bisecting; accepted panels pay nothing for that test.
 """
 
 from __future__ import annotations
@@ -121,9 +139,12 @@ class IntegralResult:
     ``valid`` means only that the contour closed and the branch of P^s
     returned to itself, so the value is an invariant, not path data; it
     says nothing about accuracy.  ``err`` is the sum of the panels' error
-    estimates.  An ``err`` above the requested ``abs_tol`` means the
-    integrand's rounding noise lies above that tolerance: the panels there
-    stopped at the noise, and ``err`` is the accuracy reached."""
+    estimates, plus ``|factor|`` times the piece's ``err`` for each segment
+    that repeats a piece already integrated (see the module docstring).
+    ``panels`` counts the panels evaluated; a repeated piece adds none.
+    An ``err`` above the requested ``abs_tol`` means the integrand's
+    rounding noise lies above that tolerance: the panels there stopped at
+    the noise, and ``err`` is the accuracy reached."""
 
     __slots__ = ("value", "err", "multiplier", "segments", "panels", "valid")
 
@@ -153,6 +174,8 @@ class IntegralResult:
 
 _BUDGET_MESSAGE = ("quadrature did not converge within the panel budget; "
                    "the integrand is probably too close to a singularity")
+_OVERFLOW_MESSAGE = ("the integrand overflows the float range on the "
+                     "contour: a panel's sum is not finite")
 
 # requesting absolute accuracy below the rounding noise of the node sums
 # would bisect forever; 50 ulps of the |f| mass is the floor a panel can hit
@@ -168,6 +191,11 @@ _NOISE = 1e-11
 # squaring (c_powu in Objects/complexobject.c); above it, ** goes through
 # exp and log
 _POWU_LIMIT = 100
+
+# a repeated piece's start logs must lie this close to 2 pi i n away from
+# the stored ones (see ``_repeat``)
+_TWO_PI = 2 * math.pi
+_TURN_TOL = 1e-9
 
 # The geometry of a routine, per segment kind: the segment constants, read
 # once per segment as (name, expression) pairs; the statements that leave
@@ -318,6 +346,11 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             " <= _NOISE * resabs):"]
     out += _indent(12, _branch_step(npoints, "tb", "zb"))
     out += [f"            return ik, err, ({logs})",
+            # err is finite only when both sums are: a NaN or infinite err
+            # would bisect to the depth cap, and the budget would misname
+            # the cause
+            "        if not math.isfinite(err):",
+            "            raise ContourError(_OVERFLOW_MESSAGE)",
             "        tm = 0.5 * (ta + tb)"]
     out += _indent(8, midpoint.splitlines())
     out += ["        i1, e1, logs = panel(ta, tm, za, zm, logs, 0.5 * tol,",
@@ -353,18 +386,75 @@ def _routine(kind, npoints, ncoeffs, sites):
     return namespace["adaptive"]
 
 
+def _bits(x):
+    """A float or complex by its hex digits, signed zeros included."""
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    return x.hex()
+
+
 def _shape(points, integrand):
     """``(npoints, ncoeffs, sites)``: the number of marked points, the
     length of g's numerator and, per pole of g, the index of the marked
     point it sits at (the same bits, signed zeros included) or None,
     paired with the pole's order."""
     _s, _weights, coeffs, poles = integrand
-    bits = [(p.real.hex(), p.imag.hex()) for p in points]
+    bits = [_bits(p) for p in points]
     sites = []
     for q, m in poles:
-        key = (q.real.hex(), q.imag.hex())
+        key = _bits(q)
         sites.append((bits.index(key) if key in bits else None, m))
     return len(points), len(coeffs), tuple(sites)
+
+
+def _piece_keys(seg):
+    """The exact bits of a segment as a key, and the key of its
+    ``reversed()``: a line's start and end, an arc's center and radius,
+    then its from and to angle."""
+    if seg.kind == "line":
+        fixed, a, b = (), seg.start, seg.end
+    else:
+        fixed, a, b = (seg.center, seg.radius), seg.from_angle, seg.to_angle
+    fixed = tuple(map(_bits, fixed))
+    a, b = _bits(a), _bits(b)
+    return (seg.kind, fixed, a, b), (seg.kind, fixed, b, a)
+
+
+def _turns(logs, base):
+    """The integers n with ``logs[i] = base[i] + 2 pi i n[i]`` within
+    ``_TURN_TOL``, or None."""
+    out = []
+    for L, L0 in zip(logs, base):
+        d = L - L0
+        n = round(d.imag / _TWO_PI)
+        if abs(d - complex(0.0, _TWO_PI * n)) > _TURN_TOL:
+            return None
+        out.append(n)
+    return out
+
+
+def _repeat(pieces, key, back, logs, s, weights):
+    """(value, err, logs at its end) of a segment with the piece keys
+    ``key`` and ``back`` that starts at ``logs`` and repeats a kept piece,
+    by the rule of the module docstring, or None.  ``pieces`` maps a key
+    to the (value, err, start logs, end logs) of the first segment
+    integrated with it."""
+    for found, sign in ((key, 1), (back, -1)):
+        piece = pieces.get(found)
+        if piece is None:
+            continue
+        value, err, start, end = piece
+        if sign < 0:
+            start, end = end, start
+        turns = _turns(logs, start)
+        if turns is None:
+            continue
+        shift = [complex(0.0, _TWO_PI * n) for n in turns]
+        factor = cmath.exp(s * sum(k * d for k, d in zip(weights, shift)))
+        value = factor * value
+        return (value if sign > 0 else -value, abs(factor) * err,
+                [L + d for L, d in zip(end, shift)])
+    return None
 
 
 def _marked_data(d):
@@ -408,9 +498,17 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
     panels = 0
     tol = abs_tol / max(1, len(contour.segments))
     shape = _shape(points, integrand)
+    pieces = {}
     for seg in contour.segments:
-        val, e, logs, panels = _routine(seg.kind, *shape)(
-            seg, 0.0, 1.0, logs, tol, panels, points, integrand)
+        key, back = _piece_keys(seg)
+        repeat = _repeat(pieces, key, back, logs, s, weights)
+        if repeat is None:
+            first = logs
+            val, e, logs, panels = _routine(seg.kind, *shape)(
+                seg, 0.0, 1.0, logs, tol, panels, points, integrand)
+            pieces.setdefault(key, (val, e, first, logs))
+        else:
+            val, e, logs = repeat
         total += val
         err += e
     disc = s * sum(k * (L1 - L0)

@@ -201,6 +201,24 @@ def test_integrate_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert "--tol must be a finite number >= 0" in captured.err
 
 
+def test_integrate_names_an_overflowing_integrand(tmp_path, capsys):
+    # levels 1 and 2 at 0 and 1: v_3 has poles of order 4 there, whose
+    # powers overflow the float range on a path near 1e110
+    mpath = tmp_path / "model.json"
+    points = [{"z": z, "weight": {"lambda_dot": [w], "level": k,
+                                  "delta": "0"}}
+              for z, w, k in (("0", "1/2", "1"), ("1", "-1/2", "2"))]
+    write_model(mpath, [], points)
+    cpath = tmp_path / "contour.json"
+    cpath.write_text(json.dumps({"segments": [
+        {"kind": "line", "from": [1e110, 0], "to": [2e110, 0]}]}))
+    assert main(["integrate", "--model", str(mpath), "--contour", str(cpath),
+                 "--exponent", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows the float range" in captured.err
+
+
 # --------------------------------------------------------------------- verify
 
 

@@ -12,9 +12,9 @@ import pytest
 from affopers import contour, integrate
 from affopers.affine_algebra import build_algebra
 from affopers.coeffs import Polynomial, RationalFunction, Scalar
-from affopers.contour import (Arc, ContourError, Line, advance_logs,
-                              loop_around, pochhammer, segment_chain,
-                              start_logs)
+from affopers.contour import (Arc, Contour, ContourError, Line,
+                              advance_logs, loop_around, pochhammer,
+                              segment_chain, start_logs)
 from affopers.integrate import (integrate_twisted_form, stokes_check,
                                 twisted_integral)
 from affopers.miura import (MiuraData, bethe_residuals, build_miura,
@@ -651,11 +651,45 @@ _BUDGET_MESSAGE = ("quadrature did not converge within the panel budget; "
                    "the integrand is probably too close to a singularity")
 
 
+def _geometry(seg):
+    """The floats that fix a segment, by their bits."""
+    if isinstance(seg, Line):
+        return _bits((seg.start, seg.end))
+    return _bits((seg.center, seg.radius, seg.from_angle, seg.to_angle))
+
+
+def _reference_repeat(seg, pieces, logs, s, weights):
+    """The reuse rule restated on a list: the first integrated piece with
+    the bits of ``seg``, else the first whose ``reversed()`` has them, is
+    taken when the logs at the matching end differ from ``logs`` by
+    2 pi i n with integer n, within 1e-9: (value, err, logs at the end of
+    seg) or None."""
+    for sign in (1, -1):
+        for piece, value, err, start, end in pieces:
+            if sign < 0:
+                piece, start, end = piece.reversed(), end, start
+            if _geometry(piece) != _geometry(seg):
+                continue
+            turns = [round((L - L0).imag / (2 * math.pi))
+                     for L, L0 in zip(logs, start)]
+            if any(abs(L - L0 - complex(0.0, 2 * math.pi * n)) > 1e-9
+                   for L, L0, n in zip(logs, start, turns)):
+                continue
+            shift = [complex(0.0, 2 * math.pi * n) for n in turns]
+            factor = cmath.exp(s * sum(k * d for k, d in zip(weights,
+                                                              shift)))
+            value = factor * value if sign > 0 else -(factor * value)
+            return (value, abs(factor) * err,
+                    [L + d for L, d in zip(end, shift)])
+    return None
+
+
 def _reference_integral(d, r, g, gamma):
     """The whole adaptive integral from the reference panels, with the
-    stopping rule and the panel budget restated: (value, err, panels,
-    stalled), the last two the (ta, tb) of every panel and of those that
-    the noise stop ended."""
+    stopping rule, the panel budget and the reuse of repeated pieces
+    restated: (value, err, panels, stalled, integrated), the (ta, tb) of
+    every panel and of those that the noise stop ended, and the segments
+    that were integrated and not reused."""
     points, weights = integrate._marked_data(d)
     s = complex(r) * (-1.0 / d.model.dual_coxeter)
     tol = 1e-10 / len(gamma.segments)
@@ -686,11 +720,18 @@ def _reference_integral(d, r, g, gamma):
 
     logs = start_logs(points, gamma.segments[0].point(0.0))
     value, err = 0j, 0.0
+    pieces = []
     for seg in gamma.segments:
-        v, e, logs = adaptive(seg, 0.0, 1.0, logs, tol, 0, math.inf)
+        repeat = _reference_repeat(seg, pieces, logs, s, weights)
+        if repeat is None:
+            v, e, end = adaptive(seg, 0.0, 1.0, logs, tol, 0, math.inf)
+            pieces.append((seg, v, e, logs, end))
+            logs = end
+        else:
+            v, e, logs = repeat
         value += v
         err += e
-    return value, err, panels, stalled
+    return value, err, panels, stalled, [piece[0] for piece in pieces]
 
 
 # the four shapes of the periods benchmark at cutoff 3: rank, the points
@@ -734,11 +775,13 @@ _INTEGRAL_CASES = {
                          ids=list(_INTEGRAL_CASES))
 def test_integral_matches_reference_bit_for_bit(a1, case):
     """The whole adaptive integral against the reference panels, with the
-    stopping rule restated: value, error and panel count are identical."""
+    stopping rule and the reuse of repeated pieces restated: value, error
+    and panel count are identical."""
     d, r, g, gamma = case(a1)
-    value, err, panels, stalled = _reference_integral(d, r, g, gamma)
+    value, err, panels, stalled, integrated = _reference_integral(d, r, g,
+                                                                 gamma)
     res = integrate_twisted_form(d, r, g, gamma)
-    assert len(panels) > len(gamma.segments)  # some panels were bisected
+    assert len(panels) > len(integrated)  # some panels were bisected
     if case is _noise_floor_case:
         assert stalled, "the noise stop must end some panels"
     assert _bits((res.value, res.err)) == _bits((value, err))
@@ -746,11 +789,14 @@ def test_integral_matches_reference_bit_for_bit(a1, case):
 
 
 def test_panel_budget_raises_as_the_reference(a1, monkeypatch):
-    # the budget counts panels across the segments of one integral; with
-    # the budget one short of what the integral needs, the last panel
-    # raises, on both sides, and with the budget exact nothing does
-    d, r, g, gamma = _beta_gaussian_case(a1)
-    *_value_err, panels, _stalled = _reference_integral(d, r, g, gamma)
+    # the budget counts panels across the segments of one integral, and a
+    # reused piece spends none; with the budget one short of what the
+    # integral needs, the last panel raises, on both sides, and with the
+    # budget exact nothing does.  The three-point period needs 72 panels,
+    # so that every budget below runs out within the integral
+    d, r, g, gamma = _three_point_case(a1)
+    *_value_err, panels, _stalled, _integrated = _reference_integral(
+        d, r, g, gamma)
     needed = len(panels)
     for budget in (1, 2, 40, needed - 1):
         monkeypatch.setattr(integrate, "_MAX_PANELS", budget)
@@ -761,6 +807,107 @@ def test_panel_budget_raises_as_the_reference(a1, monkeypatch):
         assert str(got.value) == str(want.value) == _BUDGET_MESSAGE
     monkeypatch.setattr(integrate, "_MAX_PANELS", needed)
     assert integrate_twisted_form(d, r, g, gamma).panels == needed
+
+
+# ----------------------------------- repeated pieces against every segment
+
+
+def _full_integral(d, r, g, gamma):
+    """The plain segment loop: every segment integrated by its routine,
+    none reused: (value, err, panels, multiplier, valid)."""
+    points, weights = integrate._marked_data(d)
+    s = complex(r) * (-1.0 / d.model.dual_coxeter)
+    integrand = (s, weights, *g.complex_form())
+    shape = integrate._shape(points, integrand)
+    tol = 1e-10 / len(gamma.segments)
+    logs = first = start_logs(points, gamma.segments[0].point(0.0))
+    value, err, panels = 0j, 0.0, 0
+    for seg in gamma.segments:
+        v, e, logs, panels = integrate._routine(seg.kind, *shape)(
+            seg, 0.0, 1.0, logs, tol, panels, points, integrand)
+        value += v
+        err += e
+    multiplier = cmath.exp(s * sum(k * (L1 - L0)
+                                   for k, L0, L1 in zip(weights, first, logs)))
+    valid = gamma.is_closed and abs(multiplier - 1.0) < 1e-9
+    return value, err, panels, multiplier, valid
+
+
+@pytest.mark.parametrize("case", list(_INTEGRAL_CASES.values()),
+                         ids=list(_INTEGRAL_CASES))
+def test_reuse_agrees_with_full_integration(a1, case):
+    """Each Pochhammer period, with its repeated pieces reused, agrees with
+    the one that integrates all twelve segments within the two errors, in
+    at most half the panels."""
+    d, r, g, gamma = case(a1)
+    value, err, panels, _multiplier, valid = _full_integral(d, r, g, gamma)
+    res = integrate_twisted_form(d, r, g, gamma)
+    assert abs(res.value - value) <= res.err + err
+    assert res.valid == valid
+    assert 2 * res.panels <= panels
+
+
+def test_contours_without_repeats_are_integrated_as_before(a1):
+    # an open polyline and a bare circle repeat no piece, so every
+    # segment is integrated and the result is the plain loop's, bit for
+    # bit; a simple loop's line out is its line in reversed, one turn
+    # later, and is reused
+    d, r, g, _gamma = _beta_gaussian_case(a1)
+    for gamma in (segment_chain(0.5, 0.5 + 1j, -0.5 + 0.5j, -0.5 - 0.5j),
+                  Contour([Arc(0.0, 0.5, 0.3, 0.3 + 2 * math.pi)])):
+        res = integrate_twisted_form(d, r, g, gamma)
+        value, err, panels, multiplier, valid = _full_integral(d, r, g,
+                                                               gamma)
+        assert (_bits((res.value, res.err, res.multiplier))
+                == _bits((value, err, multiplier)))
+        assert (res.panels, res.valid) == (panels, valid)
+    gamma = loop_around(0, 0.25, 0.5, turns=1)
+    res = integrate_twisted_form(d, r, g, gamma)
+    value, err, panels, _multiplier, valid = _full_integral(d, r, g, gamma)
+    *_value_err, want_panels, _stalled, integrated = _reference_integral(
+        d, r, g, gamma)
+    assert integrated == gamma.segments[:2]
+    assert res.panels == len(want_panels) < panels
+    assert abs(res.value - value) <= res.err + err
+    assert res.valid == valid
+
+
+def test_pochhammer_passes_repeat_bit_for_bit_and_survive_json(a1):
+    # each clockwise loop is its counterclockwise loop reversed, segment
+    # by segment and bit for bit, so that its pieces are reused
+    gamma = pochhammer((0, 1), radius="1/4")
+    segs = gamma.segments
+    assert _geometry(segs[7]) == _geometry(segs[1].reversed())
+    assert _geometry(segs[10]) == _geometry(segs[4].reversed())
+    for loop in (0, 3):
+        back = [seg.reversed() for seg in reversed(segs[loop:loop + 3])]
+        assert ([_geometry(seg) for seg in segs[loop + 6:loop + 9]]
+                == [_geometry(seg) for seg in back])
+    # a contour read back from JSON has the same bits and the same period
+    d, r, g, gamma = _three_point_case(a1)
+    read = Contour.from_json(gamma.to_json())
+    want = integrate_twisted_form(d, r, g, gamma)
+    got = integrate_twisted_form(d, r, g, read)
+    assert _bits((got.value, got.err)) == _bits((want.value, want.err))
+    assert got.panels == want.panels
+
+
+def _far_path_data(model):
+    """Levels 1 and 2 at 0 and 1, with 1/z^3 on the path from 1e110 to
+    2e110: z^3 overflows the float range at every node."""
+    d = MiuraData.make(model, [("0", ["0"], "1", "0"),
+                               ("1", ["0"], "2", "0")])
+    return d, _integrand([(1,)], [((0,), 3)]), segment_chain(1e110, 2e110)
+
+
+def test_overflow_is_named_at_once(a1, monkeypatch):
+    # an integrand that is not finite on the contour would bisect to the
+    # depth cap until the panel budget ran out; it stops at the first
+    # panel that must bisect, well inside a budget of two panels
+    d, g, gamma = _far_path_data(a1)
+    monkeypatch.setattr(integrate, "_MAX_PANELS", 2)
+    with pytest.raises(ContourError, match="overflows the float range"):
+        integrate_twisted_form(d, 1, g, gamma)
 
 
 def test_noise_floor_stops_bisecting():

@@ -1,7 +1,7 @@
 """Tiny exact linear algebra over the Gaussian rationals.
 
 Matrices are lists of lists of :class:`~affopers.coeffs.Scalar`.  Only the
-operations the graded-algebra layer needs: rref, nullspace, solve, inverse.
+operations the graded-algebra layer needs: rref, nullspace, inverse, mat_vec.
 A Scalar has no truth value, so zero tests read ``is_zero``.
 """
 
@@ -63,25 +63,6 @@ def nullspace(rows, ncols=None):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve(rows, rhs):
-    """Solve A x = b exactly; returns None when inconsistent.
-
-    For underdetermined systems returns the particular solution with free
-    variables set to zero.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    x = [_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 def invert(rows):

@@ -31,12 +31,10 @@ from .coeffs import RationalFunction, Scalar, _MINUS_ONE, _ONE, _ZERO
 __all__ = [
     "AlgebraModel",
     "GradedVector",
-    "PrincipalBasis",
     "Weight",
     "build_algebra",
     "principal_decomposition",
     "exponents",
-    "normalize_principal_basis",
 ]
 
 
@@ -283,15 +281,6 @@ class AlgebraModel:
         self._adm[g] = rows
         return rows
 
-    def ad_pminus_delta_row(self, g):
-        """Delta component of [p_-1, .] on grade g (nonzero only for g = 1)."""
-        out = [_ZERO] * self.dim_loop(g)
-        for _i, row in self.bracket_table(-1, g):
-            for j, _terms, center in row:
-                if center is not None:
-                    out[j] += center
-        return out
-
     def kernel_basis(self, g):
         """Basis of a_g = ker(loop part of ad p_-1) inside grade g, g != 0."""
         got = self._anull.get(g)
@@ -308,18 +297,9 @@ class AlgebraModel:
         got = self._cbas.get(g)
         if got is not None:
             return got
-        kern = self.kernel_basis(-g)
         F = self.form_table(g)
-        rows = []
-        for a in kern:
-            rows.append([
-                sum((F[i][j] * a[j] for j in range(len(a))), _ZERO)
-                for i in range(len(F))
-            ])
-        if rows:
-            got = _linalg.nullspace(rows, ncols=self.dim_loop(g))
-        else:
-            got = _linalg.nullspace([], ncols=self.dim_loop(g))
+        rows = [_linalg.mat_vec(F, a) for a in self.kernel_basis(-g)]
+        got = _linalg.nullspace(rows, ncols=self.dim_loop(g))
         for v in got:
             _normalize_first_nonzero(v)
         self._cbas[g] = got
@@ -330,18 +310,27 @@ class AlgebraModel:
         got = self._cbas.get(0)
         if got is not None:
             return got
-        M = self.ad_pminus_matrix(1)
-        drow = self.ad_pminus_delta_row(1)
-        out = []
-        for v in self.image_complement_basis(1):
-            loop = _linalg.mat_vec(M, v)
-            dq = sum((a * b for a, b in zip(drow, v)), _ZERO)
-            out.append((dq, loop))
+        # the delta component of [p_-1, .] on grade 1
+        drow = [_ZERO] * self.dim_loop(1)
+        for _i, row in self.bracket_table(-1, 1):
+            for j, _terms, center in row:
+                if center is not None:
+                    drow[j] += center
+        rows = [drow] + self.ad_pminus_matrix(1)
+        images = [_linalg.mat_vec(rows, v)
+                  for v in self.image_complement_basis(1)]
+        out = [(w[0], w[1:]) for w in images]
         self._cbas[0] = out
         return out
 
     def exponent_multiset(self, upto=None):
-        """Exponents n in 1..upto, each repeated dim a_n times."""
+        """Exponents n in 1..upto (default: the cutoff), each repeated
+        dim a_n times.
+
+        In type A^(1) that is once for every n not divisible by h and never
+        otherwise (Kac, *Infinite-dimensional Lie algebras*, ch. 14), so
+        the list holds no repeats; ``principal_vectors`` relies on it.
+        """
         upto = self.cutoff if upto is None else upto
         if upto > self.window:
             raise ValueError("exponent range exceeds the grading window")
@@ -351,47 +340,41 @@ class AlgebraModel:
         return out
 
     def principal_vectors(self):
-        """Normalized p_j coefficient vectors for j in +-(exponents <= cutoff).
+        """The p_j coefficient vectors, one per j in +-(exponents <= cutoff).
 
-        Pinned at j = +-1 to the standard cyclic elements; other grades carry
-        the kernel vector normalized to leading coefficient 1 on the positive
-        side, with the negative side rescaled so (p_j | p_-j) = h_dual
-        (which forces [p_j, p_-j] = j delta).
+        Each exponent of type A^(1) has multiplicity one, so a_j and a_-j
+        are lines and p_j is one vector; a kernel of another dimension
+        raises ValueError.  Pinned at j = +-1 to the standard cyclic
+        elements; other grades carry the kernel vector normalized to leading
+        coefficient 1 on the positive side, with the negative side rescaled
+        so (p_j | p_-j) = h_dual (which forces [p_j, p_-j] = j delta).
         """
         if self._pvecs is not None:
             return self._pvecs
         hv = Scalar(self.dual_coxeter, 0, 1)
         out = {}
-        for j in self.exponent_multiset(min(self.cutoff, self.window - 1)):
-            if j in out:
-                continue
+        for j in self.exponent_multiset():
+            xs, ys = self.kernel_basis(j), self.kernel_basis(-j)
+            if len(xs) != 1 or len(ys) != 1:
+                raise ValueError(
+                    f"principal kernels of dimension {len(xs)} at grade {j} "
+                    f"and {len(ys)} at grade {-j}; type A needs one each")
             if j == 1:
-                xs = [self.pminus_vector(sign=+1)]
-                ys = [self.pminus_vector(sign=-1)]
+                x, y = self.pminus_vector(+1), self.pminus_vector(-1)
             else:
-                xs = self.kernel_basis(j)
-                ys = self.kernel_basis(-j)
-            F = self.form_table(j)
-            B = [[_dot_form(F, x, y) for y in ys] for x in xs]
-            if len(xs) == 1:
-                t = B[0][0]
-                if t.is_zero:
-                    raise ValueError(f"degenerate pairing at grade {j}")
-                out[j] = [xs[0]]
-                out[-j] = [[c * hv / t for c in ys[0]]]
-            else:
-                Binv = _linalg.invert(B)
-                out[j] = xs
-                out[-j] = [
-                    [
-                        sum((Binv[c][b] * hv * ys[c][i] for c in range(len(ys))),
-                            _ZERO)
-                        for i in range(len(ys[0]))
-                    ]
-                    for b in range(len(ys))
-                ]
+                (x,), (y,) = xs, ys
+            t = _dot_form(self.form_table(j), x, y)
+            if t.is_zero:
+                raise ValueError(f"degenerate pairing at grade {j}")
+            out[j] = x
+            out[-j] = [c * hv / t for c in y]
         self._pvecs = out
         return out
+
+    def principal_vector(self, j) -> "GradedVector":
+        """p_j as a graded vector, j in +-(exponents <= cutoff)."""
+        return GradedVector.from_coeff_vector(self, j,
+                                              self.principal_vectors()[j])
 
     # ----------------------------------------------- defect decomposition
 
@@ -407,34 +390,35 @@ class AlgebraModel:
                 cols.append([dq] + list(loop))
             mat = [list(col) for col in zip(*cols)]
         else:
-            pv = self.principal_vectors()
-            cols = [list(v) for v in pv.get(g, [])]
-            cols += [list(v) for v in self.image_complement_basis(g)]
+            pv = self.principal_vectors().get(g)
+            cols = (([pv] if pv is not None else [])
+                    + self.image_complement_basis(g))
             mat = [list(col) for col in zip(*cols)]
         inv = _linalg.invert(mat)
         self._dmatinv[g] = inv
         return inv
 
     def step_solve_matrix_inv(self, g):
-        """Inverse of ad p_-1 : c_{g+1} -> c_g in the chosen bases, g >= 1."""
+        """Inverse of ad p_-1 : c_{g+1} -> c_g in the chosen bases, g >= 1.
+
+        The c_g coordinates of each image are the rows of
+        ``decomposition_matrix_inv(g)`` past the p_g row; the p_g
+        coordinate must vanish."""
         got = self._smatinv.get(g)
         if got is not None:
             return got
         M = self.ad_pminus_matrix(g + 1)
-        cnext = self.image_complement_basis(g + 1)
-        chere = self.image_complement_basis(g)
-        # express ad(p_-1) of each c_{g+1} basis vector in the c_g basis
+        D = self.decomposition_matrix_inv(g)
+        npv = int(g in self.principal_vectors())
         cols = []
-        basis_mat = [list(col) for col in zip(*chere)]
-        for v in cnext:
-            img = _linalg.mat_vec(M, v)
-            sol = _linalg.solve(basis_mat, img)
-            if sol is None:
+        for v in self.image_complement_basis(g + 1):
+            coords = _linalg.mat_vec(D, _linalg.mat_vec(M, v))
+            if npv and not coords[0].is_zero:
                 raise ValueError(
                     f"ad p_-1 image at grade {g} fell outside c_{g} "
                     "(decomposition bug)"
                 )
-            cols.append(sol)
+            cols.append(coords[npv:])
         S = [list(col) for col in zip(*cols)]
         inv = _linalg.invert(S)
         self._smatinv[g] = inv
@@ -457,13 +441,11 @@ class AlgebraModel:
         D = self.decomposition_matrix_inv(n)
         vrow = None
         if n == 0:
-            # the delta excess d is removed by -d p_1, and p_1 is the
-            # all-ones vector at grade 1
-            cols = (self.image_complement_basis(1)
-                    + [[_ONE] * self.dim_loop(1)])
+            # the delta excess d is removed by -d p_1
+            cols = self.image_complement_basis(1) + [self.pminus_vector(+1)]
             mc = D[1:] + [[-q for q in D[0]]]
         else:
-            npv = len(self.principal_vectors().get(n, ()))
+            npv = int(n in self.principal_vectors())
             if npv:
                 vrow = D[0]
             cols = self.image_complement_basis(n + 1)
@@ -494,11 +476,7 @@ class AlgebraModel:
         return GradedVector.monomial(self, 1, ("r", i, i + 1), one)
 
     def pminus(self) -> "GradedVector":
-        one = RationalFunction.one()
-        out = GradedVector.zero(self)
-        for lab, _p in self.basis(-1):
-            out = out.add_monomial(-1, lab, one)
-        return out
+        return GradedVector.from_coeff_vector(self, -1, self.pminus_vector(-1))
 
     def descriptor(self):
         return {"type": self.type, "rank": self.rank, "cutoff": self.cutoff}
@@ -799,23 +777,6 @@ class GradedVector:
         return "GradedVector(" + "; ".join(bits) + ")"
 
 
-class PrincipalBasis:
-    """Normalized basis of the principal subalgebra up to the cutoff."""
-
-    def __init__(self, model: AlgebraModel):
-        self.model = model
-        self.vectors = model.principal_vectors()
-
-    def grades(self):
-        return sorted(self.vectors)
-
-    def vector(self, j, copy=0) -> GradedVector:
-        """p_j as a graded vector (copy selects within a multiplicity slot)."""
-        return GradedVector.from_coeff_vector(
-            self.model, j, self.vectors[j][copy]
-        )
-
-
 class Weight:
     """Element of the grade-0 Cartan: simple-root coordinates + rho + delta.
 
@@ -934,7 +895,3 @@ def principal_decomposition(model: AlgebraModel, n: int):
 
 def exponents(model: AlgebraModel, upto=None):
     return model.exponent_multiset(upto)
-
-
-def normalize_principal_basis(model: AlgebraModel) -> PrincipalBasis:
-    return PrincipalBasis(model)

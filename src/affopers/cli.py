@@ -91,12 +91,16 @@ def cmd_bethe_check(args):
     return 0 if bad == 0 else 1
 
 
-def _parse_position(text):
-    """A position argument: one exact/decimal real, or 're,im'."""
-    if "," in text:
-        re, im = text.split(",", 1)
-        return [re.strip(), im.strip()]
-    return text.strip()
+def _parse_position(text, option):
+    """The Scalar of a position option: one exact/decimal real, or 're,im';
+    ``option`` names it in the error raised when it does not parse."""
+    parts = [t.strip() for t in text.split(",", 1)]
+    try:
+        return Scalar.parse(parts if len(parts) == 2 else parts[0])
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{option}: zero denominator in {text!r}") from None
 
 
 def cmd_make_contour(args):
@@ -110,10 +114,10 @@ def cmd_make_contour(args):
         raise ValueError(
             f"--pochhammer wants two point indices out of "
             f"0..{len(d.points) - 1}, got {args.pochhammer!r}") from None
-    radius = _parse_position(args.radius) if args.radius else None
-    basepoint = _parse_position(args.basepoint) if args.basepoint else None
-    radius = Scalar.parse(radius) if radius is not None else None
-    basepoint = Scalar.parse(basepoint) if basepoint is not None else None
+    radius = (_parse_position(args.radius, "--radius")
+              if args.radius else None)
+    basepoint = (_parse_position(args.basepoint, "--basepoint")
+                 if args.basepoint else None)
     contour = pochhammer((p_i, p_j), radius=radius, basepoint=basepoint)
     text = json.dumps(contour.to_json(), indent=2)
     if args.out:

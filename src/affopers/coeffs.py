@@ -648,10 +648,6 @@ class RationalFunction:
         return RationalFunction.from_poly(Polynomial.one())
 
     @staticmethod
-    def variable() -> "RationalFunction":
-        return RationalFunction.from_poly(Polynomial.variable())
-
-    @staticmethod
     def simple_pole(residue: Scalar, pole: Scalar) -> "RationalFunction":
         """residue / (z - pole)."""
         return RationalFunction.from_split(

@@ -212,9 +212,6 @@ class QuasiCanonicalForm:
             self._raw = None
         return self._gauge
 
-    def coefficient(self, j) -> RationalFunction:
-        return self.v.get(j, RationalFunction.zero())
-
     def exponents(self):
         return sorted(self.v)
 
@@ -224,7 +221,7 @@ class QuasiCanonicalForm:
         pv = model.principal_vectors()
         for j, f in self.v.items():
             if not f.is_zero:
-                u = u + GradedVector.from_coeff_vector(model, j, pv[j][0],
+                u = u + GradedVector.from_coeff_vector(model, j, pv[j],
                                                        scale=f)
         hv = Scalar.exact(model.dual_coxeter)
         u = u.add_rho(self.phi.scale(Scalar.exact(-1) / hv))

@@ -15,7 +15,6 @@ from affopers.affine_algebra import (
     Weight,
     build_algebra,
     exponents,
-    normalize_principal_basis,
     principal_decomposition,
 )
 from affopers.coeffs import RationalFunction, Scalar
@@ -123,10 +122,11 @@ def test_basis_order_invariance():
     assert base.basis(1) != shuf.basis(1)  # the enumeration really moved
     assert exponents(base) == exponents(shuf)
     for model in (base, shuf):
-        pb = normalize_principal_basis(model)
-        for m in pb.grades():
-            for n in pb.grades():
-                val = _as_scalar(pb.vector(m).pair(pb.vector(n)))
+        grades = sorted(model.principal_vectors())
+        for m in grades:
+            for n in grades:
+                val = _as_scalar(model.principal_vector(m).pair(
+                    model.principal_vector(n)))
                 want = 3 if m + n == 0 else 0
                 assert val == Scalar.exact(want), (m, n)
 
@@ -238,22 +238,23 @@ def test_truncation_flag():
 
 
 def test_principal_pairings(a2):
-    pb = normalize_principal_basis(a2)
-    assert pb.grades() == [-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8]
-    for m in pb.grades():
-        for n in pb.grades():
-            val = _as_scalar(pb.vector(m).pair(pb.vector(n)))
+    grades = sorted(a2.principal_vectors())
+    assert grades == [-8, -7, -5, -4, -2, -1, 1, 2, 4, 5, 7, 8]
+    for m in grades:
+        for n in grades:
+            val = _as_scalar(a2.principal_vector(m).pair(
+                a2.principal_vector(n)))
             want = Scalar.exact(3 if m + n == 0 else 0)
             assert val == want, (m, n)
 
 
 def test_principal_brackets_are_central(a2):
-    pb = normalize_principal_basis(a2)
-    for m in pb.grades():
-        for n in pb.grades():
+    grades = sorted(a2.principal_vectors())
+    for m in grades:
+        for n in grades:
             if abs(m + n) > a2.window:
                 continue
-            got = pb.vector(m).bracket(pb.vector(n))
+            got = a2.principal_vector(m).bracket(a2.principal_vector(n))
             assert not got.parts, (m, n)
             want = Scalar.exact(m if m + n == 0 else 0)
             assert _as_scalar(got.delta) == want, (m, n)
@@ -262,12 +263,11 @@ def test_principal_brackets_are_central(a2):
 def test_cyclic_element_powers(a2):
     # frozen from the enumeration oracle: the grade-2 kernel vector is the
     # square of the cyclic element, all unit coefficients
-    pb = normalize_principal_basis(a2)
-    p2 = pb.vector(2)
+    p2 = a2.principal_vector(2)
     for lab, _p in a2.basis(2):
         i = a2.index(2, lab)
         assert _as_scalar(p2.parts[2][i]) == Scalar.one()
-    p2m = pb.vector(-2)
+    p2m = a2.principal_vector(-2)
     for lab, _p in a2.basis(-2):
         i = a2.index(-2, lab)
         assert _as_scalar(p2m.parts[-2][i]) == Scalar.one()
@@ -275,9 +275,40 @@ def test_cyclic_element_powers(a2):
 
 def test_pinned_first_grade(a1, a2):
     for model in (a1, a2):
-        pb = normalize_principal_basis(model)
-        assert pb.vector(1) == _pplus(model)
-        assert pb.vector(-1) == model.pminus()
+        assert model.principal_vector(1) == _pplus(model)
+        assert model.principal_vector(-1) == model.pminus()
+
+
+def test_every_exponent_has_multiplicity_one():
+    # principal_vectors keeps one vector per exponent; check that for every
+    # rank the command line accepts, past two multiples of h
+    for rank in range(1, 9):
+        h = rank + 1
+        model = build_algebra({"type": "A", "rank": rank,
+                               "cutoff": 2 * h + 1})
+        exps = [g for g in range(1, model.cutoff + 1) if g % h]
+        for g in range(1, model.cutoff + 1):
+            want = 1 if g % h else 0
+            assert len(model.kernel_basis(g)) == want, (rank, g)
+            assert len(model.kernel_basis(-g)) == want, (rank, -g)
+        assert sorted(model.principal_vectors()) == sorted(
+            exps + [-g for g in exps])
+        for j in exps:
+            pair = model.principal_vector(j).pair(model.principal_vector(-j))
+            assert _as_scalar(pair) == Scalar.exact(h), (rank, j)
+
+
+def test_a_principal_kernel_of_dimension_two_is_refused(monkeypatch):
+    model = build_algebra({"type": "A", "rank": 2, "cutoff": 4})
+    kernel_basis = model.kernel_basis
+
+    def doubled(g):
+        extra = model.image_complement_basis(g)[:1] if g == 2 else []
+        return kernel_basis(g) + extra
+
+    monkeypatch.setattr(model, "kernel_basis", doubled)
+    with pytest.raises(ValueError, match="at grade 2 "):
+        model.principal_vectors()
 
 
 def test_complement_dimensions(a2):
@@ -323,9 +354,9 @@ def test_decomposition_matrices_reconstruct(a2):
                for _ in range(model.dim_loop(n))]
         coords = mat_vec(inv, vec)
         # rebuild from a- and c- bases
-        pvs = model.principal_vectors().get(n, [])
-        cols = [list(v) for v in pvs]
-        cols += [list(v) for v in model.image_complement_basis(n)]
+        pv = model.principal_vectors().get(n)
+        cols = ([pv] if pv is not None else [])
+        cols += model.image_complement_basis(n)
         rebuilt = [Scalar.zero()] * len(vec)
         for q, col in zip(coords, cols):
             for i, ci in enumerate(col):
@@ -384,9 +415,8 @@ def test_constant_tables_hold_nonzero_scalars(rank, cutoff, basis_seed):
                     assert terms or center is not None
                     assert all(nonzero(q) for _idx, q in terms), (a, b)
                     assert center is None or nonzero(center), (a, b)
-    for vecs in model.principal_vectors().values():
-        for v in vecs:
-            assert all(isinstance(q, Scalar) for q in v)
+    for v in model.principal_vectors().values():
+        assert all(isinstance(q, Scalar) for q in v)
 
 
 # ------------------------------------------------------------------- weights

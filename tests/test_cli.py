@@ -137,6 +137,20 @@ def test_make_contour_rejects_bad_indices(tmp_path, capsys):
         assert "0..1" in captured.err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--radius", "1/0"), ("--basepoint", "1/0"), ("--basepoint", "0.5,1/0"),
+])
+def test_make_contour_rejects_a_zero_denominator(tmp_path, capsys, option,
+                                                 value):
+    path = tmp_path / "model.json"
+    write_model(path, [])
+    assert main(["make-contour", "--model", str(path), "--pochhammer", "0,1",
+                 option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: zero denominator in {value!r}\n"
+
+
 # ------------------------------------------------------------------ integrate
 
 

@@ -1,9 +1,11 @@
 """Bit identity of the exact outputs: the ``reduce``, ``gauge``,
-``bethe``, ``classes`` and ``wide`` hashes of ``tools/output_hashes.py``.
+``bethe``, ``verify``, ``classes`` and ``wide`` hashes of
+``tools/output_hashes.py``.
 
-These five cover exact rational output only, so they do not depend on
-the platform; ``wide`` reaches the cutoff-40 algebra tables.  The float
-``periods`` hash and the ``verify`` report are left to the tool itself.
+These six do not depend on the platform: five cover exact rational output
+only, and the ``verify`` report, with every check passing, holds no floats
+once the tool drops its timings.  ``wide`` reaches the cutoff-40 algebra
+tables.  The float ``periods`` hash is left to the tool itself.
 """
 
 import os
@@ -19,6 +21,8 @@ WANT = {
         "e6ed9b0318d0051e7d9b1d008ce499c9a2bb97d9ec380a1f2afb8efbf7db1159",
     "bethe":
         "c44f56028a2eb89d041ab03937a91c31b35f117782ca9710ab5dc57e60dfafb5",
+    "verify":
+        "fbbe738f3caf72ea9a49707566603714ca78dbd616a270a50140f8b002649c6d",
     "classes":
         "22a6c040e56130e07436bd9e2a5f8ed87f824bf0b5a32da738d8aa92ce96b7cc",
     "wide":

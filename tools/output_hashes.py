@@ -41,7 +41,7 @@ all seven lines as they were at its parent.  Each hash covers:
   paths that move values to wider packed bases.
 
 The case lists come from ``bench/workloads.py``; nothing under ``bench/``
-is written.  The run takes about a minute.
+is written.  The run takes 12-25 s of one CPU (Python 3.11, Xeon).
 """
 
 from __future__ import annotations

@@ -94,6 +94,8 @@ def cmd_bethe_check(args):
 def _parse_position(text, option):
     """The Scalar of a position option: one exact/decimal real, or 're,im';
     ``option`` names it in the error raised when it does not parse."""
+    if not text.strip():
+        raise ValueError(f"{option}: empty value")
     parts = [t.strip() for t in text.split(",", 1)]
     try:
         return Scalar.parse(parts if len(parts) == 2 else parts[0])
@@ -115,9 +117,9 @@ def cmd_make_contour(args):
             f"--pochhammer wants two point indices out of "
             f"0..{len(d.points) - 1}, got {args.pochhammer!r}") from None
     radius = (_parse_position(args.radius, "--radius")
-              if args.radius else None)
+              if args.radius is not None else None)
     basepoint = (_parse_position(args.basepoint, "--basepoint")
-                 if args.basepoint else None)
+                 if args.basepoint is not None else None)
     contour = pochhammer((p_i, p_j), radius=radius, basepoint=basepoint)
     text = json.dumps(contour.to_json(), indent=2)
     if args.out:

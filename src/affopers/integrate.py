@@ -31,31 +31,50 @@ counts the panel against ``_MAX_PANELS``, runs the 15 nodes, applies the
 acceptance test below, and then either bisects or, for an accepted panel
 only, takes the last branch step from the 15th node to the panel's end.
 
-The 15 nodes run as a loop whose body is unrolled over the points, the
-coefficients and the poles: the position and path derivative (one
-exponential on an arc), the branch step from the previous node, the
-weighted log sum, and g by Horner over the coefficients and poles that
-``RationalFunction.complex_form`` converts once per function.  A step's
-increments are the principal logs of ``(z - p) / (zprev - p)``; a zero
-``z - p`` makes ``cmath.log`` raise ``ValueError``, which stands in for a
-test per point.  A step that lands on a puncture, or whose increment
-reaches ``_BRANCH_STEP``, goes to ``advance_logs`` through this module's
-attribute, which bisects it or raises.  Each ``z - p`` is computed once per
-node, and serves as the next step's denominator and as the factor of a
-pole at that point.  A pole of order m <= 100 is raised to its power by
-the products that CPython's ``c_powu`` forms for ``** m``: ``(1+0j)*b``,
-``(1+0j)*(b*b)``, ``((1+0j)*b)*(b*b)`` and so on (``_pole_power``).
-Above 100, CPython's ``**`` goes through exp and log, and the routine
-keeps ``** m``.  Every float operation is the one ``Line.point``,
-``Arc.point`` and ``derivative``, ``advance_logs`` and ``eval_complex``
-would do, in the same order, so the values are theirs bit for bit.  Only
-the operands of a float-by-complex product, and of the ``0 +`` that starts
-the weighted log sum, are swapped to put the complex first: CPython then
-runs the complex operation at once instead of first trying the float's or
-the int's, and an IEEE product or sum does not depend on the order of its
-two operands.  The one difference is a pole power beyond the float range:
-there ``**`` raises ``OverflowError``, while the products give infinite or
-NaN parts, as the numerator's Horner sum already does.
+What a panel computes that depends neither on g nor on the incoming logs
+is its geometry table, built once per segment piece, marked points and
+panel and kept in a process-wide store (``_TABLES``).  Its key is the
+segment's exact bits (``_piece_keys``), the points' bits and the bits of
+the routine's ta and tb, then the panel's (ta, tb), so a table is a pure
+function of its key: a panel's start ``za`` is always ``seg.point(ta)``
+bit for bit, since the bisection point is computed by ``Arc.point``'s and
+``Line.point``'s operations.  The exponents of one data, and any levels
+and weights at the same points, are integrated over the same cycles, so
+they share their tables.  The table builder is generated and cached per
+segment kind and number of points (``_builder``).  Per node the table
+holds the position (``z`` on a line, the phasor ``e`` on an arc, from
+which the routine forms ``z = center + e * radius`` and
+``dz = rs1j * e``) and the branch step from the previous node: the
+principal logs of ``(z - p) / (zprev - p)``, or, for a step that lands on
+a puncture (a zero ``z - p`` makes ``cmath.log`` raise ``ValueError``) or
+whose increment reaches ``_BRANCH_STEP``, the mark that ``advance_logs``
+must take it.  The routine calls ``advance_logs`` for a marked step at
+each run, through this module's attribute, and it bisects the step or
+raises; since it always raises at a step onto a puncture, the builder
+stops there.  The last step, from the 15th node to the panel's end, is
+found on the panel's first acceptance only.  When the store holds
+``_MAX_TABLES`` panels, the next table empties it first (``_keep``); that
+costs time, never bits.
+
+The routine's node loop adds each step's increments to the logs ``L{i}``
+in path order, forms the weighted log sum and g by Horner over the
+coefficients and poles that ``RationalFunction.complex_form`` converts
+once per function, and accumulates ``exp(s * w) * g * dz``.  Each pole at
+a marked point takes ``z - p`` as its factor.  A pole of order m <= 100 is
+raised to its power by the products that CPython's ``c_powu`` forms for
+``** m``: ``(1+0j)*b``, ``(1+0j)*(b*b)``, ``((1+0j)*b)*(b*b)`` and so on
+(``_pole_power``).  Above 100, CPython's ``**`` goes through exp and log,
+and the routine keeps ``** m``.  Every float operation is the one
+``Line.point``, ``Arc.point`` and ``derivative``, ``advance_logs`` and
+``eval_complex`` would do, in the same order, so the values are theirs bit
+for bit.  Only the operands of a float-by-complex product, and of the
+``0 +`` that starts the weighted log sum, are swapped to put the complex
+first: CPython then runs the complex operation at once instead of first
+trying the float's or the int's, and an IEEE product or sum does not
+depend on the order of its two operands.  The one difference is a pole
+power beyond the float range: there ``**`` raises ``OverflowError``, while
+the products give infinite or NaN parts, as the numerator's Horner sum
+already does.
 
 A contour may run over one piece more than once: the twelve segments of
 a Pochhammer cycle are four pieces, two lines run four times each and two
@@ -92,7 +111,7 @@ import functools
 import math
 
 from .coeffs import RationalFunction, Scalar
-# _BRANCH_STEP and advance_logs are read by the generated routines
+# _BRANCH_STEP and advance_logs are read by the generated code
 from .contour import (_BRANCH_STEP, Contour, ContourError, advance_logs,
                       clearance_violations, default_clearance, start_logs)
 from .oper_core import QuasiCanonicalForm, twisted_derivative
@@ -197,15 +216,19 @@ _POWU_LIMIT = 100
 _TWO_PI = 2 * math.pi
 _TURN_TOL = 1e-9
 
-# The geometry of a routine, per segment kind: the segment constants, read
-# once per segment as (name, expression) pairs; the statements that leave
-# the position at a node t in ``z`` and the path derivative in ``dz``; and
-# the one that leaves the position at a bisection point tm in ``zm``: the
-# operations of ``Line.point`` and ``Arc.point`` and ``derivative``.
+# The geometry of a segment kind: the segment constants, read as (name,
+# expression) pairs; the statements that leave the position at a node t in
+# ``z``; the name of what a panel table keeps of a node's position (``z`` on
+# a line, the phasor ``e`` on an arc); the statements that give back ``z``
+# and the path derivative ``dz`` from it; and the one that leaves the
+# position at a bisection point tm in ``zm``.  They are the operations of
+# ``Line.point``, ``Arc.point`` and ``derivative``.
 _GEOMETRY = {
     "line": ((("start", "seg.start"),
               ("dz", "seg.end - start")),
              "z = start + dz * t\n",
+             "z",
+             "",
              "zm = start + dz * tm\n"),
     "arc": ((("fa", "seg.from_angle"),
              ("sweep", "seg.to_angle - fa"),
@@ -213,10 +236,34 @@ _GEOMETRY = {
              ("radius", "seg.radius"),
              ("rs1j", "(radius * sweep) * 1j")),
             "e = exp(1j * (fa + t * sweep))\n"
+            "z = center + e * radius\n",
+            "e",
             "z = center + e * radius\n"
             "dz = rs1j * e\n",
             "zm = center + exp(1j * (fa + tm * sweep)) * radius\n"),
 }
+
+# (Kronrod weight, Gauss weight or None) per node, in path order
+_RULE = tuple((wk, wg) for _x, wk, wg in _NODES)
+
+# The panel tables: per (segment piece, the bits of the marked points and
+# of the routine's ta and tb), a dict from a panel's (ta, tb) to its table.
+# A round of the periods benchmark, checks included, keeps 520 panels;
+# 1024 panels of three points hold about 3 MB.
+_TABLES = {}
+_MAX_TABLES = 1024
+
+
+def _keep(key, ta, tb, table):
+    """Store the table of the panel [ta, tb] of the routine call ``key``
+    and return it; a store that holds ``_MAX_TABLES`` panels is emptied
+    first.  A routine call under way keeps the dict it looked up, and the
+    tables it builds after that go to the emptied store: it visits each of
+    its panels once."""
+    if sum(map(len, _TABLES.values())) >= _MAX_TABLES:
+        _TABLES.clear()
+    _TABLES.setdefault(key, {})[ta, tb] = table
+    return table
 
 
 def _names(fmt, count):
@@ -243,38 +290,119 @@ def _pole_power(base, m, out):
     return lines
 
 
-def _branch_step(npoints, t, z):
-    """Statements that carry the logs ``L{i}`` from the previous node
+def _step(npoints, t, z, pos):
+    """Statements that find the branch step from the previous node
     (``tprev``, ``zprev``, with ``a{i} = zprev - p{i}``) to ``t`` at the
-    position ``z``, leaving ``b{i} = z - p{i}``.  Each increment is the
-    principal log of ``b{i} / a{i}``; a zero ``b{i}`` makes that log raise
-    ``ValueError``.  A step that hits a puncture, or whose increment
-    reaches ``step``, goes to ``advance_logs`` through this module's
-    attribute, which bisects it or raises."""
-    if not npoints:
-        return []
+    position ``z``, leaving ``b{i} = z - p{i}`` and the step's table entry
+    in ``entry``, after the node's position ``pos`` when one is given:
+    ``slow`` and the principal logs ``d{i}`` of ``b{i} / a{i}``.  ``slow``
+    is None, or ``(tprev, t, zprev, z)`` for a step that ``advance_logs``
+    must take: one that hits a puncture (a zero ``b{i}`` makes the log
+    raise ``ValueError``) or whose increment reaches ``step``."""
     pts = range(npoints)
-    logs = _names("L{}", npoints)
+    head = f"{pos}, " if pos else ""
     return ([f"b{i} = {z} - p{i}" for i in pts]
             + ["try:"]
             + [f"    d{i} = log(b{i} / a{i})" for i in pts]
-            + ["except ValueError:",
-               "    d0 = step",
-               "if " + " or ".join(f"abs(d{i}) >= step" for i in pts) + ":",
-               f"    {logs} = advance_logs(points, [{logs}], seg, tprev, {t},",
-               f"                          za=zprev, zb={z})",
-               "else:"]
-            + [f"    L{i} += d{i}" for i in pts])
+            + ["    slow = " + " or ".join(f"abs(d{i}) >= step" for i in pts),
+               "except ValueError:",
+               "    slow = True",
+               "if slow:",
+               f"    slow = tprev, {t}, zprev, {z}",
+               f"    entry = {head}slow" + ", None" * npoints,
+               "else:",
+               f"    entry = {head}None, {_names('d{}', npoints)}"])
+
+
+def _take_step(npoints):
+    """Statements that carry the logs ``L{i}`` over a branch step whose
+    entry is unpacked into ``slow`` and ``d{i}`` (see ``_step``): they add
+    the increments, or hand the step to ``advance_logs`` through this
+    module's attribute, which bisects it or raises."""
+    logs = _names("L{}", npoints)
+    return (["if slow is None:"]
+            + [f"    L{i} += d{i}" for i in range(npoints)]
+            + ["else:",
+               "    tp, tn, zp, zn = slow",
+               f"    {logs} = advance_logs(points, [{logs}], seg, tp, tn,",
+               "                          za=zp, zb=zn)"])
 
 
 def _indent(depth, lines):
     return [" " * depth + line for line in lines]
 
 
+def _builder_source(kind, npoints):
+    """The source of the table builder of one segment kind and number of
+    points; see the module docstring.  It is built from ints and fixed
+    text only."""
+    consts, node, kept, place, _midpoint = _GEOMETRY[kind]
+    pts = range(npoints)
+    head = [f"    {name} = {expr}" for name, expr in consts]
+    if npoints:
+        head.insert(0, f"    {_names('p{}', npoints)} = points")
+    out = ["def build(seg, points, ta, tb, za, exp=cmath.exp, log=cmath.log,",
+           "          step=_BRANCH_STEP, xs=_KX):"]
+    out += head
+    out += [f"    a{i} = za - p{i}" for i in pts]
+    out += ["    mid = 0.5 * (ta + tb)",
+            "    half = 0.5 * (tb - ta)",
+            "    nodes = []",
+            "    tprev, zprev = ta, za",
+            "    for x in xs:",
+            "        t = mid + half * x"]
+    out += _indent(8, node.splitlines())
+    if not npoints:
+        out += [f"        nodes.append({kept})"]
+    else:
+        out += _indent(8, _step(npoints, "t", "z", kept))
+        out += ["        nodes += entry",
+                # advance_logs raises at a step onto a puncture, so no
+                # later node is read; the next log would divide by zero
+                "        if slow and ("
+                + " or ".join(f"b{i} == 0" for i in pts) + "):",
+                "            break",
+                f"        {_names('a{}', npoints)} = {_names('b{}', npoints)}",
+                "        tprev, zprev = t, z"]
+    out += ["    return [tuple(nodes), None]",
+            ""]
+    if npoints:
+        out += ["def finish(seg, points, ta, tb, zb, nodes, log=cmath.log,",
+                "           step=_BRANCH_STEP, x=_KX[-1]):"]
+        out += head
+        out += ["    mid = 0.5 * (ta + tb)",
+                "    half = 0.5 * (tb - ta)",
+                "    tprev = mid + half * x",
+                f"    {kept} = nodes[{-2 - npoints:d}]"]
+        out += _indent(4, place.splitlines())
+        out += ["    zprev = z"]
+        out += [f"    a{i} = z - p{i}" for i in pts]
+        out += _indent(4, _step(npoints, "tb", "zb", None))
+        out += ["    return entry",
+                ""]
+    return "\n".join(out)
+
+
+@functools.lru_cache(maxsize=32)
+def _builder(kind, npoints):
+    """(build, finish): the table builder of a segment of this kind and
+    this number of marked points, compiled on first use.
+    ``build(seg, points, ta, tb, za)`` returns the table of the panel
+    [ta, tb] that starts at ``za``: the list [its node entries, None].
+    ``finish(seg, points, ta, tb, zb, nodes)`` returns the entry of the
+    last step, from the 15th node to ``zb``; with no points there is no
+    branch to step, and ``finish`` is None."""
+    namespace = {}
+    exec(compile(_builder_source(kind, npoints),
+                 f"<panel tables {kind} {npoints}>", "exec"),
+         globals(), namespace)
+    return namespace["build"], namespace.get("finish")
+
+
 def _routine_source(kind, npoints, ncoeffs, sites):
     """The source of the adaptive routine of one shape; see the module
     docstring.  It is built from ints and fixed text only."""
-    setup, node, midpoint = _GEOMETRY[kind]
+    consts, _node, kept, place, midpoint = _GEOMETRY[kind]
     pts = range(npoints)
     logs = _names("L{}", npoints)
     out = ["def adaptive(seg, ta, tb, logs, tol, panels, points, integrand):",
@@ -286,16 +414,24 @@ def _routine_source(kind, npoints, ncoeffs, sites):
         out.append(f"    {_names('c{}', ncoeffs)} = coeffs")
     if sites:
         out.append(f"    {_names('(q{}, _)', len(sites))} = poles")
-    out += [f"    {name} = {expr}" for name, expr in setup]
+    out += [f"    {name} = {expr}" for name, expr in consts]
+    out += [f"    build, finish = _builder({kind!r}, {npoints:d})",
+            "    key = (_piece_keys(seg)[0], tuple(map(_bits, points)),",
+            "           _bits(ta), _bits(tb))",
+            "    tables = _TABLES.get(key, {})"]
     # the constants become the panel function's defaults, so that its
     # node loop reads them as locals
-    consts = (["s"] + [f"{x}{i}" for x in "pk" for i in pts]
-              + [f"c{j}" for j in range(ncoeffs)]
-              + [f"q{j}" for j in range(len(sites))]
-              + [name for name, _expr in setup])
-    defaults = [f"{name}={name}" for name in consts] + [
-        "exp=cmath.exp", "log=cmath.log", "step=_BRANCH_STEP",
-        "nodes=_NODES"]
+    names = (["s"] + [f"{x}{i}" for x in "pk" for i in pts]
+             + [f"c{j}" for j in range(ncoeffs)]
+             + [f"q{j}" for j in range(len(sites))]
+             + [name for name, _expr in consts])
+    defaults = [f"{name}={name}" for name in names] + [
+        "exp=cmath.exp", "rule=_RULE"]
+    entry = (f"{kept}, slow, {_names('d{}', npoints)}" if npoints
+             else kept)
+    # a table's node entries lie flat, so that one iterator zipped to
+    # itself deals them out
+    deal = ", it" * (npoints + 2) if npoints else ", table[0]"
     out += ["    count = panels",
             "",
             "    def panel(ta, tb, za, zb, logs, tol, depth, parent_err,",
@@ -303,40 +439,38 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             "        nonlocal count",
             "        count += 1",
             "        if count > _MAX_PANELS:",
-            "            raise ContourError(_BUDGET_MESSAGE)"]
+            "            raise ContourError(_BUDGET_MESSAGE)",
+            "        table = tables.get((ta, tb))",
+            "        if table is None:",
+            "            table = _keep(key, ta, tb,",
+            "                          build(seg, points, ta, tb, za))"]
     if npoints:
         out.append(f"        {logs} = logs")
-        out += [f"        a{i} = za - p{i}" for i in pts]
-    out += ["        mid = 0.5 * (ta + tb)",
-            "        half = 0.5 * (tb - ta)",
+    out += ["        half = 0.5 * (tb - ta)",
             "        acc_k = 0j",
             "        acc_g = 0j",
-            "        acc_abs = 0.0",
-            "        tprev, zprev = ta, za",
-            "        for x, wk, wg in nodes:",
-            "            t = mid + half * x"]
-    out += _indent(12, node.splitlines())
-    out += _indent(12, _branch_step(npoints, "t", "z"))
+            "        acc_abs = 0.0"]
+    if npoints:
+        out.append("        it = iter(table[0])")
+    out += [f"        for (wk, wg), {entry} in zip(rule{deal}):"]
+    out += _indent(12, place.splitlines())
+    if npoints:
+        out += _indent(12, _take_step(npoints))
     terms = [f"k{i} * L{i}" for i in pts]
     out.append("            w = " + " + ".join(terms[:1] + ["0j"] + terms[1:]))
     out.append("            num = 0j")
     out += [f"            num = num * z + c{j}" for j in range(ncoeffs)]
     for j, (i, m) in enumerate(sites):
-        if i is None:
-            out.append(f"            u{j} = z - q{j}")
-        out += _indent(12, _pole_power(f"u{j}" if i is None else f"b{i}",
-                                       m, f"pw{j}"))
+        base, site = (f"u{j}", f"q{j}") if i is None else (f"b{i}", f"p{i}")
+        out.append(f"            {base} = z - {site}")
+        out += _indent(12, _pole_power(base, m, f"pw{j}"))
     out.append("            den = (1 + 0j)"
                + "".join(f" * pw{j}" for j in range(len(sites))))
     out += ["            val = exp(s * w) * (num / den) * dz",
             "            acc_k += val * wk",
             "            acc_abs += wk * abs(val)",
             "            if wg is not None:",
-            "                acc_g += val * wg"]
-    if npoints:
-        out.append(f"            {_names('a{}', npoints)} = "
-                   f"{_names('b{}', npoints)}")
-    out += ["            tprev, zprev = t, z",
+            "                acc_g += val * wg",
             "        ik = acc_k * half",
             "        err = abs(ik - acc_g * half)",
             "        resabs = abs(half) * acc_abs",
@@ -344,7 +478,13 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             "                or depth >= _MAX_DEPTH",
             "                or _STALLED * parent_err <= err"
             " <= _NOISE * resabs):"]
-    out += _indent(12, _branch_step(npoints, "tb", "zb"))
+    if npoints:
+        out += ["            last = table[1]",
+                "            if last is None:",
+                "                last = table[1] = finish(seg, points, ta, tb,"
+                " zb, table[0])",
+                f"            slow, {_names('d{}', npoints)} = last"]
+        out += _indent(12, _take_step(npoints))
     out += [f"            return ik, err, ({logs})",
             # err is finite only when both sums are: a NaN or infinite err
             # would bisect to the depth cap, and the budget would misname
@@ -378,7 +518,7 @@ def _routine(kind, npoints, ncoeffs, sites):
     ``RationalFunction.complex_form``.  It returns (value, err, logs at
     tb, panels spent).  Its globals are this module's, so it calls
     ``advance_logs`` through the module attribute and reads the stopping
-    constants and ``_MAX_PANELS`` at each panel."""
+    constants, ``_MAX_PANELS`` and the table store at each call."""
     namespace = {}
     exec(compile(_routine_source(kind, npoints, ncoeffs, sites),
                  f"<adaptive routine {kind} {npoints} {ncoeffs} {sites}>",

@@ -151,6 +151,20 @@ def test_make_contour_rejects_a_zero_denominator(tmp_path, capsys, option,
     assert captured.err == f"error: {option}: zero denominator in {value!r}\n"
 
 
+@pytest.mark.parametrize("option", ["--radius", "--basepoint"])
+@pytest.mark.parametrize("value", ["", " "], ids=["empty", "blank"])
+def test_make_contour_rejects_an_empty_value(tmp_path, capsys, option,
+                                             value):
+    # an empty value is refused, not read as the option left out
+    path = tmp_path / "model.json"
+    write_model(path, [])
+    assert main(["make-contour", "--model", str(path), "--pochhammer", "0,1",
+                 f"{option}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: empty value\n"
+
+
 # ------------------------------------------------------------------ integrate
 
 

@@ -4,6 +4,7 @@ deformation, and invariance of the integrals under residual gauges."""
 
 import cmath
 import math
+import os
 import random
 
 import mpmath as mp
@@ -35,8 +36,9 @@ def _pair(x):
     return [repr(x.real), repr(x.imag)]
 
 
-def beta_data(model, a, b):
-    """Levels chosen so that P^{-1/2} continues z^{a-1}(z-1)^{b-1}."""
+def beta_data(model, a, b, z1="1"):
+    """Levels chosen so that P^{-1/2} continues z^{a-1}(z-z1)^{b-1}; z1 is 1
+    unless given."""
     k0 = -2 * (complex(a) - 1)
     k1 = -2 * (complex(b) - 1)
     return MiuraData.from_json({
@@ -44,7 +46,7 @@ def beta_data(model, a, b):
         "points": [
             {"z": "0",
              "weight": {"lambda_dot": ["0"], "level": _pair(k0), "delta": "0"}},
-            {"z": "1",
+            {"z": z1,
              "weight": {"lambda_dot": ["0"], "level": _pair(k1), "delta": "0"}},
         ],
         "bethe_roots": [],
@@ -771,21 +773,156 @@ _INTEGRAL_CASES = {
 }
 
 
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """An empty panel-table store in place of the process-wide one, which
+    comes back after the test."""
+    tables = {}
+    monkeypatch.setattr(integrate, "_TABLES", tables)
+    return tables
+
+
+def _stored(tables):
+    """The panels of a table store, each as (routine call key, ta, tb)."""
+    return {(key, ta, tb) for key, kept in tables.items() for ta, tb in kept}
+
+
 @pytest.mark.parametrize("case", list(_INTEGRAL_CASES.values()),
                          ids=list(_INTEGRAL_CASES))
-def test_integral_matches_reference_bit_for_bit(a1, case):
+def test_integral_matches_reference_bit_for_bit(a1, case, cold_tables):
     """The whole adaptive integral against the reference panels, with the
     stopping rule and the reuse of repeated pieces restated: value, error
-    and panel count are identical."""
+    and panel count are identical, on an empty table store and again on
+    the tables the first run left."""
     d, r, g, gamma = case(a1)
     value, err, panels, stalled, integrated = _reference_integral(d, r, g,
                                                                  gamma)
-    res = integrate_twisted_form(d, r, g, gamma)
     assert len(panels) > len(integrated)  # some panels were bisected
     if case is _noise_floor_case:
         assert stalled, "the noise stop must end some panels"
-    assert _bits((res.value, res.err)) == _bits((value, err))
-    assert res.panels == len(panels)
+    for store in ("cold", "warm"):
+        assert bool(cold_tables) == (store == "warm")
+        res = integrate_twisted_form(d, r, g, gamma)
+        assert _bits((res.value, res.err)) == _bits((value, err)), store
+        assert res.panels == len(panels), store
+
+
+def _one_ulp_case(a1, z1):
+    """The Gaussian Beta case with its second point at ``z1``."""
+    d = beta_data(a1, 1 / 3, 0.3 + 0.1j, z1)
+    return d, 1, _gaussian_integrand(), pochhammer((0, 1), radius="1/4")
+
+
+def test_tables_of_points_one_ulp_apart_are_kept_apart(a1, cold_tables):
+    # the points 1 and 1 + 2^-52 give integrals that differ in their
+    # bits; run one after the other, and again, each keeps the reference
+    # bits, since the store keys on the points' bits
+    cases = [_one_ulp_case(a1, z1)
+             for z1 in ("1", "4503599627370497/4503599627370496")]
+    ends = [integrate._marked_data(d)[0][1] for d, *_rest in cases]
+    assert ends[1] == complex(math.nextafter(ends[0].real, 2.0))
+    want = []
+    for case in cases:
+        value, err, panels, *_rest = _reference_integral(*case)
+        want.append((_bits((value, err)), len(panels)))
+    assert want[0] != want[1]
+    for case, (bits, panels) in [*zip(cases, want), *zip(cases, want)]:
+        res = integrate_twisted_form(*case)
+        assert (_bits((res.value, res.err)), res.panels) == (bits, panels)
+    keys = {key[1] for key in cold_tables}
+    assert len(keys) == 2
+
+
+def test_tables_of_signed_zero_points_are_kept_apart(cold_tables):
+    # 0.0 and -0.0 compare equal as floats but are two keys of the store
+    seg = Arc(0.25, 0.76, -1.0, 1.2)
+    points, weights, s, g, _shape = _PANEL_CASES["2pt-gauss-len3-off"]
+    lists = [[complex(0.0, 0.0), points[1]], [complex(-0.0, 0.0), points[1]]]
+    for pts in lists + lists:
+        logs = start_logs(pts, seg.point(0.0))
+        want = _reference_accepted(seg, 0.0, 1.0, logs, pts, weights, s, g)
+        *got, _panels = _routine_panel(seg, 0.0, 1.0, logs, pts, weights, s,
+                                       g)
+        assert _bits(got) == _bits(want)
+    assert len(cold_tables) == 2
+
+
+def test_a_full_store_is_emptied_and_results_keep_their_bits(
+        a1, cold_tables, monkeypatch):
+    # with room for five panels the store is emptied again and again
+    # within one integral; it never holds more, and the integral keeps
+    # the reference bits
+    monkeypatch.setattr(integrate, "_MAX_TABLES", 5)
+    sizes = []
+    keep = integrate._keep
+
+    def watched(*args):
+        table = keep(*args)
+        sizes.append(sum(map(len, integrate._TABLES.values())))
+        return table
+
+    monkeypatch.setattr(integrate, "_keep", watched)
+    d, r, g, gamma = _three_point_case(a1)
+    value, err, panels, *_rest = _reference_integral(d, r, g, gamma)
+    for _run in range(2):
+        res = integrate_twisted_form(d, r, g, gamma)
+        assert _bits((res.value, res.err)) == _bits((value, err))
+        assert res.panels == len(panels)
+    assert sizes[:6] == [1, 2, 3, 4, 5, 1]
+    assert max(sizes) == 5
+
+
+def test_a_higher_exponent_builds_only_the_panels_it_adds(a1, cold_tables):
+    # r = 1 and r = 3 of one case run over the same cycle: the second
+    # integral builds the tables of exactly the panels the first did not
+    # evaluate, and both keep the bits they have on an empty store
+    first, second = (_periods_case("rank1_0_1", r)(a1) for r in (1, 3))
+    alone = []
+    for case in (first, second):
+        cold_tables.clear()
+        res = integrate_twisted_form(*case)
+        alone.append((_bits((res.value, res.err)), res.panels,
+                      _stored(cold_tables)))
+    (bits1, panels1, stored1), (bits2, panels2, stored2) = alone
+    assert len(stored1) == panels1 and len(stored2) == panels2
+    assert stored1 & stored2 and stored2 - stored1
+    cold_tables.clear()
+    res = integrate_twisted_form(*first)
+    assert (_bits((res.value, res.err)), res.panels) == (bits1, panels1)
+    res = integrate_twisted_form(*second)
+    assert (_bits((res.value, res.err)), res.panels) == (bits2, panels2)
+    assert _stored(cold_tables) == stored1 | stored2
+
+
+def test_periods_workload_keeps_its_bits_on_warm_tables(monkeypatch,
+                                                        cold_tables):
+    # every integral of a round of the periods benchmark (seed 1), run
+    # and checked on an empty store and again on the tables it left, which
+    # builds none
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    import workloads
+    wl = workloads.Periods(1)
+    wl.setup()
+    inner = integrate.integrate_twisted_form
+    seen = []
+
+    def recorded(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        seen.append(_bits((res.value, res.err, res.multiplier))
+                    + (res.panels, res.valid))
+        return res
+
+    monkeypatch.setattr(integrate, "integrate_twisted_form", recorded)
+    rounds = []
+    for _store in ("cold", "warm"):
+        seen[:] = []
+        for case in wl.cases:
+            wl.check(case, wl.run(case))
+        rounds.append((list(seen), _stored(cold_tables)))
+    (cold, stored), (warm, kept) = rounds
+    assert cold == warm
+    assert stored == kept and len(kept) <= integrate._MAX_TABLES
 
 
 def test_panel_budget_raises_as_the_reference(a1, monkeypatch):

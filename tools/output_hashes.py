@@ -20,7 +20,10 @@ all seven lines as they were at its parent.  Each hash covers:
 * ``periods`` -- for every ``periods`` case of seeds 1-3, run and then
   checked, ``repr((value, err, multiplier, panels, valid))`` of each
   integral in call order (checks included), then
-  ``json.dumps(q.v[j].to_json())`` for each exponent ``j``;
+  ``json.dumps(q.v[j].to_json())`` for each exponent ``j``.  The case
+  positions do not depend on the seed, so seeds 2-3 run on the panel
+  tables that seed 1 left in ``integrate``'s store: the hash covers cold
+  and warm tables alike;
 * ``verify``  -- ``json.dumps(report, sort_keys=True)`` of
   ``affopers verify --suite all --seed 42`` with every ``seconds`` and
   ``elapsed_seconds`` key dropped;

@@ -40,7 +40,9 @@ function of its key: a panel's start ``za`` is always ``seg.point(ta)``
 bit for bit, since the bisection point is computed by ``Arc.point``'s and
 ``Line.point``'s operations.  The exponents of one data, and any levels
 and weights at the same points, are integrated over the same cycles, so
-they share their tables.  The table builder is generated and cached per
+they share their tables; a table read once costs more than the loop that
+would compute its nodes and sum them at once, so the store saves time only
+where marked points repeat.  The table builder is generated and cached per
 segment kind and number of points (``_builder``).  Per node the table
 holds the position (``z`` on a line, the phasor ``e`` on an arc, from
 which the routine forms ``z = center + e * radius`` and
@@ -51,8 +53,9 @@ whose increment reaches ``_BRANCH_STEP``, the mark that ``advance_logs``
 must take it.  The routine calls ``advance_logs`` for a marked step at
 each run, through this module's attribute, and it bisects the step or
 raises; since it always raises at a step onto a puncture, the builder
-stops there.  The last step, from the 15th node to the panel's end, is
-found on the panel's first acceptance only.  When the store holds
+stops there, before the last step; otherwise the table ends with the
+last step, from the 15th node to the panel's end ``zb``, which the routine
+takes for an accepted panel only.  When the store holds
 ``_MAX_TABLES`` panels, the next table empties it first (``_keep``); that
 costs time, never bits.
 
@@ -249,7 +252,7 @@ _RULE = tuple((wk, wg) for _x, wk, wg in _NODES)
 # The panel tables: per (segment piece, the bits of the marked points and
 # of the routine's ta and tb), a dict from a panel's (ta, tb) to its table.
 # A round of the periods benchmark, checks included, keeps 520 panels;
-# 1024 panels of three points hold about 3 MB.
+# 1024 panels of three points hold about 2.9 MB.
 _TABLES = {}
 _MAX_TABLES = 1024
 
@@ -290,17 +293,16 @@ def _pole_power(base, m, out):
     return lines
 
 
-def _step(npoints, t, z, pos):
+def _step(npoints, t, z):
     """Statements that find the branch step from the previous node
     (``tprev``, ``zprev``, with ``a{i} = zprev - p{i}``) to ``t`` at the
     position ``z``, leaving ``b{i} = z - p{i}`` and the step's table entry
-    in ``entry``, after the node's position ``pos`` when one is given:
-    ``slow`` and the principal logs ``d{i}`` of ``b{i} / a{i}``.  ``slow``
-    is None, or ``(tprev, t, zprev, z)`` for a step that ``advance_logs``
-    must take: one that hits a puncture (a zero ``b{i}`` makes the log
-    raise ``ValueError``) or whose increment reaches ``step``."""
+    in ``entry``: ``slow`` and the principal logs ``d{i}`` of
+    ``b{i} / a{i}``.  ``slow`` is None, or ``(tprev, t, zprev, z)`` for a
+    step that ``advance_logs`` must take: one that hits a puncture (a zero
+    ``b{i}`` makes the log raise ``ValueError``) or whose increment
+    reaches ``step``."""
     pts = range(npoints)
-    head = f"{pos}, " if pos else ""
     return ([f"b{i} = {z} - p{i}" for i in pts]
             + ["try:"]
             + [f"    d{i} = log(b{i} / a{i})" for i in pts]
@@ -309,9 +311,9 @@ def _step(npoints, t, z, pos):
                "    slow = True",
                "if slow:",
                f"    slow = tprev, {t}, zprev, {z}",
-               f"    entry = {head}slow" + ", None" * npoints,
+               "    entry = slow" + ", None" * npoints,
                "else:",
-               f"    entry = {head}None, {_names('d{}', npoints)}"])
+               f"    entry = None, {_names('d{}', npoints)}"])
 
 
 def _take_step(npoints):
@@ -336,14 +338,13 @@ def _builder_source(kind, npoints):
     """The source of the table builder of one segment kind and number of
     points; see the module docstring.  It is built from ints and fixed
     text only."""
-    consts, node, kept, place, _midpoint = _GEOMETRY[kind]
+    consts, node, kept, _place, _midpoint = _GEOMETRY[kind]
     pts = range(npoints)
-    head = [f"    {name} = {expr}" for name, expr in consts]
+    out = ["def build(seg, points, ta, tb, za, zb, exp=cmath.exp,",
+           "          log=cmath.log, step=_BRANCH_STEP, xs=_KX):"]
     if npoints:
-        head.insert(0, f"    {_names('p{}', npoints)} = points")
-    out = ["def build(seg, points, ta, tb, za, exp=cmath.exp, log=cmath.log,",
-           "          step=_BRANCH_STEP, xs=_KX):"]
-    out += head
+        out.append(f"    {_names('p{}', npoints)} = points")
+    out += [f"    {name} = {expr}" for name, expr in consts]
     out += [f"    a{i} = za - p{i}" for i in pts]
     out += ["    mid = 0.5 * (ta + tb)",
             "    half = 0.5 * (tb - ta)",
@@ -352,51 +353,40 @@ def _builder_source(kind, npoints):
             "    for x in xs:",
             "        t = mid + half * x"]
     out += _indent(8, node.splitlines())
-    if not npoints:
-        out += [f"        nodes.append({kept})"]
-    else:
-        out += _indent(8, _step(npoints, "t", "z", kept))
+    out.append(f"        nodes.append({kept})")
+    if npoints:
+        out += _indent(8, _step(npoints, "t", "z"))
         out += ["        nodes += entry",
                 # advance_logs raises at a step onto a puncture, so no
-                # later node is read; the next log would divide by zero
+                # later node, nor the last step, is read; the next log
+                # would divide by zero
                 "        if slow and ("
                 + " or ".join(f"b{i} == 0" for i in pts) + "):",
                 "            break",
                 f"        {_names('a{}', npoints)} = {_names('b{}', npoints)}",
-                "        tprev, zprev = t, z"]
-    out += ["    return [tuple(nodes), None]",
+                "        tprev, zprev = t, z",
+                "    else:"]
+        out += _indent(8, _step(npoints, "tb", "zb"))
+        out.append("        nodes += entry")
+    out += ["    return tuple(nodes)",
             ""]
-    if npoints:
-        out += ["def finish(seg, points, ta, tb, zb, nodes, log=cmath.log,",
-                "           step=_BRANCH_STEP, x=_KX[-1]):"]
-        out += head
-        out += ["    mid = 0.5 * (ta + tb)",
-                "    half = 0.5 * (tb - ta)",
-                "    tprev = mid + half * x",
-                f"    {kept} = nodes[{-2 - npoints:d}]"]
-        out += _indent(4, place.splitlines())
-        out += ["    zprev = z"]
-        out += [f"    a{i} = z - p{i}" for i in pts]
-        out += _indent(4, _step(npoints, "tb", "zb", None))
-        out += ["    return entry",
-                ""]
     return "\n".join(out)
 
 
 @functools.lru_cache(maxsize=32)
 def _builder(kind, npoints):
-    """(build, finish): the table builder of a segment of this kind and
-    this number of marked points, compiled on first use.
-    ``build(seg, points, ta, tb, za)`` returns the table of the panel
-    [ta, tb] that starts at ``za``: the list [its node entries, None].
-    ``finish(seg, points, ta, tb, zb, nodes)`` returns the entry of the
-    last step, from the 15th node to ``zb``; with no points there is no
-    branch to step, and ``finish`` is None."""
+    """The table builder of a segment of this kind and this number of
+    marked points, compiled on first use.
+    ``build(seg, points, ta, tb, za, zb)`` returns the table of the panel
+    [ta, tb] from ``za`` to ``zb``: a flat tuple of each node's position,
+    ``slow`` and ``d{i}`` (see ``_step``), then the ``slow`` and ``d{i}``
+    of the last step, from the 15th node to ``zb``.  With no points it
+    holds the positions only."""
     namespace = {}
     exec(compile(_builder_source(kind, npoints),
                  f"<panel tables {kind} {npoints}>", "exec"),
          globals(), namespace)
-    return namespace["build"], namespace.get("finish")
+    return namespace["build"]
 
 
 def _routine_source(kind, npoints, ncoeffs, sites):
@@ -415,7 +405,7 @@ def _routine_source(kind, npoints, ncoeffs, sites):
     if sites:
         out.append(f"    {_names('(q{}, _)', len(sites))} = poles")
     out += [f"    {name} = {expr}" for name, expr in consts]
-    out += [f"    build, finish = _builder({kind!r}, {npoints:d})",
+    out += [f"    build = _builder({kind!r}, {npoints:d})",
             "    key = (_piece_keys(seg)[0], tuple(map(_bits, points)),",
             "           _bits(ta), _bits(tb))",
             "    tables = _TABLES.get(key, {})"]
@@ -431,7 +421,7 @@ def _routine_source(kind, npoints, ncoeffs, sites):
              else kept)
     # a table's node entries lie flat, so that one iterator zipped to
     # itself deals them out
-    deal = ", it" * (npoints + 2) if npoints else ", table[0]"
+    deal = ", it" * (npoints + 2) if npoints else ", table"
     out += ["    count = panels",
             "",
             "    def panel(ta, tb, za, zb, logs, tol, depth, parent_err,",
@@ -443,7 +433,7 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             "        table = tables.get((ta, tb))",
             "        if table is None:",
             "            table = _keep(key, ta, tb,",
-            "                          build(seg, points, ta, tb, za))"]
+            "                          build(seg, points, ta, tb, za, zb))"]
     if npoints:
         out.append(f"        {logs} = logs")
     out += ["        half = 0.5 * (tb - ta)",
@@ -451,7 +441,7 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             "        acc_g = 0j",
             "        acc_abs = 0.0"]
     if npoints:
-        out.append("        it = iter(table[0])")
+        out.append("        it = iter(table)")
     out += [f"        for (wk, wg), {entry} in zip(rule{deal}):"]
     out += _indent(12, place.splitlines())
     if npoints:
@@ -479,11 +469,9 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             "                or _STALLED * parent_err <= err"
             " <= _NOISE * resabs):"]
     if npoints:
-        out += ["            last = table[1]",
-                "            if last is None:",
-                "                last = table[1] = finish(seg, points, ta, tb,"
-                " zb, table[0])",
-                f"            slow, {_names('d{}', npoints)} = last"]
+        # the zip above stops at the 16th entry of rule, before it
+        # reads on, so what is left in the table is the last step
+        out.append(f"            slow, {_names('d{}', npoints)} = it")
         out += _indent(12, _take_step(npoints))
     out += [f"            return ik, err, ({logs})",
             # err is finite only when both sums are: a NaN or infinite err

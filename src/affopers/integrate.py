@@ -17,44 +17,44 @@ is load-bearing for correctness and is why a stock quadrature routine is
 not used: the integrand is not a function of z alone, and rules that sample
 in an unspecified internal order would lose the branch.
 
-Each segment is integrated by one routine generated for its shape: the
-segment kind (line or arc), the number of marked points, the length of g's
-numerator and, per pole of g, the index of the marked point it sits at or
-None, with the pole's order (``_shape``).  ``_routine`` writes the
-routine's source from ints and fixed text only, compiles it once per shape
-and keeps it in a bounded cache; ``integrate_twisted_form`` finds the
-shape once per integral and calls the routine once per segment.  The
-routine reads the segment and integrand constants once and binds them as
-the defaults of a recursive panel function, so that its node loop reads
-them as locals.  One call of that function does all of one panel: it
-counts the panel against ``_MAX_PANELS``, runs the 15 nodes, applies the
-acceptance test below, and then either bisects or, for an accepted panel
-only, takes the last branch step from the 15th node to the panel's end.
+Each segment is integrated by one routine generated for the integrand's
+shape: the number of marked points, the length of g's numerator and, per
+pole of g, the index of the marked point it sits at or None, with the
+pole's order (``_shape``).  ``_routine`` writes the routine's source from
+ints and fixed text only, compiles it once per shape and keeps it in a
+bounded cache; ``integrate_twisted_form`` finds the shape once per
+integral and calls the routine once per segment.  The routine does not
+depend on the segment kind: lines and arcs share it, since it reads each
+node's position and path derivative from the panel's geometry table.  It
+reads the integrand constants once and binds them as the defaults of a
+recursive panel function, so that its node loop reads them as locals.
+One call of that function does all of one panel: it counts the panel
+against ``_MAX_PANELS``, runs the 15 nodes, applies the acceptance test
+below, and then either bisects or, for an accepted panel only, takes the
+last branch step from the 15th node to the panel's end.
 
 What a panel computes that depends neither on g nor on the incoming logs
 is its geometry table, built once per segment piece, marked points and
 panel and kept in a process-wide store (``_TABLES``).  Its key is the
 segment's exact bits (``_piece_keys``), the points' bits and the bits of
-the routine's ta and tb, then the panel's (ta, tb), so a table is a pure
-function of its key: a panel's start ``za`` is always ``seg.point(ta)``
-bit for bit, since the bisection point is computed by ``Arc.point``'s and
-``Line.point``'s operations.  The exponents of one data, and any levels
-and weights at the same points, are integrated over the same cycles, so
-they share their tables; a table read once costs more than the loop that
-would compute its nodes and sum them at once, so the store saves time only
-where marked points repeat.  The table builder is generated and cached per
-segment kind and number of points (``_builder``).  Per node the table
-holds the position (``z`` on a line, the phasor ``e`` on an arc, from
-which the routine forms ``z = center + e * radius`` and
-``dz = rs1j * e``) and the branch step from the previous node: the
+the routine's ta and tb, then the panel's (ta, tb), and the table is a
+pure function of its key.  The exponents of one data, and any levels and
+weights at the same points, are integrated over the same cycles, so they
+share their tables; a table read once costs more than the loop that would
+compute its nodes and sum them at once, so the store saves time only where
+marked points repeat.  The table builder, generated and cached per segment
+kind and number of points (``_builder``), is the only code that knows a
+segment's geometry.  Per node the table holds the position ``z``, the path
+derivative ``dz`` and the branch step from the previous node: the
 principal logs of ``(z - p) / (zprev - p)``, or, for a step that lands on
 a puncture (a zero ``z - p`` makes ``cmath.log`` raise ``ValueError``) or
 whose increment reaches ``_BRANCH_STEP``, the mark that ``advance_logs``
-must take it.  The routine calls ``advance_logs`` for a marked step at
-each run, through this module's attribute, and it bisects the step or
+must take it.  The panel's ends are ``seg.point(ta)`` and
+``seg.point(tb)``.  The routine calls ``advance_logs`` for a marked step
+at each run, through this module's attribute, and it bisects the step or
 raises; since it always raises at a step onto a puncture, the builder
 stops there, before the last step; otherwise the table ends with the
-last step, from the 15th node to the panel's end ``zb``, which the routine
+last step, from the 15th node to the panel's end, which the routine
 takes for an accepted panel only.  When the store holds
 ``_MAX_TABLES`` panels, the next table empties it first (``_keep``); that
 costs time, never bits.
@@ -220,30 +220,21 @@ _TWO_PI = 2 * math.pi
 _TURN_TOL = 1e-9
 
 # The geometry of a segment kind: the segment constants, read as (name,
-# expression) pairs; the statements that leave the position at a node t in
-# ``z``; the name of what a panel table keeps of a node's position (``z`` on
-# a line, the phasor ``e`` on an arc); the statements that give back ``z``
-# and the path derivative ``dz`` from it; and the one that leaves the
-# position at a bisection point tm in ``zm``.  They are the operations of
-# ``Line.point``, ``Arc.point`` and ``derivative``.
+# expression) pairs, and the statements that leave the position at a node t
+# in ``z`` and the path derivative there in ``dz``.  They are the operations
+# of ``Line.point``, ``Arc.point`` and ``derivative``.
 _GEOMETRY = {
     "line": ((("start", "seg.start"),
               ("dz", "seg.end - start")),
-             "z = start + dz * t\n",
-             "z",
-             "",
-             "zm = start + dz * tm\n"),
+             "z = start + dz * t\n"),
     "arc": ((("fa", "seg.from_angle"),
              ("sweep", "seg.to_angle - fa"),
              ("center", "seg.center"),
              ("radius", "seg.radius"),
              ("rs1j", "(radius * sweep) * 1j")),
             "e = exp(1j * (fa + t * sweep))\n"
-            "z = center + e * radius\n",
-            "e",
             "z = center + e * radius\n"
-            "dz = rs1j * e\n",
-            "zm = center + exp(1j * (fa + tm * sweep)) * radius\n"),
+            "dz = rs1j * e\n"),
 }
 
 # (Kronrod weight, Gauss weight or None) per node, in path order
@@ -338,22 +329,22 @@ def _builder_source(kind, npoints):
     """The source of the table builder of one segment kind and number of
     points; see the module docstring.  It is built from ints and fixed
     text only."""
-    consts, node, kept, _place, _midpoint = _GEOMETRY[kind]
+    consts, node = _GEOMETRY[kind]
     pts = range(npoints)
-    out = ["def build(seg, points, ta, tb, za, zb, exp=cmath.exp,",
-           "          log=cmath.log, step=_BRANCH_STEP, xs=_KX):"]
-    if npoints:
-        out.append(f"    {_names('p{}', npoints)} = points")
+    out = ["def build(seg, points, ta, tb, exp=cmath.exp, log=cmath.log,",
+           "          step=_BRANCH_STEP, xs=_KX):"]
     out += [f"    {name} = {expr}" for name, expr in consts]
-    out += [f"    a{i} = za - p{i}" for i in pts]
+    if npoints:
+        out += [f"    {_names('p{}', npoints)} = points",
+                "    tprev, zprev = ta, seg.point(ta)"]
+        out += [f"    a{i} = zprev - p{i}" for i in pts]
     out += ["    mid = 0.5 * (ta + tb)",
             "    half = 0.5 * (tb - ta)",
             "    nodes = []",
-            "    tprev, zprev = ta, za",
             "    for x in xs:",
             "        t = mid + half * x"]
     out += _indent(8, node.splitlines())
-    out.append(f"        nodes.append({kept})")
+    out.append("        nodes += z, dz")
     if npoints:
         out += _indent(8, _step(npoints, "t", "z"))
         out += ["        nodes += entry",
@@ -365,7 +356,8 @@ def _builder_source(kind, npoints):
                 "            break",
                 f"        {_names('a{}', npoints)} = {_names('b{}', npoints)}",
                 "        tprev, zprev = t, z",
-                "    else:"]
+                "    else:",
+                "        zb = seg.point(tb)"]
         out += _indent(8, _step(npoints, "tb", "zb"))
         out.append("        nodes += entry")
     out += ["    return tuple(nodes)",
@@ -376,12 +368,12 @@ def _builder_source(kind, npoints):
 @functools.lru_cache(maxsize=32)
 def _builder(kind, npoints):
     """The table builder of a segment of this kind and this number of
-    marked points, compiled on first use.
-    ``build(seg, points, ta, tb, za, zb)`` returns the table of the panel
-    [ta, tb] from ``za`` to ``zb``: a flat tuple of each node's position,
-    ``slow`` and ``d{i}`` (see ``_step``), then the ``slow`` and ``d{i}``
-    of the last step, from the 15th node to ``zb``.  With no points it
-    holds the positions only."""
+    marked points, compiled on first use.  ``build(seg, points, ta, tb)``
+    returns the table of the panel [ta, tb]: a flat tuple of each node's
+    ``z``, ``dz``, ``slow`` and ``d{i}`` (see ``_step``), then the
+    ``slow`` and ``d{i}`` of the last step, from the 15th node to
+    ``seg.point(tb)``.  With no points it holds ``z`` and ``dz`` only.
+    It is the only code that knows the segment's geometry."""
     namespace = {}
     exec(compile(_builder_source(kind, npoints),
                  f"<panel tables {kind} {npoints}>", "exec"),
@@ -389,10 +381,9 @@ def _builder(kind, npoints):
     return namespace["build"]
 
 
-def _routine_source(kind, npoints, ncoeffs, sites):
+def _routine_source(npoints, ncoeffs, sites):
     """The source of the adaptive routine of one shape; see the module
     docstring.  It is built from ints and fixed text only."""
-    consts, _node, kept, place, midpoint = _GEOMETRY[kind]
     pts = range(npoints)
     logs = _names("L{}", npoints)
     out = ["def adaptive(seg, ta, tb, logs, tol, panels, points, integrand):",
@@ -404,8 +395,7 @@ def _routine_source(kind, npoints, ncoeffs, sites):
         out.append(f"    {_names('c{}', ncoeffs)} = coeffs")
     if sites:
         out.append(f"    {_names('(q{}, _)', len(sites))} = poles")
-    out += [f"    {name} = {expr}" for name, expr in consts]
-    out += [f"    build = _builder({kind!r}, {npoints:d})",
+    out += [f"    build = _builder(seg.kind, {npoints:d})",
             "    key = (_piece_keys(seg)[0], tuple(map(_bits, points)),",
             "           _bits(ta), _bits(tb))",
             "    tables = _TABLES.get(key, {})"]
@@ -413,18 +403,16 @@ def _routine_source(kind, npoints, ncoeffs, sites):
     # node loop reads them as locals
     names = (["s"] + [f"{x}{i}" for x in "pk" for i in pts]
              + [f"c{j}" for j in range(ncoeffs)]
-             + [f"q{j}" for j in range(len(sites))]
-             + [name for name, _expr in consts])
+             + [f"q{j}" for j in range(len(sites))])
     defaults = [f"{name}={name}" for name in names] + [
         "exp=cmath.exp", "rule=_RULE"]
-    entry = (f"{kept}, slow, {_names('d{}', npoints)}" if npoints
-             else kept)
     # a table's node entries lie flat, so that one iterator zipped to
     # itself deals them out
-    deal = ", it" * (npoints + 2) if npoints else ", table"
+    entry = ["z", "dz"] + (["slow"] if npoints else []) + [
+        f"d{i}" for i in pts]
     out += ["    count = panels",
             "",
-            "    def panel(ta, tb, za, zb, logs, tol, depth, parent_err,",
+            "    def panel(ta, tb, logs, tol, depth, parent_err,",
             f"              {', '.join(defaults)}):",
             "        nonlocal count",
             "        count += 1",
@@ -433,17 +421,16 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             "        table = tables.get((ta, tb))",
             "        if table is None:",
             "            table = _keep(key, ta, tb,",
-            "                          build(seg, points, ta, tb, za, zb))"]
+            "                          build(seg, points, ta, tb))"]
     if npoints:
         out.append(f"        {logs} = logs")
     out += ["        half = 0.5 * (tb - ta)",
             "        acc_k = 0j",
             "        acc_g = 0j",
-            "        acc_abs = 0.0"]
-    if npoints:
-        out.append("        it = iter(table)")
-    out += [f"        for (wk, wg), {entry} in zip(rule{deal}):"]
-    out += _indent(12, place.splitlines())
+            "        acc_abs = 0.0",
+            "        it = iter(table)",
+            f"        for (wk, wg), {', '.join(entry)} in zip(rule"
+            + ", it" * len(entry) + "):"]
     if npoints:
         out += _indent(12, _take_step(npoints))
     terms = [f"k{i} * L{i}" for i in pts]
@@ -479,27 +466,26 @@ def _routine_source(kind, npoints, ncoeffs, sites):
             # the cause
             "        if not math.isfinite(err):",
             "            raise ContourError(_OVERFLOW_MESSAGE)",
-            "        tm = 0.5 * (ta + tb)"]
-    out += _indent(8, midpoint.splitlines())
-    out += ["        i1, e1, logs = panel(ta, tm, za, zm, logs, 0.5 * tol,",
-            "                             depth + 1, err)",
-            "        i2, e2, logs = panel(tm, tb, zm, zb, logs, 0.5 * tol,",
-            "                             depth + 1, err)",
+            "        tm = 0.5 * (ta + tb)",
+            "        i1, e1, logs = panel(ta, tm, logs, 0.5 * tol, depth + 1,",
+            "                             err)",
+            "        i2, e2, logs = panel(tm, tb, logs, 0.5 * tol, depth + 1,",
+            "                             err)",
             "        return i1 + i2, e1 + e2, logs",
             "",
-            "    value, err, logs = panel(ta, tb, seg.point(ta),",
-            "                             seg.point(tb), logs, tol, 0,",
-            "                             math.inf)",
+            "    value, err, logs = panel(ta, tb, logs, tol, 0, math.inf)",
             "    return value, err, logs, count",
             ""]
     return "\n".join(out)
 
 
 @functools.lru_cache(maxsize=256)
-def _routine(kind, npoints, ncoeffs, sites):
-    """The adaptive routine for a segment of this kind and an integrand of
-    this shape (see ``_shape``), compiled on first use.  It is a function
-    of ``(seg, ta, tb, logs, tol, panels, points, integrand)``, where
+def _routine(npoints, ncoeffs, sites):
+    """The adaptive routine for an integrand of this shape (see
+    ``_shape``), compiled on first use; it serves lines and arcs alike,
+    since it reads positions and path derivatives from the panel tables
+    of ``_builder(seg.kind, npoints)``.  It is a function of
+    ``(seg, ta, tb, logs, tol, panels, points, integrand)``, where
     ``logs`` are the logs at ta, ``tol`` is the absolute tolerance of
     [ta, tb], ``panels`` the panels spent so far and ``integrand`` is
     ``(s, weights, coeffs, poles)``: the power, the level weights, and g in
@@ -508,9 +494,9 @@ def _routine(kind, npoints, ncoeffs, sites):
     ``advance_logs`` through the module attribute and reads the stopping
     constants, ``_MAX_PANELS`` and the table store at each call."""
     namespace = {}
-    exec(compile(_routine_source(kind, npoints, ncoeffs, sites),
-                 f"<adaptive routine {kind} {npoints} {ncoeffs} {sites}>",
-                 "exec"), globals(), namespace)
+    exec(compile(_routine_source(npoints, ncoeffs, sites),
+                 f"<adaptive routine {npoints} {ncoeffs} {sites}>", "exec"),
+         globals(), namespace)
     return namespace["adaptive"]
 
 
@@ -632,7 +618,7 @@ def integrate_twisted_form(d, r, g: RationalFunction, contour: Contour,
         repeat = _repeat(pieces, key, back, logs, s, weights)
         if repeat is None:
             first = logs
-            val, e, logs, panels = _routine(seg.kind, *shape)(
+            val, e, logs, panels = _routine(*shape)(
                 seg, 0.0, 1.0, logs, tol, panels, points, integrand)
             pieces.setdefault(key, (val, e, first, logs))
         else:

@@ -362,15 +362,16 @@ def _chk_coord_roundtrip(rng):
 
 
 def _beta_data(a, b):
-    """Rank-one data whose twist power P^{-1/2} is z^{a-1} (z-1)^{b-1}."""
-    model = _model(1, 3)
-    k0, k1 = -2 * (a - 1), -2 * (b - 1)
+    """Rank-one data whose twist power P^{-1/2} is z^{a-1} (z-1)^{b-1};
+    a and b may be complex."""
+    def level(x):
+        x = complex(-2 * (x - 1))
+        return {"lambda_dot": ["0"], "level": [repr(x.real), repr(x.imag)]}
+
     return MiuraData.from_json({
-        "algebra": model.descriptor(),
-        "points": [
-            {"z": "0", "weight": {"lambda_dot": ["0"], "level": repr(k0)}},
-            {"z": "1", "weight": {"lambda_dot": ["0"], "level": repr(k1)}},
-        ],
+        "algebra": _model(1, 3).descriptor(),
+        "points": [{"z": "0", "weight": level(a)},
+                   {"z": "1", "weight": level(b)}],
     })
 
 

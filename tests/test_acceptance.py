@@ -24,31 +24,9 @@ from affopers.miura import (MiuraData, bethe_residuals, build_miura,
 from affopers.oper_core import (QuasiCanonicalForm, change_coordinate,
                                 quasi_canonicalize, residual_gauge,
                                 twisted_class, v1_direct)
-from affopers.verify import (_model, _on_shell_pair, _rand_data,
-                             _rand_mobius, _rand_point_args, _rand_poly_rf,
-                             _zero)
-
-# ----------------------------------------------------------------- helpers
-
-
-def _pair(x):
-    x = complex(x)
-    return [repr(x.real), repr(x.imag)]
-
-
-def _beta_data(a, b):
-    """Rank-one data whose twist power P^{-1/2} is z^(a-1) (z-1)^(b-1)."""
-    model = _model(1, 3)
-    return MiuraData.from_json({
-        "algebra": model.descriptor(),
-        "points": [
-            {"z": "0", "weight": {"lambda_dot": ["0"],
-                                  "level": _pair(-2 * (a - 1))}},
-            {"z": "1", "weight": {"lambda_dot": ["0"],
-                                  "level": _pair(-2 * (b - 1))}},
-        ],
-    })
-
+from affopers.verify import (_beta_data, _model, _on_shell_pair,
+                             _rand_data, _rand_mobius, _rand_point_args,
+                             _rand_poly_rf, _zero)
 
 # --------------------------------------------------------- 1: the algebra
 

@@ -458,8 +458,7 @@ def _routine_panel(seg, ta, tb, logs, points, weights, s, g):
     it evaluates one panel and accepts it: (value, err, logs at tb,
     panels)."""
     integrand = (s, weights, *g.complex_form())
-    routine = integrate._routine(seg.kind,
-                                 *integrate._shape(points, integrand))
+    routine = integrate._routine(*integrate._shape(points, integrand))
     return routine(seg, ta, tb, logs, math.inf, 0, points, integrand)
 
 
@@ -602,6 +601,46 @@ def test_routine_cache_keeps_no_state():
         *got, _panels = _routine_panel(seg, 0.25, 0.5, logs, points,
                                        weights, s, g)
         assert _bits(got) == _bits(want)
+
+
+def test_lines_and_arcs_share_one_routine(a1):
+    # a Pochhammer cycle runs over lines and arcs, and its period compiles
+    # one routine, since the panel tables alone know the segment's
+    # geometry; that routine gives the reference panel on either kind
+    d, r, g, gamma = _beta_gaussian_case(a1)
+    assert {seg.kind for seg in gamma.segments} == {"line", "arc"}
+    integrate._routine.cache_clear()
+    integrate_twisted_form(d, r, g, gamma)
+    assert integrate._routine.cache_info().misses == 1
+    points, weights = integrate._marked_data(d)
+    s = complex(r) * (-1.0 / d.model.dual_coxeter)
+    for seg in (Line(-1.5 + 0.01j, 1.5 + 0.01j), Arc(0.25, 0.76, -1.0, 1.2)):
+        for ta, tb in ((0.0, 1.0), (0.25, 0.5)):
+            logs = start_logs(points, seg.point(ta))
+            want = _reference_accepted(seg, ta, tb, logs, points, weights,
+                                       s, g)
+            *got, _panels = _routine_panel(seg, ta, tb, logs, points,
+                                           weights, s, g)
+            assert _bits(got) == _bits(want), (seg, ta, tb)
+    assert integrate._routine.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("seg", [Line(-1.5 + 0.01j, 1.5 + 0.01j),
+                                 Arc(0.25, 0.76, -1.0, 1.2)],
+                         ids=["line", "arc"])
+def test_panel_without_marked_points_matches_reference(seg):
+    # no marked points: the tables hold z and dz only and no branch step,
+    # and g's double pole lies off the points
+    g = _integrand([("1/2", "-2/3"), (-3, 1), ("5/4", "1/7")],
+                   [((2, 1), 2)])
+    s = _c("-1/3", "1/8")
+    assert integrate._shape([], (s, [], *g.complex_form())) == (
+        0, 3, ((None, 2),))
+    for ta, tb in ((0.0, 1.0), (0.25, 0.5)):
+        want = _reference_accepted(seg, ta, tb, [], [], [], s, g)
+        *got, panels = _routine_panel(seg, ta, tb, [], [], [], s, g)
+        assert panels == 1
+        assert _bits(got) == _bits(want), (ta, tb)
 
 
 @pytest.mark.parametrize("points", [[_c(0), _c(2)], [_c(2), _c(0)]],
@@ -960,7 +999,7 @@ def _full_integral(d, r, g, gamma):
     logs = first = start_logs(points, gamma.segments[0].point(0.0))
     value, err, panels = 0j, 0.0, 0
     for seg in gamma.segments:
-        v, e, logs, panels = integrate._routine(seg.kind, *shape)(
+        v, e, logs, panels = integrate._routine(*shape)(
             seg, 0.0, 1.0, logs, tol, panels, points, integrand)
         value += v
         err += e

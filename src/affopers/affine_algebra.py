@@ -22,6 +22,7 @@ coefficients for plain Lie-algebra computations.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -53,8 +54,10 @@ def build_algebra(descriptor) -> "AlgebraModel":
         raise ValueError("rank must be >= 1")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return AlgebraModel(typ, rank, cutoff,
-                        basis_seed=descriptor.get("basis_seed"))
+    seed = descriptor.get("basis_seed")
+    if seed is not None:
+        seed = _int_field(descriptor, "basis_seed", None)
+    return AlgebraModel(typ, rank, cutoff, basis_seed=seed)
 
 
 def _int_field(descriptor, name, default):
@@ -67,11 +70,23 @@ def _int_field(descriptor, name, default):
 
 
 class AlgebraModel:
-    """Bases, structure tables and principal-subalgebra data, all cached.
+    """Bases, structure tables and principal-subalgebra data.
+
+    Each method named in ``_MEMOIZED`` is replaced per model by a
+    ``functools.cache`` of it, so each table is built once per model and
+    argument.  The memo belongs to the instance, not the class: a model and
+    its tables are freed together (by the cycle collector, since each memo
+    holds its bound method).
 
     ``basis_seed`` shuffles the per-grade basis enumeration; results of every
     public computation are independent of it (it exists so tests can say so).
     """
+
+    _MEMOIZED = ("basis", "_index_map", "dim_loop", "bracket_table",
+                 "form_table", "ad_pminus_matrix", "kernel_basis",
+                 "image_complement_basis", "c0_basis", "principal_vectors",
+                 "decomposition_matrix_inv", "step_solve_matrix_inv",
+                 "gauge_step_rows")
 
     def __init__(self, typ, rank, cutoff, basis_seed=None):
         self.type = typ
@@ -81,17 +96,8 @@ class AlgebraModel:
         self.dual_coxeter = rank + 1
         self.window = cutoff + 1
         self._seed = basis_seed
-        self._basis = {}
-        self._index = {}
-        self._btab = {}
-        self._ftab = {}
-        self._adm = {}
-        self._anull = {}
-        self._cbas = {}
-        self._dmatinv = {}
-        self._smatinv = {}
-        self._steprows = {}
-        self._pvecs = None
+        for name in self._MEMOIZED:
+            setattr(self, name, functools.cache(getattr(self, name)))
 
     # ---------------------------------------------------------------- cartan
 
@@ -127,9 +133,6 @@ class AlgebraModel:
         Enumeration is not window-limited; the |n| <= cutoff+1 window only
         constrains where GradedVector brackets keep their output.
         """
-        got = self._basis.get(g)
-        if got is not None:
-            return got
         n = self.n
         items = []
         if g % n == 0:
@@ -148,10 +151,11 @@ class AlgebraModel:
         items.sort(key=lambda mono: mono[0])
         if self._seed is not None:
             random.Random(1000003 * self._seed + g).shuffle(items)
-        out = tuple(items)
-        self._basis[g] = out
-        self._index[g] = {lab: i for i, (lab, _) in enumerate(out)}
-        return out
+        return tuple(items)
+
+    def _index_map(self, g):
+        """The position of each label in basis(g)."""
+        return {lab: i for i, (lab, _) in enumerate(self.basis(g))}
 
     def dim_loop(self, g) -> int:
         return len(self.basis(g))
@@ -161,8 +165,7 @@ class AlgebraModel:
         return self.dim_loop(g) + (1 if g == 0 else 0)
 
     def index(self, g, label) -> int:
-        self.basis(g)
-        return self._index[g][label]
+        return self._index_map(g)[label]
 
     # ------------------------------------------------------------- structure
 
@@ -212,16 +215,9 @@ class AlgebraModel:
         nonzero brackets of basis(gx)[i] with basis(gy)[j], in index order,
         where ``terms`` is a tuple of ``(index into basis(gx + gy), Scalar)``
         (empty when only the center is hit) and ``center`` the Scalar
-        coefficient of delta, or None where the center term vanishes.
-        Built once per model."""
-        key = (gx, gy)
-        got = self._btab.get(key)
-        if got is not None:
-            return got
+        coefficient of delta, or None where the center term vanishes."""
         bx, by = self.basis(gx), self.basis(gy)
-        g = gx + gy
-        self.basis(g)
-        idx = self._index[g]
+        idx = self._index_map(gx + gy)
         table = []
         for i, (lx, px) in enumerate(bx):
             row = []
@@ -237,21 +233,16 @@ class AlgebraModel:
                     row.append((j, terms, center))
             if row:
                 table.append((i, tuple(row)))
-        got = self._btab[key] = tuple(table)
-        return got
+        return tuple(table)
 
     def form_table(self, g):
         """Pairing matrix between basis(g) and basis(-g)."""
-        got = self._ftab.get(g)
-        if got is not None:
-            return got
         bx, by = self.basis(g), self.basis(-g)
         F = [[_ZERO] * len(by) for _ in bx]
         for i, (lx, px) in enumerate(bx):
             for j, (ly, py) in enumerate(by):
                 if px + py == 0:
                     F[i][j] = self._finite_form(lx, ly)
-        self._ftab[g] = F
         return F
 
     # ------------------------------------------------- principal subalgebra
@@ -270,46 +261,32 @@ class AlgebraModel:
 
     def ad_pminus_matrix(self, g):
         """Matrix of the loop part of [p_-1, .]: grade g -> grade g-1."""
-        got = self._adm.get(g)
-        if got is not None:
-            return got
         rows = [[_ZERO] * self.dim_loop(g) for _ in range(self.dim_loop(g - 1))]
         for _i, row in self.bracket_table(-1, g):
             for j, terms, _center in row:
                 for idx, q in terms:
                     rows[idx][j] += q
-        self._adm[g] = rows
         return rows
 
     def kernel_basis(self, g):
         """Basis of a_g = ker(loop part of ad p_-1) inside grade g, g != 0."""
-        got = self._anull.get(g)
-        if got is None:
-            got = _linalg.nullspace(self.ad_pminus_matrix(g),
-                                    ncols=self.dim_loop(g))
-            for v in got:
-                _normalize_first_nonzero(v)
-            self._anull[g] = got
-        return got
+        out = _linalg.nullspace(self.ad_pminus_matrix(g),
+                                ncols=self.dim_loop(g))
+        for v in out:
+            _normalize_first_nonzero(v)
+        return out
 
     def image_complement_basis(self, g):
         """Basis of c_g for g >= 1 or g <= -1: the annihilator of a_{-g}."""
-        got = self._cbas.get(g)
-        if got is not None:
-            return got
         F = self.form_table(g)
         rows = [_linalg.mat_vec(F, a) for a in self.kernel_basis(-g)]
-        got = _linalg.nullspace(rows, ncols=self.dim_loop(g))
-        for v in got:
+        out = _linalg.nullspace(rows, ncols=self.dim_loop(g))
+        for v in out:
             _normalize_first_nonzero(v)
-        self._cbas[g] = got
-        return got
+        return out
 
     def c0_basis(self):
         """Basis of c_0 = [p_-1, c_1]: list of (delta coeff, loop vector)."""
-        got = self._cbas.get(0)
-        if got is not None:
-            return got
         # the delta component of [p_-1, .] on grade 1
         drow = [_ZERO] * self.dim_loop(1)
         for _i, row in self.bracket_table(-1, 1):
@@ -319,9 +296,7 @@ class AlgebraModel:
         rows = [drow] + self.ad_pminus_matrix(1)
         images = [_linalg.mat_vec(rows, v)
                   for v in self.image_complement_basis(1)]
-        out = [(w[0], w[1:]) for w in images]
-        self._cbas[0] = out
-        return out
+        return [(w[0], w[1:]) for w in images]
 
     def exponent_multiset(self, upto=None):
         """Exponents n in 1..upto (default: the cutoff), each repeated
@@ -349,8 +324,6 @@ class AlgebraModel:
         coefficient 1 on the positive side, with the negative side rescaled
         so (p_j | p_-j) = h_dual (which forces [p_j, p_-j] = j delta).
         """
-        if self._pvecs is not None:
-            return self._pvecs
         hv = Scalar(self.dual_coxeter, 0, 1)
         out = {}
         for j in self.exponent_multiset():
@@ -368,7 +341,6 @@ class AlgebraModel:
                 raise ValueError(f"degenerate pairing at grade {j}")
             out[j] = x
             out[-j] = [c * hv / t for c in y]
-        self._pvecs = out
         return out
 
     def principal_vector(self, j) -> "GradedVector":
@@ -381,9 +353,6 @@ class AlgebraModel:
     def decomposition_matrix_inv(self, g):
         """Inverse of [a-basis columns | c-basis columns] at grade g >= 1,
         or of [delta | c_0 columns] at grade 0 (coordinates delta (+) loop)."""
-        got = self._dmatinv.get(g)
-        if got is not None:
-            return got
         if g == 0:
             cols = [[_ONE] + [_ZERO] * self.rank]
             for dq, loop in self.c0_basis():
@@ -394,9 +363,7 @@ class AlgebraModel:
             cols = (([pv] if pv is not None else [])
                     + self.image_complement_basis(g))
             mat = [list(col) for col in zip(*cols)]
-        inv = _linalg.invert(mat)
-        self._dmatinv[g] = inv
-        return inv
+        return _linalg.invert(mat)
 
     def step_solve_matrix_inv(self, g):
         """Inverse of ad p_-1 : c_{g+1} -> c_g in the chosen bases, g >= 1.
@@ -404,9 +371,6 @@ class AlgebraModel:
         The c_g coordinates of each image are the rows of
         ``decomposition_matrix_inv(g)`` past the p_g row; the p_g
         coordinate must vanish."""
-        got = self._smatinv.get(g)
-        if got is not None:
-            return got
         M = self.ad_pminus_matrix(g + 1)
         D = self.decomposition_matrix_inv(g)
         npv = int(g in self.principal_vectors())
@@ -420,9 +384,7 @@ class AlgebraModel:
                 )
             cols.append(coords[npv:])
         S = [list(col) for col in zip(*cols)]
-        inv = _linalg.invert(S)
-        self._smatinv[g] = inv
-        return inv
+        return _linalg.invert(S)
 
     def gauge_step_rows(self, n):
         """One step of the reduction at grade n, as sparse Scalar rows.
@@ -435,9 +397,6 @@ class AlgebraModel:
         composes the decomposition, the step solve and the complement
         columns once per model.
         """
-        got = self._steprows.get(n)
-        if got is not None:
-            return got
         D = self.decomposition_matrix_inv(n)
         vrow = None
         if n == 0:
@@ -461,10 +420,8 @@ class AlgebraModel:
         def sparse(row):
             return tuple((j, q) for j, q in enumerate(row) if not q.is_zero)
 
-        got = (None if vrow is None else sparse(vrow),
-               tuple(sparse(row) for row in mrows))
-        self._steprows[n] = got
-        return got
+        return (None if vrow is None else sparse(vrow),
+                tuple(sparse(row) for row in mrows))
 
     # ------------------------------------------------------------- generators
 

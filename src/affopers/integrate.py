@@ -18,11 +18,10 @@ not used: the integrand is not a function of z alone, and rules that sample
 in an unspecified internal order would lose the branch.
 
 Each segment is integrated by one routine generated for the integrand's
-shape: the number of marked points, the length of g's numerator and, per
-pole of g, the index of the marked point it sits at or None, with the
-pole's order (``_shape``).  ``_routine`` writes the routine's source from
-ints and fixed text only, compiles it once per shape and keeps it in a
-bounded cache; ``integrate_twisted_form`` finds the shape once per
+shape: the number of marked points, the length of g's numerator and the
+order of each pole of g (``_shape``).  ``_routine`` writes the routine's
+source from ints and fixed text only, compiles it once per shape and keeps
+it in a bounded cache; ``integrate_twisted_form`` finds the shape once per
 integral and calls the routine once per segment.  The routine does not
 depend on the segment kind: lines and arcs share it, since it reads each
 node's position and path derivative from the panel's geometry table.  It
@@ -62,10 +61,10 @@ costs time, never bits.
 The routine's node loop adds each step's increments to the logs ``L{i}``
 in path order, forms the weighted log sum and g by Horner over the
 coefficients and poles that ``RationalFunction.complex_form`` converts
-once per function, and accumulates ``exp(s * w) * g * dz``.  Each pole at
-a marked point takes ``z - p`` as its factor.  A pole of order m <= 100 is
-raised to its power by the products that CPython's ``c_powu`` forms for
-``** m``: ``(1+0j)*b``, ``(1+0j)*(b*b)``, ``((1+0j)*b)*(b*b)`` and so on
+once per function, and accumulates ``exp(s * w) * g * dz``.  Each pole q
+takes ``z - q`` as its factor.  A pole of order m <= 100 is raised to its
+power by the products that CPython's ``c_powu`` forms for ``** m``:
+``(1+0j)*b``, ``(1+0j)*(b*b)``, ``((1+0j)*b)*(b*b)`` and so on
 (``_pole_power``).  Above 100, CPython's ``**`` goes through exp and log,
 and the routine keeps ``** m``.  Every float operation is the one
 ``Line.point``, ``Arc.point`` and ``derivative``, ``advance_logs`` and
@@ -381,7 +380,7 @@ def _builder(kind, npoints):
     return namespace["build"]
 
 
-def _routine_source(npoints, ncoeffs, sites):
+def _routine_source(npoints, ncoeffs, orders):
     """The source of the adaptive routine of one shape; see the module
     docstring.  It is built from ints and fixed text only."""
     pts = range(npoints)
@@ -389,21 +388,20 @@ def _routine_source(npoints, ncoeffs, sites):
     out = ["def adaptive(seg, ta, tb, logs, tol, panels, points, integrand):",
            "    s, weights, coeffs, poles = integrand"]
     if npoints:
-        out += [f"    {_names('p{}', npoints)} = points",
-                f"    {_names('k{}', npoints)} = weights"]
+        out.append(f"    {_names('k{}', npoints)} = weights")
     if ncoeffs:
         out.append(f"    {_names('c{}', ncoeffs)} = coeffs")
-    if sites:
-        out.append(f"    {_names('(q{}, _)', len(sites))} = poles")
+    if orders:
+        out.append(f"    {_names('(q{}, _)', len(orders))} = poles")
     out += [f"    build = _builder(seg.kind, {npoints:d})",
             "    key = (_piece_keys(seg)[0], tuple(map(_bits, points)),",
             "           _bits(ta), _bits(tb))",
             "    tables = _TABLES.get(key, {})"]
     # the constants become the panel function's defaults, so that its
     # node loop reads them as locals
-    names = (["s"] + [f"{x}{i}" for x in "pk" for i in pts]
+    names = (["s"] + [f"k{i}" for i in pts]
              + [f"c{j}" for j in range(ncoeffs)]
-             + [f"q{j}" for j in range(len(sites))])
+             + [f"q{j}" for j in range(len(orders))])
     defaults = [f"{name}={name}" for name in names] + [
         "exp=cmath.exp", "rule=_RULE"]
     # a table's node entries lie flat, so that one iterator zipped to
@@ -437,12 +435,11 @@ def _routine_source(npoints, ncoeffs, sites):
     out.append("            w = " + " + ".join(terms[:1] + ["0j"] + terms[1:]))
     out.append("            num = 0j")
     out += [f"            num = num * z + c{j}" for j in range(ncoeffs)]
-    for j, (i, m) in enumerate(sites):
-        base, site = (f"u{j}", f"q{j}") if i is None else (f"b{i}", f"p{i}")
-        out.append(f"            {base} = z - {site}")
-        out += _indent(12, _pole_power(base, m, f"pw{j}"))
+    for j, m in enumerate(orders):
+        out.append(f"            u{j} = z - q{j}")
+        out += _indent(12, _pole_power(f"u{j}", m, f"pw{j}"))
     out.append("            den = (1 + 0j)"
-               + "".join(f" * pw{j}" for j in range(len(sites))))
+               + "".join(f" * pw{j}" for j in range(len(orders))))
     out += ["            val = exp(s * w) * (num / den) * dz",
             "            acc_k += val * wk",
             "            acc_abs += wk * abs(val)",
@@ -480,7 +477,7 @@ def _routine_source(npoints, ncoeffs, sites):
 
 
 @functools.lru_cache(maxsize=256)
-def _routine(npoints, ncoeffs, sites):
+def _routine(npoints, ncoeffs, orders):
     """The adaptive routine for an integrand of this shape (see
     ``_shape``), compiled on first use; it serves lines and arcs alike,
     since it reads positions and path derivatives from the panel tables
@@ -494,8 +491,8 @@ def _routine(npoints, ncoeffs, sites):
     ``advance_logs`` through the module attribute and reads the stopping
     constants, ``_MAX_PANELS`` and the table store at each call."""
     namespace = {}
-    exec(compile(_routine_source(npoints, ncoeffs, sites),
-                 f"<adaptive routine {npoints} {ncoeffs} {sites}>", "exec"),
+    exec(compile(_routine_source(npoints, ncoeffs, orders),
+                 f"<adaptive routine {npoints} {ncoeffs} {orders}>", "exec"),
          globals(), namespace)
     return namespace["adaptive"]
 
@@ -508,17 +505,10 @@ def _bits(x):
 
 
 def _shape(points, integrand):
-    """``(npoints, ncoeffs, sites)``: the number of marked points, the
-    length of g's numerator and, per pole of g, the index of the marked
-    point it sits at (the same bits, signed zeros included) or None,
-    paired with the pole's order."""
+    """``(npoints, ncoeffs, orders)``: the number of marked points, the
+    length of g's numerator and the order of each pole of g."""
     _s, _weights, coeffs, poles = integrand
-    bits = [_bits(p) for p in points]
-    sites = []
-    for q, m in poles:
-        key = _bits(q)
-        sites.append((bits.index(key) if key in bits else None, m))
-    return len(points), len(coeffs), tuple(sites)
+    return len(points), len(coeffs), tuple(m for _q, m in poles)
 
 
 def _piece_keys(seg):

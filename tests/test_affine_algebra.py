@@ -4,7 +4,9 @@ Frozen dimension tables, kernel vectors and exponent multisets come from
 tests/oracles/gen_affine_expected.py (brute-force sympy enumeration).
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -85,11 +87,26 @@ def test_build_algebra_validates():
 @pytest.mark.parametrize("field, value", [
     ("cutoff", 3.7), ("cutoff", 3.0), ("cutoff", True), ("cutoff", "x"),
     ("cutoff", "4"), ("rank", 2.5), ("rank", False), ("rank", None),
+    ("basis_seed", "x"), ("basis_seed", 1.5), ("basis_seed", [1]),
+    ("basis_seed", True),
 ])
 def test_build_algebra_refuses_non_integer_fields(field, value):
     desc = {"type": "A", "rank": 1, "cutoff": 4, field: value}
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         build_algebra(desc)
+
+
+def test_tables_are_cached_per_model():
+    # a repeated call returns the very table built first, and the tables
+    # go with their model: a cache kept on the class would hold the model
+    model = build_algebra({"type": "A", "rank": 2, "cutoff": 8,
+                           "basis_seed": 3})
+    assert model.gauge_step_rows(4) is model.gauge_step_rows(4)
+    assert model.bracket_table(1, 2) is model.bracket_table(1, 2)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_slice_dimensions(a1, a2, a3):

@@ -383,6 +383,7 @@ def test_model_size_bounds(tmp_path, capsys, monkeypatch, command, field,
 
 @pytest.mark.parametrize("field, value", [
     ("cutoff", 3.7), ("cutoff", True), ("cutoff", "x"), ("rank", 1.0),
+    ("basis_seed", "x"),
 ])
 def test_non_integer_algebra_field(tmp_path, capsys, field, value):
     path = tmp_path / "model.json"

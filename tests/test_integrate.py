@@ -406,40 +406,40 @@ _GAUSS_8 = [(1, "1/2"), ("-2/3", 0), (0, 3), ("5/4", "-1/5"), (3, -1),
             ("-1/7", "2/3"), (2, 0), ("1/9", "-4")]
 
 # (points, level weights, power s, g, the shape of its routine: numerator
-# length and, per pole, its site and order); every case has a point that
-# each segment below passes within 0.01 of or circles twice
+# length and the order of each pole); every case has a point that each
+# segment below passes within 0.01 of or circles twice
 _PANEL_CASES = {
     "1pt-real-len1-at": (
         [_c(1)], [_c("3/2")], _c("-1/3"),
-        _integrand([(2,)], [((1,), 1)]), (1, ((0, 1),))),
+        _integrand([(2,)], [((1,), 1)]), (1, (1,))),
     "2pt-gauss-len3-off": (
         [_c(0), _c(1)], [_c(1, "-1/2"), _c("-3/4", "1/4")],
         _c("-1/3", "1/8"), _gaussian_integrand(),
-        (3, ((None, 3), (None, 2)))),
+        (3, (3, 2))),
     "2pt-real-len0": (
         [_c(0), _c(1)], [_c("1/2"), _c("-3/2")], _c("-1/2"),
         RationalFunction.zero(), (0, ())),
     "3pt-real-len8-both": (
         [_c(0), _c(1), _c(-1)], [_c("1/2"), _c("-3/4"), _c(2)],
         _c("-2/3"), _integrand(_REAL_8, [((-1,), 1), ((0,), 2), ((3,), 1)]),
-        (8, ((2, 1), (0, 2), (None, 1)))),
+        (8, (1, 2, 1))),
     "4pt-gauss-len8-both": (
         [_c(0), _c(1), _c(-1), _c("1/2", 1)],
         [_c(1, "-1/2"), _c("-3/4", "1/4"), _c("1/3"), _c(0, 2)],
         _c("-1/4", "1/5"),
         _integrand(_GAUSS_8, [((1,), 1), (("1/2", 1), 2), ((2, 1), 1)]),
-        (8, ((3, 2), (1, 1), (None, 1)))),
+        (8, (2, 1, 1))),
     "4pt-gauss-len1-at": (
         [_c(0), _c(1), _c(-1), _c("1/2", 1)],
         [_c("1/2", 1), _c(-1), _c("3/4", "-1/4"), _c(1)], _c("-1/3"),
         _integrand([("2/3", -1)], [((0,), 1), ((1,), 3)]),
-        (1, ((0, 1), (1, 3)))),
+        (1, (1, 3))),
     # the largest order c_powu forms at a point, and the smallest that
     # CPython's ** takes through exp and log
     "2pt-real-len2-order100-101": (
         [_c(0), _c(1)], [_c("1/2"), _c("-3/2")], _c("-1/3"),
         _integrand([(1,), ("1/2",)], [((1,), 100), ((2,), 101)]),
-        (2, ((1, 100), (None, 101)))),
+        (2, (100, 101))),
 }
 
 
@@ -634,8 +634,7 @@ def test_panel_without_marked_points_matches_reference(seg):
     g = _integrand([("1/2", "-2/3"), (-3, 1), ("5/4", "1/7")],
                    [((2, 1), 2)])
     s = _c("-1/3", "1/8")
-    assert integrate._shape([], (s, [], *g.complex_form())) == (
-        0, 3, ((None, 2),))
+    assert integrate._shape([], (s, [], *g.complex_form())) == (0, 3, (2,))
     for ta, tb in ((0.0, 1.0), (0.25, 0.5)):
         want = _reference_accepted(seg, ta, tb, [], [], [], s, g)
         *got, panels = _routine_panel(seg, ta, tb, [], [], [], s, g)

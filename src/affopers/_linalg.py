@@ -40,19 +40,17 @@ def rref(rows):
     return m, pivots
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right nullspace, one vector per free column.
+def nullspace(rows, ncols):
+    """Basis of the right nullspace of an ``ncols``-column matrix, one
+    vector per free column.
 
     Vectors are normalized with a 1 in their free coordinate (the standard
     rref parameterization), making the basis deterministic for a fixed
     column order.
     """
     if not rows:
-        if ncols is None:
-            raise ValueError("need ncols for an empty constraint set")
         return [[_ONE if i == j else _ZERO for i in range(ncols)]
                 for j in range(ncols)]
-    ncols = len(rows[0]) if ncols is None else ncols
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import weakref
 
 from . import _linalg
 from .coeffs import RationalFunction, Scalar, _MINUS_ONE, _ONE, _ZERO
@@ -74,9 +75,9 @@ class AlgebraModel:
 
     Each method named in ``_MEMOIZED`` is replaced per model by a
     ``functools.cache`` of it, so each table is built once per model and
-    argument.  The memo belongs to the instance, not the class: a model and
-    its tables are freed together (by the cycle collector, since each memo
-    holds its bound method).
+    argument.  The memo belongs to the instance, not the class, and holds
+    the method bound to a weak proxy of the model, so a model and its
+    tables are freed together at its last reference.
 
     ``basis_seed`` shuffles the per-grade basis enumeration; results of every
     public computation are independent of it (it exists so tests can say so).
@@ -96,8 +97,10 @@ class AlgebraModel:
         self.dual_coxeter = rank + 1
         self.window = cutoff + 1
         self._seed = basis_seed
+        proxy = weakref.proxy(self)
         for name in self._MEMOIZED:
-            setattr(self, name, functools.cache(getattr(self, name)))
+            setattr(self, name, functools.cache(
+                getattr(type(self), name).__get__(proxy)))
 
     # ---------------------------------------------------------------- cartan
 
@@ -298,19 +301,15 @@ class AlgebraModel:
                   for v in self.image_complement_basis(1)]
         return [(w[0], w[1:]) for w in images]
 
-    def exponent_multiset(self, upto=None):
-        """Exponents n in 1..upto (default: the cutoff), each repeated
-        dim a_n times.
+    def exponent_multiset(self):
+        """Exponents n in 1..cutoff, each repeated dim a_n times.
 
         In type A^(1) that is once for every n not divisible by h and never
         otherwise (Kac, *Infinite-dimensional Lie algebras*, ch. 14), so
         the list holds no repeats; ``principal_vectors`` relies on it.
         """
-        upto = self.cutoff if upto is None else upto
-        if upto > self.window:
-            raise ValueError("exponent range exceeds the grading window")
         out = []
-        for g in range(1, upto + 1):
+        for g in range(1, self.cutoff + 1):
             out.extend([g] * len(self.kernel_basis(g)))
         return out
 
@@ -850,5 +849,5 @@ def principal_decomposition(model: AlgebraModel, n: int):
     return a, c
 
 
-def exponents(model: AlgebraModel, upto=None):
-    return model.exponent_multiset(upto)
+def exponents(model: AlgebraModel):
+    return model.exponent_multiset()

@@ -96,9 +96,6 @@ class Line:
     def reversed(self) -> "Line":
         return Line(self.end, self.start)
 
-    def length(self) -> float:
-        return abs(self.end - self.start)
-
     def distance_to(self, p: complex) -> float:
         d = self.end - self.start
         L2 = (d.real * d.real + d.imag * d.imag)
@@ -160,9 +157,6 @@ class Arc:
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius, self.to_angle, self.from_angle)
 
-    def length(self) -> float:
-        return self.radius * abs(self.to_angle - self.from_angle)
-
     def distance_to(self, p: complex) -> float:
         rel = p - self.center
         rho = abs(rel)
@@ -210,11 +204,12 @@ def _parse_segment(obj, where):
 
 
 class Contour:
-    """Ordered chain of segments; consecutive endpoints must coincide."""
+    """Ordered chain of segments; consecutive endpoints must coincide.
+    Its basepoint is the start of the first segment."""
 
-    __slots__ = ("segments", "basepoint", "windings")
+    __slots__ = ("segments",)
 
-    def __init__(self, segments, basepoint=None, windings=None):
+    def __init__(self, segments):
         self.segments = list(segments)
         if not self.segments:
             raise ContourError("a contour needs at least one segment")
@@ -225,15 +220,10 @@ class Contour:
                 raise ContourError(
                     f"segments do not join: {a!r} ends at {a.end:g}, "
                     f"next starts at {b.start:g}")
-        self.basepoint = (_finite(_cnum(basepoint), "'basepoint'")
-                          if basepoint is not None
-                          else self.segments[0].start)
-        if abs(self.basepoint - self.segments[0].start) > _GLUE_TOL * scale:
-            raise ContourError("basepoint must be the start of the chain")
-        # optional declared winding numbers: list of (point, integer)
-        self.windings = ([(_finite(_cnum(p), "winding point"), int(n))
-                          for p, n in windings]
-                         if windings else [])
+
+    @property
+    def basepoint(self) -> complex:
+        return self.segments[0].start
 
     @property
     def is_closed(self) -> bool:
@@ -242,27 +232,18 @@ class Contour:
                    - self.segments[0].start) <= _GLUE_TOL * scale
 
     def reversed(self) -> "Contour":
-        segs = [s.reversed() for s in reversed(self.segments)]
-        winds = [(p, -n) for p, n in self.windings]
-        return Contour(segs, segs[0].start, winds)
+        return Contour([s.reversed() for s in reversed(self.segments)])
 
     def __add__(self, other: "Contour") -> "Contour":
-        return Contour(self.segments + other.segments, self.basepoint,
-                       self.windings + other.windings)
-
-    def length(self) -> float:
-        return sum(s.length() for s in self.segments)
+        return Contour(self.segments + other.segments)
 
     def to_json(self):
-        out = {"segments": [s.to_json() for s in self.segments],
-               "basepoint": [self.basepoint.real, self.basepoint.imag]}
-        if self.windings:
-            out["windings"] = [[[p.real, p.imag], n]
-                               for p, n in self.windings]
-        return out
+        return {"segments": [s.to_json() for s in self.segments]}
 
     @staticmethod
     def from_json(obj) -> "Contour":
+        """Read ``{"segments": [...]}``; other keys, such as those that
+        earlier files carry beside the segments, are ignored."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         if not isinstance(obj, dict):
@@ -271,16 +252,8 @@ class Contour:
         if not isinstance(segs, list):
             raise ContourError(f"contour JSON: 'segments' must be a list, "
                                f"got {segs!r}")
-        segs = [_parse_segment(s, f"segment {k}")
-                for k, s in enumerate(segs, 1)]
-        winds = obj.get("windings", [])
-        if not (isinstance(winds, list)
-                and all(isinstance(w, list) and len(w) == 2
-                        and isinstance(w[1], int) for w in winds)):
-            raise ContourError(f"contour JSON: 'windings' must be a list of "
-                               f"[point, integer] pairs, got {winds!r}")
-        return Contour(segs, obj.get("basepoint"),
-                       [(w[0], w[1]) for w in winds])
+        return Contour(_parse_segment(s, f"segment {k}")
+                       for k, s in enumerate(segs, 1))
 
     def __repr__(self):
         state = "closed" if self.is_closed else "open"
@@ -295,7 +268,7 @@ def segment_chain(*points) -> Contour:
     pts = [_cnum(p) for p in points]
     if len(pts) < 2:
         raise ContourError("need at least two points")
-    return Contour([Line(a, b) for a, b in zip(pts, pts[1:])], pts[0])
+    return Contour([Line(a, b) for a, b in zip(pts, pts[1:])])
 
 
 def _unit_loop(center: float, radius: float, basepoint: float):
@@ -354,7 +327,7 @@ def pochhammer(points, radius=None, basepoint=None) -> Contour:
                            s.from_angle + rot, s.to_angle + rot))
     for loop in (out[:3], out[3:]):
         out += [s.reversed() for s in reversed(loop)]
-    return Contour(out, p0 + span * bt, [(p0, 0), (p1, 0)])
+    return Contour(out)
 
 
 def loop_around(point, radius, basepoint, turns=1) -> Contour:
@@ -374,7 +347,7 @@ def loop_around(point, radius, basepoint, turns=1) -> Contour:
     segs = [Line(b, entry),
             Arc(p, r, th, th + 2 * math.pi * turns),
             Line(entry, b)]
-    return Contour(segs, b, [(p, int(turns))])
+    return Contour(segs)
 
 
 # --------------------------------------------------------- branch tracking

@@ -113,7 +113,7 @@ class MiuraData:
     # -- serialization ------------------------------------------------------
 
     @staticmethod
-    def from_json(obj, model=None):
+    def from_json(obj):
         """Read the form ``to_json`` writes; a malformed entry raises a
         ValueError that names it."""
         if isinstance(obj, str):
@@ -143,18 +143,16 @@ class MiuraData:
                                  f"integer, got {c!r}")
             roots.append((_json_scalar(_json_key(r, "w", where),
                                        f"{where} w"), c))
-        if model is None:
-            desc = obj.get("algebra")
-            if desc is None:
-                if not points:
-                    raise ValueError("cannot infer the algebra: no points")
-                desc = {"type": "A", "rank": len(points[0][1]),
-                        "cutoff": DEFAULT_CUTOFF}
-            elif not isinstance(desc, dict):
-                raise ValueError(f"model JSON: 'algebra' must be an object, "
-                                 f"got {desc!r}")
-            model = build_algebra(desc)
-        return MiuraData.make(model, points, roots)
+        desc = obj.get("algebra")
+        if desc is None:
+            if not points:
+                raise ValueError("cannot infer the algebra: no points")
+            desc = {"type": "A", "rank": len(points[0][1]),
+                    "cutoff": DEFAULT_CUTOFF}
+        elif not isinstance(desc, dict):
+            raise ValueError(f"model JSON: 'algebra' must be an object, "
+                             f"got {desc!r}")
+        return MiuraData.make(build_algebra(desc), points, roots)
 
     def to_json(self):
         hv = Scalar.exact(self.model.dual_coxeter)

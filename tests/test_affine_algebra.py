@@ -4,7 +4,6 @@ Frozen dimension tables, kernel vectors and exponent multisets come from
 tests/oracles/gen_affine_expected.py (brute-force sympy enumeration).
 """
 
-import gc
 import random
 import weakref
 
@@ -98,14 +97,15 @@ def test_build_algebra_refuses_non_integer_fields(field, value):
 
 def test_tables_are_cached_per_model():
     # a repeated call returns the very table built first, and the tables
-    # go with their model: a cache kept on the class would hold the model
+    # go with their model at its last reference: a cache kept on the class
+    # would hold the model, and a memo in a reference cycle with it would
+    # wait for the cycle collector
     model = build_algebra({"type": "A", "rank": 2, "cutoff": 8,
                            "basis_seed": 3})
     assert model.gauge_step_rows(4) is model.gauge_step_rows(4)
     assert model.bracket_table(1, 2) is model.bracket_table(1, 2)
     ref = weakref.ref(model)
     del model
-    gc.collect()
     assert ref() is None
 
 

@@ -107,16 +107,38 @@ def test_make_contour_matches_library_builder(tmp_path, capsys):
     assert contour.basepoint == 0.5
 
 
+# the keys an earlier make-contour wrote beside the segments of the
+# Pochhammer cycle around points 1 and 0; they are ignored on reading
+_EARLIER_KEYS = {"basepoint": [0.5, 0.0],
+                 "windings": [[[1.0, 0.0], 0], [[0.0, 0.0], 0]]}
+
+
 def test_make_contour_out_file_is_loadable(tmp_path, capsys):
+    # levels of no symmetry, so that the period does not vanish
     path = tmp_path / "model.json"
-    write_model(path, [])
+    blob = write_model(path, [], points=[
+        {"z": "0", "weight": {"lambda_dot": ["1/2"], "level": "1/2"}},
+        {"z": "1", "weight": {"lambda_dot": ["-1/3"], "level": "1/3"}}])
     cpath = tmp_path / "contour.json"
     assert main(["make-contour", "--model", str(path),
                  "--pochhammer", "1,0", "--out", str(cpath)]) == 0
     assert capsys.readouterr().out == ""
-    contour = Contour.from_json(json.loads(cpath.read_text()))
+    written = json.loads(cpath.read_text())
+    assert list(written) == ["segments"]
+    contour = Contour.from_json(written)
     assert contour.is_closed
     assert len(contour.segments) == 12
+    # the file integrates to the in-process period, bit for bit
+    d = MiuraData.from_json(blob)
+    want = twisted_integral(d, quasi_canonicalize(build_miura(d)), 1,
+                            pochhammer((1, 0)))
+    assert abs(want.value) > 0.1
+    for extra in ({}, _EARLIER_KEYS):
+        cpath.write_text(json.dumps({**written, **extra}))
+        assert main(["integrate", "--model", str(path), "--contour",
+                     str(cpath), "--exponent", "1"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert json.dumps(got) == json.dumps(want.to_json())
 
 
 def test_make_contour_rejects_bad_indices(tmp_path, capsys):
@@ -449,8 +471,6 @@ def test_malformed_model_json(tmp_path, capsys, command, blob, message):
                     "from_angle": [1], "to_angle": 0}]}, "segment 1: "),
     ({"segments": [{"kind": "line", "from": "1/0", "to": "1"}]},
      "segment 1: cannot read '1/0' as a position"),
-    ({"segments": [{"kind": "line", "from": "0", "to": "1"}],
-      "windings": [[0]]}, "contour JSON: 'windings' must be a list"),
     # sweeps that ran unbounded or hit the panel budget after seconds
     ({"segments": [{"kind": "arc", "center": "0", "radius": "1/2",
                     "from_angle": 0, "to_angle": 1e300}]},
@@ -464,7 +484,7 @@ def test_malformed_model_json(tmp_path, capsys, command, blob, message):
     ('{"segments": [{"kind": "line", "from": 1e400, "to": "1"}]}',
      "segment 1: 'from' must be finite, got (inf+0j)"),
 ], ids=["top-list", "segment-int", "no-segments", "missing-key",
-        "angle-list", "zero-denominator", "short-winding", "huge-sweep",
+        "angle-list", "zero-denominator", "huge-sweep",
         "long-sweep", "infinite-position"])
 def test_malformed_contour_json(tmp_path, capsys, blob, message):
     mpath = tmp_path / "model.json"

@@ -521,9 +521,6 @@ class GradedVector:
             return [RationalFunction.zero()] * self.model.dim_loop(g)
         return list(got)
 
-    def grades(self):
-        return sorted(self.parts)
-
     @property
     def is_zero(self) -> bool:
         return (not self.parts) and self.delta.is_zero and self.rho.is_zero
@@ -597,10 +594,6 @@ class GradedVector:
         parts = {g: [-c for c in v] for g, v in self.parts.items()}
         return GradedVector(self.model, parts, -self.delta, -self.rho,
                             self.truncated)
-
-    def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return GradedVector.lincomb(self.model,
-                                    ((_ONE, self), (_MINUS_ONE, other)))
 
     def scale(self, f: RationalFunction) -> "GradedVector":
         if f.is_zero:
@@ -724,7 +717,7 @@ class GradedVector:
 
     def __repr__(self):
         bits = []
-        for g in self.grades():
+        for g in sorted(self.parts):
             bits.append(f"{g}: {self.parts[g]!r}")
         if not self.delta.is_zero:
             bits.append(f"delta: {self.delta!r}")

@@ -604,6 +604,11 @@ class RationalFunction:
     one function at thousands of nodes, while the exact layers build many
     functions and evaluate none.  A value never changes after construction,
     so the cache cannot go stale.
+
+    ``+``, ``-`` and ``*`` take two RationalFunctions and return
+    ``NotImplemented`` for any other operand, so Python raises
+    ``TypeError``; a Scalar enters through ``scale``, ``from_scalar`` or
+    ``lincomb``, a Polynomial through ``from_poly``.
     """
 
     __slots__ = ("num", "poles", "_complex")
@@ -673,15 +678,6 @@ class RationalFunction:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, Scalar):
-            return RationalFunction.from_scalar(other)
-        raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
-
     @staticmethod
     def lincomb(terms) -> "RationalFunction":
         """The sum of ``s * f`` over the ``(Scalar s, RationalFunction f)``
@@ -735,12 +731,14 @@ class RationalFunction:
         return RationalFunction(num, tuple(out))
 
     def __add__(self, other):
-        return RationalFunction.lincomb(((_ONE, self),
-                                         (_ONE, self._coerce(other))))
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return RationalFunction.lincomb(((_ONE, self), (_ONE, other)))
 
     def __sub__(self, other):
-        return RationalFunction.lincomb(((_ONE, self),
-                                         (_MINUS_ONE, self._coerce(other))))
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return RationalFunction.lincomb(((_ONE, self), (_MINUS_ONE, other)))
 
     def __neg__(self):
         return RationalFunction(-self.num, self.poles)
@@ -749,7 +747,8 @@ class RationalFunction:
         """Product, cancelled factor by factor before multiplying.  At a
         pole of both factors both numerators are nonzero, so only a pole
         of one factor can cancel, against the other factor's numerator."""
-        other = self._coerce(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         if self.is_zero or other.is_zero:
             return RationalFunction.zero()
         a, b = dict(self.poles), dict(other.poles)

@@ -271,21 +271,6 @@ def segment_chain(*points) -> Contour:
     return Contour([Line(a, b) for a, b in zip(pts, pts[1:])])
 
 
-def _unit_loop(center: float, radius: float, basepoint: float):
-    """In normalized coordinates: from basepoint on the real axis, walk to
-    the circle of given radius around center (0 or 1), go around once
-    counterclockwise, walk back."""
-    if center == 0.0:
-        entry = radius
-        th0 = 0.0
-    else:
-        entry = 1.0 - radius
-        th0 = math.pi
-    return [Line(basepoint, entry),
-            Arc(complex(center), radius, th0, th0 + 2 * math.pi),
-            Line(entry, basepoint)]
-
-
 def pochhammer(points, radius=None, basepoint=None) -> Contour:
     """Commutator loop around two punctures: once counterclockwise around
     the first, once around the second, then both again clockwise.  Net
@@ -293,7 +278,12 @@ def pochhammer(points, radius=None, basepoint=None) -> Contour:
     their starting branch for every exponent.  Each clockwise loop is the
     exact ``reversed()`` of its counterclockwise one, segment by segment,
     so the cycle has four pieces, two lines and two circles, that the
-    quadrature integrates once each."""
+    quadrature integrates once each.
+
+    Positions are read in the normalized picture where the punctures
+    are 0 and 1 (the radius defaults to 1/4 of their distance, the
+    basepoint to their midpoint); each counterclockwise segment is built
+    once, in place, at ``p0 + span * x`` for its normalized position x."""
     p0, p1 = (_cnum(p) for p in points)
     span = p1 - p0
     dist = abs(span)
@@ -315,16 +305,15 @@ def pochhammer(points, radius=None, basepoint=None) -> Contour:
                 "basepoint must lie on the segment strictly between the "
                 "two circles")
         bt = rel.real
-    segs = _unit_loop(0.0, rho, bt) + _unit_loop(1.0, rho, bt)
-    # map the normalized picture onto the actual pair of punctures
+    base = p0 + span * complex(bt)
     rot = cmath.phase(span)
     out = []
-    for s in segs:
-        if isinstance(s, Line):
-            out.append(Line(p0 + span * s.start, p0 + span * s.end))
-        else:
-            out.append(Arc(p0 + span * s.center, s.radius * dist,
-                           s.from_angle + rot, s.to_angle + rot))
+    for center, entry, th0 in ((0.0, rho, 0.0), (1.0, 1.0 - rho, math.pi)):
+        gate = p0 + span * complex(entry)
+        out += [Line(base, gate),
+                Arc(p0 + span * complex(center), rho * dist,
+                    th0 + rot, th0 + 2 * math.pi + rot),
+                Line(gate, base)]
     for loop in (out[:3], out[3:]):
         out += [s.reversed() for s in reversed(loop)]
     return Contour(out)

@@ -26,7 +26,10 @@ integral and calls the routine once per segment.  The routine does not
 depend on the segment kind: lines and arcs share it, since it reads each
 node's position and path derivative from the panel's geometry table.  It
 reads the integrand constants once and binds them as the defaults of a
-recursive panel function, so that its node loop reads them as locals.
+recursive panel function, so that its node loop reads them as locals;
+that function refers to itself through its closure cell, so the routine
+empties the cell when it returns or raises, and each call leaves no
+reference cycle for the collector.
 One call of that function does all of one panel: it counts the panel
 against ``_MAX_PANELS``, runs the 15 nodes, applies the acceptance test
 below, and then either bisects or, for an accepted panel only, takes the
@@ -470,7 +473,12 @@ def _routine_source(npoints, ncoeffs, orders):
             "                             err)",
             "        return i1 + i2, e1 + e2, logs",
             "",
-            "    value, err, logs = panel(ta, tb, logs, tol, 0, math.inf)",
+            # panel refers to itself through its cell; emptying the cell
+            # frees it at once, not at the next cycle collection
+            "    try:",
+            "        value, err, logs = panel(ta, tb, logs, tol, 0, math.inf)",
+            "    finally:",
+            "        del panel",
             "    return value, err, logs, count",
             ""]
     return "\n".join(out)

@@ -220,9 +220,10 @@ class QuasiCanonicalForm:
         u = GradedVector.zero(model)
         pv = model.principal_vectors()
         for j, f in self.v.items():
+            # each exponent has its own grade, so its part is set directly
             if not f.is_zero:
-                u = u + GradedVector.from_coeff_vector(model, j, pv[j],
-                                                       scale=f)
+                u.parts.update(GradedVector.from_coeff_vector(
+                    model, j, pv[j], scale=f).parts)
         hv = Scalar.exact(model.dual_coxeter)
         u = u.add_rho(self.phi.scale(Scalar.exact(-1) / hv))
         return Connection(model, u)
@@ -652,28 +653,25 @@ def change_coordinate(obj, mobius):
         mu_pp_over = RationalFunction.from_split(
             Polynomial.constant(Scalar.exact(-2)), ((pole, 1),))
 
-    if isinstance(obj, Connection):
-        model = obj.model
-        hv = Scalar.exact(model.dual_coxeter)
-        parts = {}
-        for g, comps in obj.u.parts.items():
-            fac = _rf_pow(mu_prime, g + 1)
-            parts[g] = [compose(f) * fac if not f.is_zero else f
-                        for f in comps]
-        delta = compose(obj.u.delta) * mu_prime
-        phi_new = compose(obj.phi) * mu_prime + mu_pp_over.scale(hv)
-        rho = phi_new.scale(Scalar.exact(-1) / hv)
-        u = GradedVector(model, parts, delta, rho, obj.u.truncated)
-        u._prune()
-        return Connection(model, u)
-
+    if not isinstance(obj, (Connection, QuasiCanonicalForm)):
+        raise TypeError(
+            f"cannot change coordinates on {type(obj).__name__}")
+    model = obj.model
+    hv = Scalar.exact(model.dual_coxeter)
+    phi_new = compose(obj.phi) * mu_prime + mu_pp_over.scale(hv)
     if isinstance(obj, QuasiCanonicalForm):
-        model = obj.model
-        hv = Scalar.exact(model.dual_coxeter)
-        phi_new = compose(obj.phi) * mu_prime + mu_pp_over.scale(hv)
         v = {j: compose(f) * _rf_pow(mu_prime, j + 1)
              for j, f in obj.v.items()}
         return QuasiCanonicalForm(model, phi_new, v, (), obj.truncated)
 
-    raise TypeError(f"cannot change coordinates on {type(obj).__name__}")
+    parts = {}
+    for g, comps in obj.u.parts.items():
+        fac = _rf_pow(mu_prime, g + 1)
+        parts[g] = [compose(f) * fac if not f.is_zero else f
+                    for f in comps]
+    delta = compose(obj.u.delta) * mu_prime
+    rho = phi_new.scale(Scalar.exact(-1) / hv)
+    u = GradedVector(model, parts, delta, rho, obj.u.truncated)
+    u._prune()
+    return Connection(model, u)
 

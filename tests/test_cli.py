@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from affopers import cli, miura
+from affopers import cli, miura, verify
 from affopers.cli import main
 from affopers.coeffs import Scalar
 from affopers.contour import Contour, pochhammer
@@ -283,6 +283,49 @@ def test_verify_suite_writes_report(tmp_path, capsys):
     assert rep["suite"] == "algebra"
     assert rep["seed"] == 3
     assert rep["checks"] and all(c["passed"] for c in rep["checks"])
+
+
+def test_verify_reports_counterexamples_and_crashes(tmp_path, capsys,
+                                                   monkeypatch):
+    def five_failures(rng):
+        return 7, [{"case": k} for k in range(5)]
+
+    def crash(rng):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("algebra", "five failures", five_failures),
+        ("coords", "crash", crash)])
+    report = verify.run_suite("all", seed=0)
+    assert report["passed"] is False
+    assert report["cases"] == 7
+    assert report["failures"] == 6
+    failing, crashed = report["checks"]
+    assert failing["passed"] is False and len(failing["failures"]) == 5
+    assert crashed["passed"] is False and crashed["cases"] == 0
+    assert crashed["failures"] == [{"error": "RuntimeError: boom"}]
+
+    lines = verify.summary_lines(report)
+    assert lines[0].startswith("FAIL  [algebra] five failures (7 cases")
+    assert lines[1:5] == [
+        "      counterexample: {'case': 0}",
+        "      counterexample: {'case': 1}",
+        "      counterexample: {'case': 2}",
+        "      ... and 2 more"]
+    assert lines[5].startswith("FAIL  [coords] crash (0 cases")
+    assert lines[6] == ("      counterexample: "
+                        "{'error': 'RuntimeError: boom'}")
+    assert lines[7].startswith("FAIL  overall: 7 cases, 6 failures")
+    assert len(lines) == 8
+
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--json", str(out)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 8
+    assert ([x for x in printed if x.startswith("      ")]
+            == [x for x in lines if x.startswith("      ")])
+    written = json.loads(out.read_text())
+    assert written["passed"] is False and written["failures"] == 6
 
 
 def test_verify_rejects_unknown_suite():

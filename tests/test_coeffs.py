@@ -106,6 +106,17 @@ def test_rf_arith_dispatch():
     assert a * b == rf_split(poly(1), {0: 1, 1: 1})
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("other", [sc(2), poly(1, 1), 3],
+                         ids=["Scalar", "Polynomial", "int"])
+def test_rf_arith_takes_only_rational_functions(op, other):
+    # a Scalar enters through scale or lincomb, a Polynomial through
+    # from_poly; no operator lifts them
+    f = rf_split(poly(1), {0: 1})
+    with pytest.raises(TypeError):
+        op(f, other)
+
+
 def test_rf_eval():
     f = rf_split(poly(0, 5), {2: 1, -2: 1})  # 5z/(z^2-4)
     assert f.eval(sc(3)) == sc(3)

@@ -160,6 +160,75 @@ def test_pochhammer_general_position():
     assert dists and all(abs(d - 0.0) < 1e-9 or d >= 0 for d in dists)
 
 
+def _two_stage_pochhammer(points, radius=None, basepoint=None):
+    """The earlier construction, kept as the referee: six segments in the
+    normalized picture where the punctures are 0 and 1, each then built
+    again at the punctures."""
+    def unit_loop(center, radius, basepoint):
+        if center == 0.0:
+            entry, th0 = radius, 0.0
+        else:
+            entry, th0 = 1.0 - radius, math.pi
+        return [Line(basepoint, entry),
+                Arc(complex(center), radius, th0, th0 + 2 * math.pi),
+                Line(entry, basepoint)]
+
+    p0, p1 = (complex(p) for p in points)
+    span = p1 - p0
+    dist = abs(span)
+    rho = 0.25 if radius is None else float(radius) / dist
+    bt = 0.5 if basepoint is None else ((basepoint - p0) / span).real
+    rot = cmath.phase(span)
+    out = []
+    for s in unit_loop(0.0, rho, bt) + unit_loop(1.0, rho, bt):
+        if isinstance(s, Line):
+            out.append(Line(p0 + span * s.start, p0 + span * s.end))
+        else:
+            out.append(Arc(p0 + span * s.center, s.radius * dist,
+                           s.from_angle + rot, s.to_angle + rot))
+    for loop in (out[:3], out[3:]):
+        out += [s.reversed() for s in reversed(loop)]
+    return Contour(out)
+
+
+def _segment_bits(contour):
+    def hexes(*xs):
+        return [h for x in xs for h in (
+            (x.real.hex(), x.imag.hex()) if isinstance(x, complex)
+            else (x.hex(),))]
+    out = []
+    for seg in contour.segments:
+        out.append((seg.kind, hexes(seg.start, seg.end)))
+        if isinstance(seg, Arc):
+            out.append(hexes(seg.center, seg.radius, seg.from_angle,
+                             seg.to_angle))
+    return out
+
+
+def _pochhammer_inputs():
+    rng = random.Random("pochhammer referee")
+    yield (1, 0), None, None  # the pair that verify integrates over
+    yield (0, 1), 0.25, None
+    yield (complex(-0.0, -0.0), 1j), None, None
+    for _ in range(40):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        p0, p1 = (scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for _ in range(2))
+        rho = rng.uniform(0.01, 0.49)
+        t = rng.uniform(rho + 1e-6, 1.0 - rho - 1e-6)
+        yield (p0, p1), None, None
+        yield (p0, p1), rho * abs(p1 - p0), None
+        yield (p1, p0), rho * abs(p1 - p0), p1 + t * (p0 - p1)
+
+
+def test_pochhammer_matches_the_two_stage_construction():
+    for points, radius, basepoint in _pochhammer_inputs():
+        got = pochhammer(points, radius=radius, basepoint=basepoint)
+        want = _two_stage_pochhammer(points, radius, basepoint)
+        assert _segment_bits(got) == _segment_bits(want), (
+            points, radius, basepoint)
+
+
 def test_loop_around_validation():
     with pytest.raises(ContourError):
         loop_around(0, 2.0, 1.0)   # radius beyond the basepoint

@@ -3,6 +3,7 @@ Beta identity, exact-form vanishing, residue bookkeeping under contour
 deformation, and invariance of the integrals under residual gauges."""
 
 import cmath
+import gc
 import math
 import os
 import random
@@ -601,6 +602,35 @@ def test_routine_cache_keeps_no_state():
         *got, _panels = _routine_panel(seg, 0.25, 0.5, logs, points,
                                        weights, s, g)
         assert _bits(got) == _bits(want)
+
+
+def test_an_integral_leaves_no_reference_cycle(a1, monkeypatch):
+    # the recursive panel function of each routine call is freed when the
+    # call returns or raises, not left for the cycle collector
+    d = beta_data(a1, 1 / 3, 1 / 2)
+    q = unit_form(a1, d.twist())
+    gamma = pochhammer((1, 0), radius="1/4")
+
+    def over_budget():
+        try:
+            twisted_integral(d, q, 1, gamma)
+        except ContourError:
+            return
+        raise AssertionError("the panel budget did not stop the integral")
+
+    def garbage_left(run):
+        run()  # compiles the routine and fills the table store
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert garbage_left(lambda: twisted_integral(d, q, 1, gamma)) == 0
+    monkeypatch.setattr(integrate, "_MAX_PANELS", 2)
+    assert garbage_left(over_budget) == 0
 
 
 def test_lines_and_arcs_share_one_routine(a1):

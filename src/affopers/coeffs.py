@@ -26,27 +26,33 @@ is canonical, equality and hashing compare it directly and pole orders are
 lookups.  Partial fractions and Laurent parts peel one pole at a time off
 the integer numerator: a value at the pole gives the top coefficient, and
 subtracting its term leaves a numerator that synthetic division by
-``z - p`` takes exactly.
+``z - p`` takes exactly.  A Moebius pull-back is built reduced, in one
+step (:meth:`RationalFunction.compose_mobius`).
 
-A sum of many terms is one :meth:`RationalFunction.lincomb`: ``sum s_i f_i``
-merges the pole orders once, lifts each numerator to the common denominator
-and adds the integer numerators over one lcm denominator, so k terms cost one
-reduction, not k - 1; ``+`` and ``-`` are its two-term case.  A pole keeps
-the powers of ``z - p`` it has been lifted by, and its sort key, in slots
-beside its cached hash.
+``from_split``, ``lincomb`` and ``lower_numerator`` strip in one routine,
+``_canonical``, and ``lincomb`` and ``lift_numerator`` raise a numerator
+to a larger denominator in one, ``_lift``.  A sum of many terms is one
+:meth:`RationalFunction.lincomb`: ``sum s_i f_i`` merges the pole orders
+once, lifts each numerator to the common denominator and adds the integer
+numerators over one lcm denominator, so k terms cost one reduction, not
+k - 1; ``+`` and ``-`` are its two-term case.  A pole keeps the powers of
+``z - p`` it has been lifted by, and its sort key, in slots beside its
+cached hash.  Each class's operators take only its own instances, so a
+mixed expression raises ``TypeError``.
 
 Where every denominator is known in advance as a power ``L^k`` of one
 product ``L = prod (z - p)^c_p`` (the graded reduction of ``oper_core``), a
 computation can run on numerators alone.  A raw numerator is an integer
 triple ``(re, im, den)`` in the polynomials' layout, with no trailing zero
-but no gcd taken, so zero is an empty ``re``.  :func:`pole_frame` names the
-``(p, c_p)``, :func:`lift_numerator` takes a function to its raw numerator
-over ``L^k`` and :func:`lower_numerator` normalizes one and returns the
-canonical form.  In between, a numerator is packed by Kronecker
-substitution at a base ``2^w``: :func:`pack_numerator` makes its real and
-its imaginary coefficients one int each, ``sum c_k 2^(w k)``, and records a
-bound on their bit length, which stays below ``w - 1`` so the balanced
-digits unpack uniquely (:func:`unpack_numerator`), and the base itself.
+but no gcd taken, so zero is an empty ``re``.  A frame is the sorted
+``(p, c_p)`` pairs of L; :func:`lift_numerator` takes a function to its
+normalized raw numerator over ``L^k`` and :func:`lower_numerator`
+normalizes a raw numerator and returns the canonical form.  In between, a
+numerator is packed by Kronecker substitution at a base ``2^w``:
+:func:`pack_numerator` makes its real and its imaginary coefficients one
+int each, ``sum c_k 2^(w k)``, and records a bound on their bit length,
+which stays below ``w - 1`` so the balanced digits unpack uniquely
+(:func:`unpack_numerator`), and the base itself.
 :func:`packing_base` is the ladder of bases a bound is stored at, and
 :func:`rebase_numerator` moves a packing to another base.  ``_kmul`` and
 ``_ksum`` are the packed product and n-ary sum; each derives its result's
@@ -180,11 +186,15 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         q, s = self.q, other.q
         return _scalar(self.r * s + other.r * q, self.i * s + other.i * q,
                        q * s)
 
     def __sub__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         q, s = self.q, other.q
         return _scalar(self.r * s - other.r * q, self.i * s - other.i * q,
                        q * s)
@@ -193,10 +203,14 @@ class Scalar:
         return Scalar(-self.r, -self.i, self.q)
 
     def __mul__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         a, b, c, d = self.r, self.i, other.r, other.i
         return _scalar(a * c - b * d, a * d + b * c, self.q * other.q)
 
     def __truediv__(self, other):
+        if not isinstance(other, Scalar):
+            return NotImplemented
         c, d = other.r, other.i
         n = c * c + d * d
         if not n:
@@ -352,6 +366,8 @@ class Polynomial:
         return not self.re
 
     def __add__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if not other.re:
             return self
         if not self.re:
@@ -360,6 +376,8 @@ class Polynomial:
                                 (1, 0, 1, other.re, other.im, other.den))))
 
     def __sub__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -367,6 +385,8 @@ class Polynomial:
         return Polynomial(tuple(-x for x in self.re), im, self.den)
 
     def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if not self.re or not other.re:
             return _PZERO
         return _make(*_conv(self.re, self.im, other.re, other.im),
@@ -626,14 +646,7 @@ class RationalFunction:
         items = {p: int(m) for p, m in dict(poles).items() if m}
         if any(m < 0 for m in items.values()):
             raise ValueError("negative pole multiplicity")
-        if num.is_zero:
-            return RationalFunction.zero()
-        out = []
-        for p, m in _sorted_poles(items):
-            num, m = _strip(num, p, m)
-            if m:
-                out.append((p, m))
-        return RationalFunction(num, tuple(out))
+        return _canonical(num, _sorted_poles(items))
 
     @staticmethod
     def from_poly(p: Polynomial) -> "RationalFunction":
@@ -708,27 +721,9 @@ class RationalFunction:
             shared = None if len(items) > 1 else ()
         else:
             poles, shared = _merge_orders([f.poles for *_s, f in items])
-            lifted = []
-            for r, i, q, f in items:
-                own = dict(f.poles)
-                re, im, den = f.num.re, f.num.im, f.num.den
-                for p, m in poles:
-                    e = m - own.get(p, 0)
-                    if e:
-                        lp = _linear_power(p, e)
-                        re, im = _conv(re, im, lp.re, lp.im)
-                        den *= lp.den
-                lifted.append((r, i, q, re, im, den))
-            num = _make(*_combine(lifted))
-        if not num.re:
-            return _RFZERO
-        out = []
-        for p, m in poles:
-            if shared is None or p in shared:
-                num, m = _strip(num, p, m)
-            if m:
-                out.append((p, m))
-        return RationalFunction(num, tuple(out))
+            num = _make(*_combine([(r, i, q, *_lift(f, poles))
+                                   for r, i, q, f in items]))
+        return _canonical(num, poles, shared)
 
     def __add__(self, other):
         if not isinstance(other, RationalFunction):
@@ -864,19 +859,26 @@ class RationalFunction:
 
     # -- reparameterization ---------------------------------------------------
 
-    def compose_mobius(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar
-                       ) -> "RationalFunction":
-        """f((a z + b)/(c z + d)) as a rational function of z; ad - bc != 0.
+    def compose_mobius(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar,
+                       k: int) -> "RationalFunction":
+        """The pull-back ``f(mu) mu'^k`` of the k-differential ``f dz^k``
+        through ``mu(z) = (a z + b)/(c z + d)``, ad - bc != 0; k = 0 is
+        plain composition.  Since ``mu' = (a d - b c)/(c z + d)^2``, the
+        power of ``c z + d`` is ``sum m - n - 2k`` over the pole orders m
+        of f, with n = deg(num), and the scale is divided by ``(a d -
+        b c)^k``.  Zero returns itself.
 
-        The image is reduced without a reduction pass.  With mu the map and
-        N = num(mu(z)) (c z + d)^deg(num): at a new pole mu^-1(p), N equals
-        num(p) times a nonzero power of c z + d; at -d/c, a pole only when
-        the numerator has the higher degree, N is the leading coefficient of
-        num times ((a d - b c)/c)^deg(num).  Neither vanishes.
+        The image is reduced without a reduction pass.  With N = num(mu(z))
+        (c z + d)^n: at a new pole mu^-1(p), N is num(p) times a nonzero
+        power of c z + d.  At -d/c, a pole only when the power of c z + d
+        is negative, N is ``p_n ((b c - a d)/c)^n`` for the leading
+        coefficient p_n of num.  Neither vanishes.
         """
         det = a * d - b * c
         if det.is_zero:
             raise ValueError("singular coefficient matrix for a Moebius map")
+        if not self.num.re:
+            return self
         A = Polynomial.of([b, a])  # a z + b
         B = Polynomial.of([d, c])  # c z + d
         # numerator through the map
@@ -897,8 +899,11 @@ class RationalFunction:
                 poles[root] = poles.get(root, 0) + m
             for _ in range(m):
                 scale = scale * lc
-        # assemble: f(mu(z)) = num * B^(dpow - npow) / (scale * prod(z-root)^m)
-        bexp = dpow - npow
+        # assemble: f(mu(z)) mu'^k = num * B^(dpow - npow - 2k) det^k
+        #                             / (scale * prod(z-root)^m)
+        for _ in range(k):
+            scale = scale / det
+        bexp = dpow - npow - 2 * k
         if bexp > 0:
             num = num * (B ** bexp)
         elif bexp < 0:
@@ -991,30 +996,46 @@ def _linear_power(p: Scalar, k: int) -> Polynomial:
     return pows[k]
 
 
-def pole_frame(orders: dict):
-    """The (pole, order) pairs of ``orders`` with a positive order, sorted
-    as a RationalFunction keeps its poles.  A frame names the fixed
-    denominators ``L^k`` with ``L = prod (z - p)^order`` that
-    :func:`lift_numerator` and :func:`lower_numerator` work over."""
-    return _sorted_poles(orders)
+def _canonical(num: Polynomial, poles, tested=None) -> RationalFunction:
+    """The canonical ``num / prod (z - p)^m`` over the sorted (pole, m)
+    pairs, stripping num at the poles in ``tested`` (all when None)."""
+    if not num.re:
+        return _RFZERO
+    out = []
+    for p, m in poles:
+        if tested is None or p in tested:
+            num, m = _strip(num, p, m)
+        if m:
+            out.append((p, m))
+    return RationalFunction(num, tuple(out))
+
+
+def _lift(f: RationalFunction, poles):
+    """The raw numerator ``(re, im, den)`` of f over ``prod (z - p)^m``,
+    not normalized; every pole of f must be among the (pole, m) pairs,
+    with an order no larger."""
+    own = dict(f.poles)
+    re, im, den = f.num.re, f.num.im, f.num.den
+    for p, m in poles:
+        e = m - own.pop(p, 0)
+        if e < 0:
+            raise ValueError(f"pole order at {p!r} exceeds the frame")
+        if e and re:
+            lp = _linear_power(p, e)
+            re, im = _conv(re, im, lp.re, lp.im)
+            den *= lp.den
+    if own:
+        raise ValueError("pole outside the frame")
+    return re, im, den
 
 
 def lift_numerator(f: RationalFunction, frame, k: int):
-    """The raw numerator ``(re, im, den)`` of f over ``L^k`` (see
-    :func:`pole_frame`); every pole of f must lie in the frame with order
-    at most k times its own.  A computation packs it with
-    :func:`pack_numerator`, by default at :func:`packing_base` of its
-    :func:`numerator_bits`."""
-    own = dict(f.poles)
-    num = f.num
-    for p, c in frame:
-        e = k * c - own.pop(p, 0)
-        if e < 0:
-            raise ValueError(f"pole order at {p!r} exceeds the frame")
-        if e and num.re:
-            num = num * _linear_power(p, e)
-    if own:
-        raise ValueError("pole outside the frame")
+    """The normalized raw numerator ``(re, im, den)`` of f over ``L^k``,
+    where the frame is the sorted (pole, order c_p) pairs of ``L = prod
+    (z - p)^c_p``; every pole of f must lie in the frame with order at
+    most k c_p.  A computation packs it with :func:`pack_numerator`, by
+    default at :func:`packing_base` of its :func:`numerator_bits`."""
+    num = _make(*_lift(f, [(p, k * c) for p, c in frame]))
     return num.re, num.im, num.den
 
 
@@ -1024,15 +1045,7 @@ def lower_numerator(raw, frame, k: int) -> RationalFunction:
     a strip test at each pole of the frame.  A packed numerator is lowered
     through :func:`unpack_numerator`, which its bound below ``w - 1`` makes
     exact."""
-    num = _make(*raw)
-    if not num.re:
-        return _RFZERO
-    out = []
-    for p, c in frame:
-        num, m = _strip(num, p, k * c)
-        if m:
-            out.append((p, m))
-    return RationalFunction(num, tuple(out))
+    return _canonical(_make(*raw), [(p, k * c) for p, c in frame])
 
 
 # the ladder of bases: a bound needs w >= bound + 2, and w is the least

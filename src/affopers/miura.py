@@ -179,12 +179,10 @@ class MiuraData:
     def twist(self) -> RationalFunction:
         """phi = sum_i level_i / (z - z_i)."""
         hv = Scalar.exact(self.model.dual_coxeter)
-        acc = RationalFunction.zero()
-        for z, lam in self.points:
-            k = lam.rho * hv
-            if not k.is_zero:
-                acc = acc + RationalFunction.simple_pole(k, z)
-        return acc
+        one = Polynomial.one()
+        return RationalFunction.lincomb(
+            [(lam.rho * hv, RationalFunction.from_split(one, {z: 1}))
+             for z, lam in self.points])
 
     def root_weight(self, j) -> Weight:
         return affine_simple_root(self.model, self.roots[j][1])
@@ -312,18 +310,16 @@ def v1_predicted(d: MiuraData) -> RationalFunction:
     terms drop exactly on shell.
     """
     dz, dw = master_partials(d)
-    acc = RationalFunction.zero()
+    inv = Scalar.one() / Scalar.exact(d.model.dual_coxeter)
+    one = Polynomial.one()
+    terms = []
     for (zi, lam), pz in zip(d.points, dz):
-        c = casimir(lam)
-        if not c.is_zero:
-            acc = acc + RationalFunction.from_split(
-                Polynomial.constant(c), ((zi, 2),))
-        if not pz.is_zero:
-            acc = acc + RationalFunction.simple_pole(pz, zi)
-    for (wj, _c), pw in zip(d.roots, dw):
-        if not pw.is_zero:
-            acc = acc + RationalFunction.simple_pole(pw, wj)
-    return acc.scale(Scalar.one() / Scalar.exact(d.model.dual_coxeter))
+        terms += [
+            (casimir(lam) * inv, RationalFunction.from_split(one, {zi: 2})),
+            (pz * inv, RationalFunction.from_split(one, {zi: 1}))]
+    terms += [(pw * inv, RationalFunction.from_split(one, {wj: 1}))
+              for (wj, _c), pw in zip(d.roots, dw)]
+    return RationalFunction.lincomb(terms)
 
 
 def quadratic_eigenvalue_data(d: MiuraData):

@@ -73,9 +73,9 @@ import math
 from .affine_algebra import AlgebraModel, GradedVector
 from .coeffs import (_KZERO, Polynomial, RationalFunction, Scalar,
                      _derivative, _kmul, _kreduced, _ksum, _reduced,
-                     lift_numerator, lower_numerator, numerator_bits,
-                     pack_numerator, packing_base, partial_fractions,
-                     pole_frame, rebase_numerator, recombine,
+                     _sorted_poles, lift_numerator, lower_numerator,
+                     numerator_bits, pack_numerator, packing_base,
+                     partial_fractions, rebase_numerator, recombine,
                      unpack_numerator)
 
 __all__ = [
@@ -95,13 +95,6 @@ __all__ = [
 # docstring; the packed 1 is the same int at every base
 _KONE = pack_numerator(((1,), None, 1))
 _SONE = Scalar(1, 0, 1)
-
-
-def _rf_pow(f: RationalFunction, k: int) -> RationalFunction:
-    out = RationalFunction.one()
-    for _ in range(k):
-        out = out * f
-    return out
 
 
 class Connection:
@@ -270,7 +263,7 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
                 c = -(-m // (g + 1))
                 if c > orders.get(p, 0):
                     orders[p] = c
-    frame = pole_frame(orders)
+    frame = _sorted_poles(orders)
     L = lift_numerator(RationalFunction.one(), frame, 1)
     # L, L', rho's numerator R and the center's
     consts = [pack_numerator(x) for x in (
@@ -627,49 +620,36 @@ def _rank(key):
 def change_coordinate(obj, mobius):
     """Pull back through z = (a s + b) / (c s + d).
 
-    A grade-g coefficient becomes (coefficient o mu) (mu')^{g+1}; the center
-    coefficient picks up a single mu'; the twist becomes
-    phi~ = (phi o mu) mu' + h_dual mu''/mu'.  Applies to a Connection or to a
-    QuasiCanonicalForm (whose gauge history is dropped: it belongs to the old
-    coordinate).
+    Each coefficient is a k-differential and is pulled back in one step,
+    as (coefficient o mu) (mu')^k by ``RationalFunction.compose_mobius``:
+    k = g+1 for a grade-g coefficient, j+1 for v_j and 1 for the center
+    coefficient.  The twist is a connection on Omega and becomes phi~ =
+    (phi o mu) mu' + h_dual mu''/mu', where mu''/mu' = -2/(s + d/c) when
+    c != 0 and 0 when c = 0.  Applies to a Connection or to a
+    QuasiCanonicalForm (whose gauge history is dropped: it belongs to the
+    old coordinate).
     """
     a, b, c, d = [x if isinstance(x, Scalar) else Scalar.parse(x)
                   for x in mobius]
-    det = a * d - b * c
-    if det.is_zero:
+    if (a * d - b * c).is_zero:
         raise ValueError("mobius map must be invertible")
-
-    def compose(f):
-        return f.compose_mobius(a, b, c, d)
-
-    if c.is_zero:
-        mu_prime = RationalFunction.from_scalar(a / d)
-        mu_pp_over = RationalFunction.zero()
-    else:
-        pole = -d / c
-        mu_prime = RationalFunction.from_split(
-            Polynomial.constant(det / (c * c)), ((pole, 2),))
-        # mu''/mu' = -2c/(cs+d) = -2/(s - pole)
-        mu_pp_over = RationalFunction.from_split(
-            Polynomial.constant(Scalar.exact(-2)), ((pole, 1),))
-
     if not isinstance(obj, (Connection, QuasiCanonicalForm)):
         raise TypeError(
             f"cannot change coordinates on {type(obj).__name__}")
     model = obj.model
     hv = Scalar.exact(model.dual_coxeter)
-    phi_new = compose(obj.phi) * mu_prime + mu_pp_over.scale(hv)
+    phi_new = obj.phi.compose_mobius(a, b, c, d, 1)
+    if not c.is_zero:
+        phi_new = phi_new + RationalFunction.simple_pole(
+            Scalar.exact(-2) * hv, -d / c)
     if isinstance(obj, QuasiCanonicalForm):
-        v = {j: compose(f) * _rf_pow(mu_prime, j + 1)
+        v = {j: f.compose_mobius(a, b, c, d, j + 1)
              for j, f in obj.v.items()}
         return QuasiCanonicalForm(model, phi_new, v, (), obj.truncated)
 
-    parts = {}
-    for g, comps in obj.u.parts.items():
-        fac = _rf_pow(mu_prime, g + 1)
-        parts[g] = [compose(f) * fac if not f.is_zero else f
-                    for f in comps]
-    delta = compose(obj.u.delta) * mu_prime
+    parts = {g: [f.compose_mobius(a, b, c, d, g + 1) for f in comps]
+             for g, comps in obj.u.parts.items()}
+    delta = obj.u.delta.compose_mobius(a, b, c, d, 1)
     rho = phi_new.scale(Scalar.exact(-1) / hv)
     u = GradedVector(model, parts, delta, rho, obj.u.truncated)
     u._prune()

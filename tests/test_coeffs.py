@@ -117,6 +117,29 @@ def test_rf_arith_takes_only_rational_functions(op, other):
         op(f, other)
 
 
+_OPERANDS = {
+    "Scalar": (sc(2, -1), Scalar.zero()),
+    "Polynomial": (poly(1, 1), Polynomial.zero()),
+    "RationalFunction": (rf_split(poly(1), {0: 1}), RationalFunction.zero()),
+    "int": (3, 0),
+}
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv],
+                         ids=["add", "sub", "mul", "truediv"])
+@pytest.mark.parametrize("left, right", [
+    (x, y) for x in _OPERANDS for y in _OPERANDS if x != y])
+def test_mixed_arithmetic_raises_type_error(op, left, right):
+    # each class's operators return NotImplemented for any other operand,
+    # zero or not, so Python raises TypeError and no field of the foreign
+    # operand is read
+    for x in _OPERANDS[left]:
+        for y in _OPERANDS[right]:
+            with pytest.raises(TypeError):
+                op(x, y)
+
+
 def test_rf_eval():
     f = rf_split(poly(0, 5), {2: 1, -2: 1})  # 5z/(z^2-4)
     assert f.eval(sc(3)) == sc(3)
@@ -304,7 +327,7 @@ def test_residue_of_derivative_vanishes(nc, poles):
 #   f(mu(s)) = (5s^2 + 2s + 2)/(3(s-1))
 def test_compose_mobius_frozen():
     f = rf_split(poly(1, 0, 1), {2: 1})
-    g = f.compose_mobius(sc(2), sc(1), sc(1), sc(-1))
+    g = f.compose_mobius(sc(2), sc(1), sc(1), sc(-1), 0)
     expected = rf_split(poly("2/3", "2/3", "5/3"), {1: 1})
     assert g == expected
 
@@ -316,16 +339,82 @@ def test_compose_mobius_roundtrip():
         f = rf_split(num if not num.is_zero else poly(1), {0: 1, 3: 1})
         a, b, c, d = sc(2), sc(1), sc(1), sc(1)  # det = 1
         # inverse map has matrix (d, -b; -c, a)
-        g = f.compose_mobius(a, b, c, d).compose_mobius(d, -b, -c, a)
+        g = f.compose_mobius(a, b, c, d, 0).compose_mobius(d, -b, -c, a, 0)
         assert g == f
 
 
 def test_compose_mobius_translation_and_scaling():
     f = rf_split(poly(0, 1), {1: 2})  # z/(z-1)^2
-    t = f.compose_mobius(sc(1), sc(5), sc(0), sc(1))  # z -> z + 5
+    t = f.compose_mobius(sc(1), sc(5), sc(0), sc(1), 0)  # z -> z + 5
     assert t == rf_split(poly(5, 1), {-4: 2})
-    s = f.compose_mobius(sc(3), sc(0), sc(0), sc(1))  # z -> 3z
+    s = f.compose_mobius(sc(3), sc(0), sc(0), sc(1), 0)  # z -> 3z
     assert s == rf_split(poly(0, "1/3"), {"1/3": 2})  # 3z/(3z-1)^2
+
+
+def _two_step_pullback(f, a, b, c, d, k):
+    """f(mu) mu'^k as composition followed by k products with mu' built
+    as a rational function: the reference for the one-step pull-back."""
+    g = f.compose_mobius(a, b, c, d, 0)
+    if c.is_zero:
+        mu_prime = RationalFunction.from_scalar(a / d)
+    else:
+        mu_prime = RationalFunction.from_split(
+            Polynomial.constant((a * d - b * c) / (c * c)), {-d / c: 2})
+    for _ in range(k):
+        g = g * mu_prime
+    return g
+
+
+def _pullback_cases():
+    """Seeded (f, Moebius map) pairs: real and Gaussian poles, numerators
+    of degree above and below the pole count, c = 0, a pole of f at the
+    image of infinity a/c, a constant and zero."""
+    rng = random.Random(28)
+
+    def rat():
+        return sc(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    def gauss():
+        return sc(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                  Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    def mobius(c_zero):
+        while True:
+            a, b, d = gauss(), rat(), rat()
+            c = Scalar.zero() if c_zero else rat()
+            if not (a * d - b * c).is_zero:
+                return a, b, c, d
+
+    cases = []
+    for n in range(12):
+        point = gauss if n % 2 else rat
+        poles = {point(): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+        deg = sum(poles.values()) + rng.choice([-2, -1, 0, 1, 2])
+        num = Polynomial.of([point() for _ in range(max(deg, 0) + 1)])
+        if num.is_zero:
+            num = Polynomial.one()
+        m = mobius(c_zero=n % 3 == 0)
+        cases.append((f"seed{n}", RationalFunction.from_split(num, poles), m))
+        if not m[2].is_zero:
+            # one more pole at a/c, which the map sends to infinity
+            at = m[0] / m[2]
+            cases.append((f"seed{n}-at-a/c", RationalFunction.from_split(
+                num, {**poles, at: poles.get(at, 0) + rng.randint(1, 2)}), m))
+    for c_zero in (True, False):
+        m = mobius(c_zero)
+        tag = "c0" if c_zero else "c"
+        cases.append((f"constant-{tag}",
+                      RationalFunction.from_scalar(gauss()), m))
+        cases.append((f"zero-{tag}", RationalFunction.zero(), m))
+    return cases
+
+
+@pytest.mark.parametrize("f, mobius", [c[1:] for c in _pullback_cases()],
+                         ids=[c[0] for c in _pullback_cases()])
+def test_compose_mobius_pulls_back_a_k_differential(f, mobius):
+    for k in range(6):
+        assert f.compose_mobius(*mobius, k) == _two_step_pullback(
+            f, *mobius, k), k
 
 
 def test_rf_json_roundtrip():
@@ -423,7 +512,7 @@ def test_derived_functions_never_evaluate_stale(a, b):
         assert f.eval_complex(z) == _converted_per_call(f, z)
         assert g.eval_complex(z) == _converted_per_call(g, z)
     derived = [-f, f.scale(sc("3/2", -2)), f * g, f + g, f.derivative(),
-               f.compose_mobius(sc(2), sc(1), sc(1), sc(1))]
+               f.compose_mobius(sc(2), sc(1), sc(1), sc(1), 0)]
     for h in derived:
         ref = _fresh(h)
         for z in _NODES:
@@ -727,7 +816,7 @@ def test_derivative_of_a_moved_function_matches_the_quotient_rule(mobius):
     # z^2 - 3/2 plus (1 + z/3) / ((z - g)^2 (z + 1))
     f = (RationalFunction.from_poly(poly("-3/2", 0, 1))
          + RationalFunction.from_split(poly(1, "1/3"), {g: 2, sc(-1): 1}))
-    moved = f.compose_mobius(*(sc(x) for x in mobius))
+    moved = f.compose_mobius(*(sc(x) for x in mobius), 0)
     assert any(p.im for p, _m in moved.poles)
     if mobius[2] == "0":
         assert moved.num.degree > sum(m for _p, m in moved.poles)

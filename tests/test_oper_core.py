@@ -427,6 +427,34 @@ def test_coordinate_change_twist_law(a2):
     assert moved.phi == _pole(1, -5)
 
 
+def test_coordinate_change_residue_at_the_image_of_infinity(a1, a2):
+    # phi dz has residue -K at infinity, which mu sends to -d/c, and the
+    # affine term h mu''/mu' = -2h/(s + d/c) adds -2h there
+    rng = random.Random(29)
+
+    def rat():
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
+
+    for n in range(20):
+        model = (a1, a2)[n % 2]
+        zs = rng.sample(range(-6, 7), 3)
+        points = [([str(z), rat()] if n % 4 == 1 else str(z),
+                   [rat() for _ in range(model.rank)], rat(), "0")
+                  for z in zs]
+        # a half-integer root avoids the points, whose real parts are integers
+        d = MiuraData.make(model, points, [(f"{2 * zs[0] + 1}/2", 1)])
+        q = quasi_canonicalize(build_miura(d))
+        a = b = c = dd = 0
+        while not c or a * dd == b * c:
+            a, b, c, dd = (rng.randint(-5, 5) for _ in range(4))
+        moved = change_coordinate(q, (a, b, c, dd))
+        K = sum((q.phi.residue_at(p) for p, _m in q.phi.poles),
+                Scalar.zero())
+        h = Scalar.exact(model.dual_coxeter)
+        at = Scalar.exact(Fraction(-dd, c))
+        assert moved.phi.residue_at(at) == -(K + h + h)
+
+
 def test_coordinate_change_commutes_with_reduction():
     model = build_algebra({"type": "A", "rank": 2, "cutoff": 4})
     rng = random.Random(37)

@@ -6,7 +6,7 @@ delta are explicit extra coordinates, never basis monomials.  The principal
 grading assigns grade ht(x) + k*h to a monomial (h the Coxeter number), grade
 0 to delta and rho.  Graded components are kept inside a window |n| <= K+1
 for a configured cutoff K; brackets whose target grade falls outside the
-window are dropped and flagged.
+window are dropped.
 
 Structure constants for type A are closed-form matrix-unit relations:
 
@@ -467,18 +467,19 @@ class GradedVector:
 
     ``parts`` maps grade -> list of coefficients over the basis of that grade;
     zero components are pruned.  ``delta`` and ``rho`` are the coefficients of
-    the central element and the derivation.  ``truncated`` records whether a
-    bracket dropped components outside the grading window.
+    the central element and the derivation.  A bracket drops the
+    components outside the grading window; the reductions read only grades
+    that no dropped component can reach, since gauge parameters only raise
+    grades.
     """
 
-    __slots__ = ("model", "parts", "delta", "rho", "truncated")
+    __slots__ = ("model", "parts", "delta", "rho")
 
-    def __init__(self, model, parts, delta, rho, truncated=False):
+    def __init__(self, model, parts, delta, rho):
         self.model = model
         self.parts = parts
         self.delta = delta
         self.rho = rho
-        self.truncated = truncated
 
     # -- constructors -----------------------------------------------------
 
@@ -507,10 +508,8 @@ class GradedVector:
         return out
 
     def copy(self) -> "GradedVector":
-        return GradedVector(
-            self.model, {g: list(v) for g, v in self.parts.items()},
-            self.delta, self.rho, self.truncated,
-        )
+        parts = {g: list(v) for g, v in self.parts.items()}
+        return GradedVector(self.model, parts, self.delta, self.rho)
 
     # -- component access ---------------------------------------------------
 
@@ -561,7 +560,6 @@ class GradedVector:
         pairs, each coefficient reduced once by ``RationalFunction.lincomb``."""
         slots = {}
         delta, rho = [], []
-        truncated = False
         for s, x in terms:
             if x.model is not model:
                 raise ValueError("graded vectors over different algebra models")
@@ -573,17 +571,16 @@ class GradedVector:
                     t.append((s, c))
             delta.append((s, x.delta))
             rho.append((s, x.rho))
-            truncated = truncated or x.truncated
-        return GradedVector._combined(model, slots, delta, rho, truncated)
+        return GradedVector._combined(model, slots, delta, rho)
 
     @staticmethod
-    def _combined(model, slots, delta, rho, truncated):
+    def _combined(model, slots, delta, rho):
         """The vector whose every coefficient is the ``lincomb`` of its
         term list, with zero grades pruned."""
         lc = RationalFunction.lincomb
         out = GradedVector(model, {g: [lc(t) for t in tv]
                                    for g, tv in slots.items()},
-                           lc(delta), lc(rho), truncated)
+                           lc(delta), lc(rho))
         out._prune()
         return out
 
@@ -592,20 +589,18 @@ class GradedVector:
 
     def __neg__(self) -> "GradedVector":
         parts = {g: [-c for c in v] for g, v in self.parts.items()}
-        return GradedVector(self.model, parts, -self.delta, -self.rho,
-                            self.truncated)
+        return GradedVector(self.model, parts, -self.delta, -self.rho)
 
     def scale(self, f: RationalFunction) -> "GradedVector":
         if f.is_zero:
             return GradedVector.zero(self.model)
         parts = {g: [c * f for c in v] for g, v in self.parts.items()}
-        return GradedVector(self.model, parts, self.delta * f, self.rho * f,
-                            self.truncated)
+        return GradedVector(self.model, parts, self.delta * f, self.rho * f)
 
     def derivative(self) -> "GradedVector":
         parts = {g: [c.derivative() for c in v] for g, v in self.parts.items()}
         out = GradedVector(self.model, parts, self.delta.derivative(),
-                           self.rho.derivative(), self.truncated)
+                           self.rho.derivative())
         out._prune()
         return out
 
@@ -614,15 +609,13 @@ class GradedVector:
     def bracket(self, other: "GradedVector") -> "GradedVector":
         """Lie bracket [self, other].
 
-        Components outside the window |n| <= K+1 are dropped and flagged
-        ``truncated``.
+        Components outside the window |n| <= K+1 are dropped.
         """
         if other.model is not self.model:
             raise ValueError("graded vectors over different algebra models")
         model = self.model
         slots = {}  # grade -> one term list per coefficient
         delta = []
-        truncated = self.truncated or other.truncated
 
         def slot(g):
             tv = slots.get(g)
@@ -634,7 +627,6 @@ class GradedVector:
             for gy, vy in other.parts.items():
                 g = gx + gy
                 if abs(g) > model.window:
-                    truncated = True
                     continue
                 tab = model.bracket_table(gx, gy)
                 if not tab:
@@ -665,7 +657,7 @@ class GradedVector:
                 for t, c in zip(tv, v):
                     if not c.is_zero:
                         t.append((s, c * rho))
-        return GradedVector._combined(model, slots, delta, (), truncated)
+        return GradedVector._combined(model, slots, delta, ())
 
     def pair(self, other: "GradedVector") -> RationalFunction:
         """Invariant bilinear form."""

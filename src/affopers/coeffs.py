@@ -29,16 +29,16 @@ subtracting its term leaves a numerator that synthetic division by
 ``z - p`` takes exactly.  A Moebius pull-back is built reduced, in one
 step (:meth:`RationalFunction.compose_mobius`).
 
-``from_split``, ``lincomb`` and ``lower_numerator`` strip in one routine,
-``_canonical``, and ``lincomb`` and ``lift_numerator`` raise a numerator
-to a larger denominator in one, ``_lift``.  A sum of many terms is one
-:meth:`RationalFunction.lincomb`: ``sum s_i f_i`` merges the pole orders
-once, lifts each numerator to the common denominator and adds the integer
-numerators over one lcm denominator, so k terms cost one reduction, not
-k - 1; ``+`` and ``-`` are its two-term case.  A pole keeps the powers of
-``z - p`` it has been lifted by, and its sort key, in slots beside its
-cached hash.  Each class's operators take only its own instances, so a
-mixed expression raises ``TypeError``.
+``from_split``, ``lincomb``, ``*`` and ``lower_numerator`` strip in one
+routine, ``_canonical``, and ``lincomb`` and ``lift_numerator`` raise a
+numerator to a larger denominator in one, ``_lift``.  A sum of many terms
+is one :meth:`RationalFunction.lincomb`: ``sum s_i f_i`` merges the pole
+orders once, lifts each numerator to the common denominator and adds the
+integer numerators over one lcm denominator, so k terms cost one
+reduction, not k - 1; ``+`` and ``-`` are its two-term case.  A pole
+keeps the powers of ``z - p`` it has been lifted by, and its sort key, in
+slots beside its cached hash.  Each class's operators take only its own
+instances, so a mixed expression raises ``TypeError``.
 
 Where every denominator is known in advance as a power ``L^k`` of one
 product ``L = prod (z - p)^c_p`` (the graded reduction of ``oper_core``), a
@@ -72,7 +72,8 @@ import math
 from fractions import Fraction
 
 # bench/ still imports EXACT (and passes it to three constructors, which
-# ignore it) and reports _Q.__name__ as the rational type
+# ignore it) and reports _Q.__name__ as the rational type; it also passes
+# the truncated argument of oper_core.QuasiCanonicalForm, always False
 EXACT = "exact"
 _Q = Fraction
 
@@ -739,25 +740,18 @@ class RationalFunction:
         return RationalFunction(-self.num, self.poles)
 
     def __mul__(self, other):
-        """Product, cancelled factor by factor before multiplying.  At a
-        pole of both factors both numerators are nonzero, so only a pole
-        of one factor can cancel, against the other factor's numerator."""
+        """Product, reduced by ``_canonical``.  At a pole of both factors
+        both numerators are nonzero, so only a pole of exactly one factor
+        can cancel, against the other factor's numerator."""
         if not isinstance(other, RationalFunction):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RationalFunction.zero()
         a, b = dict(self.poles), dict(other.poles)
-        na, nb = self.num, other.num
         orders = {p: a.get(p, 0) + b.get(p, 0) for p in {**a, **b}}
-        poles = []
-        for p, m in _in_order(orders, (self.poles, other.poles)):
-            if p not in b:
-                nb, m = _strip(nb, p, m)
-            elif p not in a:
-                na, m = _strip(na, p, m)
-            if m:
-                poles.append((p, m))
-        return RationalFunction(na * nb, tuple(poles))
+        return _canonical(self.num * other.num,
+                          _in_order(orders, (self.poles, other.poles)),
+                          a.keys() ^ b.keys())
 
     def scale(self, s: Scalar) -> "RationalFunction":
         if s.is_zero:
@@ -1304,9 +1298,10 @@ def _compose_num(p: Polynomial, A: Polynomial, B: Polynomial):
         return Polynomial.zero(), 0
     n, cs = p.degree, p.coeffs
     # Horner in A/B: result = sum p_k A^k B^(n-k)
-    acc = Polynomial.constant(cs[n])
+    acc, bk = Polynomial.constant(cs[n]), _PONE
     for k in range(n - 1, -1, -1):
-        acc = acc * A + Polynomial.constant(cs[k]) * (B ** (n - k))
+        bk = bk * B  # B^(n-k)
+        acc = acc * A + Polynomial.constant(cs[k]) * bk
     return acc, n
 
 

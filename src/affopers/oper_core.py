@@ -126,46 +126,29 @@ class Connection:
         return f"Connection({self.u!r})"
 
 
-def _gauge_u(model, u: GradedVector, m: GradedVector) -> GradedVector:
-    """Matrix of the gauge transform of d + (p_-1 + u) dz by exp(m).
+def gauge_transform(conn: Connection, m: GradedVector) -> Connection:
+    """Apply exp(m) to the connection, m loop-valued in grades >= 1:
 
-    m must be loop-valued in grades >= 1; the series terminates inside the
-    grading window.
+        u + sum_k ad_m^k/k! (p_-1 + u) - sum_k ad_m^(k-1)/k! (m'),
+
+    where both series terminate inside the grading window.
     """
     if not m.delta.is_zero or not m.rho.is_zero:
         raise ValueError("gauge parameters must be loop-valued")
     if m.parts and min(m.parts) < 1:
         raise ValueError("gauge parameters must live in grades >= 1")
-    full = model.pminus() + u
-    trunc = full.truncated or m.truncated
+    model, u = conn.model, conn.u
     # the brackets are taken unscaled, and the sum of each coefficient is
     # reduced once; p_-1 stays out of it, as the result leaves it out
-    terms = [(Scalar.one(), u)]
-    # plus sum_k ad_m^k/k! (p_-1 + u)
-    term, k = full, 1
-    while True:
-        term = m.bracket(term)
-        trunc = trunc or term.truncated
-        if term.is_zero:
-            break
-        terms.append((Scalar(1, 0, math.factorial(k)), term))
-        k += 1
-    # minus sum_k ad_m^{k-1}/k! (m')
-    term, k = m.derivative(), 1
-    while not term.is_zero:
-        terms.append((Scalar(-1, 0, math.factorial(k)), term))
-        term = m.bracket(term)
-        trunc = trunc or term.truncated
-        k += 1
-    acc = GradedVector.lincomb(model, terms)
-    if acc.parts and min(acc.parts) < 0:
-        raise AssertionError("gauge step leaked below grade 0")
-    return GradedVector(acc.model, acc.parts, acc.delta, acc.rho, trunc)
-
-
-def gauge_transform(conn: Connection, m: GradedVector) -> Connection:
-    """Apply exp(m) to the connection, m loop-valued in grades >= 1."""
-    return Connection(conn.model, _gauge_u(conn.model, conn.u, m))
+    terms = [(_SONE, u)]
+    for sign, term in ((1, m.bracket(model.pminus() + u)),
+                       (-1, m.derivative())):
+        k = 1
+        while not term.is_zero:
+            terms.append((Scalar(sign, 0, math.factorial(k)), term))
+            k += 1
+            term = m.bracket(term)
+    return Connection(model, GradedVector.lincomb(model, terms))
 
 
 class QuasiCanonicalForm:
@@ -177,7 +160,12 @@ class QuasiCanonicalForm:
     were applied (first factor first).  A form made by
     ``quasi_canonicalize`` holds them as the reduction's raw numerators and
     lowers them to canonical rational functions on the first read of
-    ``gauge``, once; until then they cost no lowering.
+    ``gauge``, once; until then they cost no lowering.  Every ``v_j`` is
+    exact through the cutoff: grades dropped above the grading window never
+    reach it, since gauge parameters only raise grades.
+
+    ``truncated`` is a shim beside ``coeffs.EXACT`` and ``coeffs._Q``:
+    bench/ still passes it, and no program path sets it.
     """
 
     __slots__ = ("model", "phi", "v", "_gauge", "_raw", "truncated")
@@ -282,9 +270,8 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
             cur = _gauge_step(model, consts, cur, n + 1, mraw)
     v = {n: lower_numerator(x, frame, n + 1) for n, x in vnum.items()}
     # terms dropped above the cutoff never feed back into grades <= cutoff
-    # (gauge parameters only raise grades), so the reported slice is exact;
-    # the form is only marked truncated when the input already was
-    qc = QuasiCanonicalForm(model, conn.phi, v, (), conn.u.truncated)
+    # (gauge parameters only raise grades), so the reported slice is exact
+    qc = QuasiCanonicalForm(model, conn.phi, v)
     qc._raw = (frame, steps)
     return qc
 
@@ -311,7 +298,7 @@ def _grade_rows(model, consts, cur, n):
 def _gauge_step(model, consts, cur, a, mraw):
     """exp(m) applied to the packed numerators ``cur`` (grade g over
     L^(g+1)), for m of grade a with raw numerators ``mraw`` over L^a.
-    Mirrors ``_gauge_u``:
+    Mirrors ``gauge_transform``:
 
         u + sum_k ad_m^k/k! (p_-1 + u + rho) - sum_k ad_m^(k-1)/k! (m');
 
@@ -328,18 +315,12 @@ def _gauge_step(model, consts, cur, a, mraw):
     pminus = [_KONE] * model.dim_loop(-1)
     slots = _ad(model, a, m, {-1: pminus, **cur}, K)
     ma = slots.setdefault(a, [[] for _ in mnum])
+    s = Scalar(-a, 0, 1)
     if R[0] or R[1]:
-        s = Scalar(-a, 0, 1)
         for t, x in zip(ma, mnum):
             if x[0] or x[1]:
                 t.append((s, _kmul(x, R)))
-    term, k = _summed(slots), 1
-    while term:
-        _collect(acc, term, Scalar(1, 0, math.factorial(k)))
-        k += 1
-        term = _summed(_ad(model, a, m, term, K))
-    # m' = (N' L - a N L') / L^(a+1), then its brackets
-    s = Scalar(-a, 0, 1)
+    # m' = (N' L - a N L') / L^(a+1), one term list per slot
     dm = []
     for (re, im, den), x in zip(mraw, mnum):
         terms = []
@@ -348,12 +329,13 @@ def _gauge_step(model, consts, cur, a, mraw):
             terms.append((_SONE, _kmul(dx, L)))
         if re and (dL[0] or dL[1]):
             terms.append((s, _kmul(x, dL)))
-        dm.append(_ksum(terms))
-    term, k = ({a: dm} if any(x[0] or x[1] for x in dm) else {}), 1
-    while term:
-        _collect(acc, term, Scalar(-1, 0, math.factorial(k)))
-        k += 1
-        term = _summed(_ad(model, a, m, term, K))
+        dm.append(terms)
+    for sign, start in ((1, slots), (-1, {a: dm})):
+        term, k = _summed(start), 1
+        while term:
+            _collect(acc, term, Scalar(sign, 0, math.factorial(k)))
+            k += 1
+            term = _summed(_ad(model, a, m, term, K))
     out = {g: xs for g, xs in cur.items() if g < a - 1}
     # one content gcd per rewritten numerator and step, so that unreduced
     # denominators do not compound over the steps; where it unpacks, the
@@ -503,7 +485,7 @@ def residual_gauge(qc: QuasiCanonicalForm, params, allow_first=False):
         if j not in v:
             raise ValueError(f"{j} is not an exponent below the cutoff")
         v[j] = v[j] - twisted_derivative(qc.phi, j, model.dual_coxeter, f)
-    out = QuasiCanonicalForm(model, qc.phi, v, qc._gauge, qc.truncated)
+    out = QuasiCanonicalForm(model, qc.phi, v, qc._gauge)
     # the factors are unchanged: an unread one stays unlowered
     out._raw = qc._raw
     return out
@@ -645,13 +627,13 @@ def change_coordinate(obj, mobius):
     if isinstance(obj, QuasiCanonicalForm):
         v = {j: f.compose_mobius(a, b, c, d, j + 1)
              for j, f in obj.v.items()}
-        return QuasiCanonicalForm(model, phi_new, v, (), obj.truncated)
+        return QuasiCanonicalForm(model, phi_new, v)
 
     parts = {g: [f.compose_mobius(a, b, c, d, g + 1) for f in comps]
              for g, comps in obj.u.parts.items()}
     delta = obj.u.delta.compose_mobius(a, b, c, d, 1)
     rho = phi_new.scale(Scalar.exact(-1) / hv)
-    u = GradedVector(model, parts, delta, rho, obj.u.truncated)
+    u = GradedVector(model, parts, delta, rho)
     u._prune()
     return Connection(model, u)
 

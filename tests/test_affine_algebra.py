@@ -240,15 +240,14 @@ def test_form_invariance(data):
     assert lhs == rhs
 
 
-def test_truncation_flag():
-    model = build_algebra({"type": "A", "rank": 1, "cutoff": 2})
+def test_bracket_drops_grades_outside_the_window():
     one = RationalFunction.one()
-    x = GradedVector.monomial(model, 2, model.basis(2)[0][0], one)
-    got = x.bracket(x.bracket(_pplus(model)))  # lands at grade 5 > 3
-    assert got.truncated
-    assert not got.parts
-    ok = _pplus(model).bracket(model.pminus())
-    assert not ok.truncated
+    for cutoff, want in ((2, set()), (4, {5})):
+        model = build_algebra({"type": "A", "rank": 1, "cutoff": cutoff})
+        x = GradedVector.monomial(model, 2, model.basis(2)[0][0], one)
+        got = x.bracket(x.bracket(_pplus(model)))  # lands at grade 5
+        # dropped where 5 > K+1; kept, and nonzero, where the window holds it
+        assert set(got.parts) == want
 
 
 # ------------------------------------------------------ principal subalgebra

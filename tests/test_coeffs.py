@@ -652,6 +652,71 @@ def test_sum_and_product_equal_the_fully_reduced_form(a, b, kc):
     assert (f * u).pole_order_at(p) < f.pole_order_at(p)
 
 
+def _factor_stripping_product(f, g):
+    """The product as ``RationalFunction.__mul__`` formed it before it
+    reduced through ``_canonical``: at each pole of one factor only, the
+    other factor's numerator is divided by ``z - p`` while it vanishes
+    there, and the two numerators are multiplied last."""
+    if f.is_zero or g.is_zero:
+        return RationalFunction.zero()
+    a, b = dict(f.poles), dict(g.poles)
+    na, nb = f.num, g.num
+    poles = []
+    for p in sorted({**a, **b}, key=lambda p: (p.re, p.im)):
+        m = a.get(p, 0) + b.get(p, 0)
+        if p in a and p in b:
+            poles.append((p, m))
+            continue
+        n = nb if p in a else na
+        while m and n.degree > 0 and n.eval(p).is_zero:
+            n, m = n.divide_linear(p)[0], m - 1
+        if p in a:
+            nb = n
+        else:
+            na = n
+        if m:
+            poles.append((p, m))
+    return RationalFunction(na * nb, tuple(poles))
+
+
+@st.composite
+def product_st(draw):
+    """Two factors over three poles, all real or Gaussian: poles shared by
+    both and poles of one factor only, where the other factor's numerator
+    vanishes to order 0, 1 or 2; now and then a zero factor."""
+    if draw(st.booleans()):
+        point, coeff = rat_st.map(sc), st.one_of(st.just(sc(0)),
+                                                 rat_st.map(sc))
+    else:
+        point, coeff = gauss_st, zero_or_gauss_st
+    pool = draw(st.lists(point, min_size=3, max_size=3, unique=True))
+
+    def rf(num):
+        return RationalFunction.from_split(num, draw(st.dictionaries(
+            st.sampled_from(pool), st.integers(1, 3), max_size=3)))
+
+    def numerator():
+        return Polynomial.of(draw(st.lists(coeff, min_size=1, max_size=3)))
+
+    f = rf(numerator())
+    k = numerator()
+    for p, _m in f.poles:
+        for _ in range(draw(st.integers(0, 2))):
+            k = k * Polynomial.of([-p, sc(1)])
+    g = rf(k)
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_st())
+def test_product_equals_the_factor_stripping_product(case):
+    f, g = case
+    got, want = f * g, _factor_stripping_product(f, g)
+    assert got.poles == want.poles
+    assert (got.num.re, got.num.im, got.num.den) == (
+        want.num.re, want.num.im, want.num.den)
+
+
 def _horner_over_floats(f, z):
     num = 0j
     for c in reversed(f.num.coeffs):

@@ -187,6 +187,30 @@ def test_canonical_coefficients_gauge_invariant(a2):
             assert nf.is_zero, (j, diff)
 
 
+def test_windowed_gauge_transform_reduces_exactly():
+    # gauge_transform drops the grades above the window |g| <= K+1, but
+    # gauge parameters only raise grades, so nothing dropped reaches a v_j:
+    # the form is exact and is never marked truncated, and its v_j equal
+    # those of the same data over a model four grades wider
+    dropped = 0
+    for rank, cutoff in ((1, 3), (2, 4), (2, 5), (3, 4)):
+        models = [build_algebra({"type": "A", "rank": rank, "cutoff": k})
+                  for k in (cutoff, cutoff + 4)]
+        for seed in range(6):
+            conns = []
+            for model in models:
+                rng = random.Random(seed)
+                conn = _rand_connection(model, rng, max_grade=2,
+                                        with_delta=True)
+                conns.append(gauge_transform(conn, _rand_gauge(model, rng)))
+            dropped += max(conns[1].u.parts) > models[0].window
+            qc, wide = (quasi_canonicalize(c) for c in conns)
+            assert not qc.truncated
+            assert qc.phi == wide.phi
+            assert qc.v == {j: f for j, f in wide.v.items() if j <= cutoff}
+    assert dropped
+
+
 def test_factor_list_matches_single_exponential():
     # Composing the ordered factors through the 4-letter series is exact in
     # grades <= 4 (a bracket word of length 5 in grade >= 1 letters sits in

@@ -1,6 +1,7 @@
 """Bit identity of the exact outputs: the ``reduce``, ``gauge``,
 ``bethe``, ``verify``, ``classes`` and ``wide`` hashes of
-``tools/output_hashes.py``.
+``tools/output_hashes.py``, and the pinned hash of the ``r1k40`` probe of
+``tools/large_cutoffs.py``.
 
 These six do not depend on the platform: five cover exact rational output
 only, and the ``verify`` report, with every check passing, holds no floats
@@ -38,3 +39,12 @@ def test_exact_output_hashes_are_unchanged():
     assert run.returncode == 0, run.stderr
     got = dict(line.split() for line in run.stdout.splitlines())
     assert got == WANT
+
+
+def test_large_cutoff_probe_keeps_its_pinned_hash():
+    # the tool marks each probe line ok or MOVED and exits 1 on a move
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "large_cutoffs.py"),
+         "r1k40"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.split()[-1] == "ok"

@@ -16,9 +16,11 @@ delta 0, and one off-shell Bethe root 1/3 of colour 1.  The probes are
 
 With no arguments it runs all three; with names it runs only those, in
 the order given; an unknown name exits 2.  For each probe it prints the
-CPU seconds of the ``regularity_check`` call and the SHA-256 of its rows,
-written as ``tools/output_hashes.py`` writes the ``bethe`` rows, so two
-checkouts can be compared for speed and for identical output.  No
+CPU seconds of the ``regularity_check`` call, the SHA-256 of its rows,
+written as ``tools/output_hashes.py`` writes the ``bethe`` rows, and
+``ok`` when that hash is the pinned one or ``MOVED`` when it is not; it
+exits 1 when any hash moved.  Two checkouts can so be compared for speed,
+and a change that must not move any output keeps every line ``ok``.  No
 benchmark workload reaches these sizes.
 """
 
@@ -37,6 +39,15 @@ from affopers.affine_algebra import build_algebra  # noqa: E402
 from affopers.miura import MiuraData, regularity_check  # noqa: E402
 
 PROBES = {"r1k40": (1, 40), "r8k40": (8, 40), "r1k80": (1, 80)}
+# the SHA-256 of each probe's rows
+PINNED = {
+    "r1k40":
+        "fb72ff9275c6f2ed4016d3adc1fa3a55be4a9dfff92807c320c348efec812d1f",
+    "r8k40":
+        "aab284a54859d630c06deb05861334987f4eebfb3ddaea85219132163e9821fb",
+    "r1k80":
+        "5ee5e09c2ed17f0ba8943315e0482968d1d997529b5f4aa5d7d45cfee6f3e0fc",
+}
 
 
 def probe_data(rank, cutoff):
@@ -73,10 +84,14 @@ def main(names):
         print(f"unknown probe {', '.join(unknown)}; choose from "
               f"{', '.join(PROBES)}", file=sys.stderr)
         return 2
+    moved = False
     for name in names or PROBES:
         seconds, digest = run_probe(name)
-        print(f"{name:6s} {seconds:8.3f} s  {digest}", flush=True)
-    return 0
+        ok = digest == PINNED[name]
+        moved = moved or not ok
+        print(f"{name:6s} {seconds:8.3f} s  {digest}  "
+              f"{'ok' if ok else 'MOVED'}", flush=True)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

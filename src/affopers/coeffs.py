@@ -249,7 +249,7 @@ def _scalar(r, i, q) -> Scalar:
 
 
 def _parse_real(x):
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         if "e" in x or "E" in x:

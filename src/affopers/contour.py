@@ -57,24 +57,32 @@ def _finite(x, field):
     return x
 
 
-def _cnum(obj) -> complex:
-    """Positions in JSON: exact strings, [re, im] pairs, or plain numbers."""
+def _angle(x, field):
+    """The finite float angle x; a boolean is refused, not read as 0 or 1."""
+    if isinstance(x, bool):
+        raise ContourError(f"cannot read {x!r} as {field}")
+    return _finite(float(x), field)
+
+
+def _cnum(obj, field="a position") -> complex:
+    """Positions in JSON: exact strings, [re, im] pairs, or plain numbers
+    other than booleans; an error for any other value names the field."""
     if isinstance(obj, complex):
         return obj
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return complex(obj)
     if isinstance(obj, Scalar):
         return obj.as_complex()
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise ContourError(f"position pair must have two entries: {obj!r}")
-        return complex(_cnum(obj[0]).real, _cnum(obj[1]).real)
+        return complex(_cnum(obj[0], field).real, _cnum(obj[1], field).real)
     if isinstance(obj, str):
         try:
             return Scalar.parse(obj).as_complex()
         except ZeroDivisionError:
             raise ContourError(f"cannot read {obj!r} as a position") from None
-    raise ContourError(f"cannot read {obj!r} as a position")
+    raise ContourError(f"cannot read {obj!r} as {field}")
 
 
 class Line:
@@ -84,8 +92,8 @@ class Line:
     kind = "line"
 
     def __init__(self, start, end):
-        self.start = _finite(_cnum(start), "'from'")
-        self.end = _finite(_cnum(end), "'to'")
+        self.start = _finite(_cnum(start, "'from'"), "'from'")
+        self.end = _finite(_cnum(end, "'to'"), "'to'")
 
     def point(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)
@@ -124,12 +132,12 @@ class Arc:
     kind = "arc"
 
     def __init__(self, center, radius, from_angle, to_angle):
-        self.center = _finite(_cnum(center), "'center'")
-        self.radius = _finite(float(_cnum(radius).real), "'radius'")
+        self.center = _finite(_cnum(center, "'center'"), "'center'")
+        self.radius = _finite(_cnum(radius, "'radius'").real, "'radius'")
         if self.radius <= 0:
             raise ContourError("arc radius must be positive")
-        self.from_angle = _finite(float(from_angle), "'from_angle'")
-        self.to_angle = _finite(float(to_angle), "'to_angle'")
+        self.from_angle = _angle(from_angle, "'from_angle'")
+        self.to_angle = _angle(to_angle, "'to_angle'")
         sweep = abs(self.to_angle - self.from_angle)
         if sweep > _MAX_TURNS * 2 * math.pi:
             raise ContourError(
@@ -194,8 +202,8 @@ def _parse_segment(obj, where):
         if kind == "line":
             return Line(obj["from"], obj["to"])
         if kind == "arc":
-            return Arc(obj["center"], obj["radius"],
-                       float(obj["from_angle"]), float(obj["to_angle"]))
+            return Arc(obj["center"], obj["radius"], obj["from_angle"],
+                       obj["to_angle"])
     except KeyError as exc:
         raise ContourError(f"{where} lacks the key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

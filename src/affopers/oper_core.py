@@ -22,9 +22,12 @@ the least integer such that every input coefficient of grade g (delta and
 rho at grade 0) has order at most c_p (g+1) at p, and L = prod (z-p)^c_p, a
 grade-g coefficient of u stays a numerator over L^(g+1) and a grade-a
 coefficient of a gauge parameter one over L^a through every step.  A
-bracket adds grades, a + (b+1) = (a+b) + 1; m' raises each order by one,
-(N/L^a)' = (N' L - a N L') / L^(a+1); [rho, x] multiplies by rho = R/L;
-and the decomposition matrices are constant.  ``quasi_canonicalize``
+bracket adds grades, a + (b+1) = (a+b) + 1, and the decomposition
+matrices are constant.  m' and rho = R/L enter a gauge step only through
+the grade-a part of its series' starting term [m, p_-1 + u + rho] - m'
+(see ``gauge_transform``), where [m, rho] = -a N R / L^(a+1) and
+(N/L^a)' = (N' L - a N L') / L^(a+1) leave the one numerator
+a N (L' - R) - N' L over L^(a+1).  ``quasi_canonicalize``
 therefore runs on those numerators alone, as integer polynomial products
 and n-ary sums with no pole bookkeeping, and with no gcd taken by any
 product or sum, since every value is only multiplied, added or tested for
@@ -95,6 +98,7 @@ __all__ = [
 # docstring; the packed 1 is the same int at every base
 _KONE = pack_numerator(((1,), None, 1))
 _SONE = Scalar(1, 0, 1)
+_SMINUS = Scalar(-1, 0, 1)
 
 
 class Connection:
@@ -129,25 +133,25 @@ class Connection:
 def gauge_transform(conn: Connection, m: GradedVector) -> Connection:
     """Apply exp(m) to the connection, m loop-valued in grades >= 1:
 
-        u + sum_k ad_m^k/k! (p_-1 + u) - sum_k ad_m^(k-1)/k! (m'),
+        u + sum_{k>=1} ad_m^(k-1)/k! (S),   S = [m, p_-1 + u] - m',
 
-    where both series terminate inside the grading window.
+    the series of ad_m^k/k! (p_-1 + u) and of -ad_m^(k-1)/k! (m') in one,
+    which terminates inside the grading window.
     """
     if not m.delta.is_zero or not m.rho.is_zero:
         raise ValueError("gauge parameters must be loop-valued")
     if m.parts and min(m.parts) < 1:
         raise ValueError("gauge parameters must live in grades >= 1")
     model, u = conn.model, conn.u
-    # the brackets are taken unscaled, and the sum of each coefficient is
-    # reduced once; p_-1 stays out of it, as the result leaves it out
-    terms = [(_SONE, u)]
-    for sign, term in ((1, m.bracket(model.pminus() + u)),
-                       (-1, m.derivative())):
-        k = 1
-        while not term.is_zero:
-            terms.append((Scalar(sign, 0, math.factorial(k)), term))
-            k += 1
-            term = m.bracket(term)
+    # the series' brackets are taken unscaled, and the sum of each coefficient
+    # is reduced once; p_-1 stays out of it, as the result leaves it out
+    terms, k = [(_SONE, u)], 1
+    term = GradedVector.lincomb(model, [(_SONE, m.bracket(model.pminus() + u)),
+                                        (_SMINUS, m.derivative())])
+    while not term.is_zero:
+        terms.append((Scalar(1, 0, math.factorial(k)), term))
+        k += 1
+        term = m.bracket(term)
     return Connection(model, GradedVector.lincomb(model, terms))
 
 
@@ -253,10 +257,11 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
                     orders[p] = c
     frame = _sorted_poles(orders)
     L = lift_numerator(RationalFunction.one(), frame, 1)
-    # L, L', rho's numerator R and the center's
-    consts = [pack_numerator(x) for x in (
-        L, (*_derivative(L[0], L[1]), L[2]), lift_numerator(u.rho, frame, 1),
-        lift_numerator(u.delta, frame, 1))]
+    dL, R = (pack_numerator(x) for x in (
+        (*_derivative(L[0], L[1]), L[2]), lift_numerator(u.rho, frame, 1)))
+    # L, L' - R for rho = R/L (the only use of either), and the center's
+    consts = (pack_numerator(L), _ksum([(_SONE, dL), (_SMINUS, R)]),
+              pack_numerator(lift_numerator(u.delta, frame, 1)))
     cur = {g: [pack_numerator(lift_numerator(f, frame, g + 1)) for f in comp]
            for g, comp in parts.items()}
     vnum = {}
@@ -282,7 +287,7 @@ def _grade_rows(model, consts, cur, n):
     when it vanishes), from the grade-n numerators of ``cur``."""
     comp = cur.get(n) or [_KZERO] * model.dim_loop(n)
     if n == 0:
-        comp = [consts[3]] + comp
+        comp = [consts[2]] + comp
     vrow, mrows = model.gauge_step_rows(n)
     if vrow is not None:
         mrows = (vrow,) + mrows
@@ -298,44 +303,35 @@ def _grade_rows(model, consts, cur, n):
 def _gauge_step(model, consts, cur, a, mraw):
     """exp(m) applied to the packed numerators ``cur`` (grade g over
     L^(g+1)), for m of grade a with raw numerators ``mraw`` over L^a.
-    Mirrors ``gauge_transform``:
+    Mirrors ``gauge_transform``, with rho in the starting term:
 
-        u + sum_k ad_m^k/k! (p_-1 + u + rho) - sum_k ad_m^(k-1)/k! (m');
+        u + sum_{k>=1} ad_m^(k-1)/k! (S),   S = [m, p_-1 + u + rho] - m';
 
     the grades below a - 1 pass through unchanged.
     """
     K = model.cutoff
-    L, dL, R = consts[:3]
+    L, dLR = consts[:2]
     m = _Parameter(mraw)
     mnum = m.at(packing_base(m.bound))
     acc = {g: [[(_SONE, x)] if x[0] or x[1] else [] for x in xs]
            for g, xs in cur.items() if g >= a - 1}
-    # [m, p_-1 + u + rho]: p_-1 is the numerator 1 at each grade -1 slot,
-    # and [m, rho] = -a m rho
+    # S: p_-1 is the numerator 1 at each grade -1 slot; with m = N/L^a,
+    # [m, rho] = -a N R and m' = N' L - a N L', both over L^(a+1), so
+    # [m, rho] - m' adds a N (L' - R) - N' L to each grade-a slot
     pminus = [_KONE] * model.dim_loop(-1)
     slots = _ad(model, a, m, {-1: pminus, **cur}, K)
-    ma = slots.setdefault(a, [[] for _ in mnum])
-    s = Scalar(-a, 0, 1)
-    if R[0] or R[1]:
-        for t, x in zip(ma, mnum):
-            if x[0] or x[1]:
-                t.append((s, _kmul(x, R)))
-    # m' = (N' L - a N L') / L^(a+1), one term list per slot
-    dm = []
-    for (re, im, den), x in zip(mraw, mnum):
-        terms = []
+    for t, (re, im, den), x in zip(slots.setdefault(a, [[] for _ in mnum]),
+                                   mraw, mnum):
+        if re and (dLR[0] or dLR[1]):
+            t.append((Scalar(a, 0, 1), _kmul(x, dLR)))
         if len(re) > 1:
             dx = pack_numerator((*_derivative(re, im), den))
-            terms.append((_SONE, _kmul(dx, L)))
-        if re and (dL[0] or dL[1]):
-            terms.append((s, _kmul(x, dL)))
-        dm.append(terms)
-    for sign, start in ((1, slots), (-1, {a: dm})):
-        term, k = _summed(start), 1
-        while term:
-            _collect(acc, term, Scalar(sign, 0, math.factorial(k)))
-            k += 1
-            term = _summed(_ad(model, a, m, term, K))
+            t.append((_SMINUS, _kmul(dx, L)))
+    term, k = _summed(slots), 1
+    while term:
+        _collect(acc, term, Scalar(1, 0, math.factorial(k)))
+        k += 1
+        term = _summed(_ad(model, a, m, term, K))
     out = {g: xs for g, xs in cur.items() if g < a - 1}
     # one content gcd per rewritten numerator and step, so that unreduced
     # denominators do not compound over the steps; where it unpacks, the

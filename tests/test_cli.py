@@ -484,9 +484,16 @@ def test_non_integer_algebra_field(tmp_path, capsys, field, value):
       "bethe_roots": [{"w": "1e5000", "color": 1}]},
      "model JSON: root 1 w: the exponent of '1e5000' makes an integer of "
      "5001 digits, above the limit of 4300\n"),
+    # a JSON boolean is an int to Python, yet neither the position 1 nor
+    # the level 1
+    ({"points": [{"z": True, "weight": {"lambda_dot": ["1"]}}]},
+     "model JSON: point 1 z: cannot parse True as an exact real part"),
+    ({"points": [{"z": "0", "weight": {"lambda_dot": ["1"], "level": True}}]},
+     "model JSON: point 1 weight level: cannot parse True as an exact "
+     "real part"),
 ], ids=["top-list", "point-list", "weight-list", "lambda-string",
         "points-int", "algebra-list", "zero-denominator", "color-list",
-        "exponent-digits"])
+        "exponent-digits", "boolean-z", "boolean-level"])
 def test_malformed_model_json(tmp_path, capsys, command, blob, message):
     mpath = tmp_path / "model.json"
     write_model(mpath, [])
@@ -526,9 +533,16 @@ def test_malformed_model_json(tmp_path, capsys, command, blob, message):
     # the JSON number 1e400 reads as an infinite float
     ('{"segments": [{"kind": "line", "from": 1e400, "to": "1"}]}',
      "segment 1: 'from' must be finite, got (inf+0j)"),
+    # JSON booleans, which Python reads as the numbers 1 and 0
+    ({"segments": [{"kind": "line", "from": True, "to": "2"}]},
+     "segment 1: cannot read True as 'from'"),
+    ({"segments": [{"kind": "arc", "center": "0", "radius": "1/2",
+                    "from_angle": 0, "to_angle": True}]},
+     "segment 1: cannot read True as 'to_angle'"),
 ], ids=["top-list", "segment-int", "no-segments", "missing-key",
         "angle-list", "zero-denominator", "huge-sweep",
-        "long-sweep", "infinite-position"])
+        "long-sweep", "infinite-position", "boolean-position",
+        "boolean-angle"])
 def test_malformed_contour_json(tmp_path, capsys, blob, message):
     mpath = tmp_path / "model.json"
     write_model(mpath, [])

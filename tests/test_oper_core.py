@@ -2,6 +2,7 @@
 coefficients, closed-form first coefficient, factor-list composition,
 coordinate changes and residual transformations."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -121,6 +122,41 @@ def test_gauge_preserves_twist(a2):
         conn = _rand_connection(a2, rng)
         m = _rand_gauge(a2, rng)
         assert gauge_transform(conn, m).phi == conn.phi
+
+
+def _two_series_gauge_transform(conn, m):
+    """exp(m) applied as two series, the referee of the one-series
+    ``gauge_transform``:
+
+        u + sum_k ad_m^k/k! (p_-1 + u) - sum_k ad_m^(k-1)/k! (m')."""
+    model, u = conn.model, conn.u
+    terms = [(Scalar.one(), u)]
+    for sign, term in ((1, m.bracket(model.pminus() + u)),
+                       (-1, m.derivative())):
+        k = 1
+        while not term.is_zero:
+            terms.append((Scalar.exact(Fraction(sign, math.factorial(k))),
+                          term))
+            k += 1
+            term = m.bracket(term)
+    return Connection(model, GradedVector.lincomb(model, terms))
+
+
+def test_one_series_gauge_transform_matches_two_series():
+    # the series of [m, p_-1 + u] and of -m' share their 1/k! on
+    # ad_m^(k-1), so they are one series from [m, p_-1 + u] - m'; the
+    # merge matters where m does not commute with m'
+    noncommuting = 0
+    for rank, cutoff in ((1, 4), (2, 5), (3, 4)):
+        model = build_algebra({"type": "A", "rank": rank, "cutoff": cutoff})
+        rng = random.Random(30 + rank)
+        for _ in range(6):
+            conn = _rand_connection(model, rng, max_grade=2, with_delta=True)
+            m = _rand_gauge(model, rng)
+            noncommuting += not m.bracket(m.derivative()).is_zero
+            assert (gauge_transform(conn, m)
+                    == _two_series_gauge_transform(conn, m))
+    assert noncommuting
 
 
 def test_gauge_parameter_validation(a2):

@@ -6,8 +6,13 @@ Run from the root of a checkout:
     python3 tools/output_hashes.py reduce gauge bethe
 
 With no arguments it prints all seven hashes; with names it prints only
-those, in the order given.  A change that must not move any output leaves
-all seven lines as they were at its parent.  Each hash covers:
+those, in the order given; an unknown name exits 2.  Each line ends in
+``ok`` when its hash is the pinned one and ``MOVED`` when it is not, and
+the tool exits 1 when any hash moved, so a change that must not move any
+output keeps every line ``ok``.  A change that moves an output on purpose
+pins its new hash in ``PINNED``.  The ``periods`` hash covers floats, so
+it holds only where the floating-point results match the platform it was
+pinned on (Python 3.11, x86-64).  Each hash covers:
 
 * ``reduce``  -- ``json.dumps(qc.to_json(), sort_keys=True)`` of every
   ``bench`` ``reduce`` case of seeds 1-3, in case order;
@@ -199,6 +204,23 @@ def wide_hash():
 HASHES = {"reduce": reduce_hash, "gauge": gauge_hash, "bethe": bethe_hash,
           "periods": periods_hash, "verify": verify_hash,
           "classes": classes_hash, "wide": wide_hash}
+# the SHA-256 of each output
+PINNED = {
+    "reduce":
+        "3a863ab1592b7d0a1d4c799fc9ccc1a74458709d4aea42688a460f650be9a2d9",
+    "gauge":
+        "e6ed9b0318d0051e7d9b1d008ce499c9a2bb97d9ec380a1f2afb8efbf7db1159",
+    "bethe":
+        "c44f56028a2eb89d041ab03937a91c31b35f117782ca9710ab5dc57e60dfafb5",
+    "periods":
+        "4a2945299009fe066b7c5af2efc25747f7c24ff6fdc9c11b5a993119349af35f",
+    "verify":
+        "fbbe738f3caf72ea9a49707566603714ca78dbd616a270a50140f8b002649c6d",
+    "classes":
+        "22a6c040e56130e07436bd9e2a5f8ed87f824bf0b5a32da738d8aa92ce96b7cc",
+    "wide":
+        "7b3bec5219cf0952c7cc1758f0931499eabd153ff18bc49c2b4d211f8735c2d7",
+}
 
 
 def main(names):
@@ -207,9 +229,13 @@ def main(names):
         print(f"unknown hash {', '.join(unknown)}; choose from "
               f"{', '.join(HASHES)}", file=sys.stderr)
         return 2
+    moved = False
     for name in names or HASHES:
-        print(f"{name:8s} {HASHES[name]()}", flush=True)
-    return 0
+        digest = HASHES[name]()
+        ok = digest == PINNED[name]
+        moved = moved or not ok
+        print(f"{name:8s} {digest}  {'ok' if ok else 'MOVED'}", flush=True)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

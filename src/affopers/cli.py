@@ -16,8 +16,8 @@ from .verify import SUITES, run_suite, summary_lines
 
 
 # the largest models bethe-check and integrate reduce: with three points
-# and one root, checking rank 8 at cutoff 40 takes about 15 s of CPU, and
-# the cost grows as about cutoff^4
+# and one root, checking rank 8 at cutoff 40 takes about 6 s of CPU (one
+# AMD EPYC core, Python 3.11), and the cost grows as about cutoff^4
 MAX_RANK = 8
 MAX_CUTOFF = 40
 
@@ -92,13 +92,15 @@ def cmd_bethe_check(args):
 
 
 def _parse_position(text, option):
-    """The Scalar of a position option: one exact/decimal real, or 're,im';
-    ``option`` names it in the error raised when it does not parse."""
+    """The complex value of a position option: one exact/decimal real, or
+    're,im'; ``option`` names it in the error raised when it does not parse
+    or lies beyond the float range the contour is built in."""
     if not text.strip():
         raise ValueError(f"{option}: empty value")
     parts = [t.strip() for t in text.split(",", 1)]
     try:
-        return Scalar.parse(parts if len(parts) == 2 else parts[0])
+        value = Scalar.parse(parts if len(parts) == 2 else parts[0])
+        return value.as_complex()
     except ValueError as exc:
         raise ValueError(f"{option}: {exc}") from None
     except ZeroDivisionError:

@@ -66,7 +66,7 @@ def _angle(x, field):
 
 def _cnum(obj, field="a position") -> complex:
     """Positions in JSON: exact strings, [re, im] pairs, or plain numbers
-    other than booleans; an error for any other value names the field."""
+    other than booleans; every error it raises names the field."""
     if isinstance(obj, complex):
         return obj
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
@@ -75,13 +75,13 @@ def _cnum(obj, field="a position") -> complex:
         return obj.as_complex()
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
-            raise ContourError(f"position pair must have two entries: {obj!r}")
+            raise ContourError(f"{field} pair must have two entries: {obj!r}")
         return complex(_cnum(obj[0], field).real, _cnum(obj[1], field).real)
     if isinstance(obj, str):
         try:
             return Scalar.parse(obj).as_complex()
         except ZeroDivisionError:
-            raise ContourError(f"cannot read {obj!r} as a position") from None
+            raise ContourError(f"cannot read {obj!r} as {field}") from None
     raise ContourError(f"cannot read {obj!r} as {field}")
 
 

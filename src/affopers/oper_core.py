@@ -52,16 +52,22 @@ wrapped value is ever used.  The products of a bracket into one grade
 share one base, so each operand moves at most once per bracket.  A base
 thus follows the digits it holds: the grades of a step, whose
 coefficients grow with the grade, are not padded to the widest of them.
-Values are unpacked only to take the content gcd, for the parameter m
+Values are unpacked only to take a content gcd, for the parameter m
 (whose derivative and lowering read its digits) and at the final
-lowering: once per gauge step the parameter's numerators and the step's
-results are divided by their content gcd, so that unreduced denominators
-do not compound from step to step at large cutoffs.  Each v_j is
-normalized once, when it is lowered to its canonical rational function at
-the end.  The gauge factors are bookkeeping that no output reads: the form
-keeps their raw numerators, and each entry is normalized and lowered once,
-on the first read of ``QuasiCanonicalForm.gauge``.  The public
-``gauge_transform`` stays on rational functions.
+lowering.  A gauge step computes only what a later read needs: after the
+step at grade a, the rows read the grades >= a and the brackets of later
+steps the grades <= K - a - 1.  So the step at grade K + 1 is not run
+(its factor is still kept), grade a - 1 is dropped when 2a > K, and
+[m, p_-1] is not formed when 2a > K + 1.  A step divides by their content
+gcd only the numerators a later bracket reads, so that unreduced
+denominators do not compound through the products at large cutoffs; the
+other grades reach only sums and the rows, where each parameter's
+numerators are divided by theirs.  Each v_j is normalized once, when it
+is lowered to its canonical rational function at the end.  The gauge
+factors are bookkeeping that no output reads: the form keeps their raw
+numerators, and each entry is normalized and lowered once, on the first
+read of ``QuasiCanonicalForm.gauge``.  The public ``gauge_transform``
+stays on rational functions.
 
 Higher coefficients are fixed only up to the residual gauge freedom
 v_j -> v_j - (f' - (j phi / h_dual) f); ``twisted_class`` reduces v_j to its
@@ -237,6 +243,10 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
     read of the form's ``gauge``.  Delta is read only at grade 0 and rho
     never changes, so the gauge steps compute neither; input grades above
     the cutoff never feed a grade at or below it and are dropped on entry.
+    Each gauge step computes only what a later read needs: the step at
+    grade K + 1 is not run, as no row reads what it rewrites, and a step
+    at grade a takes a content gcd only on the grades <= K - a - 1 that
+    later brackets read (see ``_gauge_step``).
 
     Between ``lift_numerator`` and ``lower_numerator`` the numerators are
     packed, each at a base 2^w from the ladder ``packing_base``, and every
@@ -272,7 +282,9 @@ def quasi_canonicalize(conn: Connection) -> QuasiCanonicalForm:
             vnum[n] = vx
         if mraw is not None:
             steps.append((n + 1, mraw))
-            cur = _gauge_step(model, consts, cur, n + 1, mraw)
+            # the step at grade K + 1 would rewrite only grades no row reads
+            if n < K:
+                cur = _gauge_step(model, consts, cur, n + 1, mraw)
     v = {n: lower_numerator(x, frame, n + 1) for n, x in vnum.items()}
     # terms dropped above the cutoff never feed back into grades <= cutoff
     # (gauge parameters only raise grades), so the reported slice is exact
@@ -307,19 +319,25 @@ def _gauge_step(model, consts, cur, a, mraw):
 
         u + sum_{k>=1} ad_m^(k-1)/k! (S),   S = [m, p_-1 + u + rho] - m';
 
-    the grades below a - 1 pass through unchanged.
+    the grades below a - 1 pass through unchanged.  The result holds only
+    what a later read needs: the rows read the grades >= a, and the
+    brackets of later steps the grades <= K - a - 1.  So grade a - 1 is
+    kept only when 2a <= K, and [m, p_-1], its only new term, is formed
+    only when it is kept or ad_m takes it to grade 2a - 1 <= K.
     """
     K = model.cutoff
     L, dLR = consts[:2]
     m = _Parameter(mraw)
     mnum = m.at(packing_base(m.bound))
+    lo = a - 1 if 2 * a <= K else a
     acc = {g: [[(_SONE, x)] if x[0] or x[1] else [] for x in xs]
-           for g, xs in cur.items() if g >= a - 1}
+           for g, xs in cur.items() if g >= lo}
     # S: p_-1 is the numerator 1 at each grade -1 slot; with m = N/L^a,
     # [m, rho] = -a N R and m' = N' L - a N L', both over L^(a+1), so
     # [m, rho] - m' adds a N (L' - R) - N' L to each grade-a slot
-    pminus = [_KONE] * model.dim_loop(-1)
-    slots = _ad(model, a, m, {-1: pminus, **cur}, K)
+    start = (cur if 2 * a > K + 1
+             else {-1: [_KONE] * model.dim_loop(-1), **cur})
+    slots = _ad(model, a, m, start, K)
     for t, (re, im, den), x in zip(slots.setdefault(a, [[] for _ in mnum]),
                                    mraw, mnum):
         if re and (dLR[0] or dLR[1]):
@@ -329,15 +347,16 @@ def _gauge_step(model, consts, cur, a, mraw):
             t.append((_SMINUS, _kmul(dx, L)))
     term, k = _summed(slots), 1
     while term:
-        _collect(acc, term, Scalar(1, 0, math.factorial(k)))
+        _collect(acc, term, Scalar(1, 0, math.factorial(k)), lo)
         k += 1
         term = _summed(_ad(model, a, m, term, K))
     out = {g: xs for g, xs in cur.items() if g < a - 1}
-    # one content gcd per rewritten numerator and step, so that unreduced
-    # denominators do not compound over the steps; where it unpacks, the
-    # bound becomes exact again
+    # a content gcd on each numerator a later bracket reads, so that
+    # unreduced denominators do not compound through the products; where
+    # it unpacks, the bound becomes exact again.  The other grades reach
+    # only sums and the rows, whose _reduced normalizes them anyway.
     for g, xs in _summed(acc).items():
-        out[g] = [_kreduced(x) for x in xs]
+        out[g] = [_kreduced(x) for x in xs] if g <= K - a - 1 else xs
     return out
 
 
@@ -407,10 +426,12 @@ def _ad(model, a, m, x, K):
     return slots
 
 
-def _collect(acc, term, s):
-    """Append each nonzero numerator of ``term``, scaled by the Scalar s,
-    to the term lists of ``acc``."""
+def _collect(acc, term, s, lo):
+    """Append each nonzero numerator of ``term`` at a grade >= lo, scaled
+    by the Scalar s, to the term lists of ``acc``."""
     for g, xs in term.items():
+        if g < lo:
+            continue
         tv = acc.setdefault(g, [[] for _ in xs])
         for t, x in zip(tv, xs):
             if x[0] or x[1]:

@@ -520,7 +520,7 @@ def test_malformed_model_json(tmp_path, capsys, command, blob, message):
     ({"segments": [{"kind": "arc", "center": "0", "radius": "1",
                     "from_angle": [1], "to_angle": 0}]}, "segment 1: "),
     ({"segments": [{"kind": "line", "from": "1/0", "to": "1"}]},
-     "segment 1: cannot read '1/0' as a position"),
+     "segment 1: cannot read '1/0' as 'from'"),
     # sweeps that ran unbounded or hit the panel budget after seconds
     ({"segments": [{"kind": "arc", "center": "0", "radius": "1/2",
                     "from_angle": 0, "to_angle": 1e300}]},
@@ -573,5 +573,6 @@ def test_value_beyond_float_range(tmp_path, capsys, argv):
     assert main(argv[:1] + ["--model", str(mpath)] + extra + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: 1E+400 is beyond the float range\n"
+    option = "" if argv[0] == "integrate" else f"{argv[-2]}: "
+    assert captured.err == f"error: {option}1E+400 is beyond the float range\n"
 

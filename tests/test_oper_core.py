@@ -403,6 +403,61 @@ def test_gauge_factors_are_lowered_once_on_first_read(a2, monkeypatch):
     assert calls == entries
 
 
+def test_gauge_steps_compute_only_what_a_later_read_needs(
+        a1, a2, monkeypatch):
+    # After the step at grade a, the rows read the grades >= a and later
+    # brackets the grades <= K - a - 1.  So no step runs at grade K + 1
+    # (its factor is still kept), a content gcd is taken only at grades
+    # <= K - a - 1, grade a - 1 is dropped when 2a > K, and [m, p_-1] is
+    # not formed when 2a > K + 1.
+    inputs = list(_replay_inputs(a1, a2))
+    want = [quasi_canonicalize(conn) for conn in inputs]
+    step, ad, kreduced = (oper_core._gauge_step, oper_core._ad,
+                          oper_core._kreduced)
+    steps, reduced, brackets = [], [], []
+
+    def counted_step(model, consts, cur, a, mraw):
+        reduced.clear()
+        out = step(model, consts, cur, a, mraw)
+        where = {id(x): g for g, xs in out.items() for x in xs
+                 if x[0] or x[1]}
+        steps.append((a, set(out),
+                      [where.get(id(y)) for y in reduced if y[0] or y[1]]))
+        return out
+
+    def counted_kreduced(x):
+        reduced.append(kreduced(x))
+        return reduced[-1]
+
+    def counted_ad(model, a, m, x, K):
+        brackets.append((2 * a > K + 1, -1 in x))
+        return ad(model, a, m, x, K)
+
+    monkeypatch.setattr(oper_core, "_gauge_step", counted_step)
+    monkeypatch.setattr(oper_core, "_kreduced", counted_kreduced)
+    monkeypatch.setattr(oper_core, "_ad", counted_ad)
+    last_factors = gcds = 0
+    for conn, qc in zip(inputs, want):
+        K = conn.model.cutoff
+        steps.clear()
+        got = quasi_canonicalize(conn)
+        assert got.v == qc.v
+        grades = [min(m.parts) for m in got.gauge]
+        assert [m.parts for m in got.gauge] == [m.parts for m in qc.gauge]
+        assert [a for a, _out, _hit in steps] == [a for a in grades if a <= K]
+        last_factors += grades[-1] == K + 1
+        for a, out, hit in steps:
+            # every gcd taken lands in the output, at a grade a later
+            # bracket reads
+            assert all(g is not None and g <= K - a - 1 for g in hit), a
+            gcds += len(hit)
+            if 2 * a > K:
+                assert a - 1 not in out
+    assert last_factors and gcds
+    assert (True, True) not in brackets
+    assert (True, False) in brackets and (False, True) in brackets
+
+
 def test_wide_rationals_widen_the_base_and_match_the_replay(
         a1, a2, monkeypatch):
     # Weights of about 200 bits (100-bit numerators over 100-bit

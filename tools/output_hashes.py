@@ -49,7 +49,8 @@ pinned on (Python 3.11, x86-64).  Each hash covers:
   paths that move values to wider packed bases.
 
 The case lists come from ``bench/workloads.py``; nothing under ``bench/``
-is written.  The run takes 12-25 s of one CPU (Python 3.11, Xeon).
+is written.  The run takes about 4.3 s of one CPU (Python 3.11, AMD
+EPYC).
 """
 
 from __future__ import annotations
